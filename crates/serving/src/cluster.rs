@@ -575,6 +575,15 @@ mod tests {
     }
 
     #[test]
+    fn fault_free_cluster_is_fully_available() {
+        // Two requests over 5 boxes x 2 cards: three boxes stay empty and
+        // the two busy boxes each leave one card idle. No card died.
+        let c = simulate_cluster(&cluster_config(5, 2, 2)).unwrap();
+        assert_eq!(c.report.completed.len(), 2);
+        assert_eq!(c.availability(), 1.0);
+    }
+
+    #[test]
     fn malformed_cluster_configs_are_rejected() {
         let ok = cluster_config(2, 2, 10);
         assert!(simulate_cluster(&ClusterConfig {

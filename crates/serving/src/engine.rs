@@ -1801,6 +1801,20 @@ mod tests {
     }
 
     #[test]
+    fn idle_cards_count_as_up_in_fault_free_runs() {
+        // Two requests on four cards: two cards never serve, and the two
+        // that do finish at different times. Nothing died, so every card
+        // was up for the whole box makespan.
+        let mut cfg = tiny_config();
+        cfg.devices = 4;
+        cfg.traffic.num_requests = 2;
+        let r = simulate(&cfg).unwrap();
+        assert_eq!(r.completed.len(), 2);
+        assert_eq!(r.replica_uptime_ms, vec![r.makespan_ms; 4]);
+        assert_eq!(r.availability(), 1.0);
+    }
+
+    #[test]
     fn larger_batch_does_not_hurt_goodput() {
         let mut small = tiny_config();
         small.max_batch = 1;

@@ -224,7 +224,9 @@ pub struct ServingReport {
     /// compiled-plan cache.
     pub restarts: usize,
     /// Per-replica up-time, ms, indexed by device: the replica's own
-    /// makespan minus the down windows it spent dead.
+    /// makespan minus the down windows it spent dead. Merged over a box, a
+    /// replica that ended the run up stays up through the box makespan, so
+    /// a card that merely went idle early is not counted as down.
     pub replica_uptime_ms: Vec<f64>,
     /// Engine-busy timeline of every phase, for the profiler tooling.
     pub trace: Trace,
@@ -428,8 +430,9 @@ impl ServingReport {
     /// recomputed over the union, throughput summed against the slowest
     /// replica's makespan, utilizations averaged per card (busy time
     /// reconstructed from each replica's utilization × its own makespan, NIC
-    /// included), availability counters summed, and the trace re-tagged with
-    /// each replica's [`DeviceId`].
+    /// included), availability counters summed (a replica that ended the run
+    /// up is up through the box makespan), and the trace re-tagged with each
+    /// replica's [`DeviceId`].
     pub fn merge_replicas(devices: usize, replicas: Vec<ServingReport>) -> ServingReport {
         let makespan_ms = replicas.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
         let span_ns = makespan_ms * 1e6;
@@ -512,9 +515,20 @@ impl ServingReport {
             checkpoint_bytes += r.checkpoint_bytes;
             restore_ms += r.restore_ms;
             recovered_tokens += r.recovered_tokens;
+            // A replica that ended the run up (every kill followed by its
+            // restart) idles, alive, until the box's last replica finishes:
+            // its own down time is `r.makespan_ms - up`, the rest of the
+            // box makespan is up-time.
+            let ended_up = r.failed_replicas == r.restarts;
             failed_replicas += r.failed_replicas;
             restarts += r.restarts;
-            replica_uptime_ms.extend(r.replica_uptime_ms);
+            replica_uptime_ms.extend(r.replica_uptime_ms.iter().map(|&up| {
+                if ended_up {
+                    makespan_ms - (r.makespan_ms - up)
+                } else {
+                    up
+                }
+            }));
         }
         completed.sort_by_key(|o| o.id);
         dropped.sort_by_key(|o| o.id);

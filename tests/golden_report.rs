@@ -150,13 +150,18 @@ fn fused_attention_off_is_bit_identical_to_the_seed() {
 // `checkpoint_bytes` / `restore_ms` / `recovered_tokens` recovery fields
 // (all zero in these checkpoint-free cells — the simulated schedules are
 // unchanged), and the hash covers the full `Debug` rendering.
+// The fault-free availability fix re-pinned the three multi-card digests
+// (and `PRE_FUSION_PAGED` below): in a merged box report, a replica that
+// ended the run up now stays up through the box makespan. Only
+// `replica_uptime_ms` moved; no schedule did.
 const GOLDEN_SINGLE: u64 = 16291629228079148197;
-const GOLDEN_REPLICAS: u64 = 8603232663148467704;
-const GOLDEN_RESTART: u64 = 12254322390563657721;
-const GOLDEN_PAGED: u64 = 6546514325150282584;
+const GOLDEN_REPLICAS: u64 = 18410886921965118692;
+const GOLDEN_RESTART: u64 = 12724643278749995326;
+const GOLDEN_PAGED: u64 = 16568343036024934856;
 
 // The PR-8 (pre-fused-attention) *schedules*, frozen: `fuse_attention(false)`
 // must keep reproducing those simulated timings forever. The hashes were
 // re-captured in PR-10 for the report-struct growth above.
 const PRE_FUSION_SINGLE: u64 = 3821713689838433894;
-const PRE_FUSION_PAGED: u64 = 11244233705144614509;
+// `PRE_FUSION_PAGED` was re-pinned by the availability fix above.
+const PRE_FUSION_PAGED: u64 = 12180978981740129672;
