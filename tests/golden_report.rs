@@ -9,7 +9,7 @@
 //! same trace — so these hashes are frozen and CI runs them on every push.
 
 use habana_gaudi_study::prelude::*;
-use habana_gaudi_study::serving::simulate;
+use habana_gaudi_study::serving::{simulate, simulate_cluster, ClusterConfig, ClusterReport};
 
 /// FNV-1a over the full `Debug` rendering of a report: every field, every
 /// per-request outcome, every trace event, bit-for-bit. Rust's float
@@ -99,6 +99,38 @@ fn paged_warmup_report_matches_the_pre_refactor_engine() {
     assert_eq!(digest(&r), GOLDEN_PAGED, "paged+warmup report drifted");
 }
 
+/// Digest of a whole cluster run: the merged report (`merge_boxes` and the
+/// box-level merges under it) plus routing telemetry and per-box slices.
+fn cluster_digest(c: &ClusterReport) -> u64 {
+    fnv1a(&format!("{c:?}"))
+}
+
+#[test]
+fn round_robin_cluster_report_is_pinned() {
+    let c = simulate_cluster(&ClusterConfig::new(base_config(2), 3, 2)).unwrap();
+    assert_eq!(c.report.completed.len(), 40);
+    assert_eq!(
+        cluster_digest(&c),
+        GOLDEN_CLUSTER,
+        "3-box round-robin cluster report drifted"
+    );
+}
+
+#[test]
+fn faulted_checkpointed_cluster_report_is_pinned() {
+    let mut cfg = ClusterConfig::new(base_config(2), 2, 2);
+    cfg.box_config.faults = FaultPlan::none().kill_for(DeviceId(1), 15.0, 30.0);
+    cfg.box_config.robustness = RobustnessConfig::unlimited().checkpoint(4.0, 64e9);
+    let c = simulate_cluster(&cfg).unwrap();
+    assert_eq!(c.report.restarts, 2);
+    assert!(c.report.checkpoint_bytes > 0);
+    assert_eq!(
+        cluster_digest(&c),
+        GOLDEN_CLUSTER_FAULTED,
+        "faulted checkpointed cluster report drifted"
+    );
+}
+
 #[test]
 fn activation_budget_off_is_bit_identical_to_the_seed() {
     // The memory planner is opt-in: with the default `Off` budget the
@@ -165,3 +197,9 @@ const GOLDEN_PAGED: u64 = 16568343036024934856;
 const PRE_FUSION_SINGLE: u64 = 3821713689838433894;
 // `PRE_FUSION_PAGED` was re-pinned by the availability fix above.
 const PRE_FUSION_PAGED: u64 = 12180978981740129672;
+
+// Cluster runs (`simulate_cluster` → per-box engines → `merge_boxes`),
+// pinned after the availability fix and before the report derivation
+// moved to once per public call: that refactor must leave both untouched.
+const GOLDEN_CLUSTER: u64 = 6806314336628977828;
+const GOLDEN_CLUSTER_FAULTED: u64 = 9221340712581379605;
