@@ -31,7 +31,7 @@
 //! [`gaudi_exec::ExecPool`] but are merged in box order, so the cluster
 //! report is bit-identical across execution policies.
 
-use crate::engine::{simulate_trace_with, ExecPolicy, PlanSharing, ServingConfig};
+use crate::engine::{simulate_records, ExecPolicy, PlanSharing, ServingConfig};
 use crate::error::ServingError;
 use crate::report::ServingReport;
 use crate::request::{generate_requests, Request};
@@ -378,12 +378,11 @@ pub fn simulate_cluster_with(
             PlanSharing::Shared(cache) => PlanSharing::Shared(Arc::clone(cache)),
         },
     };
-    let mut reports: Vec<ServingReport> =
-        policy
-            .pool
-            .try_par_map(&shards, |_, shard| -> Result<_, ServingError> {
-                simulate_trace_with(&box_cfg, shard.clone(), &inner)
-            })?;
+    let mut reports: Vec<ServingReport> = policy
+        .pool
+        .try_par_map(&shards, |_, shard| -> Result<_, ServingError> {
+            simulate_records(&box_cfg, shard.clone(), &inner)
+        })?;
 
     let per_box: Vec<BoxSummary> = reports
         .iter()
@@ -406,7 +405,7 @@ pub fn simulate_cluster_with(
     // report is bit-identical to the plain engine (re-deriving a gauge as
     // `u × w / w` is not a floating-point no-op).
     let report = if reports.len() == 1 {
-        reports.pop().expect("exactly one box")
+        reports.pop().expect("exactly one box").derived()
     } else {
         ServingReport::merge_boxes(reports)
     };

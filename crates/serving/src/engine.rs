@@ -1052,7 +1052,8 @@ impl<'a> Replica<'a> {
         self.recipes = RecipeCache::new(&self.cfg.recipes);
     }
 
-    /// Consume the replica into its single-device report.
+    /// Consume the replica into its single-device records and counters
+    /// (latency summaries underived; see [`ServingReport::derived`]).
     fn finalize(mut self) -> ServingReport {
         self.completed.sort_by_key(|o| o.id);
         self.dropped.sort_by_key(|d| d.id);
@@ -1071,20 +1072,6 @@ impl<'a> Replica<'a> {
                 .map(|d| d.retries as usize)
                 .sum::<usize>();
 
-        let ttft = Percentiles::of(self.completed.iter().map(|o| o.ttft_ms));
-        let tpot = Percentiles::of(self.completed.iter().flat_map(|o| {
-            o.token_times_ms
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .collect::<Vec<_>>()
-        }));
-        let queue = Percentiles::of(self.completed.iter().map(|o| o.queue_ms));
-        let timed_out = Percentiles::of(
-            self.dropped
-                .iter()
-                .filter(|d| d.kind == DropKind::TimedOut)
-                .map(|d| d.at_ms - d.arrival_ms),
-        );
         let per_s = |tokens: usize| {
             if clock_ms > 0.0 {
                 tokens as f64 / (clock_ms / 1e3)
@@ -1106,10 +1093,10 @@ impl<'a> Replica<'a> {
         ServingReport {
             offered: self.completed.len() + self.dropped.len(),
             makespan_ms: clock_ms,
-            ttft_ms: ttft,
-            tpot_ms: tpot,
-            queue_ms: queue,
-            timed_out_latency_ms: timed_out,
+            ttft_ms: Percentiles::default(),
+            tpot_ms: Percentiles::default(),
+            queue_ms: Percentiles::default(),
+            timed_out_latency_ms: Percentiles::default(),
             goodput_tokens_per_s: per_s(goodput_tokens),
             throughput_tokens_per_s: per_s(goodput_tokens + wasted_tokens),
             mme_utilization: util(self.mme_busy_ns),
@@ -1228,6 +1215,17 @@ fn activation_estimate_with(
 
 /// [`simulate_trace`] under an explicit [`ExecPolicy`].
 pub fn simulate_trace_with(
+    cfg: &ServingConfig,
+    requests: Vec<Request>,
+    policy: &ExecPolicy,
+) -> Result<ServingReport, ServingError> {
+    Ok(simulate_records(cfg, requests, policy)?.derived())
+}
+
+/// One box's run as records and counters, its latency summaries left for
+/// the caller to derive once: [`simulate_trace_with`] for a box on its
+/// own, [`ServingReport::merge_boxes`] for the boxes of a cluster.
+pub(crate) fn simulate_records(
     cfg: &ServingConfig,
     mut requests: Vec<Request>,
     policy: &ExecPolicy,
@@ -1348,7 +1346,7 @@ pub fn simulate_trace_with(
     let mut report = if cfg.devices == 1 {
         reports.pop().expect("exactly one replica")
     } else {
-        ServingReport::merge_replicas(cfg.devices, reports)
+        ServingReport::pool_replicas(cfg.devices, reports)
     };
     // Fault-lane observability: overlay the plan's kill/restart/flap/
     // slowdown windows as device-tagged trace lanes, so a Chrome-trace

@@ -25,10 +25,18 @@ impl Percentiles {
     /// assertions on identical seeds.
     pub fn of(values: impl IntoIterator<Item = f64>) -> Self {
         let mut v: Vec<f64> = values.into_iter().collect();
+        Self::summarize(&mut v)
+    }
+
+    /// [`of`](Self::of) over a sample buffer, sorted in place.
+    fn summarize(v: &mut [f64]) -> Self {
         if v.is_empty() {
             return Percentiles::default();
         }
-        v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        // `total_cmp` would order a NaN past +inf instead of failing the
+        // comparison; reject it up front, as the comparison sort did.
+        assert!(!v.iter().any(|x| x.is_nan()), "latencies are finite");
+        v.sort_unstable_by(f64::total_cmp);
         let rank = |p: f64| {
             let idx = (p * v.len() as f64).ceil() as usize;
             v[idx.clamp(1, v.len()) - 1]
@@ -426,6 +434,44 @@ impl ServingReport {
 
 /// Two-level report merging: replicas → box, boxes → cluster.
 impl ServingReport {
+    /// Derive the latency summaries (TTFT, TPOT, queue wait, timed-out
+    /// latency) from the per-request records. This is the one place they
+    /// are computed, once per report a public call returns: replica
+    /// reports, and the per-box reports a cluster merges, carry zeros
+    /// there and hand up only their records.
+    pub(crate) fn derived(mut self) -> Self {
+        fn summarize(buf: &mut Vec<f64>, samples: impl Iterator<Item = f64>) -> Percentiles {
+            buf.clear();
+            buf.extend(samples);
+            Percentiles::summarize(buf)
+        }
+        let gaps: usize = self
+            .completed
+            .iter()
+            .map(|o| o.token_times_ms.len().saturating_sub(1))
+            .sum();
+        // One buffer sized for the largest population, refilled and sorted
+        // in place for each summary.
+        let mut buf = Vec::with_capacity(gaps.max(self.completed.len()).max(self.dropped.len()));
+        let completed = &self.completed;
+        self.ttft_ms = summarize(&mut buf, completed.iter().map(|o| o.ttft_ms));
+        self.tpot_ms = summarize(
+            &mut buf,
+            completed
+                .iter()
+                .flat_map(|o| o.token_times_ms.windows(2).map(|w| w[1] - w[0])),
+        );
+        self.queue_ms = summarize(&mut buf, completed.iter().map(|o| o.queue_ms));
+        self.timed_out_latency_ms = summarize(
+            &mut buf,
+            self.dropped
+                .iter()
+                .filter(|d| d.kind == DropKind::TimedOut)
+                .map(|d| d.at_ms - d.arrival_ms),
+        );
+        self
+    }
+
     /// Merge per-replica reports into one box-level report: latency percentiles
     /// recomputed over the union, throughput summed against the slowest
     /// replica's makespan, utilizations averaged per card (busy time
@@ -434,6 +480,13 @@ impl ServingReport {
     /// up is up through the box makespan), and the trace re-tagged with each
     /// replica's [`DeviceId`].
     pub fn merge_replicas(devices: usize, replicas: Vec<ServingReport>) -> ServingReport {
+        Self::pool_replicas(devices, replicas).derived()
+    }
+
+    /// [`merge_replicas`](Self::merge_replicas) without the latency
+    /// derivation: the box's records and counters, for a caller that
+    /// derives once at its own top level.
+    pub(crate) fn pool_replicas(devices: usize, replicas: Vec<ServingReport>) -> ServingReport {
         let makespan_ms = replicas.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
         let span_ns = makespan_ms * 1e6;
         // Recover each replica's busy time from its own utilization x makespan.
@@ -535,20 +588,6 @@ impl ServingReport {
         let goodput_tokens: usize = completed.iter().map(|o| o.output_len).sum();
         let wasted_tokens: usize = dropped.iter().map(|d| d.tokens_generated).sum();
 
-        let ttft_ms = Percentiles::of(completed.iter().map(|o| o.ttft_ms));
-        let tpot_ms = Percentiles::of(completed.iter().flat_map(|o| {
-            o.token_times_ms
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .collect::<Vec<_>>()
-        }));
-        let queue_ms = Percentiles::of(completed.iter().map(|o| o.queue_ms));
-        let timed_out_latency_ms = Percentiles::of(
-            dropped
-                .iter()
-                .filter(|d| d.kind == DropKind::TimedOut)
-                .map(|d| d.at_ms - d.arrival_ms),
-        );
         let per_s = |tokens: usize| {
             if makespan_ms > 0.0 {
                 tokens as f64 / (makespan_ms / 1e3)
@@ -562,10 +601,10 @@ impl ServingReport {
             dropped,
             offered,
             makespan_ms,
-            ttft_ms,
-            tpot_ms,
-            queue_ms,
-            timed_out_latency_ms,
+            ttft_ms: Percentiles::default(),
+            tpot_ms: Percentiles::default(),
+            queue_ms: Percentiles::default(),
+            timed_out_latency_ms: Percentiles::default(),
             goodput_tokens_per_s: per_s(goodput_tokens),
             throughput_tokens_per_s: per_s(goodput_tokens + wasted_tokens),
             mme_utilization,
@@ -707,20 +746,6 @@ impl ServingReport {
         let goodput_tokens: usize = completed.iter().map(|o| o.output_len).sum();
         let wasted_tokens: usize = dropped.iter().map(|d| d.tokens_generated).sum();
 
-        let ttft_ms = Percentiles::of(completed.iter().map(|o| o.ttft_ms));
-        let tpot_ms = Percentiles::of(completed.iter().flat_map(|o| {
-            o.token_times_ms
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .collect::<Vec<_>>()
-        }));
-        let queue_ms = Percentiles::of(completed.iter().map(|o| o.queue_ms));
-        let timed_out_latency_ms = Percentiles::of(
-            dropped
-                .iter()
-                .filter(|d| d.kind == DropKind::TimedOut)
-                .map(|d| d.at_ms - d.arrival_ms),
-        );
         let per_s = |tokens: usize| {
             if makespan_ms > 0.0 {
                 tokens as f64 / (makespan_ms / 1e3)
@@ -734,10 +759,10 @@ impl ServingReport {
             dropped,
             offered,
             makespan_ms,
-            ttft_ms,
-            tpot_ms,
-            queue_ms,
-            timed_out_latency_ms,
+            ttft_ms: Percentiles::default(),
+            tpot_ms: Percentiles::default(),
+            queue_ms: Percentiles::default(),
+            timed_out_latency_ms: Percentiles::default(),
             goodput_tokens_per_s: per_s(goodput_tokens),
             throughput_tokens_per_s: per_s(goodput_tokens + wasted_tokens),
             mme_utilization,
@@ -769,6 +794,7 @@ impl ServingReport {
             replica_uptime_ms,
             trace,
         }
+        .derived()
     }
 }
 
