@@ -28,11 +28,12 @@
 //! what the pointer-equality tests pin down.
 
 use crate::error::ServingError;
+use crate::idhash::{IdMap, IdSet};
 use gaudi_compiler::{CompilerOptions, ExecutionPlan, GraphCompiler};
 use gaudi_hw::{EngineId, GaudiConfig};
 use gaudi_models::decode::{build_decode_step, build_prefill};
 use gaudi_models::LlmConfig;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Compiled cost of one phase execution.
@@ -255,7 +256,7 @@ impl RecipeConfig {
 /// recreated cold) when a replica restarts.
 #[derive(Debug, Clone, Default)]
 pub struct RecipeCache {
-    seen: HashSet<(Phase, usize, usize)>,
+    seen: IdSet<(Phase, usize, usize)>,
     compiles: u64,
     compile_ms: f64,
 }
@@ -264,7 +265,7 @@ impl RecipeCache {
     /// A cold cache for one replica.
     pub fn new(cfg: &RecipeConfig) -> Self {
         RecipeCache {
-            seen: HashSet::new(),
+            seen: IdSet::default(),
             compiles: 0,
             compile_ms: cfg.compile_ms,
         }
@@ -392,8 +393,8 @@ impl CostContext {
 /// per-replica L1 over a shared [`CostContext`].
 pub struct CostModel {
     ctx: Arc<CostContext>,
-    prefill_l1: HashMap<(usize, usize), Arc<CompiledPhase>>,
-    decode_l1: HashMap<(usize, usize), Arc<CompiledPhase>>,
+    prefill_l1: IdMap<(usize, usize), Arc<CompiledPhase>>,
+    decode_l1: IdMap<(usize, usize), Arc<CompiledPhase>>,
 }
 
 impl CostModel {
@@ -417,8 +418,8 @@ impl CostModel {
     pub fn with_context(ctx: Arc<CostContext>) -> Self {
         CostModel {
             ctx,
-            prefill_l1: HashMap::new(),
-            decode_l1: HashMap::new(),
+            prefill_l1: IdMap::default(),
+            decode_l1: IdMap::default(),
         }
     }
 

@@ -68,6 +68,7 @@ use crate::calendar::EventCalendar;
 use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeCache, RecipeConfig};
 use crate::error::ServingError;
 use crate::fault::{Job, RedistributionPolicy};
+use crate::idhash::IdMap;
 use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig};
 use crate::report::{DropKind, DroppedRequest, Percentiles, RequestOutcome, ServingReport};
 use crate::request::{generate_requests, Request, TrafficConfig};
@@ -80,7 +81,7 @@ use gaudi_models::LlmConfig;
 use gaudi_profiler::trace::TraceEvent;
 use gaudi_profiler::Trace;
 use gaudi_tensor::DType;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Full configuration of a serving simulation.
@@ -475,7 +476,7 @@ struct Replica<'a> {
     /// last checkpoint. Host DRAM survives the card's death, so the map is
     /// *not* cleared on restart; it is only ever probed by id (never
     /// iterated), keeping the simulation order-deterministic.
-    snapshots: HashMap<u64, usize>,
+    snapshots: IdMap<u64, usize>,
     /// Bytes snapshotted to host across all checkpoints.
     checkpoint_bytes: u64,
     /// Clock spent restoring snapshots over DMA, ms.
@@ -546,7 +547,7 @@ impl<'a> Replica<'a> {
             padded_tokens: 0,
             kv_bytes_per_token,
             next_checkpoint_ms,
-            snapshots: HashMap::new(),
+            snapshots: IdMap::default(),
             checkpoint_bytes: 0,
             restore_ms: 0.0,
             recovered_tokens: 0,

@@ -22,11 +22,11 @@
 //! mid-generation OOM.
 
 use crate::error::ServingError;
+use crate::idhash::IdMap;
 use gaudi_hw::config::MemoryConfig;
 use gaudi_hw::memory::{HbmTracker, OutOfMemory};
 use gaudi_models::LlmConfig;
 use gaudi_tensor::DType;
-use std::collections::HashMap;
 
 /// How much HBM admission charges for the activation/workspace memory of
 /// the compiled phase graphs, on top of resident weights and KV cache.
@@ -319,9 +319,9 @@ impl KvAccountant {
 pub struct ContiguousKv {
     acct: KvAccountant,
     /// Worst-case tokens reserved per admitted request.
-    reserved: HashMap<u64, usize>,
+    reserved: IdMap<u64, usize>,
     /// Live context tokens per admitted request (prompt + generated).
-    live: HashMap<u64, usize>,
+    live: IdMap<u64, usize>,
     reserved_tokens: usize,
     live_tokens: usize,
     peak_bytes_seen: u64,
@@ -335,8 +335,8 @@ impl ContiguousKv {
         let peak = acct.allocated();
         ContiguousKv {
             acct,
-            reserved: HashMap::new(),
-            live: HashMap::new(),
+            reserved: IdMap::default(),
+            live: IdMap::default(),
             reserved_tokens: 0,
             live_tokens: 0,
             peak_bytes_seen: peak,

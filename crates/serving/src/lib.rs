@@ -61,6 +61,7 @@ pub mod cost;
 pub mod engine;
 pub mod error;
 pub mod fault;
+mod idhash;
 pub mod kv;
 pub mod paged;
 pub mod report;

@@ -14,10 +14,10 @@
 //! preempting the newest sequence.
 
 use crate::error::ServingError;
+use crate::idhash::IdMap;
 use crate::kv::KvAdmission;
 use gaudi_hw::config::MemoryConfig;
 use gaudi_hw::memory::OutOfMemory;
-use std::collections::HashMap;
 
 /// Fixed-size block allocator over the KV region of one device.
 ///
@@ -88,7 +88,7 @@ struct Chain {
 #[derive(Debug)]
 pub struct PagedKv {
     pool: BlockPool,
-    chains: HashMap<u64, Chain>,
+    chains: IdMap<u64, Chain>,
     block_tokens: usize,
     block_bytes: u64,
     weight_bytes: u64,
@@ -123,7 +123,7 @@ impl PagedKv {
         let capacity_blocks = ((capacity_bytes - weight_bytes) / block_bytes).min(u32::MAX as u64);
         Ok(PagedKv {
             pool: BlockPool::new(capacity_blocks as u32),
-            chains: HashMap::new(),
+            chains: IdMap::default(),
             block_tokens,
             block_bytes,
             weight_bytes,
