@@ -7,9 +7,9 @@ use gaudi_hw::DeviceId;
 use gaudi_hw::GaudiConfig;
 use gaudi_models::LlmConfig;
 use gaudi_serving::{
-    generate_requests, simulate, simulate_trace, DropKind, EventCalendar, FaultPlan,
-    KvAdmissionConfig, Percentiles, RobustnessConfig, ServingConfig, ServingError, ServingReport,
-    TrafficConfig,
+    generate_requests, simulate, simulate_cluster, simulate_trace, ClusterConfig, DropKind,
+    EventCalendar, FaultPlan, KvAdmissionConfig, Percentiles, RobustnessConfig, ServingConfig,
+    ServingError, ServingReport, TrafficConfig,
 };
 use gaudi_tensor::DType;
 use proptest::prelude::*;
@@ -466,6 +466,61 @@ proptest! {
             "pooled p99 {} must dominate the per-box average {}",
             merged.ttft_ms.p99, averaged_p99);
         prop_assert!(merged.ttft_ms.p99 <= max_p99 + 1e-9);
+    }
+
+    /// Every public entry point returns latency summaries derived from
+    /// that report's own records: a report that escapes with underived,
+    /// all-zero percentiles, or with another level's, fails here.
+    #[test]
+    fn every_public_report_derives_percentiles_from_its_own_records(
+        seed in 0u64..1_000_000,
+        num_requests in 4usize..40,
+        boxes in 2usize..4,
+        kill_at in 1.0f64..40.0,
+    ) {
+        let cfg = |devices: usize| {
+            let mut c = config(seed, 2, num_requests, 4, 500);
+            c.devices = devices;
+            c
+        };
+        // A one-card burst against a TTFT deadline at its own unprotected
+        // median: the queue tail times out, so every population has samples.
+        let mut burst = cfg(1);
+        burst.traffic.arrival_rate_per_s = 1e6;
+        burst.robustness =
+            RobustnessConfig::default().ttft_deadline(simulate(&burst).unwrap().ttft_ms.p50);
+        let mut faulted = cfg(3);
+        faulted.faults = FaultPlan::none().kill_for(DeviceId(2), kill_at, 20.0);
+        let cluster = |boxes: usize| {
+            simulate_cluster(&ClusterConfig::new(cfg(2), boxes, 2)).unwrap().report
+        };
+        let reports = [
+            ("1 card", simulate(&cfg(1)).unwrap()),
+            ("3 cards", simulate(&cfg(3)).unwrap()),
+            ("1-card burst under a deadline", simulate(&burst).unwrap()),
+            ("3 cards with a kill_for", simulate(&faulted).unwrap()),
+            ("1-box cluster", cluster(1)),
+            ("multi-box cluster", cluster(boxes)),
+        ];
+        prop_assert!(reports[2].1.timed_out() > 0, "the burst tail must time out");
+        for (name, r) in &reports {
+            prop_assert!(!r.completed.is_empty(), "{}: nothing completed", name);
+            let ttft = Percentiles::of(r.completed.iter().map(|o| o.ttft_ms));
+            let tpot = Percentiles::of(r.completed.iter().flat_map(|o| {
+                o.token_times_ms.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>()
+            }));
+            let queue = Percentiles::of(r.completed.iter().map(|o| o.queue_ms));
+            let timed_out = Percentiles::of(
+                r.dropped
+                    .iter()
+                    .filter(|d| d.kind == DropKind::TimedOut)
+                    .map(|d| d.at_ms - d.arrival_ms),
+            );
+            prop_assert_eq!(&r.ttft_ms, &ttft, "{}: ttft", name);
+            prop_assert_eq!(&r.tpot_ms, &tpot, "{}: tpot", name);
+            prop_assert_eq!(&r.queue_ms, &queue, "{}: queue", name);
+            prop_assert_eq!(&r.timed_out_latency_ms, &timed_out, "{}: timed out", name);
+        }
     }
 }
 
