@@ -246,7 +246,7 @@ fn main() {
     println!("re-run with identical seed reproduces every cell: {reproducible}");
     assert!(reproducible, "the KV sweep must be deterministic");
 
-    // Machine-readable record next to BENCH_4.json for the CI artifact.
+    // Machine-readable record for the CI artifact.
     let mut rows: Vec<String> = Vec::new();
     for (i, &bucket) in BATCH_BUCKETS.iter().enumerate() {
         rows.push(cell_json("contiguous", 0, bucket, &s.contiguous[i]));

@@ -212,7 +212,7 @@ fn main() {
     println!("re-run with identical seed reproduces every cell: {reproducible}");
     assert!(reproducible, "the overload sweep must be deterministic");
 
-    // Machine-readable record next to BENCH_4.json for the CI artifact.
+    // Machine-readable record for the CI artifact.
     let mut rows = String::new();
     for (i, &m) in MULTIPLIERS.iter().enumerate() {
         let (a, b) = (&s.shed[i], &s.noshed[i]);
