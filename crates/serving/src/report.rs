@@ -24,12 +24,14 @@ impl Percentiles {
     /// always returns an observed value — important for exact reproducibility
     /// assertions on identical seeds.
     pub fn of(values: impl IntoIterator<Item = f64>) -> Self {
-        let mut v: Vec<f64> = values.into_iter().collect();
-        Self::summarize(&mut v)
+        Self::of_in(&mut Vec::new(), values)
     }
 
-    /// [`of`](Self::of) over a sample buffer, sorted in place.
-    fn summarize(v: &mut [f64]) -> Self {
+    /// [`of`](Self::of), collecting the samples into `v` (cleared first)
+    /// and sorting them there, so one buffer serves several populations.
+    fn of_in(v: &mut Vec<f64>, values: impl IntoIterator<Item = f64>) -> Self {
+        v.clear();
+        v.extend(values);
         if v.is_empty() {
             return Percentiles::default();
         }
@@ -440,11 +442,6 @@ impl ServingReport {
     /// reports, and the per-box reports a cluster merges, carry zeros
     /// there and hand up only their records.
     pub(crate) fn derived(mut self) -> Self {
-        fn summarize(buf: &mut Vec<f64>, samples: impl Iterator<Item = f64>) -> Percentiles {
-            buf.clear();
-            buf.extend(samples);
-            Percentiles::summarize(buf)
-        }
         let gaps: usize = self
             .completed
             .iter()
@@ -454,15 +451,15 @@ impl ServingReport {
         // in place for each summary.
         let mut buf = Vec::with_capacity(gaps.max(self.completed.len()).max(self.dropped.len()));
         let completed = &self.completed;
-        self.ttft_ms = summarize(&mut buf, completed.iter().map(|o| o.ttft_ms));
-        self.tpot_ms = summarize(
+        self.ttft_ms = Percentiles::of_in(&mut buf, completed.iter().map(|o| o.ttft_ms));
+        self.tpot_ms = Percentiles::of_in(
             &mut buf,
             completed
                 .iter()
                 .flat_map(|o| o.token_times_ms.windows(2).map(|w| w[1] - w[0])),
         );
-        self.queue_ms = summarize(&mut buf, completed.iter().map(|o| o.queue_ms));
-        self.timed_out_latency_ms = summarize(
+        self.queue_ms = Percentiles::of_in(&mut buf, completed.iter().map(|o| o.queue_ms));
+        self.timed_out_latency_ms = Percentiles::of_in(
             &mut buf,
             self.dropped
                 .iter()
