@@ -20,19 +20,19 @@ pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 /// Odd multiplier with well-mixed high bits (the Fx constant).
 const SEED: u64 = 0x517c_c1b7_2722_0a95;
 
-/// Word-at-a-time multiplicative hasher.
+/// Word-at-a-time multiplicative hasher. Integer keys hash as one word
+/// each (the signed `write_i*` methods forward to these); anything else
+/// goes through `write` in 8-byte words.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct IdHasher(u64);
 
 impl IdHasher {
-    #[inline]
     fn add(&mut self, word: u64) {
         self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(SEED);
     }
 }
 
 impl Hasher for IdHasher {
-    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
@@ -45,28 +45,11 @@ impl Hasher for IdHasher {
         }
     }
 
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
     fn write_u64(&mut self, i: u64) {
         self.add(i);
     }
 
-    #[inline]
     fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    #[inline]
-    fn write_isize(&mut self, i: isize) {
         self.add(i as u64);
     }
 }
