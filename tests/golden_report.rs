@@ -28,6 +28,29 @@ fn digest(r: &ServingReport) -> u64 {
     fnv1a(&format!("{r:?}"))
 }
 
+/// The report with the per-card gauges zeroed and the up-times cleared:
+/// every record, counter, percentile and token rate, none of the figures
+/// derived from summed busy time or per-card KV and up-time.
+fn schedule_view(r: &ServingReport) -> ServingReport {
+    ServingReport {
+        mme_utilization: 0.0,
+        tpc_utilization: 0.0,
+        dma_utilization: 0.0,
+        nic_utilization: 0.0,
+        kv_block_utilization: 0.0,
+        replica_uptime_ms: Vec::new(),
+        ..r.clone()
+    }
+}
+
+/// FNV-1a over the [`schedule_view`] of a report: what was simulated,
+/// apart from how the gauges are associated. A change to the report
+/// merge may move [`digest`] in the last ulp of a gauge; it must never
+/// move this one.
+fn schedule_digest(r: &ServingReport) -> u64 {
+    digest(&schedule_view(r))
+}
+
 fn base_config(devices: usize) -> ServingConfig {
     let mut model = habana_gaudi_study::models::LlmConfig::tiny(97);
     model.training = false;
@@ -67,6 +90,7 @@ fn multi_replica_report_matches_the_pre_refactor_engine() {
         GOLDEN_REPLICAS,
         "4-replica merged report drifted"
     );
+    assert_eq!(schedule_digest(&r), SCHEDULE_REPLICAS);
 }
 
 #[test]
@@ -84,6 +108,7 @@ fn faulted_restart_report_matches_the_pre_refactor_engine() {
         GOLDEN_RESTART,
         "faulted event-loop report drifted"
     );
+    assert_eq!(schedule_digest(&r), SCHEDULE_RESTART);
 }
 
 #[test]
@@ -97,12 +122,31 @@ fn paged_warmup_report_matches_the_pre_refactor_engine() {
     let r = simulate(&cfg).unwrap();
     assert_eq!(r.completed.len(), 40);
     assert_eq!(digest(&r), GOLDEN_PAGED, "paged+warmup report drifted");
+    assert_eq!(schedule_digest(&r), SCHEDULE_PAGED);
 }
 
 /// Digest of a whole cluster run: the merged report (`merge_boxes` and the
 /// box-level merges under it) plus routing telemetry and per-box slices.
 fn cluster_digest(c: &ClusterReport) -> u64 {
     fnv1a(&format!("{c:?}"))
+}
+
+/// [`schedule_digest`] of a cluster run: the merged report's schedule
+/// view plus the routing telemetry and each box's own slice.
+fn cluster_schedule_digest(c: &ClusterReport) -> u64 {
+    let mut s = format!(
+        "{:?} {} {:?}",
+        schedule_view(&c.report),
+        c.cross_box_requests,
+        c.cross_box_delay_ms
+    );
+    for b in &c.per_box {
+        s += &format!(
+            " {} {} {} {:?} {:?}",
+            b.offered, b.completed, b.routed_tokens, b.goodput_tokens_per_s, b.makespan_ms
+        );
+    }
+    fnv1a(&s)
 }
 
 #[test]
@@ -114,6 +158,7 @@ fn round_robin_cluster_report_is_pinned() {
         GOLDEN_CLUSTER,
         "3-box round-robin cluster report drifted"
     );
+    assert_eq!(cluster_schedule_digest(&c), SCHEDULE_CLUSTER);
 }
 
 #[test]
@@ -129,6 +174,7 @@ fn faulted_checkpointed_cluster_report_is_pinned() {
         GOLDEN_CLUSTER_FAULTED,
         "faulted checkpointed cluster report drifted"
     );
+    assert_eq!(cluster_schedule_digest(&c), SCHEDULE_CLUSTER_FAULTED);
 }
 
 #[test]
@@ -169,11 +215,13 @@ fn fused_attention_off_is_bit_identical_to_the_seed() {
         compile_ms: 4.0,
         batch_bucket: 2,
     };
+    let r = simulate(&cfg).unwrap();
     assert_eq!(
-        digest(&simulate(&cfg).unwrap()),
+        digest(&r),
         PRE_FUSION_PAGED,
         "fused-off paged+warmup report drifted from the PR-8 engine"
     );
+    assert_eq!(schedule_digest(&r), SCHEDULE_PRE_FUSION_PAGED);
 }
 
 // Captured from the PR-10 engine; see module docs. Regenerate only for an
@@ -203,3 +251,14 @@ const PRE_FUSION_PAGED: u64 = 12180978981740129672;
 // moved to once per public call: that refactor must leave both untouched.
 const GOLDEN_CLUSTER: u64 = 6806314336628977828;
 const GOLDEN_CLUSTER_FAULTED: u64 = 9221340712581379605;
+
+// Schedule digests of the six multi-card cells (see `schedule_digest`),
+// captured before the report merge became one fold. Unlike the full
+// digests above they do not cover the per-card gauges, so a merge that
+// only re-associates those gauges leaves them fixed.
+const SCHEDULE_REPLICAS: u64 = 13722049715674713614;
+const SCHEDULE_RESTART: u64 = 4712551508918085668;
+const SCHEDULE_PAGED: u64 = 11209918636044970606;
+const SCHEDULE_PRE_FUSION_PAGED: u64 = 17632205705705599822;
+const SCHEDULE_CLUSTER: u64 = 13779150281944859215;
+const SCHEDULE_CLUSTER_FAULTED: u64 = 7780170353598803550;
