@@ -4,10 +4,11 @@
 //! data-parallel replica cards behind one admission queue. This module
 //! scales the same machinery to a datacenter row: a front-end router
 //! splits the stream over `boxes` independent boxes of `cards_per_box`
-//! cards each, every box runs the full continuous-batching engine, and the
-//! per-box [`ServingReport`]s merge through the two-level
-//! [`ServingReport::merge_boxes`] with the same conservation invariants
-//! (every request terminates exactly once, cluster-wide).
+//! cards each, every box runs the full continuous-batching engine, and
+//! every card of every box folds into one cluster-level [`ServingReport`]
+//! through the same merge that folds a box's replicas, with the same
+//! conservation invariants (every request terminates exactly once,
+//! cluster-wide).
 //!
 //! Routing is where cluster serving differs from a big box. Each request
 //! has a deterministic **home box** — a hash of its id, standing in for
@@ -33,7 +34,7 @@
 
 use crate::engine::{simulate_records, ExecPolicy, PlanSharing, ServingConfig};
 use crate::error::ServingError;
-use crate::report::ServingReport;
+use crate::report::{ServingReport, Tally};
 use crate::request::{generate_requests, Request};
 use gaudi_hw::Topology;
 use std::sync::Arc;
@@ -143,27 +144,19 @@ pub struct BoxSummary {
     pub goodput_tokens_per_s: f64,
     /// This box's local makespan, ms.
     pub makespan_ms: f64,
-    /// This box's card availability against its **own** makespan
-    /// ([`ServingReport::availability`] of the per-box report, captured
-    /// before the merge stretches every box to the cluster makespan).
+    /// This box's card availability against its **own** makespan (the
+    /// [`ServingReport::availability`] a run of this box alone reports).
     pub availability: f64,
-    /// Replica restarts inside this box.
-    pub restarts: usize,
-    /// KV bytes this box's cards checkpointed to host DRAM.
-    pub checkpoint_bytes: u64,
-    /// Simulated time this box spent restoring snapshots over DMA, ms.
-    pub restore_ms: f64,
-    /// Generated tokens this box recovered from snapshots instead of
-    /// recomputing.
-    pub recovered_tokens: u64,
 }
 
-/// Result of a cluster simulation: the merged cluster-level report plus
-/// the routing telemetry the merge cannot carry.
+/// Result of a cluster simulation: the cluster-level report plus the
+/// routing telemetry and per-box slices a report cannot carry.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// The cluster-level report ([`ServingReport::merge_boxes`] over the
-    /// per-box reports, in box order).
+    /// The cluster-level report: every card of every box, in box order,
+    /// summarized once, as if the cluster were one big box. Its counters
+    /// (restarts, checkpoint bytes, restore time, recovered tokens, ...)
+    /// are cluster totals.
     pub report: ServingReport,
     /// Fleet shape.
     pub boxes: usize,
@@ -207,10 +200,10 @@ impl ClusterReport {
 
     /// Device-weighted cluster availability: each box contributes its own
     /// [`BoxSummary::availability`] (measured against its *local*
-    /// makespan) weighted by its card count. This is the same weighting
-    /// fix `kv_block_utilization` needed — the naive
-    /// `self.report.availability()` divides every card's up-time by the
-    /// *cluster* makespan, under-counting boxes that finished early.
+    /// makespan) weighted by its card count. `self.report.availability()`
+    /// keeps an idle or early-finishing box's cards up through the cluster
+    /// makespan too; the two gauges differ only in normalizing each box's
+    /// down time by its own makespan here and by the cluster's there.
     pub fn availability(&self) -> f64 {
         let cards: usize = self.per_box.len() * self.cards_per_box;
         if cards == 0 {
@@ -222,26 +215,6 @@ impl ClusterReport {
             .map(|b| b.availability * self.cards_per_box as f64)
             .sum();
         weighted / cards as f64
-    }
-
-    /// Total replica restarts across all boxes.
-    pub fn restarts(&self) -> usize {
-        self.per_box.iter().map(|b| b.restarts).sum()
-    }
-
-    /// Total KV bytes checkpointed to host DRAM across all boxes.
-    pub fn checkpoint_bytes(&self) -> u64 {
-        self.per_box.iter().map(|b| b.checkpoint_bytes).sum()
-    }
-
-    /// Total DMA restore time across all boxes, ms.
-    pub fn restore_ms(&self) -> f64 {
-        self.per_box.iter().map(|b| b.restore_ms).sum()
-    }
-
-    /// Total tokens recovered from snapshots across all boxes.
-    pub fn recovered_tokens(&self) -> u64 {
-        self.per_box.iter().map(|b| b.recovered_tokens).sum()
     }
 
     /// One-paragraph text summary.
@@ -264,15 +237,16 @@ impl ClusterReport {
             100.0 * self.cross_box_fraction(),
             self.imbalance(),
         );
-        if self.restarts() > 0 || self.checkpoint_bytes() > 0 {
+        let r = &self.report;
+        if r.restarts > 0 || r.checkpoint_bytes > 0 {
             out.push_str(&format!(
                 "\navailability {:.4} | restarts {} | checkpointed {} B | \
                  restored {:.2} ms | recovered {} tok",
                 self.availability(),
-                self.restarts(),
-                self.checkpoint_bytes(),
-                self.restore_ms(),
-                self.recovered_tokens(),
+                r.restarts,
+                r.checkpoint_bytes,
+                r.restore_ms,
+                r.recovered_tokens,
             ));
         }
         out
@@ -378,40 +352,32 @@ pub fn simulate_cluster_with(
             PlanSharing::Shared(cache) => PlanSharing::Shared(Arc::clone(cache)),
         },
     };
-    let mut reports: Vec<ServingReport> = policy
+    let boxes: Vec<Tally> = policy
         .pool
         .try_par_map(&shards, |_, shard| -> Result<_, ServingError> {
             simulate_records(&box_cfg, shard.clone(), &inner)
         })?;
 
-    let per_box: Vec<BoxSummary> = reports
+    let per_box: Vec<BoxSummary> = boxes
         .iter()
         .enumerate()
-        .map(|(b, r)| BoxSummary {
+        .map(|(b, t)| BoxSummary {
             box_id: b,
-            offered: r.offered,
-            completed: r.completed.len(),
+            offered: t.report.offered,
+            completed: t.report.completed.len(),
             routed_tokens: routed_tokens[b],
-            goodput_tokens_per_s: r.goodput_tokens_per_s,
-            makespan_ms: r.makespan_ms,
-            availability: r.availability(),
-            restarts: r.restarts,
-            checkpoint_bytes: r.checkpoint_bytes,
-            restore_ms: r.restore_ms,
-            recovered_tokens: r.recovered_tokens,
+            goodput_tokens_per_s: t.goodput_tokens_per_s(),
+            makespan_ms: t.report.makespan_ms,
+            availability: t.availability(),
         })
         .collect();
-    // A one-box cluster *is* its box: skip the second merge level so the
-    // report is bit-identical to the plain engine (re-deriving a gauge as
-    // `u × w / w` is not a floating-point no-op).
-    let report = if reports.len() == 1 {
-        reports.pop().expect("exactly one box").derived()
-    } else {
-        ServingReport::merge_boxes(reports)
-    };
+    let mut cluster = Tally::default();
+    for b in boxes {
+        cluster.absorb(b);
+    }
 
     Ok(ClusterReport {
-        report,
+        report: cluster.finish(),
         boxes: cfg.boxes,
         cards_per_box: cfg.cards_per_box,
         router: cfg.router,
@@ -527,10 +493,9 @@ mod tests {
 
     #[test]
     fn cluster_availability_weights_boxes_by_their_own_makespan() {
-        // Mirrors the PR-8 kv_block_utilization weighting fix at tp=2:
-        // each box's availability must be measured against its *local*
-        // makespan before device-weighting, not re-derived from the
-        // cluster makespan the merged report carries.
+        // Each box's availability is measured against its *local*
+        // makespan before device-weighting, the way the merged report's
+        // gauge measures every card against the cluster makespan.
         use gaudi_hw::{fault::FaultPlan, DeviceId};
 
         let mut cfg = cluster_config(2, 2, 120);
@@ -539,26 +504,19 @@ mod tests {
         let c = simulate_cluster(&cfg).unwrap();
 
         // The same plan hits every box: both restart once and both
-        // checkpoint, and the cluster accessors are the per-box sums.
-        assert_eq!(c.restarts(), 2);
-        assert_eq!(
-            c.restarts(),
-            c.per_box.iter().map(|b| b.restarts).sum::<usize>()
-        );
+        // checkpoint.
+        assert_eq!(c.report.restarts, 2);
         assert!(c.availability() < 1.0, "a down window must cost up-time");
-        assert!(c.checkpoint_bytes() > 0, "live chains must snapshot");
-        assert_eq!(
-            c.checkpoint_bytes(),
-            c.per_box.iter().map(|b| b.checkpoint_bytes).sum::<u64>()
-        );
+        assert!(c.report.checkpoint_bytes > 0, "live chains must snapshot");
 
         // Device-weighted identity: equal-width boxes reduce to the mean
         // of the per-box values...
         let mean = c.per_box.iter().map(|b| b.availability).sum::<f64>() / c.boxes as f64;
         assert!((c.availability() - mean).abs() < 1e-12);
-        // ...and the naive merged-report gauge disagrees whenever box
-        // makespans differ (the shorter box's cards get under-counted
-        // against the cluster-wide makespan).
+        // ...and the merged report's gauge differs whenever box makespans
+        // differ: both keep a card that ended the run up alive through
+        // the makespan, but the same down window weighs less against the
+        // longer cluster makespan than against its shorter box's own.
         let spans: Vec<f64> = c.per_box.iter().map(|b| b.makespan_ms).collect();
         assert!(
             (spans[0] - spans[1]).abs() > 1e-9,
@@ -566,7 +524,7 @@ mod tests {
         );
         assert!(
             (c.availability() - c.report.availability()).abs() > 1e-9,
-            "weighted {} vs naive {} should diverge under uneven makespans",
+            "per-box {} vs cluster-makespan {} should diverge under uneven makespans",
             c.availability(),
             c.report.availability()
         );
@@ -580,6 +538,7 @@ mod tests {
         let c = simulate_cluster(&cluster_config(5, 2, 2)).unwrap();
         assert_eq!(c.report.completed.len(), 2);
         assert_eq!(c.availability(), 1.0);
+        assert_eq!(c.report.availability(), 1.0);
     }
 
     #[test]

@@ -70,7 +70,7 @@ use crate::error::ServingError;
 use crate::fault::{Job, RedistributionPolicy};
 use crate::idhash::IdMap;
 use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig};
-use crate::report::{DropKind, DroppedRequest, Percentiles, RequestOutcome, ServingReport};
+use crate::report::{CardTime, DropKind, DroppedRequest, RequestOutcome, ServingReport, Tally};
 use crate::request::{generate_requests, Request, TrafficConfig};
 use crate::robustness::RobustnessConfig;
 use gaudi_compiler::CompilerOptions;
@@ -1053,15 +1053,8 @@ impl<'a> Replica<'a> {
         self.recipes = RecipeCache::new(&self.cfg.recipes);
     }
 
-    /// Consume the replica into its single-device records and counters
-    /// (latency summaries underived; see [`ServingReport::derived`]).
-    fn finalize(mut self) -> ServingReport {
-        self.completed.sort_by_key(|o| o.id);
-        self.dropped.sort_by_key(|d| d.id);
-        let clock_ms = self.clock_ms;
-        let span_ns = clock_ms * 1e6;
-        let goodput_tokens: usize = self.completed.iter().map(|o| o.output_len).sum();
-        let wasted_tokens: usize = self.dropped.iter().map(|d| d.tokens_generated).sum();
+    /// Consume the replica into its one-card [`Tally`].
+    fn finalize(self) -> Tally {
         let retries: usize = self
             .completed
             .iter()
@@ -1072,64 +1065,47 @@ impl<'a> Replica<'a> {
                 .iter()
                 .map(|d| d.retries as usize)
                 .sum::<usize>();
-
-        let per_s = |tokens: usize| {
-            if clock_ms > 0.0 {
-                tokens as f64 / (clock_ms / 1e3)
-            } else {
-                0.0
-            }
-        };
-        let util = |busy_ns: f64| {
-            if span_ns > 0.0 {
-                busy_ns / span_ns
-            } else {
-                0.0
-            }
-        };
-        // Up-time: everything before the clock (or the unfinished down
-        // window's start) minus the down windows already served.
-        let uptime_ms = (self.down_since.unwrap_or(clock_ms) - self.down_ms).max(0.0);
-
-        ServingReport {
-            offered: self.completed.len() + self.dropped.len(),
-            makespan_ms: clock_ms,
-            ttft_ms: Percentiles::default(),
-            tpot_ms: Percentiles::default(),
-            queue_ms: Percentiles::default(),
-            timed_out_latency_ms: Percentiles::default(),
-            goodput_tokens_per_s: per_s(goodput_tokens),
-            throughput_tokens_per_s: per_s(goodput_tokens + wasted_tokens),
-            mme_utilization: util(self.mme_busy_ns),
-            tpc_utilization: util(self.tpc_busy_ns),
-            dma_utilization: util(self.dma_busy_ns),
-            nic_utilization: util(self.nic_busy_ns),
-            decode_steps: self.decode_steps,
-            prefills: self.prefills,
-            backpressure_stalls: self.backpressure_stalls,
-            max_queue_depth: self.max_queue_depth,
-            peak_queued_tokens: self.peak_queued_tokens,
-            kv_peak_bytes: self.kv.peak(),
-            kv_capacity_bytes: self.kv.capacity(),
+        Tally {
+            report: ServingReport {
+                offered: self.completed.len() + self.dropped.len(),
+                makespan_ms: self.clock_ms,
+                decode_steps: self.decode_steps,
+                prefills: self.prefills,
+                backpressure_stalls: self.backpressure_stalls,
+                max_queue_depth: self.max_queue_depth,
+                peak_queued_tokens: self.peak_queued_tokens,
+                kv_peak_bytes: self.kv.peak(),
+                kv_capacity_bytes: self.kv.capacity(),
+                compiled_graphs: self.compiled_graphs_retired + self.cost.compiled_graphs(),
+                recipe_compiles: self.recipe_compiles_retired + self.recipes.compiles(),
+                preemptions: self.preemptions,
+                peak_running: self.peak_running,
+                scheduled_tokens: self.scheduled_tokens,
+                padded_tokens: self.padded_tokens,
+                devices: 1,
+                retries,
+                requeued_tokens: self.requeued_tokens,
+                checkpoint_bytes: self.checkpoint_bytes,
+                restore_ms: self.restore_ms,
+                recovered_tokens: self.recovered_tokens,
+                failed_replicas: self.kills,
+                restarts: self.restarts,
+                completed: self.completed,
+                dropped: self.dropped,
+                trace: self.trace,
+                ..ServingReport::default()
+            },
+            busy_ns: [
+                self.mme_busy_ns,
+                self.tpc_busy_ns,
+                self.dma_busy_ns,
+                self.nic_busy_ns,
+            ],
             kv_block_utilization: self.kv.utilization_at_peak(),
-            compiled_graphs: self.compiled_graphs_retired + self.cost.compiled_graphs(),
-            recipe_compiles: self.recipe_compiles_retired + self.recipes.compiles(),
-            preemptions: self.preemptions,
-            peak_running: self.peak_running,
-            scheduled_tokens: self.scheduled_tokens,
-            padded_tokens: self.padded_tokens,
-            devices: 1,
-            retries,
-            requeued_tokens: self.requeued_tokens,
-            checkpoint_bytes: self.checkpoint_bytes,
-            restore_ms: self.restore_ms,
-            recovered_tokens: self.recovered_tokens,
-            failed_replicas: self.kills,
-            restarts: self.restarts,
-            replica_uptime_ms: vec![uptime_ms],
-            completed: self.completed,
-            dropped: self.dropped,
-            trace: self.trace,
+            cards: vec![CardTime {
+                down_ms: self.down_ms,
+                died_at_ms: self.down_since,
+            }],
         }
     }
 }
@@ -1143,8 +1119,8 @@ impl<'a> Replica<'a> {
 /// With `cfg.devices > 1` the request stream is dispatched round-robin
 /// (in arrival order) across that many data-parallel replicas, each
 /// running the full continuous-batching schedule on its own card; the
-/// merged report carries per-card-averaged utilizations and a
-/// device-tagged trace. A replica the fault plan kills re-queues its
+/// report carries per-card-averaged utilizations and a device-tagged
+/// trace. A replica the fault plan kills re-queues its
 /// unfinished work onto the live replicas with exponential backoff, and a
 /// replica whose kill carries a restart window rejoins the dispatch pool
 /// when it comes back (see the module docs). If the plan leaves *no*
@@ -1220,17 +1196,17 @@ pub fn simulate_trace_with(
     requests: Vec<Request>,
     policy: &ExecPolicy,
 ) -> Result<ServingReport, ServingError> {
-    Ok(simulate_records(cfg, requests, policy)?.derived())
+    Ok(simulate_records(cfg, requests, policy)?.finish())
 }
 
-/// One box's run as records and counters, its latency summaries left for
-/// the caller to derive once: [`simulate_trace_with`] for a box on its
-/// own, [`ServingReport::merge_boxes`] for the boxes of a cluster.
+/// One box's run as a [`Tally`] of its replicas, left for the caller to
+/// finish once: [`simulate_trace_with`] for a box on its own,
+/// [`crate::simulate_cluster_with`] after absorbing every box.
 pub(crate) fn simulate_records(
     cfg: &ServingConfig,
     mut requests: Vec<Request>,
     policy: &ExecPolicy,
-) -> Result<ServingReport, ServingError> {
+) -> Result<Tally, ServingError> {
     if cfg.max_batch == 0 {
         return Err(ServingError::InvalidConfig(
             "max_batch must be at least 1".into(),
@@ -1318,7 +1294,7 @@ pub(crate) fn simulate_records(
         }
     }
 
-    let mut reports: Vec<ServingReport> = if cfg.faults.card_failures.is_empty() {
+    let parts: Vec<Tally> = if cfg.faults.card_failures.is_empty() {
         // Fault-free: replicas never interact, so shard the stream
         // round-robin up front and fan the independent single-card
         // simulations out on the policy's pool. `try_par_map` returns
@@ -1344,25 +1320,20 @@ pub(crate) fn simulate_records(
         simulate_box(cfg, requests, &make_cost, activation_reserve)?
     };
 
-    let mut report = if cfg.devices == 1 {
-        reports.pop().expect("exactly one replica")
-    } else {
-        ServingReport::pool_replicas(cfg.devices, reports)
-    };
+    let mut tally = Tally::default();
+    for part in parts {
+        tally.absorb(part);
+    }
     // Fault-lane observability: overlay the plan's kill/restart/flap/
     // slowdown windows as device-tagged trace lanes, so a Chrome-trace
     // export shows *why* a card's serving lanes go quiet. Appended after
-    // the merge (merging re-tags per-replica events by device) so the
-    // lanes keep their own device tags.
+    // the replicas are absorbed (absorbing re-tags their events by
+    // device) so the lanes keep their own device tags.
     if cfg.record_trace && !cfg.faults.is_empty() {
-        record_fault_lanes(
-            &mut report.trace,
-            &cfg.faults,
-            cfg.devices,
-            report.makespan_ms,
-        );
+        let r = &mut tally.report;
+        record_fault_lanes(&mut r.trace, &cfg.faults, cfg.devices, r.makespan_ms);
     }
-    Ok(report)
+    Ok(tally)
 }
 
 /// Append one trace lane per fault window, tagged with the device it hits:
@@ -1427,7 +1398,7 @@ fn simulate_box(
     requests: Vec<Request>,
     make_cost: &impl Fn() -> CostModel,
     activation_reserve: u64,
-) -> Result<Vec<ServingReport>, ServingError> {
+) -> Result<Vec<Tally>, ServingError> {
     let mut replicas: Vec<Replica> = (0..cfg.devices)
         .map(|d| Replica::new(cfg, DeviceId(d), make_cost(), activation_reserve))
         .collect::<Result<_, _>>()?;

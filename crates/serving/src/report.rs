@@ -115,7 +115,7 @@ pub struct DroppedRequest {
 }
 
 /// Aggregate result of a serving simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServingReport {
     /// Per-request outcomes of requests that completed within every
     /// configured SLO, sorted by id. With the default (unlimited)
@@ -176,7 +176,7 @@ pub struct ServingReport {
     /// Device HBM capacity, bytes.
     pub kv_capacity_bytes: u64,
     /// Fraction of the KV bytes reserved at the peak that held live
-    /// tokens (mean over replicas). Contiguous admission wastes the
+    /// tokens (mean over cards). Contiguous admission wastes the
     /// not-yet-generated output tail of every reservation; paged
     /// admission wastes only each chain's last-block rounding — the gap
     /// between the two is the headroom paging reclaims.
@@ -233,10 +233,10 @@ pub struct ServingReport {
     /// inside the run, returning the card to the dispatch pool with a cold
     /// compiled-plan cache.
     pub restarts: usize,
-    /// Per-replica up-time, ms, indexed by device: the replica's own
-    /// makespan minus the down windows it spent dead. Merged over a box, a
-    /// replica that ended the run up stays up through the box makespan, so
-    /// a card that merely went idle early is not counted as down.
+    /// Per-card up-time, ms, indexed by device: the time before the card
+    /// last went down (the makespan, if it ended the run up) minus the
+    /// down windows it came back from. A card that merely went idle early
+    /// is not counted as down.
     pub replica_uptime_ms: Vec<f64>,
     /// Engine-busy timeline of every phase, for the profiler tooling.
     pub trace: Trace,
@@ -302,19 +302,11 @@ impl ServingReport {
         self.completed.len() as f64 / self.offered as f64
     }
 
-    /// Mean fraction of the box's makespan its replicas were alive:
-    /// `1.0` in fault-free runs, lower when cards died mid-run. A replica
-    /// that restarts accrues up-time on both sides of its down window.
+    /// Mean fraction of the makespan the cards were alive: `1.0` in
+    /// fault-free runs, lower when cards died mid-run. A card that
+    /// restarts accrues up-time on both sides of its down window.
     pub fn availability(&self) -> f64 {
-        if self.replica_uptime_ms.is_empty() || self.makespan_ms <= 0.0 {
-            return 1.0;
-        }
-        let up: f64 = self
-            .replica_uptime_ms
-            .iter()
-            .map(|&u| u.min(self.makespan_ms))
-            .sum();
-        up / (self.makespan_ms * self.replica_uptime_ms.len() as f64)
+        availability(&self.replica_uptime_ms, self.makespan_ms)
     }
 
     /// Render the report as text tables through the profiler tooling.
@@ -434,434 +426,316 @@ impl ServingReport {
     }
 }
 
-/// Two-level report merging: replicas → box, boxes → cluster.
-impl ServingReport {
-    /// Derive the latency summaries (TTFT, TPOT, queue wait, timed-out
-    /// latency) from the per-request records. This is the one place they
-    /// are computed, once per report a public call returns: replica
-    /// reports, and the per-box reports a cluster merges, carry zeros
-    /// there and hand up only their records.
-    pub(crate) fn derived(mut self) -> Self {
-        let gaps: usize = self
+/// One card's down time: the raw input of its up-time.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CardTime {
+    /// Down windows the card served and came back from, ms.
+    pub(crate) down_ms: f64,
+    /// When the card went down, if it ended the run dead, ms.
+    pub(crate) died_at_ms: Option<f64>,
+}
+
+impl CardTime {
+    /// Up-time against a run of `makespan_ms`: a card that ended the run
+    /// up (or merely went idle early) stays up through the makespan.
+    fn uptime_ms(&self, makespan_ms: f64) -> f64 {
+        (self.died_at_ms.unwrap_or(makespan_ms) - self.down_ms).max(0.0)
+    }
+}
+
+/// A run not yet summarized: a [`ServingReport`] holding only records and
+/// counters, plus the raw inputs its gauges need. [`absorb`](Self::absorb)
+/// is the one merge (replicas into a box, boxes into a cluster) and
+/// [`finish`](Self::finish) the one derivation, run once where a public
+/// call returns a report.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Records and counters. The latency summaries, token rates, gauges
+    /// and up-times stay zero until [`finish`](Self::finish).
+    pub(crate) report: ServingReport,
+    /// MME, TPC, DMA and NIC busy time summed over cards, ns.
+    pub(crate) busy_ns: [f64; 4],
+    /// Per-card `kv_block_utilization`, summed over cards.
+    pub(crate) kv_block_utilization: f64,
+    /// One entry per card, in device order.
+    pub(crate) cards: Vec<CardTime>,
+}
+
+impl Tally {
+    /// Fold `part` in after the parts already absorbed: counters summed,
+    /// peaks maxed, records and cards appended, and `part`'s trace events
+    /// moved past the devices already absorbed.
+    pub(crate) fn absorb(&mut self, part: Tally) {
+        let (r, p) = (&mut self.report, part.report);
+        for ev in p.trace.events() {
+            let mut ev = ev.clone();
+            ev.device = DeviceId(ev.device.0 + r.devices);
+            r.trace.push(ev);
+        }
+        r.completed.extend(p.completed);
+        r.dropped.extend(p.dropped);
+        r.offered += p.offered;
+        r.makespan_ms = r.makespan_ms.max(p.makespan_ms);
+        r.decode_steps += p.decode_steps;
+        r.prefills += p.prefills;
+        r.backpressure_stalls += p.backpressure_stalls;
+        r.max_queue_depth = r.max_queue_depth.max(p.max_queue_depth);
+        r.peak_queued_tokens = r.peak_queued_tokens.max(p.peak_queued_tokens);
+        r.kv_peak_bytes = r.kv_peak_bytes.max(p.kv_peak_bytes);
+        r.kv_capacity_bytes = r.kv_capacity_bytes.max(p.kv_capacity_bytes);
+        r.compiled_graphs += p.compiled_graphs;
+        r.recipe_compiles += p.recipe_compiles;
+        r.preemptions += p.preemptions;
+        // Summed, not max'd: the aggregate decode capacity the stream
+        // reached (per-card peaks need not be simultaneous).
+        r.peak_running += p.peak_running;
+        r.scheduled_tokens += p.scheduled_tokens;
+        r.padded_tokens += p.padded_tokens;
+        r.devices += p.devices;
+        r.retries += p.retries;
+        r.requeued_tokens += p.requeued_tokens;
+        r.checkpoint_bytes += p.checkpoint_bytes;
+        r.restore_ms += p.restore_ms;
+        r.recovered_tokens += p.recovered_tokens;
+        r.failed_replicas += p.failed_replicas;
+        r.restarts += p.restarts;
+        for (sum, ns) in self.busy_ns.iter_mut().zip(part.busy_ns) {
+            *sum += ns;
+        }
+        self.kv_block_utilization += part.kv_block_utilization;
+        self.cards.extend(part.cards);
+    }
+
+    /// Tokens per second of this tally's makespan.
+    fn per_s(&self, tokens: usize) -> f64 {
+        let makespan_ms = self.report.makespan_ms;
+        if makespan_ms > 0.0 {
+            tokens as f64 / (makespan_ms / 1e3)
+        } else {
+            0.0
+        }
+    }
+
+    fn goodput_tokens(&self) -> usize {
+        self.report.completed.iter().map(|o| o.output_len).sum()
+    }
+
+    /// Goodput against this tally's own makespan, tokens/s.
+    pub(crate) fn goodput_tokens_per_s(&self) -> f64 {
+        self.per_s(self.goodput_tokens())
+    }
+
+    fn uptimes_ms(&self) -> Vec<f64> {
+        let makespan_ms = self.report.makespan_ms;
+        self.cards
+            .iter()
+            .map(|c| c.uptime_ms(makespan_ms))
+            .collect()
+    }
+
+    /// Card availability against this tally's own makespan (see
+    /// [`ServingReport::availability`]).
+    pub(crate) fn availability(&self) -> f64 {
+        availability(&self.uptimes_ms(), self.report.makespan_ms)
+    }
+
+    /// Summarize: records sorted by id, latency percentiles over the
+    /// pooled records, token rates over the makespan, each engine's
+    /// utilization as its busy time over `makespan × devices`, the mean
+    /// per-card KV gauge, and every card's up-time.
+    pub(crate) fn finish(mut self) -> ServingReport {
+        let goodput = self.goodput_tokens();
+        let wasted: usize = self.report.dropped.iter().map(|d| d.tokens_generated).sum();
+        let rates = [goodput, goodput + wasted].map(|tokens| self.per_s(tokens));
+        let uptimes_ms = self.uptimes_ms();
+        let r = &mut self.report;
+        r.completed.sort_by_key(|o| o.id);
+        r.dropped.sort_by_key(|d| d.id);
+        let gaps: usize = r
             .completed
             .iter()
             .map(|o| o.token_times_ms.len().saturating_sub(1))
             .sum();
         // One buffer sized for the largest population, refilled and sorted
         // in place for each summary.
-        let mut buf = Vec::with_capacity(gaps.max(self.completed.len()).max(self.dropped.len()));
-        let completed = &self.completed;
-        self.ttft_ms = Percentiles::of_in(&mut buf, completed.iter().map(|o| o.ttft_ms));
-        self.tpot_ms = Percentiles::of_in(
+        let mut buf = Vec::with_capacity(gaps.max(r.completed.len()).max(r.dropped.len()));
+        let completed = &r.completed;
+        r.ttft_ms = Percentiles::of_in(&mut buf, completed.iter().map(|o| o.ttft_ms));
+        r.tpot_ms = Percentiles::of_in(
             &mut buf,
             completed
                 .iter()
                 .flat_map(|o| o.token_times_ms.windows(2).map(|w| w[1] - w[0])),
         );
-        self.queue_ms = Percentiles::of_in(&mut buf, completed.iter().map(|o| o.queue_ms));
-        self.timed_out_latency_ms = Percentiles::of_in(
+        r.queue_ms = Percentiles::of_in(&mut buf, completed.iter().map(|o| o.queue_ms));
+        r.timed_out_latency_ms = Percentiles::of_in(
             &mut buf,
-            self.dropped
+            r.dropped
                 .iter()
                 .filter(|d| d.kind == DropKind::TimedOut)
                 .map(|d| d.at_ms - d.arrival_ms),
         );
-        self
-    }
-
-    /// Merge per-replica reports into one box-level report: latency percentiles
-    /// recomputed over the union, throughput summed against the slowest
-    /// replica's makespan, utilizations averaged per card (busy time
-    /// reconstructed from each replica's utilization × its own makespan, NIC
-    /// included), availability counters summed (a replica that ended the run
-    /// up is up through the box makespan), and the trace re-tagged with each
-    /// replica's [`DeviceId`].
-    pub fn merge_replicas(devices: usize, replicas: Vec<ServingReport>) -> ServingReport {
-        Self::pool_replicas(devices, replicas).derived()
-    }
-
-    /// [`merge_replicas`](Self::merge_replicas) without the latency
-    /// derivation: the box's records and counters, for a caller that
-    /// derives once at its own top level.
-    pub(crate) fn pool_replicas(devices: usize, replicas: Vec<ServingReport>) -> ServingReport {
-        let makespan_ms = replicas.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
-        let span_ns = makespan_ms * 1e6;
-        // Recover each replica's busy time from its own utilization x makespan.
-        let busy = |f: fn(&ServingReport) -> f64| -> f64 {
-            replicas.iter().map(|r| f(r) * r.makespan_ms * 1e6).sum()
-        };
-        let util = |f: fn(&ServingReport) -> f64| -> f64 {
-            if span_ns > 0.0 {
-                busy(f) / (span_ns * devices as f64)
-            } else {
-                0.0
-            }
-        };
-        let mme_utilization = util(|r| r.mme_utilization);
-        let tpc_utilization = util(|r| r.tpc_utilization);
-        let dma_utilization = util(|r| r.dma_utilization);
-        let nic_utilization = util(|r| r.nic_utilization);
-
-        let mut completed: Vec<RequestOutcome> = Vec::new();
-        let mut dropped: Vec<DroppedRequest> = Vec::new();
-        let mut offered = 0;
-        let mut trace = Trace::new();
-        let mut decode_steps = 0;
-        let mut prefills = 0;
-        let mut backpressure_stalls = 0;
-        let mut max_queue_depth = 0;
-        let mut peak_queued_tokens = 0;
-        let mut kv_peak_bytes = 0;
-        let mut kv_capacity_bytes = 0;
-        let mut kv_block_utilization = 0.0;
-        let mut compiled_graphs = 0;
-        let mut recipe_compiles = 0;
-        let mut preemptions = 0;
-        let mut peak_running = 0;
-        let mut scheduled_tokens = 0;
-        let mut padded_tokens = 0;
-        let mut retries = 0;
-        let mut requeued_tokens = 0;
-        let mut checkpoint_bytes = 0;
-        let mut restore_ms = 0.0;
-        let mut recovered_tokens = 0;
-        let mut failed_replicas = 0;
-        let mut restarts = 0;
-        let mut replica_uptime_ms = Vec::with_capacity(devices);
-        for (d, r) in replicas.into_iter().enumerate() {
-            completed.extend(r.completed);
-            dropped.extend(r.dropped);
-            offered += r.offered;
-            for ev in r.trace.events() {
-                trace.push(ev.clone().on_device(DeviceId(d)));
-            }
-            decode_steps += r.decode_steps;
-            prefills += r.prefills;
-            backpressure_stalls += r.backpressure_stalls;
-            max_queue_depth = max_queue_depth.max(r.max_queue_depth);
-            peak_queued_tokens = peak_queued_tokens.max(r.peak_queued_tokens);
-            kv_peak_bytes = r.kv_peak_bytes.max(kv_peak_bytes);
-            kv_capacity_bytes = r.kv_capacity_bytes;
-            // Device-weighted like merge_boxes' gauges: a replica spanning
-            // w cards (tensor parallelism) contributes w shares of the
-            // box mean. Single-card replicas keep `r.devices == 1`, where
-            // `x * 1.0 / d` is bit-identical to the old `x / d` — the
-            // golden digests pin that. Dividing by `devices` without the
-            // weight silently deflated the gauge whenever replicas !=
-            // devices.
-            kv_block_utilization += r.kv_block_utilization * r.devices as f64 / devices as f64;
-            compiled_graphs += r.compiled_graphs;
-            recipe_compiles += r.recipe_compiles;
-            preemptions += r.preemptions;
-            // Summed, not max'd: the box-level "max concurrent sequences" is
-            // the aggregate decode capacity the stream actually reached
-            // (per-replica peaks need not be simultaneous; each replica's own
-            // peak is exact).
-            peak_running += r.peak_running;
-            scheduled_tokens += r.scheduled_tokens;
-            padded_tokens += r.padded_tokens;
-            retries += r.retries;
-            requeued_tokens += r.requeued_tokens;
-            checkpoint_bytes += r.checkpoint_bytes;
-            restore_ms += r.restore_ms;
-            recovered_tokens += r.recovered_tokens;
-            // A replica that ended the run up (every kill followed by its
-            // restart) idles, alive, until the box's last replica finishes:
-            // its own down time is `r.makespan_ms - up`, the rest of the
-            // box makespan is up-time.
-            let ended_up = r.failed_replicas == r.restarts;
-            failed_replicas += r.failed_replicas;
-            restarts += r.restarts;
-            replica_uptime_ms.extend(r.replica_uptime_ms.iter().map(|&up| {
-                if ended_up {
-                    makespan_ms - (r.makespan_ms - up)
-                } else {
-                    up
-                }
-            }));
-        }
-        completed.sort_by_key(|o| o.id);
-        dropped.sort_by_key(|o| o.id);
-        let goodput_tokens: usize = completed.iter().map(|o| o.output_len).sum();
-        let wasted_tokens: usize = dropped.iter().map(|d| d.tokens_generated).sum();
-
-        let per_s = |tokens: usize| {
-            if makespan_ms > 0.0 {
-                tokens as f64 / (makespan_ms / 1e3)
-            } else {
-                0.0
-            }
-        };
-
-        ServingReport {
-            completed,
-            dropped,
-            offered,
-            makespan_ms,
-            ttft_ms: Percentiles::default(),
-            tpot_ms: Percentiles::default(),
-            queue_ms: Percentiles::default(),
-            timed_out_latency_ms: Percentiles::default(),
-            goodput_tokens_per_s: per_s(goodput_tokens),
-            throughput_tokens_per_s: per_s(goodput_tokens + wasted_tokens),
-            mme_utilization,
-            tpc_utilization,
-            dma_utilization,
-            nic_utilization,
-            decode_steps,
-            prefills,
-            backpressure_stalls,
-            max_queue_depth,
-            peak_queued_tokens,
-            kv_peak_bytes,
-            kv_capacity_bytes,
-            kv_block_utilization,
-            compiled_graphs,
-            recipe_compiles,
-            preemptions,
-            peak_running,
-            scheduled_tokens,
-            padded_tokens,
-            devices,
-            retries,
-            requeued_tokens,
-            checkpoint_bytes,
-            restore_ms,
-            recovered_tokens,
-            failed_replicas,
-            restarts,
-            replica_uptime_ms,
-            trace,
-        }
-    }
-
-    /// Merge per-box reports into one cluster-level report — the second
-    /// level of the two-level merge. Unlike [`merge_replicas`], whose
-    /// float arithmetic is frozen (golden-pinned) to the single-box
-    /// engine, this level weights every per-box gauge by that box's
-    /// device count: busy time is reconstructed as
-    /// `util × makespan × devices` per box, utilizations renormalize over
-    /// the cluster's total device count and the slowest box's makespan,
-    /// and latency percentiles are re-derived from the pooled per-request
-    /// samples — never by averaging per-box percentiles (the p99 of a
-    /// union is not the mean of the p99s). Trace events are re-tagged
-    /// with cluster-global device ids (each box's devices offset by the
-    /// devices of the boxes before it).
-    ///
-    /// [`merge_replicas`]: Self::merge_replicas
-    pub fn merge_boxes(boxes: Vec<ServingReport>) -> ServingReport {
-        let devices: usize = boxes.iter().map(|r| r.devices).sum();
-        let makespan_ms = boxes.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
-        let span_ns = makespan_ms * 1e6;
-        let busy = |f: fn(&ServingReport) -> f64| -> f64 {
-            boxes
-                .iter()
-                .map(|r| f(r) * r.makespan_ms * 1e6 * r.devices as f64)
-                .sum()
-        };
-        let util = |f: fn(&ServingReport) -> f64| -> f64 {
-            if span_ns > 0.0 && devices > 0 {
-                busy(f) / (span_ns * devices as f64)
-            } else {
-                0.0
-            }
-        };
-        let mme_utilization = util(|r| r.mme_utilization);
-        let tpc_utilization = util(|r| r.tpc_utilization);
-        let dma_utilization = util(|r| r.dma_utilization);
-        let nic_utilization = util(|r| r.nic_utilization);
-        let kv_block_utilization = if devices > 0 {
-            boxes
-                .iter()
-                .map(|r| r.kv_block_utilization * r.devices as f64)
-                .sum::<f64>()
-                / devices as f64
+        [r.goodput_tokens_per_s, r.throughput_tokens_per_s] = rates;
+        let devices = r.devices as f64;
+        let span_ns = r.makespan_ms * 1e6 * devices;
+        [
+            r.mme_utilization,
+            r.tpc_utilization,
+            r.dma_utilization,
+            r.nic_utilization,
+        ] = self
+            .busy_ns
+            .map(|ns| if span_ns > 0.0 { ns / span_ns } else { 0.0 });
+        r.kv_block_utilization = if devices > 0.0 {
+            self.kv_block_utilization / devices
         } else {
             0.0
         };
-
-        let mut completed: Vec<RequestOutcome> = Vec::new();
-        let mut dropped: Vec<DroppedRequest> = Vec::new();
-        let mut offered = 0;
-        let mut trace = Trace::new();
-        let mut device_offset = 0;
-        let mut decode_steps = 0;
-        let mut prefills = 0;
-        let mut backpressure_stalls = 0;
-        let mut max_queue_depth = 0;
-        let mut peak_queued_tokens = 0;
-        let mut kv_peak_bytes = 0;
-        let mut kv_capacity_bytes = 0;
-        let mut compiled_graphs = 0;
-        let mut recipe_compiles = 0;
-        let mut preemptions = 0;
-        let mut peak_running = 0;
-        let mut scheduled_tokens = 0;
-        let mut padded_tokens = 0;
-        let mut retries = 0;
-        let mut requeued_tokens = 0;
-        let mut checkpoint_bytes = 0;
-        let mut restore_ms = 0.0;
-        let mut recovered_tokens = 0;
-        let mut failed_replicas = 0;
-        let mut restarts = 0;
-        let mut replica_uptime_ms = Vec::with_capacity(devices);
-        for r in boxes {
-            completed.extend(r.completed);
-            dropped.extend(r.dropped);
-            offered += r.offered;
-            for ev in r.trace.events() {
-                let mut ev = ev.clone();
-                ev.device = DeviceId(ev.device.0 + device_offset);
-                trace.push(ev);
-            }
-            device_offset += r.devices;
-            decode_steps += r.decode_steps;
-            prefills += r.prefills;
-            backpressure_stalls += r.backpressure_stalls;
-            max_queue_depth = max_queue_depth.max(r.max_queue_depth);
-            peak_queued_tokens = peak_queued_tokens.max(r.peak_queued_tokens);
-            kv_peak_bytes = r.kv_peak_bytes.max(kv_peak_bytes);
-            kv_capacity_bytes = r.kv_capacity_bytes.max(kv_capacity_bytes);
-            compiled_graphs += r.compiled_graphs;
-            recipe_compiles += r.recipe_compiles;
-            preemptions += r.preemptions;
-            peak_running += r.peak_running;
-            scheduled_tokens += r.scheduled_tokens;
-            padded_tokens += r.padded_tokens;
-            retries += r.retries;
-            requeued_tokens += r.requeued_tokens;
-            checkpoint_bytes += r.checkpoint_bytes;
-            restore_ms += r.restore_ms;
-            recovered_tokens += r.recovered_tokens;
-            failed_replicas += r.failed_replicas;
-            restarts += r.restarts;
-            replica_uptime_ms.extend(r.replica_uptime_ms);
-        }
-        completed.sort_by_key(|o| o.id);
-        dropped.sort_by_key(|o| o.id);
-        let goodput_tokens: usize = completed.iter().map(|o| o.output_len).sum();
-        let wasted_tokens: usize = dropped.iter().map(|d| d.tokens_generated).sum();
-
-        let per_s = |tokens: usize| {
-            if makespan_ms > 0.0 {
-                tokens as f64 / (makespan_ms / 1e3)
-            } else {
-                0.0
-            }
-        };
-
-        ServingReport {
-            completed,
-            dropped,
-            offered,
-            makespan_ms,
-            ttft_ms: Percentiles::default(),
-            tpot_ms: Percentiles::default(),
-            queue_ms: Percentiles::default(),
-            timed_out_latency_ms: Percentiles::default(),
-            goodput_tokens_per_s: per_s(goodput_tokens),
-            throughput_tokens_per_s: per_s(goodput_tokens + wasted_tokens),
-            mme_utilization,
-            tpc_utilization,
-            dma_utilization,
-            nic_utilization,
-            decode_steps,
-            prefills,
-            backpressure_stalls,
-            max_queue_depth,
-            peak_queued_tokens,
-            kv_peak_bytes,
-            kv_capacity_bytes,
-            kv_block_utilization,
-            compiled_graphs,
-            recipe_compiles,
-            preemptions,
-            peak_running,
-            scheduled_tokens,
-            padded_tokens,
-            devices,
-            retries,
-            requeued_tokens,
-            checkpoint_bytes,
-            restore_ms,
-            recovered_tokens,
-            failed_replicas,
-            restarts,
-            replica_uptime_ms,
-            trace,
-        }
-        .derived()
+        r.replica_uptime_ms = uptimes_ms;
+        self.report
     }
+}
+
+/// Mean over cards of the fraction of `makespan_ms` each was alive
+/// (`1.0` for no cards or an empty run). Averaging per-card fractions
+/// keeps a run in which every card stayed up at exactly `1.0`.
+fn availability(uptime_ms: &[f64], makespan_ms: f64) -> f64 {
+    if uptime_ms.is_empty() || makespan_ms <= 0.0 {
+        return 1.0;
+    }
+    let up: f64 = uptime_ms
+        .iter()
+        .map(|&u| u.min(makespan_ms) / makespan_ms)
+        .sum();
+    up / uptime_ms.len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{simulate_records, ExecPolicy, ServingConfig};
+    use crate::request::{generate_requests, TrafficConfig};
+    use gaudi_models::LlmConfig;
+    use gaudi_tensor::DType;
+    use proptest::prelude::*;
 
-    /// A minimal replica report spanning `devices` cards with the given
-    /// block-utilization gauge; everything else is zero/empty.
-    fn replica_report(devices: usize, kv_block_utilization: f64) -> ServingReport {
-        ServingReport {
-            completed: vec![],
-            dropped: vec![],
-            offered: 0,
-            makespan_ms: 10.0,
-            ttft_ms: Percentiles::default(),
-            tpot_ms: Percentiles::default(),
-            queue_ms: Percentiles::default(),
-            timed_out_latency_ms: Percentiles::default(),
-            goodput_tokens_per_s: 0.0,
-            throughput_tokens_per_s: 0.0,
-            mme_utilization: 0.0,
-            tpc_utilization: 0.0,
-            dma_utilization: 0.0,
-            nic_utilization: 0.0,
-            decode_steps: 0,
-            prefills: 0,
-            backpressure_stalls: 0,
-            max_queue_depth: 0,
-            peak_queued_tokens: 0,
-            kv_peak_bytes: 0,
-            kv_capacity_bytes: 0,
-            kv_block_utilization,
-            compiled_graphs: 0,
-            recipe_compiles: 0,
-            preemptions: 0,
-            peak_running: 0,
-            scheduled_tokens: 0,
-            padded_tokens: 0,
-            devices,
-            retries: 0,
-            requeued_tokens: 0,
-            checkpoint_bytes: 0,
-            restore_ms: 0.0,
-            recovered_tokens: 0,
-            failed_replicas: 0,
-            restarts: 0,
-            replica_uptime_ms: vec![10.0; devices],
-            trace: Trace::new(),
+    /// A tally of `devices` cards, each at `kv_block_utilization`, over a
+    /// 10 ms makespan; everything else is zero/empty.
+    fn tally(devices: usize, kv_block_utilization: f64) -> Tally {
+        Tally {
+            report: ServingReport {
+                makespan_ms: 10.0,
+                devices,
+                ..ServingReport::default()
+            },
+            kv_block_utilization: kv_block_utilization * devices as f64,
+            cards: vec![CardTime::default(); devices],
+            ..Tally::default()
         }
     }
 
     #[test]
-    fn merge_replicas_weights_block_utilization_by_replica_width() {
-        // Regression: two tp=2 replicas on a 4-card box. The old code
-        // divided each replica's gauge by 4 *without* the 2-card weight,
-        // reporting (0.9 + 0.6) / 4 = 0.375 for a box whose cards sit at
-        // a true mean of (0.9*2 + 0.6*2) / 4 = 0.75.
-        let merged =
-            ServingReport::merge_replicas(4, vec![replica_report(2, 0.9), replica_report(2, 0.6)]);
+    fn absorb_weights_block_utilization_by_part_width() {
+        // Regression: two tp=2 replicas on a 4-card box. Dividing each
+        // replica's gauge by 4 *without* its 2-card weight reported
+        // (0.9 + 0.6) / 4 = 0.375 for a box whose cards sit at a true
+        // mean of (0.9*2 + 0.6*2) / 4 = 0.75.
+        let mut merged = tally(2, 0.9);
+        merged.absorb(tally(2, 0.6));
+        let merged = merged.finish();
+        assert_eq!(merged.devices, 4);
         assert!(
             (merged.kv_block_utilization - 0.75).abs() < 1e-12,
             "device-weighted mean, got {}",
             merged.kv_block_utilization
         );
-        // Data-parallel single-card replicas are the legacy path and must
-        // stay bit-identical (x * 1.0 / d == x / d in IEEE f64).
-        let dp =
-            ServingReport::merge_replicas(2, vec![replica_report(1, 0.9), replica_report(1, 0.6)]);
-        assert_eq!(dp.kv_block_utilization, 0.9 / 2.0 + 0.6 / 2.0);
+        assert_eq!(merged.replica_uptime_ms, vec![10.0; 4]);
+        assert_eq!(merged.availability(), 1.0);
+    }
+
+    /// One box of the fold proptest: one card, tiny decoder, light load.
+    fn box_config(seed: u64, num_requests: usize) -> ServingConfig {
+        let mut model = LlmConfig::tiny(97);
+        model.training = false;
+        ServingConfig::builder()
+            .model(model)
+            .traffic(TrafficConfig {
+                arrival_rate_per_s: 200.0,
+                num_requests,
+                prompt_range: (4, 24),
+                output_range: (2, 12),
+                zipf_s: 1.1,
+                seed,
+            })
+            .max_batch(4)
+            .ctx_bucket(16)
+            .kv_dtype(DType::F32)
+            .build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Folding boxes into a cluster conserves work, and the pooled
+        /// latency percentiles are derived from the pooled per-request
+        /// samples — not averaged from per-box percentiles.
+        #[test]
+        fn absorbed_boxes_conserve_work_and_pool_percentile_samples(
+            seed in 0u64..1_000_000,
+            num_requests in 4usize..40,
+            boxes in 2usize..5,
+        ) {
+            let cfg = box_config(seed, num_requests);
+            let policy = ExecPolicy::default();
+            let mut requests = generate_requests(&cfg.traffic);
+            requests.sort_by_key(|r| (r.arrival_us, r.id));
+            let mut merged = Tally::default();
+            let mut parts = Vec::new();
+            for b in 0..boxes {
+                let shard: Vec<_> = requests
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % boxes == b)
+                    .map(|(_, r)| r.clone())
+                    .collect();
+                parts.push(simulate_records(&cfg, shard.clone(), &policy).unwrap().finish());
+                merged.absorb(simulate_records(&cfg, shard, &policy).unwrap());
+            }
+            let merged = merged.finish();
+
+            prop_assert_eq!(merged.devices, boxes);
+            prop_assert_eq!(merged.offered, num_requests);
+            prop_assert_eq!(
+                merged.completed.len(),
+                parts.iter().map(|p| p.completed.len()).sum::<usize>());
+
+            // Busy-time conservation, device-weighted.
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-12);
+            let merged_busy = merged.mme_utilization * merged.makespan_ms * boxes as f64;
+            let part_busy: f64 = parts
+                .iter()
+                .map(|p| p.mme_utilization * p.makespan_ms * p.devices as f64)
+                .sum();
+            prop_assert!(close(merged_busy, part_busy),
+                "mme busy not conserved: merged {} vs parts {}", merged_busy, part_busy);
+
+            // Percentiles come from the pooled samples, bit-for-bit.
+            let pooled_ttft = Percentiles::of(merged.completed.iter().map(|o| o.ttft_ms));
+            prop_assert_eq!(&merged.ttft_ms, &pooled_ttft);
+            let pooled_tpot = Percentiles::of(merged.completed.iter().flat_map(|o| {
+                o.token_times_ms.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>()
+            }));
+            prop_assert_eq!(&merged.tpot_ms, &pooled_tpot);
+            // And NOT from averaging per-box percentiles (they differ unless
+            // every box saw identical latency tails).
+            let averaged_p99: f64 =
+                parts.iter().map(|p| p.ttft_ms.p99).sum::<f64>() / boxes as f64;
+            let max_p99 = parts.iter().map(|p| p.ttft_ms.p99).fold(0.0, f64::max);
+            prop_assert!(merged.ttft_ms.p99 >= averaged_p99 - 1e-9,
+                "pooled p99 {} must dominate the per-box average {}",
+                merged.ttft_ms.p99, averaged_p99);
+            prop_assert!(merged.ttft_ms.p99 <= max_p99 + 1e-9);
+        }
     }
 
     #[test]

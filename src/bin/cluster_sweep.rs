@@ -4,8 +4,8 @@
 //! The PR-7 acceptance harness. One saturating cluster-wide stream is
 //! split by the front-end router across `boxes x cards_per_box` serving
 //! engines; every box runs the full continuous-batching engine on the
-//! indexed event calendar and the per-box reports merge through the
-//! two-level `ServingReport::merge_boxes`. The sweep covers:
+//! indexed event calendar, and every box's cards fold into one
+//! cluster-level report. The sweep covers:
 //!
 //! - a **headline cell**: >= 1,000,000 requests across 512 cards
 //!   (64 boxes x 8), gated to finish in <= 10 s wall-clock;

@@ -9,7 +9,7 @@ use gaudi_models::LlmConfig;
 use gaudi_serving::{
     generate_requests, simulate, simulate_cluster, simulate_trace, ClusterConfig, DropKind,
     EventCalendar, FaultPlan, KvAdmissionConfig, Percentiles, RobustnessConfig, ServingConfig,
-    ServingError, ServingReport, TrafficConfig,
+    ServingError, TrafficConfig,
 };
 use gaudi_tensor::DType;
 use proptest::prelude::*;
@@ -408,64 +408,6 @@ proptest! {
         }
         prop_assert!(cal.is_empty());
         prop_assert_eq!(cal_log, tree_log);
-    }
-
-    /// The second merge level (boxes → cluster) conserves work exactly
-    /// like the first, and its latency percentiles are re-derived from
-    /// the pooled per-request samples — not averaged per-box percentiles.
-    #[test]
-    fn merge_boxes_conserves_work_and_pools_percentile_samples(
-        seed in 0u64..1_000_000,
-        num_requests in 4usize..40,
-        boxes in 2usize..5,
-    ) {
-        let cfg = config(seed, 2, num_requests, 4, 500);
-        let mut requests = generate_requests(&cfg.traffic);
-        requests.sort_by_key(|r| (r.arrival_us, r.id));
-        let mut parts = Vec::new();
-        for b in 0..boxes {
-            let shard: Vec<_> = requests
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % boxes == b)
-                .map(|(_, r)| r.clone())
-                .collect();
-            parts.push(simulate_trace(&cfg, shard).unwrap());
-        }
-        let merged = ServingReport::merge_boxes(parts.clone());
-
-        prop_assert_eq!(merged.devices, boxes);
-        prop_assert_eq!(merged.offered, num_requests);
-        prop_assert_eq!(
-            merged.completed.len(),
-            parts.iter().map(|p| p.completed.len()).sum::<usize>());
-
-        // Busy-time conservation, device-weighted.
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-12);
-        let merged_busy = merged.mme_utilization * merged.makespan_ms * boxes as f64;
-        let part_busy: f64 = parts
-            .iter()
-            .map(|p| p.mme_utilization * p.makespan_ms * p.devices as f64)
-            .sum();
-        prop_assert!(close(merged_busy, part_busy),
-            "mme busy not conserved: merged {} vs parts {}", merged_busy, part_busy);
-
-        // Percentiles come from the pooled samples, bit-for-bit.
-        let pooled_ttft = Percentiles::of(merged.completed.iter().map(|o| o.ttft_ms));
-        prop_assert_eq!(&merged.ttft_ms, &pooled_ttft);
-        let pooled_tpot = Percentiles::of(merged.completed.iter().flat_map(|o| {
-            o.token_times_ms.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>()
-        }));
-        prop_assert_eq!(&merged.tpot_ms, &pooled_tpot);
-        // And NOT from averaging per-box percentiles (they differ unless
-        // every box saw identical latency tails).
-        let averaged_p99: f64 =
-            parts.iter().map(|p| p.ttft_ms.p99).sum::<f64>() / boxes as f64;
-        let max_p99 = parts.iter().map(|p| p.ttft_ms.p99).fold(0.0, f64::max);
-        prop_assert!(merged.ttft_ms.p99 >= averaged_p99 - 1e-9,
-            "pooled p99 {} must dominate the per-box average {}",
-            merged.ttft_ms.p99, averaged_p99);
-        prop_assert!(merged.ttft_ms.p99 <= max_p99 + 1e-9);
     }
 
     /// Every public entry point returns latency summaries derived from
