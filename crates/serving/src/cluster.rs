@@ -32,12 +32,11 @@
 //! [`gaudi_exec::ExecPool`] but are merged in box order, so the cluster
 //! report is bit-identical across execution policies.
 
-use crate::engine::{simulate_records, ExecPolicy, PlanSharing, ServingConfig};
+use crate::engine::{simulate_records, ExecPolicy, ServingConfig};
 use crate::error::ServingError;
 use crate::report::{ServingReport, Tally};
 use crate::request::{generate_requests, Request};
 use gaudi_hw::Topology;
-use std::sync::Arc;
 
 /// How the front-end router assigns requests to boxes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -346,11 +345,7 @@ pub fn simulate_cluster_with(
     box_cfg.devices = cfg.cards_per_box;
     let inner = ExecPolicy {
         pool: gaudi_exec::ExecPool::serial(),
-        plans: match &policy.plans {
-            PlanSharing::PerReplica => PlanSharing::PerReplica,
-            PlanSharing::PerCall => PlanSharing::PerCall,
-            PlanSharing::Shared(cache) => PlanSharing::Shared(Arc::clone(cache)),
-        },
+        plans: policy.plans.clone(),
     };
     let boxes: Vec<Tally> = policy
         .pool

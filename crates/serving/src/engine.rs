@@ -334,10 +334,6 @@ impl ServingConfigBuilder {
 /// simulation (and possibly beyond it).
 #[derive(Debug, Clone, Default)]
 pub enum PlanSharing {
-    /// Every replica compiles privately, cloning the model/hardware/option
-    /// structs for its own [`CostModel`] — the legacy behavior, kept as
-    /// the benchmark baseline.
-    PerReplica,
     /// One [`CostContext`] per `simulate` call: replicas share compiled
     /// plans and borrow one set of configs instead of cloning them apiece.
     #[default]
@@ -374,16 +370,6 @@ impl Default for ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// Everything inline on the caller, every replica compiling privately:
-    /// the pre-parallelism behavior, useful as a benchmark baseline and
-    /// for `GAUDI_EXEC_THREADS=1`-style determinism checks.
-    pub fn serial_baseline() -> Self {
-        ExecPolicy {
-            pool: ExecPool::serial(),
-            plans: PlanSharing::PerReplica,
-        }
-    }
-
     /// Global pool, memoizing compilations into `cache` (share one cache
     /// across a sweep to compile each distinct phase shape once).
     pub fn shared(cache: Arc<PlanCache>) -> Self {
@@ -1230,34 +1216,19 @@ pub(crate) fn simulate_records(
 
     requests.sort_by_key(|r| (r.arrival_us, r.id));
 
-    // One compile context shared by every replica of this call (unless the
-    // policy asks for the legacy per-replica compilation).
-    let ctx: Option<Arc<CostContext>> = match &policy.plans {
-        PlanSharing::PerReplica => None,
-        PlanSharing::PerCall => Some(Arc::new(CostContext::new(
-            cfg.model.clone(),
-            cfg.hw.clone(),
-            cfg.opts.clone(),
-            cfg.ctx_bucket,
-            Arc::new(PlanCache::new()),
-        ))),
-        PlanSharing::Shared(cache) => Some(Arc::new(CostContext::new(
-            cfg.model.clone(),
-            cfg.hw.clone(),
-            cfg.opts.clone(),
-            cfg.ctx_bucket,
-            Arc::clone(cache),
-        ))),
+    // One compile context shared by every replica of this call.
+    let cache = match &policy.plans {
+        PlanSharing::PerCall => Arc::new(PlanCache::new()),
+        PlanSharing::Shared(cache) => Arc::clone(cache),
     };
-    let make_cost = || match &ctx {
-        Some(c) => CostModel::with_context(Arc::clone(c)),
-        None => CostModel::new(
-            cfg.model.clone(),
-            cfg.hw.clone(),
-            cfg.opts.clone(),
-            cfg.ctx_bucket,
-        ),
-    };
+    let ctx = Arc::new(CostContext::new(
+        cfg.model.clone(),
+        cfg.hw.clone(),
+        cfg.opts.clone(),
+        cfg.ctx_bucket,
+        cache,
+    ));
+    let make_cost = || CostModel::with_context(Arc::clone(&ctx));
 
     // Activation workspace charged against HBM at admission. Computed once
     // from the worst-case phase shapes this config can schedule: a prefill

@@ -361,7 +361,8 @@ mod tests {
         let pool = ExecPool::new(3);
         let parallel = run_cells(&pool, &cache, &cells);
         for (cfg, report) in cells.iter().zip(&parallel) {
-            let serial = gaudi_serving::simulate_with(cfg, &ExecPolicy::serial_baseline()).unwrap();
+            let serial_pool = ExecPolicy::default().with_pool(ExecPool::serial());
+            let serial = gaudi_serving::simulate_with(cfg, &serial_pool).unwrap();
             assert_eq!(report_digest(report), report_digest(&serial));
         }
         assert!(cache.stats().entries > 0, "cells must memoize their plans");

@@ -35,9 +35,14 @@ fn full_digest(r: &ServingReport) -> String {
     format!("{r:?}")
 }
 
+/// Everything inline on the caller, plans shared within the call: the
+/// reference every other policy must reproduce.
+fn serial() -> ExecPolicy {
+    ExecPolicy::default().with_pool(ExecPool::serial())
+}
+
 fn policies(cache: &Arc<PlanCache>) -> Vec<(&'static str, ExecPolicy)> {
     vec![
-        ("serial baseline", ExecPolicy::serial_baseline()),
         (
             "serial pool, per-call plans",
             ExecPolicy {
@@ -66,7 +71,7 @@ fn policies(cache: &Arc<PlanCache>) -> Vec<(&'static str, ExecPolicy)> {
 fn serving_report_is_bit_identical_across_policies() {
     let cfg = serving_config(4);
     let cache = Arc::new(PlanCache::new());
-    let reference = full_digest(&simulate_with(&cfg, &ExecPolicy::serial_baseline()).unwrap());
+    let reference = full_digest(&simulate_with(&cfg, &serial()).unwrap());
     for (name, policy) in policies(&cache) {
         let got = full_digest(&simulate_with(&cfg, &policy).unwrap());
         assert_eq!(got, reference, "policy '{name}' diverged from serial");
@@ -86,7 +91,7 @@ fn faulted_serving_run_is_bit_identical_across_policies() {
     let mut cfg = serving_config(3);
     cfg.faults = FaultPlan::none().kill(DeviceId(2), 15.0);
     let cache = Arc::new(PlanCache::new());
-    let reference = simulate_with(&cfg, &ExecPolicy::serial_baseline()).unwrap();
+    let reference = simulate_with(&cfg, &serial()).unwrap();
     assert_eq!(reference.failed_replicas, 1);
     assert!(reference.retries > 0, "the kill must actually orphan work");
     for (name, policy) in policies(&cache) {
@@ -114,7 +119,7 @@ fn restart_and_shed_run_is_bit_identical_across_policies() {
         .retries(5)
         .backoff(2.0, 0.5, 7);
     let cache = Arc::new(PlanCache::new());
-    let reference = simulate_with(&cfg, &ExecPolicy::serial_baseline()).unwrap();
+    let reference = simulate_with(&cfg, &serial()).unwrap();
     assert_eq!(reference.restarts, 1, "the killed replica must come back");
     assert!(
         !reference.dropped.is_empty(),
@@ -167,7 +172,7 @@ fn paged_warmup_restart_run_is_bit_identical_across_policies() {
         .kv_bytes_per_token(&cfg.model, cfg.kv_dtype);
     cfg.hw.memory.hbm_capacity_bytes = weights + per_tok * 264;
     let cache = Arc::new(PlanCache::new());
-    let reference = simulate_with(&cfg, &ExecPolicy::serial_baseline()).unwrap();
+    let reference = simulate_with(&cfg, &serial()).unwrap();
     assert_eq!(reference.restarts, 1, "the killed replica must come back");
     assert!(
         reference.recipe_compiles > 0,
@@ -210,7 +215,7 @@ fn checkpointed_campaign_run_is_bit_identical_across_policies() {
         .expect("the campaign lowers to a valid plan");
     cfg.robustness = RobustnessConfig::default().checkpoint(3.0, 64e9);
     let cache = Arc::new(PlanCache::new());
-    let reference = simulate_with(&cfg, &ExecPolicy::serial_baseline()).unwrap();
+    let reference = simulate_with(&cfg, &serial()).unwrap();
     assert_eq!(
         reference.restarts, 4,
         "both rack events must hit whole boxes"
@@ -264,7 +269,7 @@ fn cluster_report_is_bit_identical_across_policies() {
             .router(router)
             .oversubscription(4.0);
         let cache = Arc::new(PlanCache::new());
-        let reference = simulate_cluster_with(&cfg, &ExecPolicy::serial_baseline()).unwrap();
+        let reference = simulate_cluster_with(&cfg, &serial()).unwrap();
         assert_eq!(reference.report.offered, 60);
         for (name, policy) in policies(&cache) {
             let got = simulate_cluster_with(&cfg, &policy).unwrap();
@@ -288,12 +293,9 @@ fn explicit_trace_replay_is_policy_independent() {
             output_len: 3 + (i as usize % 7),
         })
         .collect();
-    let serial = habana_gaudi_study::serving::simulate_trace_with(
-        &cfg,
-        requests.clone(),
-        &ExecPolicy::serial_baseline(),
-    )
-    .unwrap();
+    let serial =
+        habana_gaudi_study::serving::simulate_trace_with(&cfg, requests.clone(), &serial())
+            .unwrap();
     let parallel = habana_gaudi_study::serving::simulate_trace_with(
         &cfg,
         requests,
