@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn cluster_availability_weights_boxes_by_their_own_makespan() {
         // Each box's availability is measured against its *local*
-        // makespan before device-weighting, the way the merged report's
+        // makespan before device-weighting, while the merged report's
         // gauge measures every card against the cluster makespan.
         use gaudi_hw::{fault::FaultPlan, DeviceId};
 
