@@ -50,8 +50,8 @@ fn schedule_view(r: &ServingReport) -> ServingReport {
 
 /// FNV-1a over the [`schedule_view`] of a report: what was simulated,
 /// apart from how the gauges are associated. A change to the report
-/// merge may move [`digest`] in the last ulp of a gauge; it must never
-/// move this one.
+/// merge may move [`digest`] through a gauge's last ulp or a card's
+/// up-time; it must never move this one.
 fn schedule_digest(r: &ServingReport) -> u64 {
     digest(&schedule_view(r))
 }
