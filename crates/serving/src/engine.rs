@@ -1153,6 +1153,7 @@ pub fn simulate_trace(
 /// of the longest admissible prompt (prefill always runs at batch 1) and a
 /// decode at the bucket-padded max batch and longest context.
 pub fn activation_estimate(cfg: &ServingConfig) -> Result<(u64, u64), ServingError> {
+    check_ctx_bucket(cfg)?;
     let mut cost = CostModel::new(
         cfg.model.clone(),
         cfg.hw.clone(),
@@ -1179,6 +1180,17 @@ fn activation_estimate_with(
             .naive_activation_bytes
             .max(decode.naive_activation_bytes),
     ))
+}
+
+/// Phase lengths round up to a multiple of `ctx_bucket`, so it must be
+/// positive before any phase is priced.
+fn check_ctx_bucket(cfg: &ServingConfig) -> Result<(), ServingError> {
+    if cfg.ctx_bucket == 0 {
+        return Err(ServingError::InvalidConfig(
+            "ctx_bucket must be at least 1".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// [`simulate_trace`] under an explicit [`ExecPolicy`].
@@ -1208,6 +1220,7 @@ pub(crate) fn simulate_records(
             "devices must be at least 1".into(),
         ));
     }
+    check_ctx_bucket(cfg)?;
     cfg.faults.validate(cfg.devices)?;
     cfg.robustness
         .validate()
@@ -2354,6 +2367,18 @@ mod tests {
         assert_eq!(derived.devices, 1);
         assert_eq!(derived.max_batch, 4, "unset fields carry over");
         assert_eq!(derived.recipes.batch_bucket, 2);
+    }
+
+    #[test]
+    fn zero_ctx_bucket_is_a_config_error_at_every_entry_point() {
+        let cfg = tiny_config().to_builder().ctx_bucket(0).build();
+        let invalid = |r: Result<_, ServingError>| matches!(r, Err(ServingError::InvalidConfig(_)));
+        assert!(invalid(simulate(&cfg).map(drop)));
+        assert!(invalid(activation_estimate(&cfg).map(drop)));
+        let cluster = crate::cluster::ClusterConfig::new(cfg, 2, 1);
+        assert!(invalid(
+            crate::cluster::simulate_cluster(&cluster).map(drop)
+        ));
     }
 
     #[test]
