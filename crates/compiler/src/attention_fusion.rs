@@ -33,7 +33,7 @@
 //!   through HBM).
 
 use gaudi_graph::{Graph, GraphError, NodeId, OpKind};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
 
 /// Statistics of one pattern-match run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -69,14 +69,54 @@ struct Match {
     replacement: Replacement,
 }
 
+/// Who reads a node's value, as far as the matcher cares.
+#[derive(Clone, Copy)]
+enum Readers {
+    Unread,
+    /// Exactly one operand slot of one consumer.
+    One(NodeId),
+    /// Several operand slots, or a marked graph output.
+    Many,
+}
+
+/// What the rebuild does with a node.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Keep,
+    /// An interior of a match, folded into its fused node.
+    Consumed,
+    /// The anchor of `matches[i]`, replaced by the fused node.
+    Anchor(usize),
+}
+
 /// Run the pass: returns the rewritten graph and match statistics.
 pub fn fuse_attention(graph: &Graph) -> Result<(Graph, AttentionFusionStats), GraphError> {
-    let consumers = graph.consumers();
-    let is_output = |id: NodeId| graph.outputs().contains(&id);
+    let (fused, stats) = fuse(graph)?;
+    Ok((fused.into_owned(), stats))
+}
+
+/// [`fuse_attention`] that borrows `graph` back when no pattern matches,
+/// instead of rebuilding an identical copy.
+pub(crate) fn fuse(graph: &Graph) -> Result<(Cow<'_, Graph>, AttentionFusionStats), GraphError> {
+    // One pass over the edges: the matcher only asks whether a node has a
+    // sole, unobservable consumer, and which.
+    let mut readers = vec![Readers::Unread; graph.len()];
+    for node in graph.nodes() {
+        for &i in &node.inputs {
+            let r = &mut readers[i.index()];
+            *r = match *r {
+                Readers::Unread => Readers::One(node.id),
+                _ => Readers::Many,
+            };
+        }
+    }
+    for &o in graph.outputs() {
+        readers[o.index()] = Readers::Many;
+    }
     // Interior nodes feed exactly one consumer and are not observable.
     let sole_consumer = |id: NodeId| -> Option<NodeId> {
-        match consumers[id.index()].as_slice() {
-            [c] if !is_output(id) => Some(*c),
+        match readers[id.index()] {
+            Readers::One(c) => Some(c),
             _ => None,
         }
     };
@@ -129,7 +169,7 @@ pub fn fuse_attention(graph: &Graph) -> Result<(Graph, AttentionFusionStats), Gr
     };
 
     let mut matches: Vec<Match> = Vec::new();
-    let mut taken: HashSet<NodeId> = HashSet::new();
+    let mut role = vec![Role::Keep; graph.len()];
 
     for sm in graph.nodes() {
         if !matches!(sm.kind, OpKind::Softmax) {
@@ -214,39 +254,40 @@ pub fn fuse_attention(graph: &Graph) -> Result<(Graph, AttentionFusionStats), Gr
         if m.consumed
             .iter()
             .chain([&m.anchor])
-            .any(|n| taken.contains(n))
+            .any(|n| role[n.index()] != Role::Keep)
         {
             continue;
         }
-        taken.extend(m.consumed.iter().copied());
-        taken.insert(m.anchor);
+        for n in &m.consumed {
+            role[n.index()] = Role::Consumed;
+        }
+        role[m.anchor.index()] = Role::Anchor(matches.len());
         matches.push(m);
     }
 
-    // Rebuild, skipping consumed interiors and swapping the fused node in
-    // at each anchor.
-    let mut skip: HashSet<NodeId> = HashSet::new();
-    let mut at_anchor: HashMap<NodeId, &Match> = HashMap::new();
     let mut stats = AttentionFusionStats::default();
     for m in &matches {
-        skip.extend(m.consumed.iter().copied());
-        at_anchor.insert(m.anchor, m);
         stats.ops_removed += m.consumed.len();
         match m.replacement {
             Replacement::Attention { .. } => stats.attention += 1,
             Replacement::SoftmaxMatMul { .. } => stats.softmax_matmul += 1,
         }
     }
+    if matches.is_empty() {
+        return Ok((Cow::Borrowed(graph), stats));
+    }
 
+    // Rebuild, skipping consumed interiors and swapping the fused node in
+    // at each anchor.
     let mut out = Graph::new();
     out.storage_dtype = graph.storage_dtype;
-    let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
+    // New id of each surviving node; a consumed interior's entry is never
+    // read, since its only consumer is inside its own match.
+    let mut remap = vec![NodeId(usize::MAX); graph.len()];
     for node in graph.nodes() {
-        if skip.contains(&node.id) {
-            continue;
-        }
-        let new_id = if let Some(m) = at_anchor.get(&node.id) {
-            match &m.replacement {
+        let new_id = match role[node.id.index()] {
+            Role::Consumed => continue,
+            Role::Anchor(i) => match &matches[i].replacement {
                 Replacement::Attention {
                     q,
                     k,
@@ -254,9 +295,9 @@ pub fn fuse_attention(graph: &Graph) -> Result<(Graph, AttentionFusionStats), Gr
                     mask,
                     scale,
                 } => {
-                    let mut inputs = vec![remap[q], remap[k], remap[v]];
+                    let mut inputs = vec![remap[q.index()], remap[k.index()], remap[v.index()]];
                     if let Some(mk) = mask {
-                        inputs.push(remap[mk]);
+                        inputs.push(remap[mk.index()]);
                     }
                     out.push_node(
                         OpKind::FusedAttention {
@@ -270,21 +311,22 @@ pub fn fuse_attention(graph: &Graph) -> Result<(Graph, AttentionFusionStats), Gr
                 }
                 Replacement::SoftmaxMatMul { x, v } => out.push_node(
                     OpKind::FusedSoftmaxMatMul,
-                    &[remap[x], remap[v]],
+                    &[remap[x.index()], remap[v.index()]],
                     node.shape,
                     node.name.clone(),
                 )?,
+            },
+            Role::Keep => {
+                let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i.index()]).collect();
+                out.push_node(node.kind.clone(), &inputs, node.shape, node.name.clone())?
             }
-        } else {
-            let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i]).collect();
-            out.push_node(node.kind.clone(), &inputs, node.shape, node.name.clone())?
         };
-        remap.insert(node.id, new_id);
+        remap[node.id.index()] = new_id;
     }
     for o in graph.outputs() {
-        out.mark_output(remap[o]);
+        out.mark_output(remap[o.index()]);
     }
-    Ok((out, stats))
+    Ok((Cow::Owned(out), stats))
 }
 
 #[cfg(test)]
@@ -413,6 +455,21 @@ mod tests {
         assert_eq!(stats.attention, 0);
         assert_eq!(stats.softmax_matmul, 0);
         assert_eq!(f.len(), g.len());
+    }
+
+    #[test]
+    fn no_match_borrows_the_input() {
+        let mut g = attention_graph(false);
+        let probs = g
+            .nodes()
+            .iter()
+            .find(|n| matches!(n.kind, OpKind::Softmax))
+            .unwrap()
+            .id;
+        g.mark_output(probs);
+        let (f, stats) = fuse(&g).unwrap();
+        assert_eq!(stats, AttentionFusionStats::default());
+        assert!(matches!(f, Cow::Borrowed(_)));
     }
 
     #[test]

@@ -9,13 +9,20 @@
 //! survive, which is never what a caller wants).
 
 use gaudi_graph::{Graph, GraphError, NodeId};
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// Remove nodes unreachable from the marked outputs. Returns the pruned
 /// graph and the number of nodes eliminated.
 pub fn eliminate_dead_code(graph: &Graph) -> Result<(Graph, usize), GraphError> {
+    let (pruned, removed) = prune(graph)?;
+    Ok((pruned.into_owned(), removed))
+}
+
+/// [`eliminate_dead_code`] that borrows `graph` back when nothing is dead,
+/// instead of rebuilding an identical copy.
+pub(crate) fn prune(graph: &Graph) -> Result<(Cow<'_, Graph>, usize), GraphError> {
     if graph.outputs().is_empty() {
-        return Ok((graph.clone(), 0));
+        return Ok((Cow::Borrowed(graph), 0));
     }
     let mut live = vec![false; graph.len()];
     let mut stack: Vec<NodeId> = graph.outputs().to_vec();
@@ -26,24 +33,28 @@ pub fn eliminate_dead_code(graph: &Graph) -> Result<(Graph, usize), GraphError> 
         live[id.index()] = true;
         stack.extend_from_slice(&graph.node(id).inputs);
     }
+    let removed = live.iter().filter(|&&l| !l).count();
+    if removed == 0 {
+        return Ok((Cow::Borrowed(graph), 0));
+    }
 
     let mut out = Graph::new();
     out.storage_dtype = graph.storage_dtype;
-    let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut removed = 0usize;
+    // New id of each live node; dead entries are never read, since a live
+    // node's inputs are live.
+    let mut remap = vec![NodeId(usize::MAX); graph.len()];
     for node in graph.nodes() {
         if !live[node.id.index()] {
-            removed += 1;
             continue;
         }
-        let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i]).collect();
-        let new_id = out.push_node(node.kind.clone(), &inputs, node.shape, node.name.clone())?;
-        remap.insert(node.id, new_id);
+        let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i.index()]).collect();
+        remap[node.id.index()] =
+            out.push_node(node.kind.clone(), &inputs, node.shape, node.name.clone())?;
     }
     for o in graph.outputs() {
-        out.mark_output(remap[o]);
+        out.mark_output(remap[o.index()]);
     }
-    Ok((out, removed))
+    Ok((Cow::Owned(out), removed))
 }
 
 #[cfg(test)]
@@ -63,6 +74,17 @@ mod tests {
         assert_eq!(removed, 2);
         assert_eq!(pruned.len(), 2);
         pruned.validate().unwrap();
+    }
+
+    #[test]
+    fn nothing_dead_borrows_the_input() {
+        let mut g = Graph::new();
+        let x = g.input("x", &[4]).unwrap();
+        let y = g.exp(x).unwrap();
+        g.mark_output(y);
+        let (pruned, removed) = prune(&g).unwrap();
+        assert_eq!(removed, 0);
+        assert!(matches!(pruned, Cow::Borrowed(_)));
     }
 
     #[test]

@@ -172,8 +172,19 @@ pub fn plan_memory_with(g: &Graph, opts: MemPlanOptions) -> MemoryPlan {
         return MemoryPlan::default();
     }
     let elem = g.storage_dtype.size_of() as u64;
-    let consumers = g.consumers();
     let last_step = steps - 1;
+    // The step each tensor dies at: its last consumer's (nodes are visited
+    // in step order, so the last write wins), the final step for a graph
+    // output, else its own step. One pass in place of `Graph::consumers`.
+    let mut last_use: Vec<usize> = (0..steps).collect();
+    for node in g.nodes() {
+        for &input in &node.inputs {
+            last_use[input.index()] = node.id.index();
+        }
+    }
+    for &out in g.outputs() {
+        last_use[out.index()] = last_step;
+    }
 
     // 1. Lifetimes. `planned[i]` is Some(interval index) for nodes whose
     // output the arena must hold.
@@ -186,15 +197,7 @@ pub fn plan_memory_with(g: &Graph, opts: MemPlanOptions) -> MemoryPlan {
             continue; // resident weights, not activation workspace
         }
         let bytes = g.shape(node.id).numel() as u64 * elem;
-        let end = if g.outputs().contains(&node.id) {
-            last_step
-        } else {
-            consumers[node.id.index()]
-                .iter()
-                .map(|c| c.index())
-                .max()
-                .unwrap_or(node.id.index())
-        };
+        let end = last_use[node.id.index()];
         naive_bytes += bytes;
         planned[node.id.index()] = Some(intervals.len());
         intervals.push(TensorInterval {

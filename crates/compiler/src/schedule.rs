@@ -7,7 +7,7 @@ use gaudi_graph::{Activation, CollectiveKind, Graph, GraphError, NodeId, OpKind}
 use gaudi_hw::des::Timeline;
 use gaudi_hw::memory::DmaModel;
 use gaudi_hw::{DeviceId, EngineId, GaudiConfig, Topology};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +50,8 @@ pub struct PlannedOp {
 pub struct ExecutionPlan {
     /// Scheduled steps in issue order.
     pub steps: Vec<PlannedOp>,
-    /// Completion time of each node, ns.
-    pub node_end_ns: HashMap<NodeId, f64>,
+    /// Completion time of each node, ns, indexed by [`NodeId::index`].
+    pub node_end_ns: Vec<f64>,
     /// Overall makespan, ns.
     pub makespan_ns: f64,
 }
@@ -89,23 +89,7 @@ impl GraphCompiler {
     /// Returns the graph actually scheduled (lowered when `lower_einsum` is
     /// set) along with the plan, whose node ids refer to that graph.
     pub fn compile(&self, graph: &Graph) -> Result<(Graph, ExecutionPlan), GraphError> {
-        graph.validate()?;
-        let mut g = if self.opts.lower_einsum {
-            lower_einsum(graph)?
-        } else {
-            graph.clone()
-        };
-        if self.opts.dce {
-            g = crate::dce::eliminate_dead_code(&g)?.0;
-        }
-        if self.opts.fuse_elementwise {
-            g = crate::fusion::fuse_elementwise(&g)?.0;
-        }
-        if self.opts.fuse_attention {
-            g = crate::attention_fusion::fuse_attention(&g)?.0;
-        }
-        let plan = self.schedule(&g, None);
-        Ok((g, plan))
+        self.compile_on(graph, None)
     }
 
     /// Like [`compile`](Self::compile), additionally running the static
@@ -132,23 +116,42 @@ impl GraphCompiler {
         graph: &Graph,
         comm: &Topology,
     ) -> Result<(Graph, ExecutionPlan), GraphError> {
+        self.compile_on(graph, Some(comm))
+    }
+
+    fn compile_on(
+        &self,
+        graph: &Graph,
+        comm: Option<&Topology>,
+    ) -> Result<(Graph, ExecutionPlan), GraphError> {
+        let g = self.run_passes(graph)?;
+        let plan = self.schedule(&g, comm);
+        Ok((g.into_owned(), plan))
+    }
+
+    /// The graph passes in order: lower, DCE, element-wise fusion,
+    /// attention fusion. A pass that changes nothing hands its input on
+    /// instead of a copy, so a graph no pass rewrites is never cloned.
+    fn run_passes<'g>(&self, graph: &'g Graph) -> Result<Cow<'g, Graph>, GraphError> {
         graph.validate()?;
-        let mut g = if self.opts.lower_einsum {
-            lower_einsum(graph)?
-        } else {
-            graph.clone()
-        };
+        let mut g = Cow::Borrowed(graph);
+        if self.opts.lower_einsum {
+            g = Cow::Owned(lower_einsum(&g)?);
+        }
         if self.opts.dce {
-            g = crate::dce::eliminate_dead_code(&g)?.0;
+            if let (Cow::Owned(pruned), _) = crate::dce::prune(&g)? {
+                g = Cow::Owned(pruned);
+            }
         }
         if self.opts.fuse_elementwise {
-            g = crate::fusion::fuse_elementwise(&g)?.0;
+            g = Cow::Owned(crate::fusion::fuse_elementwise(&g)?.0);
         }
         if self.opts.fuse_attention {
-            g = crate::attention_fusion::fuse_attention(&g)?.0;
+            if let (Cow::Owned(fused), _) = crate::attention_fusion::fuse(&g)? {
+                g = Cow::Owned(fused);
+            }
         }
-        let plan = self.schedule(&g, Some(comm));
-        Ok((g, plan))
+        Ok(g)
     }
 
     /// Wire time of one collective node under `comm`, ns.
@@ -173,9 +176,11 @@ impl GraphCompiler {
         let dma = DmaModel::new(self.cfg.memory.clone());
         let mut timeline = Timeline::new();
         let mut steps: Vec<PlannedOp> = Vec::new();
-        let mut node_end: HashMap<NodeId, f64> = HashMap::new();
-        let mut node_engine: HashMap<NodeId, EngineId> = HashMap::new();
-        let mut transferred: HashSet<(NodeId, EngineId)> = HashSet::new();
+        // Per node: when it completes, which lane produced it, and the
+        // lanes DMA already shipped it to (one `lane_bit` each).
+        let mut node_end = vec![0.0f64; g.len()];
+        let mut node_engine = vec![EngineId::Host; g.len()];
+        let mut shipped = vec![0u8; g.len()];
         let mut last_issue: Option<(EngineId, f64)> = None;
         let mut issue_floor = 0.0f64; // raised by recompilation stalls
         let mut glu_compiled = false;
@@ -185,7 +190,7 @@ impl GraphCompiler {
             let mut deps_end = node
                 .inputs
                 .iter()
-                .map(|i| node_end.get(i).copied().unwrap_or(0.0))
+                .map(|i| node_end[i.index()])
                 .fold(0.0, f64::max);
 
             // Collectives occupy the NIC lane for the ring/tree wire time of
@@ -209,36 +214,33 @@ impl GraphCompiler {
                         flops: 0.0,
                         bytes: cost.bytes,
                     });
-                    node_end.insert(node.id, end);
-                    node_engine.insert(node.id, EngineId::Nic);
+                    node_end[node.id.index()] = end;
+                    node_engine[node.id.index()] = EngineId::Nic;
                     last_issue = Some((EngineId::Nic, end));
                 } else {
                     // Single-device group: the collective is an identity op.
-                    node_end.insert(node.id, deps_end);
-                    node_engine.insert(node.id, EngineId::Host);
+                    node_end[node.id.index()] = deps_end;
                 }
                 continue;
             }
 
             if cost.time_ns == 0.0 {
                 // Metadata-only: completes with its dependencies.
-                node_end.insert(node.id, deps_end);
-                node_engine.insert(node.id, EngineId::Host);
+                node_end[node.id.index()] = deps_end;
                 continue;
             }
 
             // Engine-to-engine transfers ride the DMA lane.
             if self.opts.model_dma {
+                let bit = lane_bit(cost.engine);
                 for &input in &node.inputs {
-                    let src = node_engine.get(&input).copied().unwrap_or(EngineId::Host);
-                    if src.is_compute()
-                        && src != cost.engine
-                        && transferred.insert((input, cost.engine))
-                    {
+                    let src = node_engine[input.index()];
+                    if src.is_compute() && src != cost.engine && shipped[input.index()] & bit == 0 {
+                        shipped[input.index()] |= bit;
                         let bytes =
                             g.shape(input).numel() as u64 * g.storage_dtype.size_of() as u64;
                         let dur = dma.transfer_time_ns(bytes);
-                        let ready = node_end.get(&input).copied().unwrap_or(0.0);
+                        let ready = node_end[input.index()];
                         let (s, e) = timeline.reserve(EngineId::Dma(0), ready, dur);
                         steps.push(PlannedOp {
                             node: None,
@@ -304,8 +306,8 @@ impl GraphCompiler {
                 flops: cost.flops,
                 bytes: cost.bytes,
             });
-            node_end.insert(node.id, end);
-            node_engine.insert(node.id, cost.engine);
+            node_end[node.id.index()] = end;
+            node_engine[node.id.index()] = cost.engine;
             last_issue = Some((cost.engine, end));
         }
 
@@ -318,6 +320,19 @@ impl GraphCompiler {
             node_end_ns: node_end,
             makespan_ns,
         }
+    }
+}
+
+/// Bit of `engine` in a node's mask of lanes DMA shipped it to. A transfer
+/// targets the consuming op's engine, which is never a DMA lane, so the DMA
+/// channels can share one bit.
+fn lane_bit(engine: EngineId) -> u8 {
+    match engine {
+        EngineId::Mme => 1,
+        EngineId::TpcCluster => 1 << 1,
+        EngineId::Host => 1 << 2,
+        EngineId::Nic => 1 << 3,
+        EngineId::Dma(_) => 1 << 4,
     }
 }
 

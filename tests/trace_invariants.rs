@@ -1,9 +1,12 @@
 //! Property tests on the compiler/runtime pipeline: for randomized graphs,
+//! `compile` schedules exactly the graph its public passes produce,
 //! schedules must respect engine exclusivity and data dependencies, the
 //! overlap scheduler must never lose to the in-order one, and numerics must
 //! be independent of the scheduling policy.
 
-use gaudi_compiler::{CompilerOptions, GraphCompiler, SchedulerKind};
+use gaudi_compiler::{
+    eliminate_dead_code, fuse_attention, CompilerOptions, GraphCompiler, SchedulerKind,
+};
 use gaudi_graph::{Graph, NodeId};
 use gaudi_hw::GaudiConfig;
 use gaudi_runtime::{Feeds, NumericsMode, Runtime};
@@ -12,6 +15,12 @@ use proptest::prelude::*;
 
 /// Build a random DAG of ops over small 2-D tensors.
 fn random_graph(ops: &[u8], fanin: &[u8]) -> Graph {
+    random_graph_with(ops, fanin, None)
+}
+
+/// [`random_graph`], plus an unmarked `neg` branch ahead of op `dead_at`:
+/// a dead node mid-graph, so DCE renumbers everything after it.
+fn random_graph_with(ops: &[u8], fanin: &[u8], dead_at: Option<usize>) -> Graph {
     let mut g = Graph::new();
     let a = g.input("a", &[8, 16]).unwrap();
     let b = g.input("b", &[16, 8]).unwrap();
@@ -20,6 +29,9 @@ fn random_graph(ops: &[u8], fanin: &[u8]) -> Graph {
 
     for (i, (&op, &f)) in ops.iter().zip(fanin.iter()).enumerate() {
         let x = pool[f as usize % pool.len()];
+        if dead_at == Some(i) {
+            g.neg(x).unwrap();
+        }
         let node = match op % 7 {
             0 => g.exp(x).unwrap(),
             1 => g.softmax(x).unwrap(),
@@ -46,6 +58,30 @@ fn random_graph(ops: &[u8], fanin: &[u8]) -> Graph {
     g
 }
 
+/// `g` with every node marked as an output: nothing is dead and nothing
+/// can fuse, so no pass has anything to rewrite.
+fn all_live(mut g: Graph) -> Graph {
+    for i in 0..g.len() {
+        g.mark_output(NodeId(i));
+    }
+    g
+}
+
+/// Whether two graphs agree node for node (kind, inputs, shape, name) and
+/// in their marked outputs and storage dtype.
+fn same_graph(a: &Graph, b: &Graph) -> bool {
+    a.len() == b.len()
+        && a.outputs() == b.outputs()
+        && a.storage_dtype == b.storage_dtype
+        && a.nodes().iter().zip(b.nodes()).all(|(x, y)| {
+            x.id == y.id
+                && x.kind == y.kind
+                && x.inputs == y.inputs
+                && x.shape == y.shape
+                && x.name == y.name
+        })
+}
+
 fn compile(g: &Graph, kind: SchedulerKind) -> (Graph, gaudi_compiler::ExecutionPlan) {
     let c = GraphCompiler::new(
         GaudiConfig::hls1(),
@@ -57,6 +93,32 @@ fn compile(g: &Graph, kind: SchedulerKind) -> (Graph, gaudi_compiler::ExecutionP
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn compile_schedules_exactly_the_public_pass_output(
+        ops in proptest::collection::vec(any::<u8>(), 1..20),
+        fanin in proptest::collection::vec(any::<u8>(), 20),
+        dead_at in 0usize..20,
+    ) {
+        let base = random_graph(&ops, &fanin);
+        let dead = random_graph_with(&ops, &fanin, Some(dead_at % ops.len()));
+        let live = all_live(random_graph(&ops, &fanin));
+        prop_assert!(eliminate_dead_code(&dead).unwrap().1 > 0);
+        prop_assert_eq!(eliminate_dead_code(&live).unwrap().1, 0);
+        for g in [base, dead, live] {
+            let (pruned, _) = eliminate_dead_code(&g).unwrap();
+            let (expected, _) = fuse_attention(&pruned).unwrap();
+            for kind in [SchedulerKind::InOrder, SchedulerKind::Overlap] {
+                let (compiled, plan) = compile(&g, kind);
+                prop_assert!(same_graph(&compiled, &expected));
+                prop_assert_eq!(plan.node_end_ns.len(), compiled.len());
+                for step in plan.steps.iter().filter(|s| s.category == "op") {
+                    let node = step.node.expect("op steps execute a node");
+                    prop_assert_eq!(step.start_ns + step.dur_ns, plan.node_end_ns[node.index()]);
+                }
+            }
+        }
+    }
 
     #[test]
     fn schedules_respect_engine_exclusivity_and_deps(
@@ -78,7 +140,7 @@ proptest! {
             for step in &plan.steps {
                 let Some(node) = step.node else { continue };
                 for &input in &compiled.node(node).inputs {
-                    if let Some(&end) = plan.node_end_ns.get(&input) {
+                    if let Some(&end) = plan.node_end_ns.get(input.index()) {
                         prop_assert!(
                             step.start_ns >= end - 1e-6,
                             "node {:?} starts {} before input end {}",
