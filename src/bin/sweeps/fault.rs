@@ -1,54 +1,77 @@
-//! Extension: graceful-degradation sweep — kill time × replica count.
+//! Graceful-degradation sweep: kill time × replica count.
 //!
 //! Serves one seeded request stream on 2–4 data-parallel replica cards
 //! while the fault plan kills one card at a varying fraction of the
 //! fault-free makespan, and reports goodput, retries, lost tokens, and
 //! availability per cell. Fault-free baselines at 1–4 replicas bracket the
-//! results.
+//! results, and a transient-fault cell restarts the killed card.
 //!
-//! The sweep doubles as an acceptance harness; it asserts that
+//! Gates:
 //!
 //! 1. every faulted cell still completes 100% of its requests (graceful
-//!    degradation re-queues, never drops),
+//!    degradation re-queues, never drops), with exactly one failed replica;
 //! 2. killing 1 of 4 replicas mid-run lands goodput strictly between the
 //!    3-replica and 4-replica fault-free baselines (the box degrades into
-//!    something better than never having had the card),
-//! 3. re-running the whole sweep reproduces it bit-identically (faults are
-//!    part of the deterministic simulation, not noise on top of it) — and
-//!    that stays true when the cells fan out across threads, because the
-//!    execution pool returns results in input order and the shared plan
-//!    cache only memoizes compilations, never changes them.
+//!    something better than never having had the card);
+//! 3. the kill+restart cell completes every request with one restart, and
+//!    its availability sits strictly between the permanent kill's and a
+//!    clean run's.
 //!
-//! ```sh
-//! cargo run --release --bin fault_sweep [-- --threads N]
-//! ```
+//! Faults are part of the deterministic simulation, not noise on top of
+//! it: both passes of `sweeps` must agree on every cell.
 
+use crate::cells::{digest_all, run_cells};
+use crate::Outcome;
+use gaudi_exec::ExecPool;
 use gaudi_hw::DeviceId;
 use gaudi_profiler::report::TextTable;
-use gaudi_serving::{FaultPlan, PlanCache, ServingConfig, ServingReport};
-use habana_gaudi_study::bin_support::{fault_sweep_config, report_digest, run_cells, Flags};
+use gaudi_serving::{FaultPlan, PlanCache, ServingConfig, TrafficConfig};
 use std::sync::Arc;
 
+/// The fault-sweep stream: §3.4 GPT under load heavy enough that goodput
+/// is throughput-bound (adding replicas raises it), small enough that the
+/// sweep runs in seconds.
+pub fn config() -> ServingConfig {
+    let mut cfg = ServingConfig::paper_gpt();
+    cfg.traffic = TrafficConfig {
+        arrival_rate_per_s: 1500.0,
+        num_requests: 160,
+        prompt_range: (16, 64),
+        output_range: (4, 32),
+        zipf_s: 1.1,
+        seed: 42,
+    };
+    cfg.max_batch = 8;
+    cfg
+}
+
 fn cell(devices: usize, faults: FaultPlan) -> ServingConfig {
-    let mut cfg = fault_sweep_config();
+    let mut cfg = config();
     cfg.devices = devices;
     cfg.faults = faults;
     cfg
 }
 
-struct SweepResult {
-    table: String,
-    digest: String,
-    baseline_goodput: Vec<f64>,
-    mid_kill_4: ServingReport,
-    restart_4: ServingReport,
-}
+pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
+    let mut out = String::new();
+    let cfg = config();
+    outln!(
+        out,
+        "Extension: fault injection with graceful degradation\n"
+    );
+    outln!(
+        out,
+        "{} requests at {} req/s (Poisson, Zipf lengths, seed {}), paper §3.4 GPT,\n\
+         data-parallel replicas; each faulted cell kills the last card at a\n\
+         fraction of that replica count's fault-free makespan.\n",
+        cfg.traffic.num_requests,
+        cfg.traffic.arrival_rate_per_s,
+        cfg.traffic.seed
+    );
 
-fn sweep(pool: &gaudi_exec::ExecPool, cache: &Arc<PlanCache>) -> SweepResult {
     // Fault-free baselines, 1..=4 replicas: one parallel wave.
     let baseline_cells: Vec<ServingConfig> = (1..=4).map(|d| cell(d, FaultPlan::none())).collect();
     let baselines = run_cells(pool, cache, &baseline_cells);
-    let mut digests: Vec<String> = baselines.iter().map(report_digest).collect();
 
     let mut t = TextTable::new(&[
         "Replicas",
@@ -94,14 +117,13 @@ fn sweep(pool: &gaudi_exec::ExecPool, cache: &Arc<PlanCache>) -> SweepResult {
     let faulted = run_cells(pool, cache, &faulted_cfgs);
 
     let mut mid_kill_4 = None;
-    for (&(devices, frac, kill_ms), r) in faulted_cells.iter().zip(faulted) {
+    for (&(devices, frac, kill_ms), r) in faulted_cells.iter().zip(&faulted) {
         assert_eq!(
             r.completed.len(),
-            fault_sweep_config().traffic.num_requests,
+            cfg.traffic.num_requests,
             "{devices} replicas, kill at {kill_ms:.1} ms: requests were dropped"
         );
         assert_eq!(r.failed_replicas, 1);
-        digests.push(report_digest(&r));
         t.row(&[
             devices.to_string(),
             format!("{frac:.2}"),
@@ -116,6 +138,7 @@ fn sweep(pool: &gaudi_exec::ExecPool, cache: &Arc<PlanCache>) -> SweepResult {
             mid_kill_4 = Some(r);
         }
     }
+    let mid_kill_4 = mid_kill_4.expect("the 4-replica mid-run kill cell ran");
 
     // Transient-fault cell: the same 4-replica mid-run kill, but the card
     // restarts (cold recipe cache) after a quarter of the clean makespan.
@@ -133,11 +156,10 @@ fn sweep(pool: &gaudi_exec::ExecPool, cache: &Arc<PlanCache>) -> SweepResult {
         .expect("the restart cell ran");
     assert_eq!(
         restart_4.completed.len(),
-        fault_sweep_config().traffic.num_requests,
+        cfg.traffic.num_requests,
         "a restarting replica must not drop requests"
     );
     assert_eq!(restart_4.restarts, 1);
-    digests.push(report_digest(&restart_4));
     t.row(&[
         "4 (restart)".into(),
         "0.50".into(),
@@ -148,57 +170,37 @@ fn sweep(pool: &gaudi_exec::ExecPool, cache: &Arc<PlanCache>) -> SweepResult {
         format!("{:.1}%", restart_4.availability() * 100.0),
         format!("{:.0}", restart_4.goodput_tokens_per_s),
     ]);
+    outln!(out, "{}", t.render());
 
-    SweepResult {
-        table: t.render(),
-        digest: digests.join("\n"),
-        baseline_goodput: baselines.iter().map(|b| b.goodput_tokens_per_s).collect(),
-        mid_kill_4: mid_kill_4.expect("the 4-replica mid-run kill cell ran"),
-        restart_4,
-    }
-}
-
-fn main() {
-    let flags = Flags::parse("fault_sweep [--threads N]", &["--threads"], &[]);
-    let pool = flags.pool();
-    let cache = Arc::new(PlanCache::new());
-
-    let cfg = fault_sweep_config();
-    println!("Extension: fault injection with graceful degradation\n");
-    println!(
-        "{} requests at {} req/s (Poisson, Zipf lengths, seed {}), paper §3.4 GPT,\n\
-         data-parallel replicas; each faulted cell kills the last card at a\n\
-         fraction of that replica count's fault-free makespan.\n",
-        cfg.traffic.num_requests, cfg.traffic.arrival_rate_per_s, cfg.traffic.seed
-    );
-
-    let s = sweep(&pool, &cache);
-    println!("{}", s.table);
-
-    let g3 = s.baseline_goodput[2];
-    let g4 = s.baseline_goodput[3];
-    let faulted = s.mid_kill_4.goodput_tokens_per_s;
-    println!(
+    let g3 = baselines[2].goodput_tokens_per_s;
+    let g4 = baselines[3].goodput_tokens_per_s;
+    let degraded = mid_kill_4.goodput_tokens_per_s;
+    outln!(
+        out,
         "Reading: losing a card mid-run costs exactly the tokens it had\n\
          generated plus the capacity it would have contributed — goodput\n\
          degrades toward, but never below, the 3-replica baseline.\n"
     );
-    println!("3-replica clean goodput : {g3:.1} tok/s");
-    println!("4-replica clean goodput : {g4:.1} tok/s");
-    println!("4-replica, 1 killed mid-run : {faulted:.1} tok/s");
+    outln!(out, "3-replica clean goodput : {g3:.1} tok/s");
+    outln!(out, "4-replica clean goodput : {g4:.1} tok/s");
+    outln!(out, "4-replica, 1 killed mid-run : {degraded:.1} tok/s");
     assert!(
-        g3 < faulted && faulted < g4,
+        g3 < degraded && degraded < g4,
         "graceful degradation must land between the 3- and 4-replica \
-         baselines: {g3:.1} < {faulted:.1} < {g4:.1} violated"
+         baselines: {g3:.1} < {degraded:.1} < {g4:.1} violated"
     );
-    println!("degraded goodput sits strictly between the baselines: true");
+    outln!(
+        out,
+        "degraded goodput sits strictly between the baselines: true"
+    );
 
     // Transient-fault pin: a kill with a restart window loses less
     // availability than a permanent kill but still less than a clean run,
     // and recovery completes every request.
-    let a_perm = s.mid_kill_4.availability();
-    let a_restart = s.restart_4.availability();
-    println!(
+    let a_perm = mid_kill_4.availability();
+    let a_restart = restart_4.availability();
+    outln!(
+        out,
         "\navailability — permanent kill: {:.1}%, kill+restart: {:.1}%, clean: 100.0%",
         a_perm * 100.0,
         a_restart * 100.0
@@ -208,12 +210,14 @@ fn main() {
         "restart availability must sit strictly between the permanent-kill \
          and no-fault baselines: {a_perm:.4} < {a_restart:.4} < 1 violated"
     );
-    println!("restart availability sits strictly between kill and clean: true");
+    outln!(
+        out,
+        "restart availability sits strictly between kill and clean: true"
+    );
 
-    // Determinism: the entire sweep, faults included, must reproduce —
-    // the second pass runs against the warm plan cache.
-    let again = sweep(&pool, &cache);
-    let reproducible = s.digest == again.digest;
-    println!("re-run with identical seed reproduces every cell: {reproducible}");
-    assert!(reproducible, "fault injection must be deterministic");
+    Outcome {
+        text: out,
+        digest: digest_all(baselines.iter().chain(&faulted).chain([&restart_4])),
+        json: None,
+    }
 }

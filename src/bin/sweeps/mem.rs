@@ -1,6 +1,5 @@
-//! Extension: static memory planning — packed activation arenas against
-//! the naive sum-of-tensors budget, and what the reclaimed HBM buys at
-//! admission.
+//! Static memory planning: packed activation arenas against the naive
+//! sum-of-tensors budget, and what the reclaimed HBM buys at admission.
 //!
 //! Two halves. First, the planner table: the compiler's lifetime /
 //! in-placing / best-fit packing pass runs over real phase graphs (§3.4
@@ -11,28 +10,31 @@
 //! activation charge), `Unplanned` (reserve the naive sum), and `Planned`
 //! (reserve the packed arena) — so the gap between the last two is purely
 //! the planner's reclaimed headroom, surfaced as extra paged-KV blocks.
-//! The sweep is the acceptance harness for the memory-planner PR; it
-//! asserts:
 //!
-//! 1. **the packed arena is strictly below the naive baseline** on every
-//!    planned graph (GPT prefill, GPT decode, BERT);
-//! 2. **the planned budget strictly raises max concurrent sequences**
+//! Gates:
+//!
+//! 1. **the packed arena is strictly below the naive baseline**, and the
+//!    live-byte peak no larger than the arena, on every planned graph
+//!    (GPT prefill, GPT decode, BERT);
+//! 2. every budget completes every request (budgets stall, never drop);
+//! 3. **the planned budget strictly raises max concurrent sequences**
 //!    over the unplanned budget at equal HBM;
-//! 3. **goodput at saturation is >= 1.0x unplanned** — reclaiming memory
-//!    must never cost throughput;
-//! 4. the whole sweep is **bit-identical across two runs**, including the
-//!    `results/MEM_8.json` bytes.
+//! 4. **goodput at saturation is >= 1.0x unplanned** — reclaiming memory
+//!    must never cost throughput.
 //!
-//! ```sh
-//! cargo run --release --bin mem_sweep [-- --threads N]
-//! ```
+//! Artifact: `results/MEM_8.json`.
 
+use crate::cells::{digest_all, run_cells};
+use crate::Outcome;
 use gaudi_compiler::{plan_memory, MemoryPlan};
+use gaudi_exec::ExecPool;
 use gaudi_graph::Graph;
 use gaudi_models::{build_decode_step, build_prefill, BertConfig, LlmConfig};
 use gaudi_profiler::report::TextTable;
-use gaudi_serving::{activation_estimate, ActivationBudget, PlanCache, ServingReport};
-use habana_gaudi_study::bin_support::{mem_sweep_config, report_digest, run_cells, Flags};
+use gaudi_serving::{
+    activation_estimate, ActivationBudget, KvAdmissionConfig, PlanCache, ServingConfig,
+    ServingReport,
+};
 use std::sync::Arc;
 
 /// KV token budget past weights + naive activation: small enough that the
@@ -54,6 +56,29 @@ fn budget_name(b: ActivationBudget) -> &'static str {
     }
 }
 
+/// The memory-sweep operating point: the §3.4 GPT under the KV sweep's
+/// saturating burst, paged admission, and a device sized to
+/// `weights + naive-activation + hbm_tokens of KV`. Under the `Unplanned`
+/// budget that leaves exactly `hbm_tokens` of KV blocks; under `Planned`
+/// the packed arena is smaller than the naive sum and the reclaimed
+/// difference becomes extra KV blocks at the *same* HBM capacity — the
+/// sweep measures what that headroom buys in admission concurrency.
+fn config(budget: ActivationBudget, hbm_tokens: u64) -> ServingConfig {
+    let mut cfg = crate::kv::config(hbm_tokens, 1);
+    cfg.kv_admission = KvAdmissionConfig::Paged { block_tokens: 8 };
+    cfg.activation_budget = budget;
+    let (_, naive) = activation_estimate(&cfg).expect("sweep phases compile");
+    let worst = cfg.traffic.prompt_range.1 + cfg.traffic.output_range.1;
+    let weights = cfg
+        .kv_admission
+        .weight_bytes(&cfg.model, worst, cfg.kv_dtype);
+    let per_tok = cfg
+        .kv_admission
+        .kv_bytes_per_token(&cfg.model, cfg.kv_dtype);
+    cfg.hw.memory.hbm_capacity_bytes = weights + naive + per_tok * hbm_tokens;
+    cfg
+}
+
 /// The planned phase graphs: §3.4 GPT serving phases and the §3.3 BERT
 /// MLM forward graph.
 fn planner_graphs() -> Vec<(&'static str, Graph)> {
@@ -71,29 +96,6 @@ fn planner_graphs() -> Vec<(&'static str, Graph)> {
 
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 20) as f64
-}
-
-struct Sweep {
-    /// One report per [`BUDGETS`] entry, same order.
-    cells: Vec<ServingReport>,
-    digest: String,
-}
-
-fn sweep(pool: &gaudi_exec::ExecPool, cache: &Arc<PlanCache>) -> Sweep {
-    let cells: Vec<_> = BUDGETS
-        .iter()
-        .map(|&b| mem_sweep_config(b, HBM_TOKENS))
-        .collect();
-    let reports = run_cells(pool, cache, &cells);
-    let digest = reports
-        .iter()
-        .map(report_digest)
-        .collect::<Vec<_>>()
-        .join("\n");
-    Sweep {
-        cells: reports,
-        digest,
-    }
 }
 
 fn plan_json(label: &str, plan: &MemoryPlan) -> String {
@@ -123,12 +125,12 @@ fn cell_json(budget: ActivationBudget, r: &ServingReport) -> String {
     )
 }
 
-fn main() {
-    let flags = Flags::parse("mem_sweep [--threads N]", &["--threads"], &[]);
-    let pool = flags.pool();
-    let cache = Arc::new(PlanCache::new());
-
-    println!("Extension: static HBM memory planning — packed arenas feeding KV admission\n");
+pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
+    let mut out = String::new();
+    outln!(
+        out,
+        "Extension: static HBM memory planning — packed arenas feeding KV admission\n"
+    );
 
     // ---- Planner table -------------------------------------------------
     let plans: Vec<(&str, MemoryPlan)> = planner_graphs()
@@ -153,8 +155,9 @@ fn main() {
             format!("{:.2}x", plan.reuse_factor()),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    outln!(out, "{}", t.render());
+    outln!(
+        out,
         "Reading: the naive column is what a planner-less budget reserves\n\
          (every activation tensor, no reuse); the arena column is the packed\n\
          extent after lifetime analysis and in-placing — the number admission\n\
@@ -171,23 +174,28 @@ fn main() {
         );
         assert!(plan.peak_bytes <= plan.arena_bytes);
     }
-    println!("planned arena strictly below naive baseline on every graph: true");
+    outln!(
+        out,
+        "planned arena strictly below naive baseline on every graph: true"
+    );
 
     // ---- Serving sweep at equal HBM ------------------------------------
-    let probe = mem_sweep_config(ActivationBudget::Off, HBM_TOKENS);
+    let probe = config(ActivationBudget::Off, HBM_TOKENS);
     let (planned_bytes, naive_bytes) = activation_estimate(&probe).expect("sweep phases compile");
     let per_tok = probe
         .kv_admission
         .kv_bytes_per_token(&probe.model, probe.kv_dtype);
     let reclaimed_tokens = (naive_bytes - planned_bytes) / per_tok;
-    println!(
+    outln!(
+        out,
         "admission reserve: planned {:.2} MiB vs naive {:.2} MiB -> {reclaimed_tokens} \
          KV tokens reclaimed at equal HBM\n",
         mib(planned_bytes),
         mib(naive_bytes)
     );
 
-    let s = sweep(&pool, &cache);
+    let cells: Vec<_> = BUDGETS.iter().map(|&b| config(b, HBM_TOKENS)).collect();
+    let reports = run_cells(pool, cache, &cells);
     let mut t = TextTable::new(&[
         "Budget",
         "Peak running",
@@ -196,7 +204,7 @@ fn main() {
         "Preempt",
         "TTFT p99 (ms)",
     ]);
-    for (&budget, r) in BUDGETS.iter().zip(&s.cells) {
+    for (&budget, r) in BUDGETS.iter().zip(&reports) {
         t.row(&[
             budget_name(budget).into(),
             r.peak_running.to_string(),
@@ -206,17 +214,18 @@ fn main() {
             format!("{:.0}", r.ttft_ms.p99),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    outln!(out, "{}", t.render());
+    outln!(
+        out,
         "Reading: all three cells run on the *same* device capacity. The\n\
          unplanned budget holds back the naive activation sum, starving the\n\
          block pool; the planned budget holds back only the packed arena and\n\
          turns the difference into concurrent sequences.\n"
     );
 
-    let unplanned = &s.cells[1];
-    let planned = &s.cells[2];
-    for r in &s.cells {
+    let unplanned = &reports[1];
+    let planned = &reports[2];
+    for r in &reports {
         assert_eq!(
             r.completed.len(),
             r.offered,
@@ -225,9 +234,11 @@ fn main() {
     }
 
     // 2. Planned strictly raises max concurrent sequences over unplanned.
-    println!(
+    outln!(
+        out,
         "peak concurrent sequences: unplanned {} -> planned {} (gate: strictly higher)",
-        unplanned.peak_running, planned.peak_running
+        unplanned.peak_running,
+        planned.peak_running
     );
     assert!(
         planned.peak_running > unplanned.peak_running,
@@ -238,30 +249,25 @@ fn main() {
 
     // 3. Goodput at saturation >= 1.0x unplanned at equal HBM.
     let goodput_ratio = planned.goodput_tokens_per_s / unplanned.goodput_tokens_per_s;
-    println!(
+    outln!(
+        out,
         "goodput at saturation: planned {:.0} / unplanned {:.0} = {goodput_ratio:.3}x \
          (gate: >= 1.0x)",
-        planned.goodput_tokens_per_s, unplanned.goodput_tokens_per_s
+        planned.goodput_tokens_per_s,
+        unplanned.goodput_tokens_per_s
     );
     assert!(
         goodput_ratio >= 1.0,
         "planning must not lose goodput at equal HBM, got {goodput_ratio:.3}x"
     );
 
-    // 4. Bit-identical reproduction (second pass hits the warm plan cache).
-    let again = sweep(&pool, &cache);
-    let reproducible = s.digest == again.digest;
-    println!("re-run with identical seed reproduces every cell: {reproducible}");
-    assert!(reproducible, "the memory sweep must be deterministic");
-
-    // Machine-readable record next to KV_6.json for the CI artifact.
     let plan_rows: Vec<String> = plans
         .iter()
         .map(|(label, plan)| plan_json(label, plan))
         .collect();
     let cell_rows: Vec<String> = BUDGETS
         .iter()
-        .zip(&s.cells)
+        .zip(&reports)
         .map(|(&b, r)| cell_json(b, r))
         .collect();
     let json = format!(
@@ -278,8 +284,9 @@ fn main() {
         plan_rows.join(",\n"),
         cell_rows.join(",\n"),
     );
-    let out = std::path::Path::new("results").join("MEM_8.json");
-    std::fs::create_dir_all("results").expect("results/ exists or is creatable");
-    std::fs::write(&out, &json).expect("MEM_8.json is writable");
-    println!("\nwrote {}", out.display());
+    Outcome {
+        text: out,
+        digest: digest_all(&reports),
+        json: Some(json),
+    }
 }

@@ -1,61 +1,74 @@
-//! Extension: overload sweep — arrival rate across the saturation point,
-//! with and without overload protection.
+//! Overload sweep: arrival rate across the saturation point, with and
+//! without overload protection.
 //!
 //! Measures the single-replica saturation rate of the §3.4 GPT serving
 //! configuration, then sweeps arrival rate from well below to 2× above it,
 //! twice per point: once with a [`RobustnessConfig`] (bounded admission
-//! queue + TTFT deadline) and once with the unlimited legacy policy. The
-//! sweep is the acceptance harness for graceful degradation; it asserts:
+//! queue + TTFT deadline) and once with the unlimited legacy policy.
+//!
+//! Gates:
 //!
 //! 1. **goodput plateaus** — with shedding, goodput at 2× saturation stays
 //!    within 90% of the sweep's peak, and the p99 TTFT of *completed*
 //!    requests stays within 3× of the unloaded p99 (the SLO filter keeps
 //!    the served population healthy);
-//! 2. **shed fraction rises monotonically** with offered load;
+//! 2. **shed fraction rises monotonically** with offered load, and 2×
+//!    saturation actually sheds;
 //! 3. **without protection the queue grows without bound** — peak queue
 //!    depth keeps climbing past saturation instead of plateauing, far
-//!    beyond the bounded policy's cap;
-//! 4. the whole sweep is **bit-identical across two runs**.
+//!    beyond the bounded policy's cap, which the protected cells never
+//!    exceed.
 //!
-//! ```sh
-//! cargo run --release --bin overload_sweep [-- --threads N]
-//! ```
+//! Artifact: `results/OVERLOAD_5.json`.
 
+use crate::cells::{digest_all, run_cells};
+use crate::Outcome;
+use gaudi_exec::ExecPool;
 use gaudi_profiler::report::TextTable;
-use gaudi_serving::{PlanCache, RobustnessConfig, ServingConfig, ServingReport};
-use habana_gaudi_study::bin_support::{overload_sweep_config, report_digest, run_cells, Flags};
+use gaudi_serving::{PlanCache, RobustnessConfig, ServingConfig, ServingReport, TrafficConfig};
 use std::sync::Arc;
 
 const MULTIPLIERS: [f64; 5] = [0.25, 0.5, 1.0, 1.5, 2.0];
 /// Admission-queue bound of the protected variant (2× the decode batch).
 const QUEUE_DEPTH: usize = 6;
 
-struct Sweep {
-    saturation_rate: f64,
-    unloaded_ttft_p99: f64,
-    ttft_deadline: f64,
-    shed: Vec<ServingReport>,
-    noshed: Vec<ServingReport>,
-    digest: String,
+/// The overload-sweep operating point: §3.4 GPT on one replica, a seeded
+/// 120-request burst at `rate` req/s. Robustness policy supplied by the
+/// caller (the sweep contrasts shedding against the unbounded baseline).
+fn config(rate: f64) -> ServingConfig {
+    let mut cfg = ServingConfig::paper_gpt();
+    cfg.traffic = TrafficConfig {
+        arrival_rate_per_s: rate,
+        num_requests: 120,
+        prompt_range: (16, 64),
+        output_range: (4, 32),
+        zipf_s: 1.1,
+        seed: 42,
+    };
+    cfg.max_batch = 8;
+    cfg.devices = 1;
+    cfg
 }
 
-fn sweep(pool: &gaudi_exec::ExecPool, cache: &Arc<PlanCache>) -> Sweep {
+pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
+    let mut out = String::new();
+    outln!(
+        out,
+        "Extension: overload protection across the saturation point\n"
+    );
+
     // Saturation probe: an instantaneous burst makes the makespan pure
     // service time, so requests/makespan is the engine's capacity.
-    let burst = run_cells(pool, cache, &[overload_sweep_config(1e9)])
+    let burst = run_cells(pool, cache, &[config(1e9)])
         .pop()
         .expect("burst cell ran");
-    let n = overload_sweep_config(1e9).traffic.num_requests;
+    let n = config(1e9).traffic.num_requests;
     let saturation_rate = n as f64 / (burst.makespan_ms / 1e3);
 
     // Unloaded reference: 5% of saturation, TTFT is essentially prefill.
-    let unloaded = run_cells(
-        pool,
-        cache,
-        &[overload_sweep_config(saturation_rate * 0.05)],
-    )
-    .pop()
-    .expect("unloaded cell ran");
+    let unloaded = run_cells(pool, cache, &[config(saturation_rate * 0.05)])
+        .pop()
+        .expect("unloaded cell ran");
     let unloaded_ttft_p99 = unloaded.ttft_ms.p99;
     // The protected variant's SLO: 2.5× the unloaded p99, which keeps every
     // *completed* request within the 3× acceptance bound by construction.
@@ -66,46 +79,25 @@ fn sweep(pool: &gaudi_exec::ExecPool, cache: &Arc<PlanCache>) -> Sweep {
         .ttft_deadline(ttft_deadline);
     let mut cells: Vec<ServingConfig> = Vec::new();
     for &m in &MULTIPLIERS {
-        let mut shed = overload_sweep_config(saturation_rate * m);
+        let mut shed = config(saturation_rate * m);
         shed.robustness = robust.clone();
         cells.push(shed);
-        cells.push(overload_sweep_config(saturation_rate * m));
+        cells.push(config(saturation_rate * m));
     }
-    let mut reports = run_cells(pool, cache, &cells);
+    let reports = run_cells(pool, cache, &cells);
+    let (shed, noshed): (Vec<&ServingReport>, Vec<&ServingReport>) = reports
+        .chunks_exact(2)
+        .map(|pair| (&pair[0], &pair[1]))
+        .unzip();
+    let digest = digest_all(shed.iter().chain(&noshed).copied());
 
-    let mut shed = Vec::new();
-    let mut noshed = Vec::new();
-    for pair in reports.chunks_exact_mut(2) {
-        shed.push(std::mem::replace(&mut pair[0], burst.clone()));
-        noshed.push(std::mem::replace(&mut pair[1], burst.clone()));
-    }
-    let digest = shed
-        .iter()
-        .chain(&noshed)
-        .map(report_digest)
-        .collect::<Vec<_>>()
-        .join("\n");
-    Sweep {
-        saturation_rate,
-        unloaded_ttft_p99,
-        ttft_deadline,
-        shed,
-        noshed,
-        digest,
-    }
-}
-
-fn main() {
-    let flags = Flags::parse("overload_sweep [--threads N]", &["--threads"], &[]);
-    let pool = flags.pool();
-    let cache = Arc::new(PlanCache::new());
-
-    println!("Extension: overload protection across the saturation point\n");
-    let s = sweep(&pool, &cache);
-    println!(
+    outln!(
+        out,
         "saturation rate: {:.0} req/s; unloaded TTFT p99: {:.2} ms; \
          protected policy: queue depth {QUEUE_DEPTH}, TTFT deadline {:.2} ms\n",
-        s.saturation_rate, s.unloaded_ttft_p99, s.ttft_deadline
+        saturation_rate,
+        unloaded_ttft_p99,
+        ttft_deadline
     );
 
     let mut t = TextTable::new(&[
@@ -119,7 +111,7 @@ fn main() {
         "Goodput (tok/s)",
     ]);
     for (i, &m) in MULTIPLIERS.iter().enumerate() {
-        for (name, r) in [("shed", &s.shed[i]), ("unlimited", &s.noshed[i])] {
+        for (name, r) in [("shed", shed[i]), ("unlimited", noshed[i])] {
             t.row(&[
                 format!("{m:.2}"),
                 name.into(),
@@ -132,8 +124,9 @@ fn main() {
             ]);
         }
     }
-    println!("{}", t.render());
-    println!(
+    outln!(out, "{}", t.render());
+    outln!(
+        out,
         "Reading: past saturation the unlimited policy keeps 'succeeding'\n\
          while its queue and TTFT tail explode; the protected policy sheds\n\
          the excess and keeps the served population inside its SLO at\n\
@@ -141,14 +134,14 @@ fn main() {
     );
 
     // 1. Goodput plateau + completed-TTFT SLO at 2x saturation.
-    let at_2x = s.shed.last().expect("2x cell ran");
-    let peak_goodput = s
-        .shed
+    let at_2x = shed.last().expect("2x cell ran");
+    let peak_goodput = shed
         .iter()
         .map(|r| r.goodput_tokens_per_s)
         .fold(0.0, f64::max);
     let goodput_frac = at_2x.goodput_tokens_per_s / peak_goodput;
-    println!(
+    outln!(
+        out,
         "goodput at 2x saturation: {:.0} tok/s = {:.1}% of peak {:.0} (gate: >= 90%)",
         at_2x.goodput_tokens_per_s,
         goodput_frac * 100.0,
@@ -159,8 +152,9 @@ fn main() {
         "shedding must hold goodput at 2x saturation within 90% of peak, got {:.1}%",
         goodput_frac * 100.0
     );
-    let ttft_ratio = at_2x.ttft_ms.p99 / s.unloaded_ttft_p99;
-    println!(
+    let ttft_ratio = at_2x.ttft_ms.p99 / unloaded_ttft_p99;
+    outln!(
+        out,
         "completed-request TTFT p99 at 2x: {:.2} ms = {ttft_ratio:.2}x unloaded (gate: <= 3x)",
         at_2x.ttft_ms.p99
     );
@@ -170,8 +164,7 @@ fn main() {
     );
 
     // 2. Shed fraction rises monotonically with offered load.
-    let shed_frac: Vec<f64> = s
-        .shed
+    let shed_frac: Vec<f64> = shed
         .iter()
         .map(|r| r.shed() as f64 / r.offered as f64)
         .collect();
@@ -183,7 +176,8 @@ fn main() {
         *shed_frac.last().unwrap() > 0.0,
         "2x saturation must actually shed"
     );
-    println!(
+    outln!(
+        out,
         "shed fraction rises monotonically: {} (gate: monotone, > 0 at 2x)",
         shed_frac
             .iter()
@@ -193,7 +187,7 @@ fn main() {
     );
 
     // 3. Without protection the queue grows without bound past saturation.
-    let depths: Vec<usize> = s.noshed.iter().map(|r| r.max_queue_depth).collect();
+    let depths: Vec<usize> = noshed.iter().map(|r| r.max_queue_depth).collect();
     let saturated = &depths[2..]; // multipliers 1.0, 1.5, 2.0
     assert!(
         saturated.windows(2).all(|w| w[0] < w[1]),
@@ -203,19 +197,15 @@ fn main() {
         *depths.last().unwrap() > 2 * QUEUE_DEPTH,
         "unprotected queue at 2x must dwarf the bounded policy's cap"
     );
-    assert!(s.shed.iter().all(|r| r.max_queue_depth <= QUEUE_DEPTH));
-    println!("unprotected peak queue depth grows past saturation: {depths:?}");
+    assert!(shed.iter().all(|r| r.max_queue_depth <= QUEUE_DEPTH));
+    outln!(
+        out,
+        "unprotected peak queue depth grows past saturation: {depths:?}"
+    );
 
-    // 4. Bit-identical reproduction (second pass hits the warm plan cache).
-    let again = sweep(&pool, &cache);
-    let reproducible = s.digest == again.digest;
-    println!("re-run with identical seed reproduces every cell: {reproducible}");
-    assert!(reproducible, "the overload sweep must be deterministic");
-
-    // Machine-readable record for the CI artifact.
     let mut rows = String::new();
     for (i, &m) in MULTIPLIERS.iter().enumerate() {
-        let (a, b) = (&s.shed[i], &s.noshed[i]);
+        let (a, b) = (shed[i], noshed[i]);
         rows.push_str(&format!(
             "    {{\"load_multiplier\": {m}, \"shed\": {{\"completed\": {}, \"shed\": {}, \
              \"timed_out\": {}, \"ttft_p99_ms\": {:.6}, \"peak_queue\": {}, \
@@ -240,10 +230,11 @@ fn main() {
          \"ttft_deadline_ms\": {:.6},\n  \"queue_depth\": {QUEUE_DEPTH},\n  \
          \"goodput_at_2x_frac_of_peak\": {:.6},\n  \"bit_identical\": true,\n  \
          \"cells\": [\n{rows}  ]\n}}\n",
-        s.saturation_rate, s.unloaded_ttft_p99, s.ttft_deadline, goodput_frac,
+        saturation_rate, unloaded_ttft_p99, ttft_deadline, goodput_frac,
     );
-    let out = std::path::Path::new("results").join("OVERLOAD_5.json");
-    std::fs::create_dir_all("results").expect("results/ exists or is creatable");
-    std::fs::write(&out, &json).expect("OVERLOAD_5.json is writable");
-    println!("\nwrote {}", out.display());
+    Outcome {
+        text: out,
+        digest,
+        json: Some(json),
+    }
 }

@@ -1,0 +1,131 @@
+//! Online-serving sweep: device count × arrival rate × max batch size.
+//!
+//! Replays a seeded Poisson/Zipf request stream through the
+//! continuous-batching serving simulator and reports tail latency,
+//! goodput, and engine balance per operating point, on one card and on
+//! two data-parallel replica cards (requests round-robined in arrival
+//! order). The whole sweep is a pure function of the seed.
+//!
+//! Gates: none of its own beyond every cell simulating; the two-pass
+//! comparison in `main` pins all 18 reports bit-identical across thread
+//! counts and a warm plan cache. Shedding and paged admission are gated by
+//! the `overload` and `kv` experiments.
+
+use crate::cells::{digest_all, run_cells};
+use crate::Outcome;
+use gaudi_exec::ExecPool;
+use gaudi_profiler::report::TextTable;
+use gaudi_serving::{PlanCache, ServingConfig, TrafficConfig};
+use std::sync::Arc;
+
+const DEVICES: [usize; 2] = [1, 2];
+const RATES: [f64; 3] = [1.0, 4.0, 16.0];
+const BATCHES: [usize; 3] = [1, 4, 16];
+
+/// The serving-sweep operating point: GPT-2-XL-class model, 60-request
+/// seeded Poisson/Zipf stream at `rate` req/s, continuous batching up to
+/// `max_batch`, served on `devices` data-parallel replicas.
+pub fn config(rate: f64, max_batch: usize, devices: usize) -> ServingConfig {
+    let mut cfg = ServingConfig::gpt2_xl();
+    cfg.traffic = TrafficConfig {
+        arrival_rate_per_s: rate,
+        num_requests: 60,
+        prompt_range: (16, 512),
+        output_range: (8, 128),
+        zipf_s: 1.1,
+        seed: 42,
+    };
+    cfg.max_batch = max_batch;
+    cfg.devices = devices;
+    cfg
+}
+
+pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
+    let cells: Vec<ServingConfig> = DEVICES
+        .iter()
+        .flat_map(|&d| {
+            RATES
+                .iter()
+                .flat_map(move |&rate| BATCHES.iter().map(move |&b| config(rate, b, d)))
+        })
+        .collect();
+    let reports = run_cells(pool, cache, &cells);
+
+    let mut out = String::new();
+    let per_grid = RATES.len() * BATCHES.len();
+    let grids = cells.chunks(per_grid).zip(reports.chunks(per_grid));
+    for (&devices, (cells, reports)) in DEVICES.iter().zip(grids) {
+        outln!(
+            out,
+            "Extension: simulated online serving, GPT-2-XL-class model on {} HLS-1 card{}\n",
+            devices,
+            if devices == 1 {
+                ""
+            } else {
+                "s (data-parallel)"
+            }
+        );
+        outln!(
+            out,
+            "60 requests/cell, Poisson arrivals, Zipf lengths (prompt 16-512, output 8-128), seed 42\n"
+        );
+
+        let mut t = TextTable::new(&[
+            "Rate (req/s)",
+            "Max batch",
+            "TTFT p50/p95/p99 (ms)",
+            "TPOT p50 (ms)",
+            "Goodput (tok/s)",
+            "MME/TPC util",
+            "KV stalls",
+            "Peak queue",
+            "Shed/expired",
+            "Graphs",
+        ]);
+        for (cfg, r) in cells.iter().zip(reports) {
+            t.row(&[
+                format!("{:.0}", cfg.traffic.arrival_rate_per_s),
+                cfg.max_batch.to_string(),
+                format!(
+                    "{:.0}/{:.0}/{:.0}",
+                    r.ttft_ms.p50, r.ttft_ms.p95, r.ttft_ms.p99
+                ),
+                format!("{:.1}", r.tpot_ms.p50),
+                format!("{:.0}", r.goodput_tokens_per_s),
+                format!(
+                    "{:.0}%/{:.0}%",
+                    r.mme_utilization * 100.0,
+                    r.tpc_utilization * 100.0
+                ),
+                r.backpressure_stalls.to_string(),
+                r.max_queue_depth.to_string(),
+                format!("{}/{}", r.shed(), r.timed_out()),
+                r.compiled_graphs.to_string(),
+            ]);
+        }
+        outln!(out, "{}", t.render());
+
+        outln!(
+            out,
+            "Reading: at low rates TTFT is prefill-bound and batch size is\n\
+             irrelevant; as load grows, max batch 1 queues catastrophically while\n\
+             continuous batching amortizes the decode GEMV launch overhead that\n\
+             Table 2 pins on small matmuls, multiplying goodput at a modest\n\
+             per-token latency cost.\n"
+        );
+
+        let busiest = reports.last().expect("sweep has cells");
+        outln!(
+            out,
+            "Full report at rate 16 req/s, max batch 16, {devices} device{}:\n",
+            if devices == 1 { "" } else { "s" }
+        );
+        outln!(out, "{}", busiest.render());
+    }
+
+    Outcome {
+        text: out,
+        digest: digest_all(&reports),
+        json: None,
+    }
+}

@@ -29,7 +29,6 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.
 
-pub mod bin_support;
 mod error;
 mod session;
 
