@@ -130,6 +130,57 @@ fn paged_warmup_report_matches_the_pre_refactor_engine() {
     assert_eq!(schedule_digest(&r), SCHEDULE_PAGED);
 }
 
+/// The one cell on the overload paths: a TTFT deadline that times queued
+/// requests out and drops prefills it cannot meet, a queue bound that
+/// sheds, a paged pool small enough to preempt, 1 ms checkpoints whose
+/// snapshots restore, and a transient kill at 30% of the clean makespan
+/// lasting 20% of it, on one box of three cards.
+fn deadline_config() -> ServingConfig {
+    let mut cfg = base_config(3);
+    cfg.traffic = TrafficConfig {
+        arrival_rate_per_s: 1_000.0,
+        num_requests: 300,
+        prompt_range: (8, 64),
+        output_range: (4, 32),
+        zipf_s: 1.1,
+        seed: 2024,
+    };
+    cfg.kv_admission = KvAdmissionConfig::Paged { block_tokens: 8 };
+    let worst = cfg.traffic.prompt_range.1 + cfg.traffic.output_range.1;
+    let weights = cfg
+        .kv_admission
+        .weight_bytes(&cfg.model, worst, cfg.kv_dtype);
+    let per_token = cfg
+        .kv_admission
+        .kv_bytes_per_token(&cfg.model, cfg.kv_dtype);
+    cfg.hw.memory.hbm_capacity_bytes = weights + per_token * 104;
+    cfg.robustness = RobustnessConfig::default()
+        .queue_depth(8)
+        .ttft_deadline(40.0)
+        .retries(3)
+        .backoff(2.0, 0.5, 2024)
+        .checkpoint(1.0, 64e9);
+    let clean_ms = simulate(&cfg).unwrap().makespan_ms;
+    cfg.faults = FaultPlan::none().kill_for(DeviceId(1), 0.3 * clean_ms, 0.2 * clean_ms);
+    cfg
+}
+
+#[test]
+fn deadline_shed_and_restore_report_is_pinned() {
+    let r = simulate(&deadline_config()).unwrap();
+    assert_eq!(r.offered, 300);
+    assert!(r.shed() > 0, "the queue bound must shed");
+    assert!(
+        r.timed_out() > 0,
+        "the TTFT deadline must time requests out"
+    );
+    assert!(r.preemptions > 0, "the paged pool must run dry");
+    assert_eq!(r.restarts, 1);
+    assert!(r.recovered_tokens > 0, "a snapshot must restore");
+    assert_eq!(digest(&r), GOLDEN_DEADLINE, "deadline cell report drifted");
+    assert_eq!(schedule_digest(&r), SCHEDULE_DEADLINE);
+}
+
 /// Digest of a whole cluster run: the cluster report (every replica of
 /// every box folded into one tally) plus routing telemetry and per-box
 /// slices.
@@ -274,3 +325,9 @@ const SCHEDULE_PAGED: u64 = 11209918636044970606;
 const SCHEDULE_PRE_FUSION_PAGED: u64 = 17632205705705599822;
 const SCHEDULE_CLUSTER: u64 = 13779150281944859215;
 const SCHEDULE_CLUSTER_FAULTED: u64 = 7780170353598803550;
+
+// The deadline cell, captured before the step loop skipped no-op steps
+// and before the fold ordered records once: the first cell with a TTFT
+// deadline, shedding, preemption and restores together.
+const GOLDEN_DEADLINE: u64 = 15572212114265849425;
+const SCHEDULE_DEADLINE: u64 = 4923053737532653310;
