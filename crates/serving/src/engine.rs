@@ -68,7 +68,7 @@ use crate::calendar::EventCalendar;
 use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeCache, RecipeConfig};
 use crate::error::ServingError;
 use crate::fault::{Job, RedistributionPolicy};
-use crate::idhash::IdMap;
+use crate::idhash::{IdMap, IdSet};
 use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig};
 use crate::report::{CardTime, DropKind, DroppedRequest, RequestOutcome, ServingReport, Tally};
 use crate::request::{generate_requests, Request, TrafficConfig};
@@ -1193,6 +1193,20 @@ fn check_ctx_bucket(cfg: &ServingConfig) -> Result<(), ServingError> {
     Ok(())
 }
 
+/// Request ids key the KV reservations, the host snapshots and the
+/// dispatch calendar, and the report orders its records by them, so a
+/// trace must not repeat one.
+fn check_unique_ids(requests: &[Request]) -> Result<(), ServingError> {
+    let mut seen = IdSet::with_capacity_and_hasher(requests.len(), Default::default());
+    match requests.iter().find(|r| !seen.insert(r.id)) {
+        Some(r) => Err(ServingError::InvalidConfig(format!(
+            "request id {} appears more than once",
+            r.id
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// [`simulate_trace`] under an explicit [`ExecPolicy`].
 pub fn simulate_trace_with(
     cfg: &ServingConfig,
@@ -1232,6 +1246,7 @@ pub(crate) fn simulate_records(
         .validate()
         .map_err(ServingError::InvalidConfig)?;
 
+    check_unique_ids(&requests)?;
     requests.sort_by_key(|r| (r.arrival_us, r.id));
 
     // One compile context shared by every replica of this call.

@@ -500,3 +500,27 @@ fn oversized_request_is_rejected() {
         other => panic!("expected RequestTooLarge, got {other:?}"),
     }
 }
+
+/// Request ids key the engine's KV reservations and the report's record
+/// order, so a trace that repeats one is a config error on every path:
+/// one card used to fail with a misleading KV accounting error, and two
+/// cards used to report the id twice.
+#[test]
+fn duplicate_request_ids_are_rejected() {
+    let mut requests = generate_requests(&config(5, 2, 12, 4, 0).traffic);
+    requests[9].id = 7;
+    for devices in [1, 2] {
+        let mut cfg = config(5, 2, 12, 4, 0);
+        cfg.devices = devices;
+        match simulate_trace(&cfg, requests.clone()) {
+            Err(ServingError::InvalidConfig(msg)) => {
+                assert!(msg.contains("request id 7"), "{devices} cards: {msg}")
+            }
+            Err(e) => panic!("{devices} cards: expected InvalidConfig, got {e}"),
+            Ok(r) => panic!(
+                "{devices} cards: accepted, with {} completed records",
+                r.completed.len()
+            ),
+        }
+    }
+}
