@@ -558,6 +558,21 @@ impl<'a> Replica<'a> {
         self.up && !(self.pending.is_empty() && self.waiting.is_empty() && self.running.is_empty())
     }
 
+    /// Whether [`step`](Self::step) under `limit_ms` could change anything.
+    /// At or past the limit `step` only housekeeps, and at an unchanged
+    /// clock that repeats the ingest, gauge update and expiry its last call
+    /// ran, unless a dispatched job has come due since: between steps the
+    /// coordinator only appends to `pending`, and the one clock it moves (a
+    /// restart's) belongs to a replica its halt emptied.
+    fn may_progress(&self, limit_ms: f64) -> bool {
+        self.up
+            && (self.clock_ms < limit_ms
+                || self
+                    .pending
+                    .front()
+                    .is_some_and(|j| j.submitted_ms() <= self.clock_ms))
+    }
+
     /// Execute one priced phase: advance the clock and the busy counters.
     fn record(&mut self, name: &str, c: &PhaseCost) {
         if self.cfg.record_trace {
@@ -627,14 +642,20 @@ impl<'a> Replica<'a> {
         self.max_queue_depth = self.max_queue_depth.max(self.waiting.len());
         self.peak_queued_tokens = self.peak_queued_tokens.max(self.waiting_tokens);
 
-        if rb.ttft_deadline_ms.is_some() || rb.deadline_ms.is_some() {
-            let clock = self.clock_ms;
+        if rb.ttft_deadline_ms.is_none() && rb.deadline_ms.is_none() {
+            return;
+        }
+        let clock = self.clock_ms;
+        let lapsed = |j: &Job| {
+            let waited = clock - j.req.arrival_ms();
+            rb.ttft_deadline_ms.is_some_and(|d| waited > d)
+                || rb.deadline_ms.is_some_and(|d| waited > d)
+        };
+        // Most boundaries expire nothing: scan before rebuilding the queue.
+        if self.waiting.iter().any(lapsed) {
             let mut keep = VecDeque::with_capacity(self.waiting.len());
             for j in std::mem::take(&mut self.waiting) {
-                let waited = clock - j.req.arrival_ms();
-                let expired = rb.ttft_deadline_ms.is_some_and(|d| waited > d)
-                    || rb.deadline_ms.is_some_and(|d| waited > d);
-                if expired {
+                if lapsed(&j) {
                     self.waiting_tokens -= j.req.total_tokens();
                     self.drop_job(j, DropKind::TimedOut, clock, 0);
                 } else {
@@ -1457,7 +1478,9 @@ fn simulate_box(
             if !ready[d] {
                 continue;
             }
-            while r.step(t_ext)? {}
+            if r.may_progress(t_ext) {
+                while r.step(t_ext)? {}
+            }
             ready[d] = r.has_local_work();
         }
         if t_ext.is_infinite() {
