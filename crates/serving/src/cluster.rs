@@ -34,6 +34,7 @@
 
 use crate::engine::{simulate_records, ExecPolicy, ServingConfig};
 use crate::error::ServingError;
+use crate::idhash::splitmix64;
 use crate::report::{ServingReport, Tally};
 use crate::request::{generate_requests, Request};
 use gaudi_hw::Topology;
@@ -252,16 +253,6 @@ impl ClusterReport {
     }
 }
 
-/// SplitMix64: the session-affinity hash assigning each request id a home
-/// box. Chosen for avalanche quality (consecutive ids scatter uniformly)
-/// and because it is already the workspace's seeding primitive.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Bytes the router ships when a prompt leaves its home box: one `u32`
 /// token id per prompt token.
 const BYTES_PER_PROMPT_TOKEN: u64 = 4;
@@ -313,6 +304,7 @@ pub fn simulate_cluster_with(
     let mut cross_box_requests = 0usize;
     let mut cross_box_delay_ms = 0.0f64;
     for mut r in requests {
+        // Session affinity: SplitMix64 scatters consecutive ids uniformly.
         let home = (splitmix64(r.id) % cfg.boxes as u64) as usize;
         let target = match cfg.router {
             RouterPolicy::Locality => home,
@@ -352,6 +344,7 @@ pub fn simulate_cluster_with(
         .try_par_map(&shards, |_, shard| -> Result<_, ServingError> {
             simulate_records(&box_cfg, shard.clone(), &inner)
         })?;
+    drop(shards);
 
     let per_box: Vec<BoxSummary> = boxes
         .iter()
@@ -359,7 +352,7 @@ pub fn simulate_cluster_with(
         .map(|(b, t)| BoxSummary {
             box_id: b,
             offered: t.report.offered,
-            completed: t.report.completed.len(),
+            completed: t.completed_len(),
             routed_tokens: routed_tokens[b],
             goodput_tokens_per_s: t.goodput_tokens_per_s(),
             makespan_ms: t.report.makespan_ms,

@@ -1061,12 +1061,7 @@ impl<'a> Replica<'a> {
     }
 
     /// Consume the replica into its one-card [`Tally`].
-    fn finalize(mut self) -> Tally {
-        // Presorted per replica, while the records are few and cache-warm,
-        // `Tally::finish` only has to merge runs: on a 512-card cluster
-        // that is ~4% of host time.
-        self.completed.sort_by_key(|o| o.id);
-        self.dropped.sort_by_key(|d| d.id);
+    fn finalize(self) -> Tally {
         let retries: usize = self
             .completed
             .iter()
@@ -1102,11 +1097,11 @@ impl<'a> Replica<'a> {
                 recovered_tokens: self.recovered_tokens,
                 failed_replicas: self.kills,
                 restarts: self.restarts,
-                completed: self.completed,
-                dropped: self.dropped,
                 trace: self.trace,
                 ..ServingReport::default()
             },
+            completed: vec![self.completed],
+            dropped: vec![self.dropped],
             busy_ns: [
                 self.mme_busy_ns,
                 self.tpc_busy_ns,

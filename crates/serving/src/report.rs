@@ -1,5 +1,6 @@
 //! Serving metrics: per-request outcomes and the aggregate report.
 
+use crate::idhash::MixMap;
 use gaudi_hw::DeviceId;
 use gaudi_profiler::report::TextTable;
 use gaudi_profiler::Trace;
@@ -27,29 +28,92 @@ impl Percentiles {
         Self::of_in(&mut Vec::new(), values)
     }
 
-    /// [`of`](Self::of), collecting the samples into `v` (cleared first)
-    /// and sorting them there, so one buffer serves several populations.
-    fn of_in(v: &mut Vec<f64>, values: impl IntoIterator<Item = f64>) -> Self {
-        v.clear();
-        v.extend(values);
-        if v.is_empty() {
+    /// Summarize a population given as `(value, count)` pairs in any
+    /// order: bit for bit what [`of`](Self::of) returns for the samples
+    /// spelled out, in time and memory that grow with the number of pairs,
+    /// not of samples. A value may appear in several pairs.
+    pub fn of_counts(counts: impl IntoIterator<Item = (f64, usize)>) -> Self {
+        Self::of_key_counts(
+            counts
+                .into_iter()
+                .map(|(v, c)| (order_key(v), c))
+                .collect(),
+        )
+    }
+
+    /// [`of_counts`](Self::of_counts) over `(order key, count)` pairs.
+    fn of_key_counts(mut runs: Vec<(u64, usize)>) -> Self {
+        runs.sort_unstable();
+        let n = runs.iter().map(|&(_, c)| c).sum();
+        Self::of_runs(n, runs.into_iter())
+    }
+
+    /// [`of`](Self::of), collecting the samples' [`order_key`]s into
+    /// `keys` (cleared first) and sorting them there, so one buffer serves
+    /// several populations. Integers sort faster than `f64::total_cmp`
+    /// compares, into the same order.
+    fn of_in(keys: &mut Vec<u64>, values: impl IntoIterator<Item = f64>) -> Self {
+        keys.clear();
+        keys.extend(values.into_iter().map(order_key));
+        keys.sort_unstable();
+        Self::of_runs(keys.len(), keys.iter().map(|&k| (k, 1)))
+    }
+
+    /// Summarize `n` samples given as ascending `(order key, count)` runs.
+    /// The mean is the in-order sum of the expanded samples, so equal
+    /// samples are added one by one, exactly as a sorted sample vector
+    /// would add them.
+    fn of_runs(n: usize, runs: impl Iterator<Item = (u64, usize)>) -> Self {
+        if n == 0 {
             return Percentiles::default();
         }
-        // `total_cmp` would order a NaN past +inf instead of failing the
-        // comparison; reject it up front, as the comparison sort did.
-        assert!(!v.iter().any(|x| x.is_nan()), "latencies are finite");
-        v.sort_unstable_by(f64::total_cmp);
-        let rank = |p: f64| {
-            let idx = (p * v.len() as f64).ceil() as usize;
-            v[idx.clamp(1, v.len()) - 1]
-        };
+        let rank = |p: f64| ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
+        let ranks = [rank(0.50), rank(0.95), rank(0.99)];
+        let mut picked = [0.0; 3];
+        let mut seen = 0;
+        let sum: f64 = runs
+            .map(|(k, c)| (from_order_key(k), c))
+            .inspect(|&(v, c)| {
+                // `total_cmp` orders a NaN past ±inf instead of failing the
+                // comparison; reject it, as the comparison sort did.
+                assert!(!v.is_nan(), "latencies are finite");
+                for (slot, &r) in picked.iter_mut().zip(&ranks) {
+                    if (seen..seen + c).contains(&r) {
+                        *slot = v;
+                    }
+                }
+                seen += c;
+            })
+            .flat_map(|(v, c)| std::iter::repeat_n(v, c))
+            .sum();
+        let [p50, p95, p99] = picked;
         Percentiles {
-            p50: rank(0.50),
-            p95: rank(0.95),
-            p99: rank(0.99),
-            mean: v.iter().sum::<f64>() / v.len() as f64,
+            p50,
+            p95,
+            p99,
+            mean: sum / n as f64,
         }
     }
+}
+
+/// A `u64` whose unsigned order is `f64::total_cmp`'s order of `x`:
+/// negative values have every bit flipped, the rest only the sign bit.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 /// Everything the engine observed about one completed request.
@@ -443,16 +507,21 @@ impl CardTime {
     }
 }
 
-/// A run not yet summarized: a [`ServingReport`] holding only records and
-/// counters, plus the raw inputs its gauges need. [`absorb`](Self::absorb)
-/// is the one merge (replicas into a box, boxes into a cluster) and
-/// [`finish`](Self::finish) the one derivation, run once where a public
-/// call returns a report.
+/// A run not yet summarized: a [`ServingReport`] holding only counters,
+/// the records in per-card runs, and the raw inputs the gauges need.
+/// [`absorb`](Self::absorb) is the one merge (replicas into a box, boxes
+/// into a cluster) and [`finish`](Self::finish) the one derivation, run
+/// once where a public call returns a report.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
-    /// Records and counters. The latency summaries, token rates, gauges
-    /// and up-times stay zero until [`finish`](Self::finish).
+    /// Counters. The records, latency summaries, token rates, gauges and
+    /// up-times stay empty or zero until [`finish`](Self::finish).
     pub(crate) report: ServingReport,
+    /// Completed records, one run per card in device order, each run in
+    /// completion order.
+    pub(crate) completed: Vec<Vec<RequestOutcome>>,
+    /// Drop records, one run per card in device order.
+    pub(crate) dropped: Vec<Vec<DroppedRequest>>,
     /// MME, TPC, DMA and NIC busy time summed over cards, ns.
     pub(crate) busy_ns: [f64; 4],
     /// Per-card `kv_block_utilization`, summed over cards.
@@ -463,8 +532,8 @@ pub(crate) struct Tally {
 
 impl Tally {
     /// Fold `part` in after the parts already absorbed: counters summed,
-    /// peaks maxed, records and cards appended, and `part`'s trace events
-    /// moved past the devices already absorbed.
+    /// peaks maxed, record runs and cards appended, and `part`'s trace
+    /// events moved past the devices already absorbed.
     pub(crate) fn absorb(&mut self, part: Tally) {
         let (r, p) = (&mut self.report, part.report);
         for ev in p.trace.events() {
@@ -472,8 +541,6 @@ impl Tally {
             ev.device = DeviceId(ev.device.0 + r.devices);
             r.trace.push(ev);
         }
-        r.completed.extend(p.completed);
-        r.dropped.extend(p.dropped);
         r.offered += p.offered;
         r.makespan_ms = r.makespan_ms.max(p.makespan_ms);
         r.decode_steps += p.decode_steps;
@@ -499,11 +566,18 @@ impl Tally {
         r.recovered_tokens += p.recovered_tokens;
         r.failed_replicas += p.failed_replicas;
         r.restarts += p.restarts;
+        self.completed.extend(part.completed);
+        self.dropped.extend(part.dropped);
         for (sum, ns) in self.busy_ns.iter_mut().zip(part.busy_ns) {
             *sum += ns;
         }
         self.kv_block_utilization += part.kv_block_utilization;
         self.cards.extend(part.cards);
+    }
+
+    /// Requests that completed within every SLO.
+    pub(crate) fn completed_len(&self) -> usize {
+        self.completed.iter().map(Vec::len).sum()
     }
 
     /// Tokens per second of this tally's makespan.
@@ -517,7 +591,7 @@ impl Tally {
     }
 
     fn goodput_tokens(&self) -> usize {
-        self.report.completed.iter().map(|o| o.output_len).sum()
+        self.completed.iter().flatten().map(|o| o.output_len).sum()
     }
 
     /// Goodput against this tally's own makespan, tokens/s.
@@ -539,42 +613,53 @@ impl Tally {
         availability(&self.uptimes_ms(), self.report.makespan_ms)
     }
 
-    /// Summarize: records sorted by id, latency percentiles over the
+    /// Summarize: records ordered by id, latency percentiles over the
     /// pooled records, token rates over the makespan, each engine's
     /// utilization as its busy time over `makespan × devices`, the mean
     /// per-card KV gauge, and every card's up-time.
-    pub(crate) fn finish(mut self) -> ServingReport {
+    pub(crate) fn finish(self) -> ServingReport {
         let goodput = self.goodput_tokens();
-        let wasted: usize = self.report.dropped.iter().map(|d| d.tokens_generated).sum();
+        let wasted: usize = self
+            .dropped
+            .iter()
+            .flatten()
+            .map(|d| d.tokens_generated)
+            .sum();
         let rates = [goodput, goodput + wasted].map(|tokens| self.per_s(tokens));
         let uptimes_ms = self.uptimes_ms();
-        let r = &mut self.report;
-        r.completed.sort_by_key(|o| o.id);
-        r.dropped.sort_by_key(|d| d.id);
-        let gaps: usize = r
-            .completed
-            .iter()
-            .map(|o| o.token_times_ms.len().saturating_sub(1))
-            .sum();
-        // One buffer sized for the largest population, refilled and sorted
-        // in place for each summary.
-        let mut buf = Vec::with_capacity(gaps.max(r.completed.len()).max(r.dropped.len()));
+        let Tally {
+            mut report,
+            completed,
+            dropped,
+            busy_ns,
+            kv_block_utilization,
+            ..
+        } = self;
+        let r = &mut report;
+        r.completed = by_id(completed, |o| o.id);
+        r.dropped = by_id(dropped, |d| d.id);
         let completed = &r.completed;
-        r.ttft_ms = Percentiles::of_in(&mut buf, completed.iter().map(|o| o.ttft_ms));
-        r.tpot_ms = Percentiles::of_in(
-            &mut buf,
-            completed
-                .iter()
-                .flat_map(|o| o.token_times_ms.windows(2).map(|w| w[1] - w[0])),
-        );
-        r.queue_ms = Percentiles::of_in(&mut buf, completed.iter().map(|o| o.queue_ms));
+        // One key buffer sized for the largest sorted population.
+        let mut keys = Vec::with_capacity(completed.len().max(r.dropped.len()));
+        r.ttft_ms = Percentiles::of_in(&mut keys, completed.iter().map(|o| o.ttft_ms));
+        r.queue_ms = Percentiles::of_in(&mut keys, completed.iter().map(|o| o.queue_ms));
         r.timed_out_latency_ms = Percentiles::of_in(
-            &mut buf,
+            &mut keys,
             r.dropped
                 .iter()
                 .filter(|d| d.kind == DropKind::TimedOut)
                 .map(|d| d.at_ms - d.arrival_ms),
         );
+        // Inter-token gaps sit on decode-step durations: a few thousand
+        // distinct values among millions of gaps, so they are counted, not
+        // sorted.
+        let mut gaps: MixMap<usize> = MixMap::default();
+        for o in completed {
+            for w in o.token_times_ms.windows(2) {
+                *gaps.entry(order_key(w[1] - w[0])).or_default() += 1;
+            }
+        }
+        r.tpot_ms = Percentiles::of_key_counts(gaps.into_iter().collect());
         [r.goodput_tokens_per_s, r.throughput_tokens_per_s] = rates;
         let devices = r.devices as f64;
         let span_ns = r.makespan_ms * 1e6 * devices;
@@ -583,17 +668,41 @@ impl Tally {
             r.tpc_utilization,
             r.dma_utilization,
             r.nic_utilization,
-        ] = self
-            .busy_ns
-            .map(|ns| if span_ns > 0.0 { ns / span_ns } else { 0.0 });
+        ] = busy_ns.map(|ns| if span_ns > 0.0 { ns / span_ns } else { 0.0 });
         r.kv_block_utilization = if devices > 0.0 {
-            self.kv_block_utilization / devices
+            kv_block_utilization / devices
         } else {
             0.0
         };
         r.replica_uptime_ms = uptimes_ms;
-        self.report
+        report
     }
+}
+
+/// The records of `runs` in ascending id order. Sorting 16-byte
+/// `(id, run, index)` keys and then moving each record once out of its run
+/// moves far less memory than sorting the records themselves.
+fn by_id<T>(runs: Vec<Vec<T>>, id: impl Fn(&T) -> u64) -> Vec<T> {
+    let mut keys: Vec<(u64, u32, u32)> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    for (r, run) in runs.iter().enumerate() {
+        keys.extend(
+            run.iter()
+                .enumerate()
+                .map(|(i, x)| (id(x), r as u32, i as u32)),
+        );
+    }
+    keys.sort_unstable();
+    let mut slots: Vec<Vec<Option<T>>> = runs
+        .into_iter()
+        .map(|run| run.into_iter().map(Some).collect())
+        .collect();
+    keys.into_iter()
+        .map(|(_, r, i)| {
+            slots[r as usize][i as usize]
+                .take()
+                .expect("every key names one record")
+        })
+        .collect()
 }
 
 /// Mean over cards of the fraction of `makespan_ms` each was alive
