@@ -447,23 +447,155 @@ proptest! {
         prop_assert!(reports[2].1.timed_out() > 0, "the burst tail must time out");
         for (name, r) in &reports {
             prop_assert!(!r.completed.is_empty(), "{}: nothing completed", name);
-            let ttft = Percentiles::of(r.completed.iter().map(|o| o.ttft_ms));
-            let tpot = Percentiles::of(r.completed.iter().flat_map(|o| {
+            let ttft = oracle(r.completed.iter().map(|o| o.ttft_ms));
+            let tpot = oracle(r.completed.iter().flat_map(|o| {
                 o.token_times_ms.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>()
             }));
-            let queue = Percentiles::of(r.completed.iter().map(|o| o.queue_ms));
-            let timed_out = Percentiles::of(
+            let queue = oracle(r.completed.iter().map(|o| o.queue_ms));
+            let timed_out = oracle(
                 r.dropped
                     .iter()
                     .filter(|d| d.kind == DropKind::TimedOut)
                     .map(|d| d.at_ms - d.arrival_ms),
             );
-            prop_assert_eq!(&r.ttft_ms, &ttft, "{}: ttft", name);
-            prop_assert_eq!(&r.tpot_ms, &tpot, "{}: tpot", name);
-            prop_assert_eq!(&r.queue_ms, &queue, "{}: queue", name);
-            prop_assert_eq!(&r.timed_out_latency_ms, &timed_out, "{}: timed out", name);
+            prop_assert_eq!(bits(&r.ttft_ms), bits(&ttft), "{}: ttft", name);
+            prop_assert_eq!(bits(&r.tpot_ms), bits(&tpot), "{}: tpot", name);
+            prop_assert_eq!(bits(&r.queue_ms), bits(&queue), "{}: queue", name);
+            prop_assert_eq!(
+                bits(&r.timed_out_latency_ms),
+                bits(&timed_out),
+                "{}: timed out",
+                name
+            );
         }
     }
+}
+
+/// The reference every latency summary must match bit for bit: sort with
+/// `f64::total_cmp`, take the `ceil(p·n)`-th order statistic, and sum in
+/// sorted order. Written here, apart from `Percentiles`, so a change to
+/// `Percentiles` cannot also change its reference.
+fn oracle(values: impl IntoIterator<Item = f64>) -> Percentiles {
+    let mut v: Vec<f64> = values.into_iter().collect();
+    if v.is_empty() {
+        return Percentiles::default();
+    }
+    v.sort_unstable_by(f64::total_cmp);
+    let n = v.len();
+    let rank = |p: f64| v[((p * n as f64).ceil() as usize).clamp(1, n) - 1];
+    Percentiles {
+        p50: rank(0.50),
+        p95: rank(0.95),
+        p99: rank(0.99),
+        mean: v.iter().sum::<f64>() / n as f64,
+    }
+}
+
+/// A summary as bit patterns, so that `-0.0` and `+0.0` differ.
+fn bits(p: &Percentiles) -> [u64; 4] {
+    [p.p50, p.p95, p.p99, p.mean].map(f64::to_bits)
+}
+
+/// `values` as `(value, count)` pairs in bit-pattern order (not sorted
+/// order), each count cut into `pieces` pairs where it allows.
+fn counted(values: &[f64], pieces: usize) -> Vec<(f64, usize)> {
+    let mut counts = std::collections::BTreeMap::new();
+    for v in values {
+        *counts.entry(v.to_bits()).or_insert(0usize) += 1;
+    }
+    let mut pairs = Vec::new();
+    for (b, mut c) in counts {
+        for _ in 1..pieces {
+            pairs.push((f64::from_bits(b), c / 2));
+            c -= c / 2;
+        }
+        pairs.push((f64::from_bits(b), c));
+    }
+    pairs
+}
+
+/// Samples that trip up a percentile routine: both zeros, subnormals,
+/// the smallest normal, neighbours one ulp apart, and step-like values
+/// whose mantissas end in zero bits.
+const AWKWARD: [f64; 12] = [
+    -0.0,
+    0.0,
+    5e-324,
+    -5e-324,
+    1e-310,
+    f64::MIN_POSITIVE,
+    4.25,
+    4.250000000000001,
+    -4.25,
+    1.0,
+    0.1,
+    1e300,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Both summaries the engine uses, over sorted keys (`of`) and over a
+    /// value → count multiset (`of_counts`), equal the oracle bit for bit,
+    /// on a population mixing awkward values, arbitrary finite bit
+    /// patterns, and one value repeated many times.
+    #[test]
+    fn percentile_summaries_match_the_sorting_oracle(
+        picks in proptest::collection::vec((0usize..16, any::<u64>()), 1..200),
+        repeated in (0usize..12, 1usize..3_000),
+        pieces in 1usize..4,
+    ) {
+        let mut values: Vec<f64> = picks
+            .iter()
+            .map(|&(i, b)| match AWKWARD.get(i) {
+                Some(&v) => v,
+                None => Some(f64::from_bits(b)).filter(|v| v.is_finite()).unwrap_or(2.5),
+            })
+            .collect();
+        let (i, n) = repeated;
+        let run = vec![AWKWARD[i]; n];
+        for population in [values.clone(), run.clone(), {
+            values.extend(&run);
+            values
+        }] {
+            let want = bits(&oracle(population.iter().copied()));
+            prop_assert_eq!(bits(&Percentiles::of(population.iter().copied())), want);
+            prop_assert_eq!(bits(&Percentiles::of_counts(counted(&population, pieces))), want);
+        }
+    }
+}
+
+/// Nearest ranks that land on the last sample of a run, and a population
+/// of one.
+#[test]
+fn nearest_ranks_on_run_boundaries_and_single_samples() {
+    // n = 100: ranks 50, 95 and 99 are each the last sample of a run.
+    let mut v = vec![1.0; 50];
+    v.extend([2.0; 45]);
+    v.extend([3.0; 4]);
+    v.push(4.0);
+    for population in [v, vec![-0.0], vec![5e-324]] {
+        let want = oracle(population.iter().copied());
+        assert_eq!(bits(&Percentiles::of(population.iter().copied())), bits(&want));
+        assert_eq!(
+            bits(&Percentiles::of_counts(counted(&population, 2))),
+            bits(&want)
+        );
+    }
+    let p = Percentiles::of_counts([(3.0, 4), (1.0, 50), (4.0, 1), (2.0, 45)]);
+    assert_eq!((p.p50, p.p95, p.p99), (1.0, 2.0, 3.0));
+}
+
+#[test]
+#[should_panic(expected = "latencies are finite")]
+fn a_nan_sample_panics() {
+    Percentiles::of([1.0, f64::NAN, 2.0]);
+}
+
+#[test]
+#[should_panic(expected = "latencies are finite")]
+fn a_nan_count_panics() {
+    Percentiles::of_counts([(1.0, 3), (f64::NAN, 1)]);
 }
 
 /// Deterministic (non-fuzzed) regression: a device with room for barely
