@@ -33,12 +33,7 @@ impl Percentiles {
     /// spelled out, in time and memory that grow with the number of pairs,
     /// not of samples. A value may appear in several pairs.
     pub fn of_counts(counts: impl IntoIterator<Item = (f64, usize)>) -> Self {
-        Self::of_key_counts(
-            counts
-                .into_iter()
-                .map(|(v, c)| (order_key(v), c))
-                .collect(),
-        )
+        Self::of_key_counts(counts.into_iter().map(|(v, c)| (order_key(v), c)).collect())
     }
 
     /// [`of_counts`](Self::of_counts) over `(order key, count)` pairs.

@@ -576,7 +576,10 @@ fn nearest_ranks_on_run_boundaries_and_single_samples() {
     v.push(4.0);
     for population in [v, vec![-0.0], vec![5e-324]] {
         let want = oracle(population.iter().copied());
-        assert_eq!(bits(&Percentiles::of(population.iter().copied())), bits(&want));
+        assert_eq!(
+            bits(&Percentiles::of(population.iter().copied())),
+            bits(&want)
+        );
         assert_eq!(
             bits(&Percentiles::of_counts(counted(&population, 2))),
             bits(&want)
