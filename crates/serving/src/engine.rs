@@ -1733,6 +1733,80 @@ mod tests {
         }
     }
 
+    /// Everything a `step` can change on a replica: its clock, queues,
+    /// runners, terminal records, gauges and checkpoint schedule.
+    fn observe(r: &Replica) -> String {
+        let ids = |q: &VecDeque<Job>| q.iter().map(|j| j.req.id).collect::<Vec<_>>();
+        format!(
+            "{:?}",
+            (
+                (r.up, r.clock_ms, r.next_checkpoint_ms),
+                (ids(&r.pending), ids(&r.waiting), r.waiting_tokens),
+                r.running
+                    .iter()
+                    .map(|a| (a.job.req.id, a.generated))
+                    .collect::<Vec<_>>(),
+                (r.completed.len(), r.dropped.len()),
+                (r.max_queue_depth, r.peak_queued_tokens),
+                r.backpressure_stalls,
+            )
+        )
+    }
+
+    #[test]
+    fn a_replica_that_may_not_progress_steps_as_a_no_op() {
+        // One replica of three under a TTFT deadline, a queue bound and
+        // checkpoints, driven the way `simulate_box` drives it: each round
+        // the limit is the next arrival, only every third arrival is
+        // dispatched here, and the card dies and restarts midway. Whenever
+        // `may_progress` says no, one more `step` must change nothing.
+        let mut cfg = tiny_config();
+        cfg.traffic.arrival_rate_per_s = 2_000.0;
+        cfg.robustness = RobustnessConfig::default()
+            .queue_depth(4)
+            .ttft_deadline(15.0)
+            .checkpoint(2.0, 64e9);
+        let mut r = Replica::new(&cfg, DeviceId(0), tiny_cost_model(&cfg), 0).unwrap();
+        let reqs = generate_requests(&cfg.traffic);
+        let limits: Vec<f64> = reqs
+            .iter()
+            .skip(1)
+            .map(Request::arrival_ms)
+            .chain([f64::INFINITY])
+            .collect();
+        let mut skipped = 0;
+        for (i, (req, &limit)) in reqs.into_iter().zip(&limits).enumerate() {
+            match i {
+                12 => drop(r.halt(limit).unwrap()),
+                18 => r.restart(limit, tiny_cost_model(&cfg)),
+                _ if i % 3 == 0 && r.up => r.enqueue(Job::fresh(req)),
+                _ => {}
+            }
+            if !r.may_progress(limit) {
+                skipped += 1;
+                let before = observe(&r);
+                assert!(!r.step(limit).unwrap());
+                assert_eq!(observe(&r), before, "round {i}: a skipped step moved");
+            }
+            while r.step(limit).unwrap() {}
+        }
+        assert!(skipped > 0, "the fixture must exercise the skip");
+
+        // A dispatched job due exactly at the clock is still ingested at
+        // the limit, so the replica may not be skipped.
+        let mut r = Replica::new(&cfg, DeviceId(0), tiny_cost_model(&cfg), 0).unwrap();
+        r.clock_ms = 5.0;
+        r.enqueue(Job::fresh(Request {
+            id: 0,
+            arrival_us: 5_000,
+            prompt_len: 8,
+            output_len: 4,
+        }));
+        assert!(r.may_progress(5.0));
+        assert!(!r.step(5.0).unwrap());
+        assert_eq!(r.waiting.len(), 1);
+    }
+
     #[test]
     fn kv_peak_never_exceeds_capacity() {
         let r = simulate(&tiny_config()).unwrap();
