@@ -74,7 +74,7 @@ pub fn layer_experiment(
 /// Compiler options for the figure reproductions: the paper traces were
 /// taken on SynapseAI *without* fused attention kernels, so the figures pin
 /// the unfused pipeline explicitly. The fused-vs-unfused ablation lives in
-/// the `kernel_sweep` bin.
+/// the `kernel` experiment of the `sweeps` binary.
 pub fn paper_options() -> CompilerOptions {
     CompilerOptions::builder().fuse_attention(false).build()
 }

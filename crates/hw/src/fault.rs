@@ -10,8 +10,9 @@
 //! Plans are plain data: building one never touches a clock or an OS RNG,
 //! so a simulation driven by a plan is exactly as reproducible as the plan
 //! itself. [`FaultPlan::seeded`] derives a randomized-but-deterministic
-//! plan from a `u64` seed (SplitMix64), which is what the `fault_sweep`
-//! binary uses to assert bit-identical reports across runs.
+//! plan from a `u64` seed (SplitMix64). The `fault` experiment of the
+//! `sweeps` binary checks the consequence: its two passes must agree on
+//! every faulted report bit for bit.
 //!
 //! What each fault means to consumers:
 //!

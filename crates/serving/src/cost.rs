@@ -207,8 +207,8 @@ impl PlanCache {
 /// `batch_bucket` is the knob the HPU serving stack exposes as batch-size
 /// bucketing: coarser buckets mean fewer distinct recipes (fewer warmup
 /// stalls) but every decode step is padded up to the bucket and priced at
-/// the padded batch — the padding-waste vs. cache-miss tradeoff the
-/// `kv_sweep` bin measures.
+/// the padded batch — the padding-waste vs. cache-miss tradeoff the `kv`
+/// experiment of the `sweeps` binary measures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecipeConfig {
     /// Host-side recipe-compile latency charged on the first use of each
