@@ -68,7 +68,7 @@ use crate::calendar::EventCalendar;
 use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeCache, RecipeConfig};
 use crate::error::ServingError;
 use crate::fault::{Job, RedistributionPolicy};
-use crate::idhash::{IdMap, IdSet};
+use crate::idhash::IdMap;
 use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig};
 use crate::report::{CardTime, DropKind, DroppedRequest, RequestOutcome, ServingReport, Tally};
 use crate::request::{generate_requests, Request, TrafficConfig};
@@ -1211,13 +1211,16 @@ fn check_ctx_bucket(cfg: &ServingConfig) -> Result<(), ServingError> {
 
 /// Request ids key the KV reservations, the host snapshots and the
 /// dispatch calendar, and the report orders its records by them, so a
-/// trace must not repeat one.
+/// trace must not repeat one. Checked by sorting, not hashing: ids can
+/// come from the caller, and a generated trace lists them in order
+/// already.
 fn check_unique_ids(requests: &[Request]) -> Result<(), ServingError> {
-    let mut seen = IdSet::with_capacity_and_hasher(requests.len(), Default::default());
-    match requests.iter().find(|r| !seen.insert(r.id)) {
-        Some(r) => Err(ServingError::InvalidConfig(format!(
+    let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    match ids.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(ServingError::InvalidConfig(format!(
             "request id {} appears more than once",
-            r.id
+            w[0]
         ))),
         None => Ok(()),
     }

@@ -33,11 +33,8 @@ impl Percentiles {
     /// spelled out, in time and memory that grow with the number of pairs,
     /// not of samples. A value may appear in several pairs.
     pub fn of_counts(counts: impl IntoIterator<Item = (f64, usize)>) -> Self {
-        Self::of_key_counts(counts.into_iter().map(|(v, c)| (order_key(v), c)).collect())
-    }
-
-    /// [`of_counts`](Self::of_counts) over `(order key, count)` pairs.
-    fn of_key_counts(mut runs: Vec<(u64, usize)>) -> Self {
+        let mut runs: Vec<(u64, usize)> =
+            counts.into_iter().map(|(v, c)| (order_key(v), c)).collect();
         runs.sort_unstable();
         let n = runs.iter().map(|&(_, c)| c).sum();
         Self::of_runs(n, runs.into_iter())
@@ -69,8 +66,8 @@ impl Percentiles {
         let sum: f64 = runs
             .map(|(k, c)| (from_order_key(k), c))
             .inspect(|&(v, c)| {
-                // `total_cmp` orders a NaN past ±inf instead of failing the
-                // comparison; reject it, as the comparison sort did.
+                // The key order puts a NaN past ±inf instead of failing;
+                // a NaN latency is a bug upstream.
                 assert!(!v.is_nan(), "latencies are finite");
                 for (slot, &r) in picked.iter_mut().zip(&ranks) {
                     if (seen..seen + c).contains(&r) {
@@ -645,16 +642,16 @@ impl Tally {
                 .filter(|d| d.kind == DropKind::TimedOut)
                 .map(|d| d.at_ms - d.arrival_ms),
         );
-        // Inter-token gaps sit on decode-step durations: a few thousand
+        // Inter-token gaps sit on decode-step durations: thousands of
         // distinct values among millions of gaps, so they are counted, not
         // sorted.
         let mut gaps: MixMap<usize> = MixMap::default();
         for o in completed {
             for w in o.token_times_ms.windows(2) {
-                *gaps.entry(order_key(w[1] - w[0])).or_default() += 1;
+                *gaps.entry((w[1] - w[0]).to_bits()).or_default() += 1;
             }
         }
-        r.tpot_ms = Percentiles::of_key_counts(gaps.into_iter().collect());
+        r.tpot_ms = Percentiles::of_counts(gaps.into_iter().map(|(b, c)| (f64::from_bits(b), c)));
         [r.goodput_tokens_per_s, r.throughput_tokens_per_s] = rates;
         let devices = r.devices as f64;
         let span_ns = r.makespan_ms * 1e6 * devices;
@@ -675,28 +672,20 @@ impl Tally {
 }
 
 /// The records of `runs` in ascending id order. Sorting 16-byte
-/// `(id, run, index)` keys and then moving each record once out of its run
-/// moves far less memory than sorting the records themselves.
+/// `(id, position)` keys and then moving each record once into place moves
+/// far less memory than sorting the records themselves.
 fn by_id<T>(runs: Vec<Vec<T>>, id: impl Fn(&T) -> u64) -> Vec<T> {
-    let mut keys: Vec<(u64, u32, u32)> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    for (r, run) in runs.iter().enumerate() {
-        keys.extend(
-            run.iter()
-                .enumerate()
-                .map(|(i, x)| (id(x), r as u32, i as u32)),
-        );
-    }
-    keys.sort_unstable();
-    let mut slots: Vec<Vec<Option<T>>> = runs
-        .into_iter()
-        .map(|run| run.into_iter().map(Some).collect())
+    let mut keys: Vec<(u64, usize)> = runs
+        .iter()
+        .flatten()
+        .enumerate()
+        .map(|(i, x)| (id(x), i))
         .collect();
+    keys.sort_unstable();
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(keys.len());
+    slots.extend(runs.into_iter().flatten().map(Some));
     keys.into_iter()
-        .map(|(_, r, i)| {
-            slots[r as usize][i as usize]
-                .take()
-                .expect("every key names one record")
-        })
+        .map(|(_, i)| slots[i].take().expect("every key names one record"))
         .collect()
 }
 
