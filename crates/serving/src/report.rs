@@ -672,20 +672,32 @@ impl Tally {
 }
 
 /// The records of `runs` in ascending id order. Sorting 16-byte
-/// `(id, position)` keys and then moving each record once into place moves
-/// far less memory than sorting the records themselves.
+/// `(id, run, index)` keys and then moving each record once out of its run
+/// moves far less memory than sorting the records themselves.
 fn by_id<T>(runs: Vec<Vec<T>>, id: impl Fn(&T) -> u64) -> Vec<T> {
-    let mut keys: Vec<(u64, usize)> = runs
-        .iter()
-        .flatten()
-        .enumerate()
-        .map(|(i, x)| (id(x), i))
-        .collect();
+    let narrow = |x: usize| u32::try_from(x).expect("fewer than 2^32 cards, and records per card");
+    let mut keys: Vec<(u64, u32, u32)> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    for (r, run) in runs.iter().enumerate() {
+        keys.extend(
+            run.iter()
+                .enumerate()
+                .map(|(i, x)| (id(x), narrow(r), narrow(i))),
+        );
+    }
     keys.sort_unstable();
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(keys.len());
-    slots.extend(runs.into_iter().flatten().map(Some));
+    // Each run becomes `Option`s in its own buffer (the records hold a
+    // `Vec` or an enum, so `Option` adds no bytes): a flat copy of every
+    // record would raise peak memory by the whole record set.
+    let mut slots: Vec<Vec<Option<T>>> = runs
+        .into_iter()
+        .map(|run| run.into_iter().map(Some).collect())
+        .collect();
     keys.into_iter()
-        .map(|(_, i)| slots[i].take().expect("every key names one record"))
+        .map(|(_, r, i)| {
+            slots[r as usize][i as usize]
+                .take()
+                .expect("every key names one record")
+        })
         .collect()
 }
 
