@@ -344,6 +344,8 @@ pub fn simulate_cluster_with(
         .try_par_map(&shards, |_, shard| -> Result<_, ServingError> {
             simulate_records(&box_cfg, shard.clone(), &inner)
         })?;
+    // Every box has run: free the routed requests before the fold holds
+    // every record at once.
     drop(shards);
 
     let per_box: Vec<BoxSummary> = boxes
