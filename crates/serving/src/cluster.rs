@@ -354,7 +354,7 @@ pub fn simulate_cluster_with(
         .map(|(b, t)| BoxSummary {
             box_id: b,
             offered: t.report.offered,
-            completed: t.completed_len(),
+            completed: t.completed.iter().map(Vec::len).sum(),
             routed_tokens: routed_tokens[b],
             goodput_tokens_per_s: t.goodput_tokens_per_s(),
             makespan_ms: t.report.makespan_ms,

@@ -567,11 +567,6 @@ impl Tally {
         self.cards.extend(part.cards);
     }
 
-    /// Requests that completed within every SLO.
-    pub(crate) fn completed_len(&self) -> usize {
-        self.completed.iter().map(Vec::len).sum()
-    }
-
     /// Tokens per second of this tally's makespan.
     fn per_s(&self, tokens: usize) -> f64 {
         let makespan_ms = self.report.makespan_ms;
