@@ -30,8 +30,9 @@ impl Percentiles {
 
     /// Summarize a population given as `(value, count)` pairs in any
     /// order: bit for bit what [`of`](Self::of) returns for the samples
-    /// spelled out, in time and memory that grow with the number of pairs,
-    /// not of samples. A value may appear in several pairs.
+    /// spelled out, in memory that grows with the number of pairs, not of
+    /// samples. Only the sort is per pair; the mean still adds every
+    /// sample, in order. A value may appear in several pairs.
     pub fn of_counts(counts: impl IntoIterator<Item = (f64, usize)>) -> Self {
         let mut runs: Vec<(u64, usize)> =
             counts.into_iter().map(|(v, c)| (order_key(v), c)).collect();
