@@ -111,12 +111,13 @@ impl TraceAnalysis {
         if busy <= 0.0 {
             return 0.0;
         }
-        let matched: f64 = trace
+        // An empty `f64` sum is -0.0: fold from +0.0 so that no match is a
+        // plain zero share.
+        let matched = trace
             .events()
             .iter()
             .filter(|e| e.engine == engine && e.name.contains(needle))
-            .map(|e| e.dur_ns)
-            .sum();
+            .fold(0.0, |sum, e| sum + e.dur_ns);
         matched / busy
     }
 
@@ -209,6 +210,14 @@ mod tests {
         let a = TraceAnalysis::of(&t);
         let share = a.op_share_of_engine(&t, EngineId::TpcCluster, "softmax");
         assert!((share - 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn no_matching_op_is_a_positive_zero_share() {
+        let t = sample();
+        let a = TraceAnalysis::of(&t);
+        let share = a.op_share_of_engine(&t, EngineId::TpcCluster, "fused_attention");
+        assert_eq!(share.to_bits(), 0.0f64.to_bits(), "share {share:?}");
     }
 
     #[test]
