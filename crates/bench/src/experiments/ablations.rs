@@ -1,8 +1,10 @@
 //! Ablations and extensions (DESIGN.md A1–A4): the quantified versions of
 //! the paper's Insights, plus sequence-length and scale-out sweeps.
 
-use crate::experiments::layer_figs::{layer_experiment, LayerFigure, FAVOR_FEATURES};
-use gaudi_compiler::{CompilerOptions, GraphCompiler, SchedulerKind};
+use crate::experiments::layer_figs::{
+    layer_experiment, paper_options, LayerFigure, FAVOR_FEATURES,
+};
+use gaudi_compiler::{ExecutionPlan, GraphCompiler, SchedulerKind};
 use gaudi_graph::{EinsumSpec, Graph};
 use gaudi_hw::roce::RoceModel;
 use gaudi_hw::GaudiConfig;
@@ -16,15 +18,12 @@ pub fn scheduler_ablation() -> TensorResult<(LayerFigure, LayerFigure)> {
     let cfg = TransformerLayerConfig::paper_section_3_3().with_attention(AttentionKind::Favor {
         features: FAVOR_FEATURES,
     });
-    let inorder = layer_experiment(
-        "ablation-performer-inorder",
-        &cfg,
-        CompilerOptions::default(),
-    )?;
+    let inorder = layer_experiment("ablation-performer-inorder", &cfg, paper_options())?;
     let overlap = layer_experiment(
         "ablation-performer-overlap",
         &cfg,
-        CompilerOptions::builder()
+        paper_options()
+            .to_builder()
             .scheduler(SchedulerKind::Overlap)
             .build(),
     )?;
@@ -35,6 +34,12 @@ pub fn scheduler_ablation() -> TensorResult<(LayerFigure, LayerFigure)> {
 /// fused `einsum` op, compiled (a) naively (TPC fallback) and (b) with the
 /// lowering pass (MME). Returns `(naive_ms, lowered_ms)`.
 pub fn einsum_ablation() -> TensorResult<(f64, f64)> {
+    let [naive, lowered] = einsum_plans()?;
+    Ok((naive.makespan_ms(), lowered.makespan_ms()))
+}
+
+/// The A2 block's plans without and with einsum lowering.
+fn einsum_plans() -> TensorResult<[ExecutionPlan; 2]> {
     let cfg = TransformerLayerConfig::paper_section_3_3();
     let (b, h, n, d) = (cfg.batch, cfg.heads, cfg.seq_len, cfg.head_dim);
 
@@ -58,15 +63,12 @@ pub fn einsum_ablation() -> TensorResult<(f64, f64)> {
         .map_err(|_| TensorError::EmptyTensor)?;
     g.mark_output(o);
 
-    let run = |lower: bool| -> f64 {
-        let compiler = GraphCompiler::new(
-            GaudiConfig::hls1(),
-            CompilerOptions::builder().lower_einsum(lower).build(),
-        );
-        let (_, plan) = compiler.compile(&g).expect("valid graph");
-        plan.makespan_ms()
+    let plan = |lower: bool| {
+        let opts = paper_options().to_builder().lower_einsum(lower).build();
+        let compiler = GraphCompiler::new(GaudiConfig::hls1(), opts);
+        compiler.compile(&g).expect("valid graph").1
     };
-    Ok((run(false), run(true)))
+    Ok([plan(false), plan(true)])
 }
 
 /// A5 — element-wise fusion ablation on the Performer layer (whose
@@ -76,11 +78,11 @@ pub fn fusion_ablation() -> TensorResult<(LayerFigure, LayerFigure)> {
     let cfg = TransformerLayerConfig::paper_section_3_3().with_attention(AttentionKind::Favor {
         features: FAVOR_FEATURES,
     });
-    let unfused = layer_experiment("ablation-fusion-off", &cfg, CompilerOptions::default())?;
+    let unfused = layer_experiment("ablation-fusion-off", &cfg, paper_options())?;
     let fused = layer_experiment(
         "ablation-fusion-on",
         &cfg,
-        CompilerOptions::builder().fuse_elementwise(true).build(),
+        paper_options().to_builder().fuse_elementwise(true).build(),
     )?;
     Ok((unfused, fused))
 }
@@ -102,34 +104,39 @@ pub struct SweepPoint {
 /// paper's layer configuration (batch is scaled down at very long sequences
 /// would not change the *ratios*; we keep the paper batch).
 pub fn seqlen_sweep(lengths: &[usize]) -> TensorResult<Vec<SweepPoint>> {
-    let mut out = Vec::new();
-    for &n in lengths {
-        let base = TransformerLayerConfig::paper_section_3_3().with_seq_len(n);
-        // A3 reproduces the paper's unfused-attention scaling behaviour.
-        let opts = crate::experiments::layer_figs::paper_options();
-        let softmax = layer_experiment("sweep-softmax", &base, opts.clone())?.total_ms;
-        let linear = layer_experiment(
+    lengths
+        .iter()
+        .map(|&n| {
+            let [softmax, linear, performer] = seqlen_layers(n)?;
+            Ok(SweepPoint {
+                seq_len: n,
+                softmax_ms: softmax.total_ms,
+                linear_ms: linear.total_ms,
+                performer_ms: performer.total_ms,
+            })
+        })
+        .collect()
+}
+
+/// The softmax, linear and Performer layers of one A3 sequence length.
+fn seqlen_layers(n: usize) -> TensorResult<[LayerFigure; 3]> {
+    let base = TransformerLayerConfig::paper_section_3_3().with_seq_len(n);
+    let performer = AttentionKind::Favor {
+        features: FAVOR_FEATURES,
+    };
+    Ok([
+        layer_experiment("sweep-softmax", &base, paper_options())?,
+        layer_experiment(
             "sweep-linear",
             &base.clone().with_attention(AttentionKind::Linear),
-            opts.clone(),
-        )?
-        .total_ms;
-        let performer = layer_experiment(
+            paper_options(),
+        )?,
+        layer_experiment(
             "sweep-performer",
-            &base.with_attention(AttentionKind::Favor {
-                features: FAVOR_FEATURES,
-            }),
-            opts,
-        )?
-        .total_ms;
-        out.push(SweepPoint {
-            seq_len: n,
-            softmax_ms: softmax,
-            linear_ms: linear,
-            performer_ms: performer,
-        });
-    }
-    Ok(out)
+            &base.with_attention(performer),
+            paper_options(),
+        )?,
+    ])
 }
 
 /// One point of the A4 scale-out sweep.
@@ -225,6 +232,52 @@ mod tests {
         );
         // Fewer trace events: chains collapsed.
         assert!(fused.trace.len() < unfused.trace.len());
+    }
+
+    /// Every paper path compiles from `paper_options()`, so none of them
+    /// schedules a kernel of the fused-attention pass.
+    #[test]
+    fn paper_paths_never_schedule_fused_attention() {
+        use crate::experiments::layer_figs::{
+            activation_sweep, fig4_softmax, fig5_linear, fig6_performer,
+        };
+        use crate::experiments::llm_figs::{llm_experiment, LlmKind};
+        let mut layers = vec![
+            fig4_softmax().unwrap(),
+            fig5_linear().unwrap(),
+            fig6_performer().unwrap(),
+        ];
+        layers.extend(activation_sweep().unwrap().into_iter().map(|(_, f)| f));
+        let (inorder, overlap) = scheduler_ablation().unwrap();
+        let (fusion_off, fusion_on) = fusion_ablation().unwrap();
+        layers.extend([inorder, overlap, fusion_off, fusion_on]);
+        layers.extend(seqlen_layers(512).unwrap());
+        let labels =
+            |t: &gaudi_profiler::Trace| t.events().iter().map(|e| e.name.clone()).collect();
+        let mut runs: Vec<(String, Vec<String>)> = layers
+            .iter()
+            .map(|f| (f.name.clone(), labels(&f.trace)))
+            .collect();
+        for kind in [LlmKind::Gpt, LlmKind::Bert] {
+            let f = llm_experiment(kind).unwrap();
+            runs.push((f.name, labels(&f.trace)));
+        }
+        for (arm, plan) in ["einsum-naive", "einsum-lowered"]
+            .into_iter()
+            .zip(einsum_plans().unwrap())
+        {
+            runs.push((
+                arm.into(),
+                plan.steps.into_iter().map(|s| s.label).collect(),
+            ));
+        }
+        for (run, labels) in &runs {
+            let fused: Vec<_> = labels
+                .iter()
+                .filter(|l| l.contains("fused_attention") || l.contains("fused_softmax_matmul"))
+                .collect();
+            assert!(fused.is_empty(), "{run} schedules {fused:?}");
+        }
     }
 
     #[test]

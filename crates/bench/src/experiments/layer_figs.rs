@@ -71,10 +71,11 @@ pub fn layer_experiment(
     })
 }
 
-/// Compiler options for the figure reproductions: the paper traces were
-/// taken on SynapseAI *without* fused attention kernels, so the figures pin
-/// the unfused pipeline explicitly. The fused-vs-unfused ablation lives in
-/// the `kernel` experiment of the `sweeps` binary.
+/// Compiler options for every paper experiment: the paper traces were
+/// taken on SynapseAI *without* fused attention kernels, so the tables,
+/// figures and ablations pin the unfused pipeline explicitly, and an
+/// ablation arm changes one knob from here. The fused-vs-unfused ablation
+/// lives in the `kernel` experiment of the `sweeps` binary.
 pub fn paper_options() -> CompilerOptions {
     CompilerOptions::builder().fuse_attention(false).build()
 }

@@ -2,7 +2,7 @@
 //! §3.4 configuration (sequence 2048, batch 8, 2 layers, 8 heads, 64 hidden
 //! per head, BookCorpus input).
 
-use gaudi_compiler::CompilerOptions;
+use crate::experiments::layer_figs::paper_options;
 use gaudi_hw::{EngineId, GaudiConfig};
 use gaudi_models::bert::{build_bert_mlm, BertConfig};
 use gaudi_models::gpt::{build_gpt_lm, GptConfig};
@@ -60,12 +60,7 @@ pub fn llm_experiment(kind: LlmKind) -> TensorResult<LlmFigure> {
             "fig9-bert",
         ),
     };
-    // Figures 8–9 reproduce observed SynapseAI traces, which predate fused
-    // attention kernels — pin the unfused pipeline.
-    let rt = Runtime::new(
-        GaudiConfig::hls1(),
-        CompilerOptions::builder().fuse_attention(false).build(),
-    );
+    let rt = Runtime::new(GaudiConfig::hls1(), paper_options());
     let report = rt
         .run(&graph, &Feeds::auto(0), NumericsMode::ShapeOnly)
         .map_err(|_| TensorError::EmptyTensor)?;

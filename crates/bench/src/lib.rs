@@ -1,13 +1,14 @@
 //! # gaudi-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
+//! The experiment library that regenerates every table and figure of the
 //! paper on the simulator, plus the ablations called out in DESIGN.md.
 //!
 //! Each experiment is a library function returning a structured result, so
-//! that (a) the `bin/` binaries are thin printers, (b) `all_experiments`
-//! can regenerate the whole evaluation in one run, and (c) integration
-//! tests can assert the *shape* of every reproduced result (who wins, by
-//! what factor) without scraping stdout.
+//! that (a) the `paper` experiment of the `sweeps` binary prints them all
+//! into `results/paper.md`, (b) the `simbench` benchmark scores them
+//! against the paper, and (c) integration tests can assert the *shape* of
+//! every reproduced result (who wins, by what factor) without scraping
+//! stdout.
 
 pub mod experiments;
 pub mod support;

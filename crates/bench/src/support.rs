@@ -1,31 +1,4 @@
-//! Shared harness support: results directory, file output, and formatting.
-
-use gaudi_profiler::chrome::to_chrome_json;
-use gaudi_profiler::Trace;
-use std::path::PathBuf;
-
-/// Directory experiment artifacts (Chrome traces, CSVs) are written into.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("GAUDI_BENCH_RESULTS").unwrap_or_else(|_| "results".to_string());
-    let p = PathBuf::from(dir);
-    let _ = std::fs::create_dir_all(&p);
-    p
-}
-
-/// Write a Chrome trace JSON for a figure; returns the path written (or
-/// `None` when the filesystem is unavailable).
-pub fn write_chrome_trace(name: &str, trace: &Trace) -> Option<PathBuf> {
-    let path = results_dir().join(format!("{name}.trace.json"));
-    std::fs::write(&path, to_chrome_json(trace)).ok()?;
-    Some(path)
-}
-
-/// Write a text artifact next to the traces.
-pub fn write_text(name: &str, contents: &str) -> Option<PathBuf> {
-    let path = results_dir().join(name);
-    std::fs::write(&path, contents).ok()?;
-    Some(path)
-}
+//! Number formatting shared by the paper experiment's tables.
 
 /// Format a milliseconds value with sensible precision.
 pub fn ms(v: f64) -> String {
@@ -56,11 +29,5 @@ mod tests {
         assert_eq!(ms(12.345), "12.35");
         assert_eq!(ratio(6.31), "6.3x");
         assert_eq!(pct(0.805), "80.5%");
-    }
-
-    #[test]
-    fn results_dir_exists_after_call() {
-        let d = results_dir();
-        assert!(d.exists());
     }
 }

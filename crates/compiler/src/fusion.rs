@@ -5,8 +5,8 @@
 //! shape-preserving unary ops into one kernel removes both the intermediate
 //! global-memory round trips and the extra launches — the standard
 //! optimization the SynapseAI Graph Compiler applies when it "can analyze
-//! the source code thoroughly" (Insight #1). The `ablation_fusion` benchmark
-//! quantifies it.
+//! the source code thoroughly" (Insight #1). Ablation A5 of the `sweeps`
+//! binary's `paper` experiment quantifies it.
 
 use gaudi_graph::{Graph, GraphError, NodeId, OpKind};
 use std::collections::HashMap;

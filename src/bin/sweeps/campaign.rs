@@ -349,7 +349,7 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     Outcome {
         text: out,
         digest: digests.join("\n"),
-        json: Some(format!(
+        artifacts: vec![format!(
             "{{\n  \"sweep\": \"PR-10 correlated fault campaigns + KV checkpointing\",\n  \
              \"boxes\": {BOXES},\n  \"cards_per_box\": {CARDS_PER_BOX},\n  \
              \"clean_goodput_tok_s\": {:.6},\n  \"clean_checkpointed_goodput_tok_s\": {:.6},\n  \
@@ -360,6 +360,6 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
             interval_ms,
             DMA_BYTES_PER_S,
             json_rows.join(",\n"),
-        )),
+        )],
     }
 }

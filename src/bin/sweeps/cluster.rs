@@ -327,6 +327,6 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     Outcome {
         text: out,
         digest: digest.join("\n"),
-        json: Some(json),
+        artifacts: vec![json],
     }
 }

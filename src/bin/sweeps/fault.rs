@@ -218,6 +218,6 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     Outcome {
         text: out,
         digest: digest_all(baselines.iter().chain(&faulted).chain([&restart_4])),
-        json: None,
+        artifacts: vec![],
     }
 }

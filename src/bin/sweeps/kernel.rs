@@ -464,6 +464,6 @@ pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
     Outcome {
         text: out,
         digest,
-        json: Some(json),
+        artifacts: vec![json],
     }
 }

@@ -272,6 +272,6 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     Outcome {
         text: out,
         digest,
-        json: Some(json),
+        artifacts: vec![json],
     }
 }

@@ -1,15 +1,16 @@
-//! Every serving, scaling and kernel experiment behind one binary.
+//! The paper's tables and figures and every serving, scaling and kernel
+//! experiment behind one binary.
 //!
 //! Each experiment is one module with a `run` function that sweeps its
 //! cells, asserts its gates (listed in the module's doc) and returns an
 //! [`Outcome`]: the tables and gate lines to print, a digest of every
-//! number it measured, and the bytes of its `results/*.json` artifact if it
-//! has one. `main` runs each experiment twice — first on the global
+//! number it measured, and the bytes of each `results/` artifact it names.
+//! `main` runs each experiment twice — first on the global
 //! pool (sized by `GAUDI_EXEC_THREADS`) with a cold plan cache, then on the
 //! serial pool with the cache the first pass warmed — and requires both
 //! passes to produce the same digest and the same artifact bytes: thread
 //! count and plan memoization must be invisible in every result. Only then
-//! is the artifact written. A failed gate or a disagreement between the
+//! are the artifacts written. A failed gate or a disagreement between the
 //! passes exits non-zero and names the experiment.
 //!
 //! ```sh
@@ -35,6 +36,7 @@ mod kernel;
 mod kv;
 mod mem;
 mod overload;
+mod paper;
 mod scaling;
 mod serving;
 
@@ -48,8 +50,8 @@ use std::sync::Arc;
 /// One registered experiment.
 struct Experiment {
     name: &'static str,
-    /// File under `results/` the experiment's JSON artifact is written to.
-    artifact: Option<&'static str>,
+    /// Files under `results/` the experiment's artifacts are written to.
+    artifacts: &'static [&'static str],
     run: fn(&ExecPool, &Arc<PlanCache>) -> Outcome,
 }
 
@@ -59,54 +61,59 @@ struct Outcome {
     text: String,
     /// Every measured number, exact enough that any change shows.
     digest: String,
-    /// Artifact bytes; `Some` exactly when the experiment names an artifact.
-    json: Option<String>,
+    /// Artifact bytes, one per file the experiment names, in order.
+    artifacts: Vec<String>,
 }
 
 const REGISTRY: &[Experiment] = &[
     Experiment {
+        name: "paper",
+        artifacts: paper::ARTIFACTS,
+        run: paper::run,
+    },
+    Experiment {
         name: "serving",
-        artifact: None,
+        artifacts: &[],
         run: serving::run,
     },
     Experiment {
         name: "fault",
-        artifact: None,
+        artifacts: &[],
         run: fault::run,
     },
     Experiment {
         name: "scaling",
-        artifact: None,
+        artifacts: &[],
         run: scaling::run,
     },
     Experiment {
         name: "overload",
-        artifact: Some("OVERLOAD_5.json"),
+        artifacts: &["OVERLOAD_5.json"],
         run: overload::run,
     },
     Experiment {
         name: "kv",
-        artifact: Some("KV_6.json"),
+        artifacts: &["KV_6.json"],
         run: kv::run,
     },
     Experiment {
         name: "cluster",
-        artifact: Some("CLUSTER_7.json"),
+        artifacts: &["CLUSTER_7.json"],
         run: cluster::run,
     },
     Experiment {
         name: "mem",
-        artifact: Some("MEM_8.json"),
+        artifacts: &["MEM_8.json"],
         run: mem::run,
     },
     Experiment {
         name: "kernel",
-        artifact: Some("KERNEL_9.json"),
+        artifacts: &["KERNEL_9.json"],
         run: kernel::run,
     },
     Experiment {
         name: "campaign",
-        artifact: Some("CAMPAIGN_10.json"),
+        artifacts: &["CAMPAIGN_10.json"],
         run: campaign::run,
     },
 ];
@@ -127,9 +134,19 @@ fn reproduce(e: &Experiment) -> Result<Outcome, String> {
             e.name
         ));
     }
-    if first.json != second.json {
+    if [&first, &second]
+        .iter()
+        .any(|pass| pass.artifacts.len() != e.artifacts.len())
+    {
         return Err(format!(
-            "experiment '{}': the serial warm-cache pass changed the artifact bytes",
+            "experiment '{}' must return one artifact per named file",
+            e.name
+        ));
+    }
+    let passes = first.artifacts.iter().zip(&second.artifacts);
+    if let Some((file, _)) = e.artifacts.iter().zip(passes).find(|(_, (a, b))| a != b) {
+        return Err(format!(
+            "experiment '{}': the serial warm-cache pass changed the artifact bytes of {file}",
             e.name
         ));
     }
@@ -137,7 +154,7 @@ fn reproduce(e: &Experiment) -> Result<Outcome, String> {
 }
 
 /// Reproduce every experiment in order, printing each one's text and
-/// writing its artifact into `results`; stop at the first failure.
+/// writing its artifacts into `results`; stop at the first failure.
 fn drive(experiments: &[Experiment], results: &Path) -> Result<(), String> {
     for e in experiments {
         println!("==> {}\n", e.name);
@@ -147,21 +164,12 @@ fn drive(experiments: &[Experiment], results: &Path) -> Result<(), String> {
             "\n{}: reproduced on the serial pool with a warm plan cache",
             e.name
         );
-        match (e.artifact, out.json) {
-            (Some(file), Some(json)) => {
-                let path = results.join(file);
-                std::fs::create_dir_all(results)
-                    .and_then(|()| std::fs::write(&path, json))
-                    .map_err(|err| format!("writing {}: {err}", path.display()))?;
-                println!("wrote {}", path.display());
-            }
-            (None, None) => {}
-            _ => {
-                return Err(format!(
-                    "experiment '{}' must return JSON exactly when it names an artifact",
-                    e.name
-                ))
-            }
+        for (file, bytes) in e.artifacts.iter().zip(out.artifacts) {
+            let path = results.join(file);
+            std::fs::create_dir_all(results)
+                .and_then(|()| std::fs::write(&path, bytes))
+                .map_err(|err| format!("writing {}: {err}", path.display()))?;
+            println!("wrote {}", path.display());
         }
         println!();
     }
@@ -184,22 +192,22 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn outcome(digest: &str, json: Option<String>) -> Outcome {
+    fn outcome(digest: &str, artifacts: Vec<String>) -> Outcome {
         Outcome {
             text: String::new(),
             digest: digest.into(),
-            json,
+            artifacts,
         }
     }
 
     fn fake(
         name: &'static str,
-        artifact: Option<&'static str>,
+        artifacts: &'static [&'static str],
         run: fn(&ExecPool, &Arc<PlanCache>) -> Outcome,
     ) -> Experiment {
         Experiment {
             name,
-            artifact,
+            artifacts,
             run,
         }
     }
@@ -212,8 +220,8 @@ mod tests {
     #[test]
     fn a_digest_that_differs_between_passes_fails_naming_the_experiment() {
         static CALLS: AtomicUsize = AtomicUsize::new(0);
-        let e = fake("counts-calls", None, |_, _| {
-            outcome(&CALLS.fetch_add(1, Ordering::Relaxed).to_string(), None)
+        let e = fake("counts-calls", &[], |_, _| {
+            outcome(&CALLS.fetch_add(1, Ordering::Relaxed).to_string(), vec![])
         });
         let err = drive(&[e], &scratch("digest")).unwrap_err();
         assert!(
@@ -225,9 +233,9 @@ mod tests {
     #[test]
     fn an_artifact_that_differs_between_passes_fails_naming_the_experiment() {
         static CALLS: AtomicUsize = AtomicUsize::new(0);
-        let e = fake("drifting-json", Some("DRIFT.json"), |_, _| {
+        let e = fake("drifting-json", &["DRIFT.json"], |_, _| {
             let n = CALLS.fetch_add(1, Ordering::Relaxed);
-            outcome("same", Some(format!("{{\"pass\": {n}}}\n")))
+            outcome("same", vec![format!("{{\"pass\": {n}}}\n")])
         });
         let dir = scratch("artifact");
         let err = drive(&[e], &dir).unwrap_err();
@@ -242,16 +250,38 @@ mod tests {
     }
 
     #[test]
+    fn a_drifting_second_artifact_fails_and_writes_neither_file() {
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let e = fake(
+            "drifting-trace",
+            &["STEADY.md", "DRIFT.trace.json"],
+            |_, _| {
+                let n = CALLS.fetch_add(1, Ordering::Relaxed);
+                outcome("same", vec!["# steady\n".into(), format!("[{n}]\n")])
+            },
+        );
+        let dir = scratch("second-artifact");
+        let err = drive(&[e], &dir).unwrap_err();
+        assert!(
+            err.contains("'drifting-trace'") && err.contains("DRIFT.trace.json"),
+            "{err}"
+        );
+        for file in ["STEADY.md", "DRIFT.trace.json"] {
+            assert!(!dir.join(file).exists(), "{file} written despite the drift");
+        }
+    }
+
+    #[test]
     fn a_panicking_gate_fails_naming_the_experiment() {
-        let e = fake("broken-gate", None, |_, _| panic!("gate violated"));
+        let e = fake("broken-gate", &[], |_, _| panic!("gate violated"));
         let err = drive(&[e], &scratch("panic")).unwrap_err();
         assert!(err.contains("'broken-gate'"), "{err}");
     }
 
     #[test]
     fn agreeing_passes_write_the_artifact() {
-        let e = fake("steady", Some("STEADY.json"), |_, _| {
-            outcome("same", Some("{}\n".into()))
+        let e = fake("steady", &["STEADY.json"], |_, _| {
+            outcome("same", vec!["{}\n".into()])
         });
         let dir = scratch("steady");
         drive(&[e], &dir).expect("identical passes succeed");
@@ -266,12 +296,8 @@ mod tests {
     fn registry_names_and_artifact_files_are_unique() {
         let names: BTreeSet<_> = REGISTRY.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), REGISTRY.len(), "duplicate experiment name");
-        let files: Vec<_> = REGISTRY.iter().filter_map(|e| e.artifact).collect();
+        let files: Vec<_> = REGISTRY.iter().flat_map(|e| e.artifacts).collect();
         let unique: BTreeSet<_> = files.iter().collect();
-        assert_eq!(
-            unique.len(),
-            files.len(),
-            "two experiments share an artifact"
-        );
+        assert_eq!(unique.len(), files.len(), "two artifacts share a file");
     }
 }

@@ -287,6 +287,6 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     Outcome {
         text: out,
         digest: digest_all(&reports),
-        json: Some(json),
+        artifacts: vec![json],
     }
 }

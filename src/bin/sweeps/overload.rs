@@ -235,6 +235,6 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     Outcome {
         text: out,
         digest,
-        json: Some(json),
+        artifacts: vec![json],
     }
 }

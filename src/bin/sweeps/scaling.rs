@@ -185,6 +185,6 @@ pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
     Outcome {
         text: out,
         digest,
-        json: None,
+        artifacts: vec![],
     }
 }

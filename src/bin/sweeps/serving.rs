@@ -126,6 +126,6 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     Outcome {
         text: out,
         digest: digest_all(&reports),
-        json: None,
+        artifacts: vec![],
     }
 }
