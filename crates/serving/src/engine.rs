@@ -1811,6 +1811,71 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_restore_is_a_slowed_dma_copy_that_the_ttft_deadline_can_drop() {
+        // A checkpointed orphan re-admits by copying its prompt plus its k
+        // snapshotted tokens back from host, stretched by the slowdown
+        // window it starts in: no prefill, no recipe, and it resumes
+        // mid-decode. It waited 1.5 ms on a replica at clock 2.
+        let (prompt, k, factor, dma) = (24, 5, 3.0, 1e9);
+        let mut cfg = tiny_config();
+        cfg.robustness = RobustnessConfig::default().checkpoint(1e9, dma);
+        cfg.faults = FaultPlan::none().slow(0.0, 1e9, factor);
+        let orphan = Job {
+            submitted_us: 2_000,
+            retries: 1,
+            checkpointed_tokens: k,
+            ..Job::fresh(Request {
+                id: 0,
+                arrival_us: 500,
+                prompt_len: prompt,
+                output_len: 12,
+            })
+        };
+        let per_tok = cfg
+            .kv_admission
+            .kv_bytes_per_token(&cfg.model, cfg.kv_dtype);
+        let restore_ms = ((prompt + k) as u64 * per_tok) as f64 / dma * 1e3 * factor;
+        fn replica<'a>(cfg: &'a ServingConfig, orphan: &Job) -> Replica<'a> {
+            let mut r = Replica::new(cfg, DeviceId(0), tiny_cost_model(cfg), 0).unwrap();
+            r.clock_ms = 2.0;
+            r.enqueue(orphan.clone());
+            r
+        }
+
+        let mut r = replica(&cfg, &orphan);
+        assert!(r.step(f64::INFINITY).unwrap());
+        assert_eq!(r.clock_ms, 2.0 + restore_ms, "one slowed DMA copy");
+        let a = &r.running[0];
+        assert_eq!((a.ctx, a.generated), (prompt + k, k));
+        assert_eq!(a.outcome.queue_ms, 0.0);
+        assert_eq!(a.outcome.ttft_ms, r.clock_ms - 0.5);
+        let t = r.finalize().report;
+        assert_eq!((t.restore_ms, t.recovered_tokens), (restore_ms, k as u64));
+        assert_eq!((t.prefills, t.recipe_compiles), (0, 0));
+
+        // A TTFT deadline the 1.5 ms wait meets but the copy would miss:
+        // dropped at the admission clock, its restored KV released.
+        cfg.robustness = cfg.robustness.ttft_deadline(1.5 + restore_ms / 2.0);
+        let mut r = replica(&cfg, &orphan);
+        let allocated = r.kv.allocated();
+        assert!(r.step(f64::INFINITY).unwrap());
+        assert_eq!(r.clock_ms, 2.0);
+        assert!(r.running.is_empty());
+        assert_eq!(r.kv.allocated(), allocated);
+        let t = r.finalize();
+        let dropped = DroppedRequest {
+            id: 0,
+            arrival_ms: 0.5,
+            kind: DropKind::TimedOut,
+            at_ms: 2.0,
+            retries: 1,
+            tokens_generated: 0,
+        };
+        assert_eq!(t.dropped, [vec![dropped]]);
+        assert_eq!((t.report.restore_ms, t.report.recovered_tokens), (0.0, 0));
+    }
+
+    #[test]
     fn kv_peak_never_exceeds_capacity() {
         let r = simulate(&tiny_config()).unwrap();
         assert!(r.kv_peak_bytes <= r.kv_capacity_bytes);
