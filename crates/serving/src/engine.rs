@@ -46,6 +46,11 @@
 //! hardware calibration that reproduces the paper's training figures also
 //! sets TTFT and per-token latency here.
 //!
+//! Each replica steps through named sub-steps: `housekeep` (1) at every
+//! boundary, then the first of `checkpoint`, `admit` (2–3, a prefill or a
+//! snapshot restore), `decode` (4) and `idle` (jump to the next arrival)
+//! that makes progress.
+//!
 //! ## Fault injection and recovery
 //!
 //! A [`FaultPlan`] in the configuration makes replicas mortal, and kills
@@ -60,14 +65,14 @@
 //! a **cold recipe cache** (its compiled phase plans are recompiled on
 //! demand, and with warmup enabled every shape pays its compile latency
 //! again), and the recovered replica immediately rejoins the round-robin
-//! / least-loaded dispatch pool. Slowdown windows stretch the phases that
-//! start inside them. Everything stays a pure function of the
-//! configuration: same seed, same plan, bit-identical report.
+//! dispatch pool. Slowdown windows stretch the phases that start inside
+//! them. Everything stays a pure function of the configuration: same
+//! seed, same plan, bit-identical report.
 
 use crate::calendar::EventCalendar;
 use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeCache, RecipeConfig};
 use crate::error::ServingError;
-use crate::fault::{Job, RedistributionPolicy};
+use crate::fault::Job;
 use crate::idhash::IdMap;
 use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig};
 use crate::report::{CardTime, DropKind, DroppedRequest, RequestOutcome, ServingReport, Tally};
@@ -117,8 +122,6 @@ pub struct ServingConfig {
     /// windows), degraded links, and slowdown windows. [`FaultPlan::none`]
     /// (the default) is steady state.
     pub faults: FaultPlan,
-    /// How requests orphaned by a card failure spread over the survivors.
-    pub redistribution: RedistributionPolicy,
     /// Overload protection: admission bounds, SLO deadlines, retry budget,
     /// and backoff. The default ([`RobustnessConfig::unlimited`]) never
     /// sheds, expires, or fails a request.
@@ -162,7 +165,6 @@ impl ServingConfig {
             opts: CompilerOptions::default(),
             devices: 1,
             faults: FaultPlan::none(),
-            redistribution: RedistributionPolicy::default(),
             robustness: RobustnessConfig::default(),
             kv_admission: KvAdmissionConfig::default(),
             activation_budget: ActivationBudget::default(),
@@ -171,36 +173,24 @@ impl ServingConfig {
         }
     }
 
-    /// A GPT-2-XL-class model (48 layers, d=1600): heavy enough that KV
+    /// [`paper_gpt`](Self::paper_gpt) serving a GPT-2-XL-class model (48
+    /// layers, d=1600) with 16 decode slots: heavy enough that KV
     /// reservations contend for the 32 GB device and admission
     /// backpressure actually engages.
     pub fn gpt2_xl() -> Self {
-        let model = LlmConfig {
-            vocab: 50257,
-            seq_len: 2048,
-            batch: 1,
-            layers: 48,
-            heads: 25,
-            head_dim: 64,
-            ffn_mult: 4,
-            training: false,
-        };
         ServingConfig {
-            model,
-            traffic: TrafficConfig::default(),
+            model: LlmConfig {
+                vocab: 50257,
+                seq_len: 2048,
+                batch: 1,
+                layers: 48,
+                heads: 25,
+                head_dim: 64,
+                ffn_mult: 4,
+                training: false,
+            },
             max_batch: 16,
-            ctx_bucket: 128,
-            kv_dtype: DType::F32,
-            hw: GaudiConfig::hls1(),
-            opts: CompilerOptions::default(),
-            devices: 1,
-            faults: FaultPlan::none(),
-            redistribution: RedistributionPolicy::default(),
-            robustness: RobustnessConfig::default(),
-            kv_admission: KvAdmissionConfig::default(),
-            activation_budget: ActivationBudget::default(),
-            recipes: RecipeConfig::default(),
-            record_trace: true,
+            ..Self::paper_gpt()
         }
     }
 
@@ -284,12 +274,6 @@ impl ServingConfigBuilder {
     /// Deterministic fault schedule.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.cfg.faults = faults;
-        self
-    }
-
-    /// Orphan-redistribution policy after a card failure.
-    pub fn redistribution(mut self, redistribution: RedistributionPolicy) -> Self {
-        self.cfg.redistribution = redistribution;
         self
     }
 
@@ -396,6 +380,32 @@ struct Active {
     outcome: RequestOutcome,
 }
 
+impl Active {
+    /// A runner whose first `generated` tokens exist as of `clock_ms`: the
+    /// prefill's one, or a restored snapshot's. TTFT is measured from the
+    /// request's original arrival.
+    fn new(job: Job, generated: usize, queue_ms: f64, ttft_ms: f64, clock_ms: f64) -> Self {
+        let mut token_times_ms = Vec::with_capacity(job.req.output_len - generated + 1);
+        token_times_ms.push(clock_ms);
+        Active {
+            ctx: job.req.prompt_len + generated,
+            generated,
+            outcome: RequestOutcome {
+                id: job.req.id,
+                arrival_ms: job.req.arrival_ms(),
+                prompt_len: job.req.prompt_len,
+                output_len: job.req.output_len,
+                queue_ms,
+                ttft_ms,
+                retries: job.retries,
+                finish_ms: 0.0,
+                token_times_ms,
+            },
+            job,
+        }
+    }
+}
+
 /// One data-parallel replica as an incremental state machine.
 ///
 /// [`Replica::step`] runs at most one timed phase and never *starts* a
@@ -425,34 +435,6 @@ struct Replica<'a> {
     up: bool,
     down_since: Option<f64>,
     down_ms: f64,
-    kills: usize,
-    restarts: usize,
-    /// Token work enqueued but not yet terminated (least-loaded dispatch).
-    outstanding_tokens: usize,
-    mme_busy_ns: f64,
-    tpc_busy_ns: f64,
-    dma_busy_ns: f64,
-    nic_busy_ns: f64,
-    decode_steps: usize,
-    prefills: usize,
-    backpressure_stalls: usize,
-    max_queue_depth: usize,
-    peak_queued_tokens: usize,
-    requeued_tokens: usize,
-    /// Graphs compiled by cost models retired at restarts (cold-cache
-    /// recovery recompiles, and the report counts every compilation).
-    compiled_graphs_retired: usize,
-    /// Recipe compiles charged by recipe caches retired at restarts.
-    recipe_compiles_retired: u64,
-    /// Runners preempted mid-decode because the paged pool ran dry.
-    preemptions: usize,
-    /// Largest decode batch this replica ever ran.
-    peak_running: usize,
-    /// Token-slots actually scheduled (bucket-padded shapes).
-    scheduled_tokens: usize,
-    /// The padding share of `scheduled_tokens`: slots priced but holding
-    /// no live token, from ctx-bucket and batch-bucket rounding.
-    padded_tokens: usize,
     /// KV row size, bytes — what checkpoint and restore copies are priced
     /// by.
     kv_bytes_per_token: u64,
@@ -463,15 +445,16 @@ struct Replica<'a> {
     /// *not* cleared on restart; it is only ever probed by id (never
     /// iterated), keeping the simulation order-deterministic.
     snapshots: IdMap<u64, usize>,
-    /// Bytes snapshotted to host across all checkpoints.
-    checkpoint_bytes: u64,
-    /// Clock spent restoring snapshots over DMA, ms.
-    restore_ms: f64,
-    /// Generated tokens resumed from snapshots instead of recomputed.
-    recovered_tokens: u64,
-    trace: Trace,
+    /// This card's counters and trace, in the report's own fields. The
+    /// compile counts hold what restarts retired until
+    /// [`finalize`](Self::finalize) adds the live caches' and sets the
+    /// fields it derives.
+    report: ServingReport,
+    /// MME, TPC, DMA and NIC busy time, ns.
+    busy_ns: [f64; 4],
 }
 
+#[warn(clippy::too_many_lines)]
 impl<'a> Replica<'a> {
     fn new(
         cfg: &'a ServingConfig,
@@ -512,39 +495,17 @@ impl<'a> Replica<'a> {
             up: true,
             down_since: None,
             down_ms: 0.0,
-            kills: 0,
-            restarts: 0,
-            outstanding_tokens: 0,
-            mme_busy_ns: 0.0,
-            tpc_busy_ns: 0.0,
-            dma_busy_ns: 0.0,
-            nic_busy_ns: 0.0,
-            decode_steps: 0,
-            prefills: 0,
-            backpressure_stalls: 0,
-            max_queue_depth: 0,
-            peak_queued_tokens: 0,
-            requeued_tokens: 0,
-            compiled_graphs_retired: 0,
-            recipe_compiles_retired: 0,
-            preemptions: 0,
-            peak_running: 0,
-            scheduled_tokens: 0,
-            padded_tokens: 0,
             kv_bytes_per_token,
             next_checkpoint_ms,
             snapshots: IdMap::default(),
-            checkpoint_bytes: 0,
-            restore_ms: 0.0,
-            recovered_tokens: 0,
-            trace: Trace::new(),
+            report: ServingReport::default(),
+            busy_ns: [0.0; 4],
         })
     }
 
     /// Hand this replica a dispatched job (it arrives at its submission
     /// time; the replica ingests it at the next phase boundary past that).
     fn enqueue(&mut self, job: Job) {
-        self.outstanding_tokens += job.req.total_tokens();
         self.pending.push_back(job);
     }
 
@@ -576,20 +537,17 @@ impl<'a> Replica<'a> {
     /// Execute one priced phase: advance the clock and the busy counters.
     fn record(&mut self, name: &str, c: &PhaseCost) {
         if self.cfg.record_trace {
-            record_phase(&mut self.trace, name, self.clock_ms, c);
+            record_phase(&mut self.report.trace, name, self.clock_ms, c);
         }
         self.clock_ms += c.ms;
-        self.mme_busy_ns += c.mme_busy_ns;
-        self.tpc_busy_ns += c.tpc_busy_ns;
-        self.dma_busy_ns += c.dma_busy_ns;
-        self.nic_busy_ns += c.nic_busy_ns;
+        let busy = [c.mme_busy_ns, c.tpc_busy_ns, c.dma_busy_ns, c.nic_busy_ns];
+        for (sum, ns) in self.busy_ns.iter_mut().zip(busy) {
+            *sum += ns;
+        }
     }
 
-    /// File a terminal drop record for `job` and release its accounting.
+    /// File a terminal drop record for `job`.
     fn drop_job(&mut self, job: Job, kind: DropKind, at_ms: f64, tokens_generated: usize) {
-        self.outstanding_tokens = self
-            .outstanding_tokens
-            .saturating_sub(job.req.total_tokens());
         self.dropped.push(DroppedRequest {
             id: job.req.id,
             arrival_ms: job.req.arrival_ms(),
@@ -597,20 +555,6 @@ impl<'a> Replica<'a> {
             at_ms,
             retries: job.retries,
             tokens_generated,
-        });
-    }
-
-    /// Terminally fail an orphan whose retry budget is exhausted. The job
-    /// is already out of every queue (its halt drained it), so this only
-    /// files the drop record.
-    fn record_failure(&mut self, job: Job, at_ms: f64) {
-        self.dropped.push(DroppedRequest {
-            id: job.req.id,
-            arrival_ms: job.req.arrival_ms(),
-            kind: DropKind::Failed,
-            at_ms,
-            retries: job.retries,
-            tokens_generated: 0,
         });
     }
 
@@ -639,8 +583,9 @@ impl<'a> Replica<'a> {
                 self.waiting.push_back(job);
             }
         }
-        self.max_queue_depth = self.max_queue_depth.max(self.waiting.len());
-        self.peak_queued_tokens = self.peak_queued_tokens.max(self.waiting_tokens);
+        let r = &mut self.report;
+        r.max_queue_depth = r.max_queue_depth.max(self.waiting.len());
+        r.peak_queued_tokens = r.peak_queued_tokens.max(self.waiting_tokens);
 
         if rb.ttft_deadline_ms.is_none() && rb.deadline_ms.is_none() {
             return;
@@ -684,12 +629,24 @@ impl<'a> Replica<'a> {
             let at = outcome.finish_ms;
             self.drop_job(job, DropKind::TimedOut, at, generated);
         } else {
-            self.outstanding_tokens = self
-                .outstanding_tokens
-                .saturating_sub(job.req.total_tokens());
             self.completed.push(outcome);
         }
         Ok(())
+    }
+
+    /// Take a runner off the card — a halt's in-flight work, or a paged
+    /// preemption's victim — releasing its KV. The job carries its host
+    /// snapshot position (zero without one), so its next attempt restores
+    /// instead of recomputing, and only the tokens generated past the
+    /// snapshot count as lost.
+    fn evict(&mut self, a: Active) -> Result<Job, ServingError> {
+        let Active {
+            mut job, generated, ..
+        } = a;
+        self.kv.release(job.req.id)?;
+        job.checkpointed_tokens = self.snapshots.get(&job.req.id).copied().unwrap_or(0);
+        self.report.requeued_tokens += generated.saturating_sub(job.checkpointed_tokens);
+        Ok(job)
     }
 
     /// Run at most one timed phase, never starting one at or past
@@ -701,343 +658,277 @@ impl<'a> Replica<'a> {
             return Ok(false);
         }
         self.housekeep();
-
-        // Periodic KV checkpoint: snapshot every running chain to host,
-        // priced as a DMA phase against the replica clock. The snapshot
-        // captures each chain's generated-token count; a later `kill_for`
-        // orphan restores it instead of recomputing from scratch.
-        if let Some(ckpt) = self.cfg.robustness.checkpoint {
-            if self.clock_ms >= self.next_checkpoint_ms && self.clock_ms < limit_ms {
-                self.next_checkpoint_ms = self.clock_ms + ckpt.interval_ms;
-                if !self.running.is_empty() {
-                    let bytes: u64 = self
-                        .running
-                        .iter()
-                        .map(|a| a.ctx as u64 * self.kv_bytes_per_token)
-                        .sum();
-                    let ms = bytes as f64 / ckpt.dma_bytes_per_s * 1e3;
-                    let c = PhaseCost {
-                        ms,
-                        dma_busy_ns: ms * 1e6,
-                        ..PhaseCost::default()
-                    };
-                    self.record("kv_checkpoint", &c);
-                    self.checkpoint_bytes += bytes;
-                    for a in &self.running {
-                        self.snapshots.insert(a.job.req.id, a.generated);
-                    }
-                    return Ok(true);
-                }
-            }
+        if self.clock_ms >= limit_ms {
+            return Ok(false);
         }
+        Ok(self.checkpoint() || self.admit()? || self.decode()? || self.idle(limit_ms))
+    }
 
-        // Admission: one prefill (or snapshot restore) per step, so the
-        // caller's limit is re-checked between back-to-back admissions.
-        if self.running.len() < self.cfg.max_batch && self.clock_ms < limit_ms {
-            if let Some(front) = self.waiting.front() {
-                // An orphan that was checkpointed before its replica died
-                // restores the snapshot over DMA instead of re-running the
-                // prefill — see the restore branch below.
-                let snap = front.checkpointed_tokens;
-                let admitted = if snap > 0 {
-                    self.kv
-                        .try_restore(
-                            front.req.id,
-                            front.req.prompt_len,
-                            front.req.output_len,
-                            snap,
-                        )
-                        .is_ok()
-                } else {
-                    self.kv
-                        .try_admit(front.req.id, front.req.prompt_len, front.req.output_len)
-                        .is_ok()
-                };
-                if admitted && snap > 0 {
-                    let job = self.waiting.pop_front().expect("front checked");
-                    self.waiting_tokens -= job.req.total_tokens();
-                    let queue_ms = self.clock_ms - job.submitted_ms();
-                    let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
-                    let ckpt = self
-                        .cfg
-                        .robustness
-                        .checkpoint
-                        .expect("a snapshot implies a checkpoint policy");
-                    // The restore copies the whole checkpointed chain —
-                    // prompt KV plus the snapshotted decode tokens — back
-                    // from host over DMA. No recipe warmup: it is a copy,
-                    // not a compiled graph, and the cold-cache recompiles
-                    // still land on the first prefill/decode shapes.
-                    let bytes = (job.req.prompt_len + snap) as u64 * self.kv_bytes_per_token;
-                    let ms = bytes as f64 / ckpt.dma_bytes_per_s * 1e3;
-                    let c = PhaseCost {
-                        ms,
-                        dma_busy_ns: ms * 1e6,
-                        ..PhaseCost::default()
-                    }
-                    .scaled(factor);
-                    // Deadline-aware restore, mirroring admission: a chain
-                    // whose first re-served token would land past the TTFT
-                    // SLO is dropped before wasting the copy.
-                    let ttft_ms = self.clock_ms + c.ms - job.req.arrival_ms();
-                    if self
-                        .cfg
-                        .robustness
-                        .ttft_deadline_ms
-                        .is_some_and(|d| ttft_ms > d)
-                    {
-                        self.kv.release(job.req.id)?;
-                        let at = self.clock_ms;
-                        self.drop_job(job, DropKind::TimedOut, at, 0);
-                        return Ok(true);
-                    }
-                    self.record("kv_restore", &c);
-                    self.restore_ms += c.ms;
-                    self.recovered_tokens += snap as u64;
-                    // The restored chain is (again) this replica's latest
-                    // host snapshot.
-                    self.snapshots.insert(job.req.id, snap);
-                    let outcome = RequestOutcome {
-                        id: job.req.id,
-                        arrival_ms: job.req.arrival_ms(),
-                        prompt_len: job.req.prompt_len,
-                        output_len: job.req.output_len,
-                        queue_ms,
-                        ttft_ms,
-                        retries: job.retries,
-                        finish_ms: 0.0,
-                        token_times_ms: {
-                            let mut t = Vec::with_capacity(job.req.output_len - snap + 1);
-                            t.push(self.clock_ms);
-                            t
-                        },
-                    };
-                    // A snapshot is always strictly mid-decode (running
-                    // never holds finished chains at a boundary), so the
-                    // restored chain re-enters the batch, never retires
-                    // here.
-                    self.running.push(Active {
-                        ctx: job.req.prompt_len + snap,
-                        generated: snap,
-                        outcome,
-                        job,
-                    });
-                    self.peak_running = self.peak_running.max(self.running.len());
-                    return Ok(true);
-                }
-                if admitted {
-                    let job = self.waiting.pop_front().expect("front checked");
-                    self.waiting_tokens -= job.req.total_tokens();
-                    let queue_ms = self.clock_ms - job.submitted_ms();
-                    let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
-                    let mut c = self.cost.prefill(1, job.req.prompt_len)?.scaled(factor);
-                    let prefill_len = self.cost.bucketed(job.req.prompt_len);
-                    // Deadline-aware admission: the prefill (plus any
-                    // recipe compile it would trigger) is priced before it
-                    // runs, so a request that could only produce its first
-                    // token past the TTFT SLO is dropped without wasting
-                    // the engine time — the load-shedding analogue of a
-                    // server's "estimated wait exceeds timeout" check. The
-                    // warmup is *peeked*, not charged: a dropped request
-                    // must not warm the cache.
-                    let warmup = self.recipes.warmup_ms(Phase::Prefill, 1, prefill_len);
-                    let ttft_ms = self.clock_ms + c.ms + warmup - job.req.arrival_ms();
-                    if self
-                        .cfg
-                        .robustness
-                        .ttft_deadline_ms
-                        .is_some_and(|d| ttft_ms > d)
-                    {
-                        self.kv.release(job.req.id)?;
-                        let at = self.clock_ms;
-                        self.drop_job(job, DropKind::TimedOut, at, 0);
-                        return Ok(true);
-                    }
-                    // First use of this prefill shape on this replica:
-                    // the host compiles a recipe before launch. Wall time
-                    // only — no engine is busy during a host compile.
-                    c.ms += self.recipes.charge(Phase::Prefill, 1, prefill_len);
-                    self.scheduled_tokens += prefill_len;
-                    self.padded_tokens += prefill_len - job.req.prompt_len;
-                    self.record("prefill", &c);
-                    self.prefills += 1;
-                    // The prefill's final forward pass emits the first
-                    // output token: TTFT is queueing + prefill, measured
-                    // from the request's original arrival.
-                    let outcome = RequestOutcome {
-                        id: job.req.id,
-                        arrival_ms: job.req.arrival_ms(),
-                        prompt_len: job.req.prompt_len,
-                        output_len: job.req.output_len,
-                        queue_ms,
-                        ttft_ms,
-                        retries: job.retries,
-                        finish_ms: 0.0,
-                        token_times_ms: {
-                            let mut t = Vec::with_capacity(job.req.output_len);
-                            t.push(self.clock_ms);
-                            t
-                        },
-                    };
-                    if job.req.output_len == 1 {
-                        // Single-token request: prefill completed it.
-                        let mut outcome = outcome;
-                        outcome.finish_ms = self.clock_ms;
-                        self.retire(Active {
-                            ctx: job.req.prompt_len + 1,
-                            generated: 1,
-                            outcome,
-                            job,
-                        })?;
-                    } else {
-                        self.running.push(Active {
-                            ctx: job.req.prompt_len + 1,
-                            generated: 1,
-                            outcome,
-                            job,
-                        });
-                        self.peak_running = self.peak_running.max(self.running.len());
-                    }
-                    return Ok(true);
-                }
-                // FIFO backpressure: wait for retirements, never starve
-                // or reorder past the queue head.
-                self.backpressure_stalls += 1;
-                debug_assert!(
-                    !self.running.is_empty(),
-                    "an idle engine always admits a pre-validated request"
-                );
-            }
+    /// A copy of `tokens` KV rows between the card and host over DMA, as
+    /// `(bytes, cost)` at the checkpoint policy's bandwidth.
+    fn kv_copy(&self, tokens: usize) -> (u64, PhaseCost) {
+        let ckpt = self
+            .cfg
+            .robustness
+            .checkpoint
+            .expect("a KV snapshot implies a checkpoint policy");
+        let bytes = tokens as u64 * self.kv_bytes_per_token;
+        let ms = bytes as f64 / ckpt.dma_bytes_per_s * 1e3;
+        let c = PhaseCost {
+            ms,
+            dma_busy_ns: ms * 1e6,
+            ..PhaseCost::default()
+        };
+        (bytes, c)
+    }
+
+    /// Periodic KV checkpoint: once due, snapshot every running chain to
+    /// host, priced as a DMA phase against the replica clock. The snapshot
+    /// captures each chain's generated-token count; a chain evicted later
+    /// restores it instead of recomputing from scratch.
+    fn checkpoint(&mut self) -> bool {
+        let Some(ckpt) = self.cfg.robustness.checkpoint else {
+            return false;
+        };
+        if self.clock_ms < self.next_checkpoint_ms {
+            return false;
         }
+        self.next_checkpoint_ms = self.clock_ms + ckpt.interval_ms;
+        if self.running.is_empty() {
+            return false;
+        }
+        let (bytes, c) = self.kv_copy(self.running.iter().map(|a| a.ctx).sum());
+        self.record("kv_checkpoint", &c);
+        self.report.checkpoint_bytes += bytes;
+        for a in &self.running {
+            self.snapshots.insert(a.job.req.id, a.generated);
+        }
+        true
+    }
 
-        // One decode step advances every running request by one token.
-        if !self.running.is_empty() && self.clock_ms < limit_ms {
-            // Every runner needs one more KV slot for the token this step
-            // produces. Contiguous admission pre-reserved it; the paged
-            // pool can run dry, in which case the newest admissions are
-            // preempted back to the head of the queue — generated tokens
-            // discarded and recomputed on re-admission (no KV migration is
-            // modeled), vLLM's recompute preemption. The loop terminates:
-            // every failure shrinks the batch by one, and the pre-scan
-            // guarantees a lone runner always fits to completion.
-            let mut g = 0;
-            while g < self.running.len() {
-                let id = self.running[g].job.req.id;
-                if self.kv.grow(id).is_ok() {
-                    g += 1;
-                    continue;
-                }
-                let mut victim = self.running.pop().expect("running is non-empty");
-                self.kv.release(victim.job.req.id)?;
-                self.preemptions += 1;
-                // A checkpointed victim restores its latest host snapshot
-                // on re-admission instead of recomputing from scratch;
-                // only the tokens past the snapshot are truly lost.
-                let snap = self.snapshots.get(&victim.job.req.id).copied().unwrap_or(0);
-                victim.job.checkpointed_tokens = snap;
-                self.requeued_tokens += victim.generated.saturating_sub(snap);
-                self.waiting_tokens += victim.job.req.total_tokens();
-                self.waiting.push_front(victim.job);
-            }
+    /// Admit the queue head if a decode slot is free and the KV strategy
+    /// takes it, one admission per step so the caller's limit is
+    /// re-checked between back-to-back admissions. A fresh job runs its
+    /// prefill, whose last forward pass emits the first output token. A
+    /// job carrying a host snapshot (an orphan of a killed card, or a
+    /// preempted runner) is restored over DMA instead, and resumes
+    /// mid-decode at its snapshot.
+    fn admit(&mut self) -> Result<bool, ServingError> {
+        if self.running.len() >= self.cfg.max_batch {
+            return Ok(false);
+        }
+        let Some(front) = self.waiting.front() else {
+            return Ok(false);
+        };
+        let (r, snap) = (&front.req, front.checkpointed_tokens);
+        let fits = if snap > 0 {
+            self.kv
+                .try_restore(r.id, r.prompt_len, r.output_len, snap)
+                .is_ok()
+        } else {
+            self.kv.try_admit(r.id, r.prompt_len, r.output_len).is_ok()
+        };
+        if !fits {
+            // FIFO backpressure: wait for retirements, never starve or
+            // reorder past the queue head.
+            self.report.backpressure_stalls += 1;
             debug_assert!(
                 !self.running.is_empty(),
-                "a lone runner can always grow (pre-scan bounds its total)"
+                "an idle engine always admits a pre-validated request"
             );
+            return Ok(false);
+        }
+        let job = self.waiting.pop_front().expect("front checked");
+        self.waiting_tokens -= job.req.total_tokens();
+        let queue_ms = self.clock_ms - job.submitted_ms();
+        let (mut c, warmup, prefill_len) = self.price_admission(&job)?;
+        // Deadline-aware admission: a request whose first token could only
+        // land past the TTFT SLO is dropped before wasting the engine time
+        // — the load-shedding analogue of a server's "estimated wait
+        // exceeds timeout" check.
+        let ttft_ms = self.clock_ms + c.ms + warmup - job.req.arrival_ms();
+        if self
+            .cfg
+            .robustness
+            .ttft_deadline_ms
+            .is_some_and(|d| ttft_ms > d)
+        {
+            self.kv.release(job.req.id)?;
+            let at = self.clock_ms;
+            self.drop_job(job, DropKind::TimedOut, at, 0);
+            return Ok(true);
+        }
+        let generated = if snap > 0 {
+            self.record("kv_restore", &c);
+            self.report.restore_ms += c.ms;
+            self.report.recovered_tokens += snap as u64;
+            // The restored chain is (again) this replica's latest snapshot.
+            self.snapshots.insert(job.req.id, snap);
+            snap
+        } else {
+            // First use of this prefill shape on this replica: the host
+            // compiles a recipe before launch. Wall time only — no engine
+            // is busy during a host compile.
+            c.ms += self.recipes.charge(Phase::Prefill, 1, prefill_len);
+            self.report.scheduled_tokens += prefill_len;
+            self.report.padded_tokens += prefill_len - job.req.prompt_len;
+            self.record("prefill", &c);
+            self.report.prefills += 1;
+            1
+        };
+        let mut a = Active::new(job, generated, queue_ms, ttft_ms, self.clock_ms);
+        // Only a single-token request finishes here: a snapshot is always
+        // strictly mid-decode (running never holds finished chains at a
+        // boundary).
+        if generated == a.job.req.output_len {
+            a.outcome.finish_ms = self.clock_ms;
+            self.retire(a)?;
+        } else {
+            self.running.push(a);
+            let r = &mut self.report;
+            r.peak_running = r.peak_running.max(self.running.len());
+        }
+        Ok(true)
+    }
 
-            let batch = self.running.len();
-            // Decode batches are padded up to the recipe batch bucket
-            // (capped at the slot count): coarser buckets mean fewer
-            // distinct recipes but more dead slots per step.
-            let priced_batch = self
-                .cfg
-                .recipes
-                .bucketed_batch(batch)
-                .min(self.cfg.max_batch);
-            let max_ctx = self.running.iter().map(|a| a.ctx).max().unwrap_or(1);
-            let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
-            let mut c = self.cost.decode(priced_batch, max_ctx)?.scaled(factor);
-            let ctx_len = self.cost.bucketed(max_ctx);
-            c.ms += self.recipes.charge(Phase::Decode, priced_batch, ctx_len);
-            let live: usize = self.running.iter().map(|a| a.ctx).sum();
-            self.scheduled_tokens += priced_batch * ctx_len;
-            self.padded_tokens += priced_batch * ctx_len - live;
-            self.record("decode", &c);
-            self.decode_steps += 1;
+    /// Price admitting `job` at the clock, stretched by any slowdown window
+    /// it starts in, as `(cost, peeked warmup, bucketed prefill length)`.
+    /// A restore copies the whole checkpointed chain — prompt KV plus the
+    /// snapshotted decode tokens — back from host: a copy, not a compiled
+    /// graph, so it has no warmup, and the cold-cache recompiles still
+    /// land on the first prefill/decode shapes. A prefill's recipe warmup
+    /// is *peeked*, not charged: a dropped request must not warm the cache.
+    fn price_admission(&mut self, job: &Job) -> Result<(PhaseCost, f64, usize), ServingError> {
+        let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
+        let (prompt, snap) = (job.req.prompt_len, job.checkpointed_tokens);
+        if snap > 0 {
+            return Ok((self.kv_copy(prompt + snap).1.scaled(factor), 0.0, 0));
+        }
+        let c = self.cost.prefill(1, prompt)?.scaled(factor);
+        let len = self.cost.bucketed(prompt);
+        Ok((c, self.recipes.warmup_ms(Phase::Prefill, 1, len), len))
+    }
 
+    /// One decode step advances every running request by one token;
+    /// requests that reach their output length retire, and unfinished ones
+    /// past their end-to-end deadline are cancelled.
+    fn decode(&mut self) -> Result<bool, ServingError> {
+        if self.running.is_empty() {
+            return Ok(false);
+        }
+        self.grow_or_preempt()?;
+        // Decode batches are padded up to the recipe batch bucket (capped
+        // at the slot count): coarser buckets mean fewer distinct recipes
+        // but more dead slots per step.
+        let priced_batch = self
+            .cfg
+            .recipes
+            .bucketed_batch(self.running.len())
+            .min(self.cfg.max_batch);
+        let max_ctx = self.running.iter().map(|a| a.ctx).max().unwrap_or(1);
+        let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
+        let mut c = self.cost.decode(priced_batch, max_ctx)?.scaled(factor);
+        let ctx_len = self.cost.bucketed(max_ctx);
+        c.ms += self.recipes.charge(Phase::Decode, priced_batch, ctx_len);
+        let live: usize = self.running.iter().map(|a| a.ctx).sum();
+        self.report.scheduled_tokens += priced_batch * ctx_len;
+        self.report.padded_tokens += priced_batch * ctx_len - live;
+        self.record("decode", &c);
+        self.report.decode_steps += 1;
+
+        let mut i = 0;
+        while i < self.running.len() {
+            let a = &mut self.running[i];
+            a.generated += 1;
+            a.ctx += 1;
+            a.outcome.token_times_ms.push(self.clock_ms);
+            if a.generated == a.job.req.output_len {
+                let mut finished = self.running.swap_remove(i);
+                finished.outcome.finish_ms = self.clock_ms;
+                self.retire(finished)?;
+            } else {
+                i += 1;
+            }
+        }
+        // Cancel unfinished requests that already blew their e2e deadline
+        // — their KV pages back the queue instead of feeding tokens nobody
+        // is waiting for.
+        if let Some(d) = self.cfg.robustness.deadline_ms {
             let mut i = 0;
             while i < self.running.len() {
-                let a = &mut self.running[i];
-                a.generated += 1;
-                a.ctx += 1;
-                a.outcome.token_times_ms.push(self.clock_ms);
-                if a.generated == a.job.req.output_len {
-                    let mut finished = self.running.swap_remove(i);
-                    finished.outcome.finish_ms = self.clock_ms;
-                    self.retire(finished)?;
+                if self.clock_ms - self.running[i].outcome.arrival_ms > d {
+                    let a = self.running.swap_remove(i);
+                    self.kv.release(a.job.req.id)?;
+                    let at = self.clock_ms;
+                    self.drop_job(a.job, DropKind::TimedOut, at, a.generated);
                 } else {
                     i += 1;
                 }
             }
-            // Cancel unfinished requests that already blew their e2e
-            // deadline — their KV pages back the queue instead of feeding
-            // tokens nobody is waiting for.
-            if let Some(d) = self.cfg.robustness.deadline_ms {
-                let mut i = 0;
-                while i < self.running.len() {
-                    if self.clock_ms - self.running[i].outcome.arrival_ms > d {
-                        let a = self.running.swap_remove(i);
-                        self.kv.release(a.job.req.id)?;
-                        let at = self.clock_ms;
-                        self.drop_job(a.job, DropKind::TimedOut, at, a.generated);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            return Ok(true);
         }
+        Ok(true)
+    }
 
-        // Idle: jump to the next dispatched arrival, if it precedes the
-        // limit (the event loop owns anything past it).
-        if self.running.is_empty() && self.waiting.is_empty() {
-            if let Some(next) = self.pending.front() {
-                let target = self.clock_ms.max(next.submitted_ms());
-                if target < limit_ms {
-                    self.clock_ms = target;
-                    return Ok(true);
-                }
+    /// Give every runner the KV slot for the token this decode step
+    /// produces. Contiguous admission pre-reserved it; the paged pool can
+    /// run dry, in which case the newest admissions are evicted back to the
+    /// head of the queue — tokens past their snapshot discarded and
+    /// recomputed on re-admission (no KV migration is modeled), vLLM's
+    /// recompute preemption. The loop terminates: every failure shrinks
+    /// the batch by one, and the pre-scan guarantees a lone runner always
+    /// fits to completion.
+    fn grow_or_preempt(&mut self) -> Result<(), ServingError> {
+        let mut g = 0;
+        while g < self.running.len() {
+            if self.kv.grow(self.running[g].job.req.id).is_ok() {
+                g += 1;
+                continue;
             }
+            let victim = self.running.pop().expect("running is non-empty");
+            let job = self.evict(victim)?;
+            self.report.preemptions += 1;
+            self.waiting_tokens += job.req.total_tokens();
+            self.waiting.push_front(job);
         }
-        Ok(false)
+        debug_assert!(
+            !self.running.is_empty(),
+            "a lone runner can always grow (pre-scan bounds its total)"
+        );
+        Ok(())
+    }
+
+    /// Idle with nothing queued: jump to the next dispatched arrival, if it
+    /// precedes the limit (the event loop owns anything past it).
+    fn idle(&mut self, limit_ms: f64) -> bool {
+        if !self.waiting.is_empty() {
+            return false;
+        }
+        let Some(next) = self.pending.front() else {
+            return false;
+        };
+        let target = self.clock_ms.max(next.submitted_ms());
+        if target < limit_ms {
+            self.clock_ms = target;
+        }
+        target < limit_ms
     }
 
     /// Kill the replica at `at_ms`: every unfinished request — in-flight,
     /// queued, or dispatched-but-unarrived — is returned for the
-    /// coordinator to re-dispatch. In-flight work loses its generated
-    /// tokens (the simulator models no KV-cache migration).
+    /// coordinator to re-dispatch. In-flight work is evicted: it loses the
+    /// tokens generated since its last snapshot (the simulator models no
+    /// KV-cache migration).
     fn halt(&mut self, at_ms: f64) -> Result<Vec<Job>, ServingError> {
         self.up = false;
         self.down_since = Some(at_ms);
-        self.kills += 1;
-        let mut orphans = Vec::new();
-        for mut a in self.running.drain(..).collect::<Vec<_>>() {
-            // An in-flight chain with a host snapshot loses only the
-            // tokens generated since the snapshot; the orphan carries the
-            // snapshot position so its retry restores instead of
-            // recomputing.
-            let snap = self.snapshots.get(&a.job.req.id).copied().unwrap_or(0);
-            a.job.checkpointed_tokens = snap;
-            self.requeued_tokens += a.generated.saturating_sub(snap);
-            self.kv.release(a.job.req.id)?;
-            orphans.push(a.job);
-        }
+        self.report.failed_replicas += 1;
+        let mut orphans = std::mem::take(&mut self.running)
+            .into_iter()
+            .map(|a| self.evict(a))
+            .collect::<Result<Vec<_>, _>>()?;
         orphans.extend(self.waiting.drain(..));
         orphans.extend(self.pending.drain(..));
         self.waiting_tokens = 0;
-        for j in &orphans {
-            self.outstanding_tokens = self.outstanding_tokens.saturating_sub(j.req.total_tokens());
-        }
-        debug_assert_eq!(self.outstanding_tokens, 0, "halt drains all work");
         Ok(orphans)
     }
 
@@ -1050,19 +941,19 @@ impl<'a> Replica<'a> {
         self.down_ms += at_ms - since;
         self.up = true;
         self.clock_ms = self.clock_ms.max(at_ms);
-        self.restarts += 1;
-        self.compiled_graphs_retired += self.cost.compiled_graphs();
+        self.report.restarts += 1;
+        self.report.compiled_graphs += self.cost.compiled_graphs();
         self.cost = cost;
         // The restarted process also lost its compiled recipes: every
         // shape pays warmup again, and the compiles already charged stay
         // in the report's total.
-        self.recipe_compiles_retired += self.recipes.compiles();
+        self.report.recipe_compiles += self.recipes.compiles();
         self.recipes = RecipeCache::new(&self.cfg.recipes);
     }
 
     /// Consume the replica into its one-card [`Tally`].
     fn finalize(self) -> Tally {
-        let retries: usize = self
+        let retries = self
             .completed
             .iter()
             .map(|o| o.retries as usize)
@@ -1072,42 +963,20 @@ impl<'a> Replica<'a> {
                 .iter()
                 .map(|d| d.retries as usize)
                 .sum::<usize>();
+        let mut report = self.report;
+        report.offered = self.completed.len() + self.dropped.len();
+        report.makespan_ms = self.clock_ms;
+        report.kv_peak_bytes = self.kv.peak();
+        report.kv_capacity_bytes = self.kv.capacity();
+        report.compiled_graphs += self.cost.compiled_graphs();
+        report.recipe_compiles += self.recipes.compiles();
+        report.devices = 1;
+        report.retries = retries;
         Tally {
-            report: ServingReport {
-                offered: self.completed.len() + self.dropped.len(),
-                makespan_ms: self.clock_ms,
-                decode_steps: self.decode_steps,
-                prefills: self.prefills,
-                backpressure_stalls: self.backpressure_stalls,
-                max_queue_depth: self.max_queue_depth,
-                peak_queued_tokens: self.peak_queued_tokens,
-                kv_peak_bytes: self.kv.peak(),
-                kv_capacity_bytes: self.kv.capacity(),
-                compiled_graphs: self.compiled_graphs_retired + self.cost.compiled_graphs(),
-                recipe_compiles: self.recipe_compiles_retired + self.recipes.compiles(),
-                preemptions: self.preemptions,
-                peak_running: self.peak_running,
-                scheduled_tokens: self.scheduled_tokens,
-                padded_tokens: self.padded_tokens,
-                devices: 1,
-                retries,
-                requeued_tokens: self.requeued_tokens,
-                checkpoint_bytes: self.checkpoint_bytes,
-                restore_ms: self.restore_ms,
-                recovered_tokens: self.recovered_tokens,
-                failed_replicas: self.kills,
-                restarts: self.restarts,
-                trace: self.trace,
-                ..ServingReport::default()
-            },
+            report,
             completed: vec![self.completed],
             dropped: vec![self.dropped],
-            busy_ns: [
-                self.mme_busy_ns,
-                self.tpc_busy_ns,
-                self.dma_busy_ns,
-                self.nic_busy_ns,
-            ],
+            busy_ns: self.busy_ns,
             kv_block_utilization: self.kv.utilization_at_peak(),
             cards: vec![CardTime {
                 down_ms: self.down_ms,
@@ -1411,8 +1280,7 @@ fn record_fault_lanes(trace: &mut Trace, faults: &FaultPlan, devices: usize, mak
 /// execution (each advanced to quiescence below the next event), fault
 /// transitions (kills halt and orphan; restarts rejoin the pool with a
 /// cold recipe cache), and live dispatch (arrivals and backoff-delayed
-/// retries routed to a live replica — round-robin for fresh work, the
-/// configured [`RedistributionPolicy`] for orphans). The loop is
+/// retries routed round-robin to a live replica). The loop is
 /// single-threaded on purpose: every interleaving decision is a pure
 /// function of the configuration, so the result is bit-identical across
 /// [`ExecPolicy`]s.
@@ -1497,7 +1365,7 @@ fn simulate_box(
             for job in replicas[d].halt(t)? {
                 let attempt = job.retries + 1;
                 if attempt > cfg.robustness.max_retries {
-                    replicas[d].record_failure(job, t);
+                    replicas[d].drop_job(job, DropKind::Failed, t, 0);
                 } else {
                     let delay = cfg.robustness.backoff_delay_ms(job.req.id, attempt);
                     let j = job.requeued(t + delay);
@@ -1516,7 +1384,7 @@ fn simulate_box(
                 break;
             }
             let (_, job) = disp.pop().expect("key just observed");
-            match pick_replica(cfg, &replicas, &mut rr_next, &job) {
+            match pick_replica(&replicas, &mut rr_next) {
                 Some(d) => {
                     replicas[d].enqueue(job);
                     ready[d] = true;
@@ -1543,30 +1411,16 @@ fn simulate_box(
     Ok(replicas.into_iter().map(Replica::finalize).collect())
 }
 
-/// Choose a live replica for `job`, or `None` if the whole pool is down.
-/// Fresh arrivals always round-robin over the live replicas (mirroring
-/// the fault-free sharding); orphan re-dispatch follows the configured
-/// [`RedistributionPolicy`].
-fn pick_replica(
-    cfg: &ServingConfig,
-    replicas: &[Replica],
-    rr_next: &mut usize,
-    job: &Job,
-) -> Option<usize> {
-    if job.retries > 0 && cfg.redistribution == RedistributionPolicy::LeastLoaded {
-        return (0..replicas.len())
-            .filter(|&d| replicas[d].up)
-            .min_by_key(|&d| (replicas[d].outstanding_tokens, d));
-    }
+/// Choose the next live replica round-robin, or `None` if the whole pool
+/// is down. Fresh arrivals and orphans share one rotation, mirroring the
+/// fault-free sharding.
+fn pick_replica(replicas: &[Replica], rr_next: &mut usize) -> Option<usize> {
     let n = replicas.len();
-    for i in 0..n {
-        let d = (*rr_next + i) % n;
-        if replicas[d].up {
-            *rr_next = (d + 1) % n;
-            return Some(d);
-        }
-    }
-    None
+    let d = (0..n)
+        .map(|i| (*rr_next + i) % n)
+        .find(|&d| replicas[d].up)?;
+    *rr_next = (d + 1) % n;
+    Some(d)
 }
 
 /// Append one trace event per busy engine for a phase, so the report's
@@ -1609,7 +1463,6 @@ mod tests {
             opts: CompilerOptions::default(),
             devices: 1,
             faults: FaultPlan::none(),
-            redistribution: RedistributionPolicy::default(),
             robustness: RobustnessConfig::default(),
             kv_admission: KvAdmissionConfig::default(),
             activation_budget: ActivationBudget::default(),
@@ -1737,7 +1590,7 @@ mod tests {
     }
 
     /// Everything a `step` can change on a replica: its clock, queues,
-    /// runners, terminal records, gauges and checkpoint schedule.
+    /// runners, terminal records, counters, trace and checkpoint schedule.
     fn observe(r: &Replica) -> String {
         let ids = |q: &VecDeque<Job>| q.iter().map(|j| j.req.id).collect::<Vec<_>>();
         format!(
@@ -1750,8 +1603,7 @@ mod tests {
                     .map(|a| (a.job.req.id, a.generated))
                     .collect::<Vec<_>>(),
                 (r.completed.len(), r.dropped.len()),
-                (r.max_queue_depth, r.peak_queued_tokens),
-                r.backpressure_stalls,
+                (&r.report, r.busy_ns),
             )
         )
     }
@@ -1987,25 +1839,18 @@ mod tests {
     }
 
     #[test]
-    fn both_redistribution_policies_complete_everything() {
+    fn orphans_round_robin_onto_the_survivors_and_complete() {
         // Saturate arrivals so every replica holds queued work when the
         // kill lands mid-run — otherwise the victim might die idle and
         // orphan nothing.
-        let mut base = tiny_config();
-        base.traffic.arrival_rate_per_s = 1e6;
-        base.devices = 3;
-        let kill_at = simulate(&base).unwrap().makespan_ms * 0.3;
-        for policy in [
-            RedistributionPolicy::RoundRobin,
-            RedistributionPolicy::LeastLoaded,
-        ] {
-            let mut cfg = base.clone();
-            cfg.redistribution = policy;
-            cfg.faults = FaultPlan::none().kill(DeviceId(2), kill_at);
-            let r = simulate(&cfg).unwrap();
-            assert_eq!(r.completed.len(), 30, "{policy:?} dropped requests");
-            assert!(r.retries > 0);
-        }
+        let mut cfg = tiny_config();
+        cfg.traffic.arrival_rate_per_s = 1e6;
+        cfg.devices = 3;
+        let kill_at = simulate(&cfg).unwrap().makespan_ms * 0.3;
+        cfg.faults = FaultPlan::none().kill(DeviceId(2), kill_at);
+        let r = simulate(&cfg).unwrap();
+        assert_eq!(r.completed.len(), 30, "orphans must not be dropped");
+        assert!(r.retries > 0);
     }
 
     #[test]

@@ -1,22 +1,23 @@
-//! Serving-side fault handling: jobs, retries, and orphan re-dispatch.
+//! Serving-side fault handling: the [`Job`], one scheduling attempt of a
+//! request.
 //!
-//! The hardware layer says *what* fails ([`gaudi_hw::FaultPlan`]); this
-//! module says what the scheduler does about it. When a replica dies, every
-//! request it had not finished — in-flight, queued, or not yet arrived —
-//! becomes an **orphan**: a [`Job`] whose `submitted_us` is bumped to the
-//! failure time plus its backoff delay and whose retry count is
-//! incremented. The engine's event loop re-dispatches orphans *live*, onto
-//! whichever replicas are up when the backoff expires — round-robin or
-//! least-loaded, per the [`RedistributionPolicy`] — so a replica that
-//! restarts mid-run takes new work the moment it is back. Without KV
-//! checkpointing, tokens the dead card had already generated are lost and
-//! regenerated from scratch — exactly the goodput cost the availability
-//! metrics in [`crate::ServingReport`] quantify. With a
+//! The hardware layer says *what* fails ([`gaudi_hw::FaultPlan`]); the
+//! engine decides what the scheduler does about it. When a replica dies,
+//! every request it had not finished — in-flight, queued, or not yet
+//! arrived — becomes an **orphan**: a [`Job`] whose `submitted_us` is
+//! bumped to the failure time plus its backoff delay and whose retry count
+//! is incremented. The engine's event loop re-dispatches orphans *live*,
+//! round-robin onto whichever replicas are up when the backoff expires, so
+//! a replica that restarts mid-run takes new work the moment it is back.
+//! Without KV checkpointing, tokens the dead card had already generated
+//! are lost and regenerated from scratch — exactly the goodput cost the
+//! availability metrics in [`crate::ServingReport`] quantify. With a
 //! [`CheckpointPolicy`](crate::CheckpointPolicy), an orphan carries the
 //! generated-token count of its last host-side snapshot
 //! ([`Job::checkpointed_tokens`]), and the retry restores that many tokens
 //! over DMA instead of re-running prefill plus the snapshotted decode
-//! steps.
+//! steps. A runner the paged KV pool preempts carries its snapshot the
+//! same way.
 
 use crate::request::Request;
 
@@ -36,9 +37,9 @@ pub struct Job {
     /// Completed (failed) scheduling attempts before this one.
     pub retries: u32,
     /// Generated tokens captured by the request's last KV snapshot, if its
-    /// previous attempt was checkpointed before the replica died. Zero for
-    /// fresh jobs and for orphans that never reached a checkpoint: the
-    /// attempt recomputes from scratch.
+    /// previous attempt was checkpointed before the replica died or a paged
+    /// preemption evicted it. Zero for fresh jobs and for evictions that
+    /// never reached a checkpoint: the attempt recomputes from scratch.
     pub checkpointed_tokens: usize,
 }
 
@@ -67,20 +68,6 @@ impl Job {
         self.retries += 1;
         self
     }
-}
-
-/// How orphaned jobs from a dead replica spread over the live replicas
-/// when their backoff expires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RedistributionPolicy {
-    /// Cycle through live replicas in device order, one orphan each — the
-    /// stateless default, mirroring the fresh-arrival round-robin.
-    #[default]
-    RoundRobin,
-    /// Send each orphan to the live replica with the least outstanding
-    /// token work at dispatch time, ties broken by lowest device index.
-    /// Deterministic and load-aware.
-    LeastLoaded,
 }
 
 #[cfg(test)]

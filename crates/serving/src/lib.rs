@@ -80,7 +80,7 @@ pub use engine::{
     PlanSharing, ServingConfig, ServingConfigBuilder,
 };
 pub use error::ServingError;
-pub use fault::{Job, RedistributionPolicy};
+pub use fault::Job;
 pub use gaudi_exec::ExecPool;
 pub use gaudi_hw::fault::{FaultCampaign, FaultError, FaultPlan};
 pub use kv::{ActivationBudget, ContiguousKv, KvAccountant, KvAdmission, KvAdmissionConfig};

@@ -62,8 +62,8 @@ pub mod prelude {
     pub use gaudi_runtime::{Feeds, MultiRunReport, NumericsMode, RunReport, Runtime};
     pub use gaudi_serving::{
         ActivationBudget, CheckpointPolicy, DropKind, DroppedRequest, ExecPolicy,
-        KvAdmissionConfig, PlanCache, PlanSharing, RecipeConfig, RedistributionPolicy,
-        RobustnessConfig, ServingConfig, ServingConfigBuilder, ServingReport, TrafficConfig,
+        KvAdmissionConfig, PlanCache, PlanSharing, RecipeConfig, RobustnessConfig, ServingConfig,
+        ServingConfigBuilder, ServingReport, TrafficConfig,
     };
     pub use gaudi_tensor::{DType, SeededRng, Shape, Tensor};
 }
