@@ -286,11 +286,10 @@ pub fn simulate_cluster_with(
             cfg.oversubscription
         )));
     }
-    if cfg.box_config.traffic.num_requests == 0 {
-        return Err(ServingError::InvalidConfig(
-            "traffic.num_requests must be positive".into(),
-        ));
-    }
+    cfg.box_config
+        .traffic
+        .validate()
+        .map_err(ServingError::InvalidConfig)?;
 
     let topo = cfg.topology();
     let mut requests = generate_requests(&cfg.box_config.traffic);

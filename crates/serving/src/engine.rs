@@ -1012,11 +1012,9 @@ pub fn simulate_with(
     cfg: &ServingConfig,
     policy: &ExecPolicy,
 ) -> Result<ServingReport, ServingError> {
-    if cfg.traffic.num_requests == 0 {
-        return Err(ServingError::InvalidConfig(
-            "traffic.num_requests must be positive".into(),
-        ));
-    }
+    cfg.traffic
+        .validate()
+        .map_err(ServingError::InvalidConfig)?;
     simulate_trace_with(cfg, generate_requests(&cfg.traffic), policy)
 }
 
@@ -1078,12 +1076,23 @@ fn check_ctx_bucket(cfg: &ServingConfig) -> Result<(), ServingError> {
     Ok(())
 }
 
-/// Request ids key the KV reservations, the host snapshots and the
-/// dispatch calendar, and the report orders its records by them, so a
-/// trace must not repeat one. Checked by sorting, not hashing: ids can
-/// come from the caller, and a generated trace lists them in order
-/// already.
-fn check_unique_ids(requests: &[Request]) -> Result<(), ServingError> {
+/// A request needs a prompt to prefill and an output of at least the one
+/// token its prefill emits: admission starts it at one generated token,
+/// so an empty output would never retire. Request ids key the KV
+/// reservations, the host snapshots and the dispatch calendar, and the
+/// report orders its records by them, so a trace must not repeat one.
+/// Checked by sorting, not hashing: ids can come from the caller, and a
+/// generated trace lists them in order already.
+fn check_requests(requests: &[Request]) -> Result<(), ServingError> {
+    if let Some(r) = requests
+        .iter()
+        .find(|r| r.prompt_len == 0 || r.output_len == 0)
+    {
+        return Err(ServingError::InvalidConfig(format!(
+            "request {} needs a prompt and an output of at least one token, got {} and {}",
+            r.id, r.prompt_len, r.output_len
+        )));
+    }
     let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
     ids.sort_unstable();
     match ids.windows(2).find(|w| w[0] == w[1]) {
@@ -1134,7 +1143,7 @@ pub(crate) fn simulate_records(
         .validate()
         .map_err(ServingError::InvalidConfig)?;
 
-    check_unique_ids(&requests)?;
+    check_requests(&requests)?;
     requests.sort_by_key(|r| (r.arrival_us, r.id));
 
     // One compile context shared by every replica of this call.
@@ -2399,6 +2408,89 @@ mod tests {
         assert!(invalid(
             crate::cluster::simulate_cluster(&cluster).map(drop)
         ));
+    }
+
+    #[test]
+    fn zero_token_requests_are_a_config_error_under_both_admissions() {
+        for kv_admission in [KvAdmissionConfig::default(), KvAdmissionConfig::paged()] {
+            let cfg = ServingConfig {
+                kv_admission,
+                ..tiny_config()
+            };
+            for (prompt_len, output_len) in [(0, 4), (8, 0)] {
+                let req = Request {
+                    id: 0,
+                    arrival_us: 0,
+                    prompt_len,
+                    output_len,
+                };
+                assert!(
+                    matches!(
+                        simulate_trace(&cfg, vec![req]),
+                        Err(ServingError::InvalidConfig(_))
+                    ),
+                    "{:?} prompt {prompt_len} output {output_len}",
+                    cfg.kv_admission
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_traffic_is_a_config_error_at_both_entry_points() {
+        let ok = tiny_config().traffic;
+        let cases = [
+            TrafficConfig {
+                num_requests: 0,
+                ..ok.clone()
+            },
+            TrafficConfig {
+                arrival_rate_per_s: 0.0,
+                ..ok.clone()
+            },
+            TrafficConfig {
+                arrival_rate_per_s: -5.0,
+                ..ok.clone()
+            },
+            TrafficConfig {
+                arrival_rate_per_s: f64::NAN,
+                ..ok.clone()
+            },
+            TrafficConfig {
+                prompt_range: (0, 64),
+                ..ok.clone()
+            },
+            TrafficConfig {
+                prompt_range: (64, 8),
+                ..ok.clone()
+            },
+            TrafficConfig {
+                output_range: (0, 16),
+                ..ok.clone()
+            },
+            TrafficConfig {
+                output_range: (16, 4),
+                ..ok.clone()
+            },
+            TrafficConfig {
+                zipf_s: f64::NAN,
+                ..ok.clone()
+            },
+            TrafficConfig {
+                zipf_s: f64::NEG_INFINITY,
+                ..ok
+            },
+        ];
+        let invalid = |r: Result<_, ServingError>| matches!(r, Err(ServingError::InvalidConfig(_)));
+        for traffic in cases {
+            let cfg = tiny_config().to_builder().traffic(traffic.clone()).build();
+            assert!(invalid(simulate(&cfg).map(drop)), "simulate: {traffic:?}");
+            let cluster = crate::cluster::ClusterConfig::new(cfg, 2, 1);
+            assert!(
+                invalid(crate::cluster::simulate_cluster(&cluster).map(drop)),
+                "simulate_cluster: {traffic:?}"
+            );
+        }
     }
 
     #[test]

@@ -69,16 +69,50 @@ impl Default for TrafficConfig {
     }
 }
 
+impl TrafficConfig {
+    /// Reject a stream the generator cannot draw: no requests, an arrival
+    /// rate that is not positive, a length range that starts at zero or is
+    /// reversed, or a Zipf exponent that is NaN or negative (a negative one
+    /// is no Zipf law, and a large one overflows the length CDF).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.num_requests == 0 {
+            return Err("traffic.num_requests must be positive".into());
+        }
+        let rate = self.arrival_rate_per_s;
+        if rate.is_nan() || rate <= 0.0 {
+            return Err(format!(
+                "traffic.arrival_rate_per_s must be > 0, got {rate}"
+            ));
+        }
+        for (name, (lo, hi)) in [
+            ("prompt_range", self.prompt_range),
+            ("output_range", self.output_range),
+        ] {
+            if lo == 0 || lo > hi {
+                return Err(format!(
+                    "traffic.{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})"
+                ));
+            }
+        }
+        if self.zipf_s.is_nan() || self.zipf_s < 0.0 {
+            return Err(format!("traffic.zipf_s must be >= 0, got {}", self.zipf_s));
+        }
+        Ok(())
+    }
+}
+
 /// Generate the full request trace for a configuration, sorted by arrival.
+///
+/// # Panics
+///
+/// If there are requests to draw and [`TrafficConfig::validate`] rejects
+/// `cfg`; the simulation entry points validate first and return the error.
 pub fn generate_requests(cfg: &TrafficConfig) -> Vec<Request> {
-    assert!(
-        cfg.arrival_rate_per_s > 0.0,
-        "arrival rate must be positive"
-    );
+    if cfg.num_requests > 0 {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    }
     let (p_lo, p_hi) = cfg.prompt_range;
     let (o_lo, o_hi) = cfg.output_range;
-    assert!(0 < p_lo && p_lo <= p_hi, "bad prompt range");
-    assert!(0 < o_lo && o_lo <= o_hi, "bad output range");
 
     let mut rng = SeededRng::new(cfg.seed);
     let prompt_zipf = ZipfSampler::new(p_hi - p_lo + 1, cfg.zipf_s);
