@@ -897,20 +897,18 @@ impl<'a> Replica<'a> {
         Ok(())
     }
 
-    /// Idle with nothing queued: jump to the next dispatched arrival, if it
-    /// precedes the limit (the event loop owns anything past it).
+    /// With nothing running or queued, jump to the next dispatched arrival
+    /// if it precedes the limit (the event loop owns anything past it).
     fn idle(&mut self, limit_ms: f64) -> bool {
-        if !self.waiting.is_empty() {
-            return false;
+        let idle = self.running.is_empty() && self.waiting.is_empty();
+        let target = self.pending.front().filter(|_| idle);
+        match target.map(|j| self.clock_ms.max(j.submitted_ms())) {
+            Some(t) if t < limit_ms => {
+                self.clock_ms = t;
+                true
+            }
+            _ => false,
         }
-        let Some(next) = self.pending.front() else {
-            return false;
-        };
-        let target = self.clock_ms.max(next.submitted_ms());
-        if target < limit_ms {
-            self.clock_ms = target;
-        }
-        target < limit_ms
     }
 
     /// Kill the replica at `at_ms`: every unfinished request — in-flight,
