@@ -108,9 +108,10 @@ impl TrafficConfig {
 /// If there are requests to draw and [`TrafficConfig::validate`] rejects
 /// `cfg`; the simulation entry points validate first and return the error.
 pub fn generate_requests(cfg: &TrafficConfig) -> Vec<Request> {
-    if cfg.num_requests > 0 {
-        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    if cfg.num_requests == 0 {
+        return Vec::new();
     }
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     let (p_lo, p_hi) = cfg.prompt_range;
     let (o_lo, o_hi) = cfg.output_range;
 
