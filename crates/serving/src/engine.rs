@@ -2476,6 +2476,11 @@ mod tests {
             },
             TrafficConfig {
                 zipf_s: f64::NEG_INFINITY,
+                ..ok.clone()
+            },
+            // Positive, but its longest gaps overflow the µs arrival clock.
+            TrafficConfig {
+                arrival_rate_per_s: 1e-14,
                 ..ok
             },
         ];

@@ -71,9 +71,11 @@ impl Default for TrafficConfig {
 
 impl TrafficConfig {
     /// Reject a stream the generator cannot draw: no requests, an arrival
-    /// rate that is not positive, a length range that starts at zero or is
-    /// reversed, or a Zipf exponent that is NaN or negative (a negative one
-    /// is no Zipf law, and a large one overflows the length CDF).
+    /// rate that is not positive, or so low that `num_requests` of the
+    /// longest possible gaps would overflow the `u64` µs arrival clock, a
+    /// length range that starts at zero or is reversed, or a Zipf exponent
+    /// that is NaN or negative (a negative one is no Zipf law, and a large
+    /// one overflows the length CDF).
     pub fn validate(&self) -> Result<(), String> {
         if self.num_requests == 0 {
             return Err("traffic.num_requests must be positive".into());
@@ -82,6 +84,14 @@ impl TrafficConfig {
         if rate.is_nan() || rate <= 0.0 {
             return Err(format!(
                 "traffic.arrival_rate_per_s must be > 0, got {rate}"
+            ));
+        }
+        let worst_us = u128::from(gap_us(1.0, rate)) * self.num_requests as u128;
+        if worst_us > u128::from(u64::MAX) {
+            return Err(format!(
+                "traffic.arrival_rate_per_s {rate} is too low for {} requests: \
+                 their arrivals could overflow the µs clock",
+                self.num_requests
             ));
         }
         for (name, (lo, hi)) in [
@@ -101,7 +111,19 @@ impl TrafficConfig {
     }
 }
 
-/// Generate the full request trace for a configuration, sorted by arrival.
+/// One exponential inter-arrival gap at `rate` per second for the uniform
+/// draw `u`, quantized down to whole µs so the trace is exactly
+/// reproducible regardless of float summation order. `u` is capped just
+/// below 1, so the gap is finite, and `gap_us(1.0, rate)` is the longest
+/// one the rate can draw.
+fn gap_us(u: f64, rate: f64) -> u64 {
+    let u = u.min(1.0 - 1e-9);
+    let gap_s = -(1.0 - u).ln() / rate;
+    (gap_s * 1e6) as u64
+}
+
+/// Generate the full request trace for a configuration, sorted by arrival,
+/// with ids `0..num_requests` in arrival order.
 ///
 /// # Panics
 ///
@@ -122,11 +144,7 @@ pub fn generate_requests(cfg: &TrafficConfig) -> Vec<Request> {
     let mut t_us = 0u64;
     let mut out = Vec::with_capacity(cfg.num_requests);
     for id in 0..cfg.num_requests as u64 {
-        // Exponential inter-arrival gap, quantized to microseconds so the
-        // trace is exactly reproducible regardless of float summation order.
-        let u = (rng.uniform() as f64).min(1.0 - 1e-9);
-        let gap_s = -(1.0 - u).ln() / cfg.arrival_rate_per_s;
-        t_us += (gap_s * 1e6) as u64;
+        t_us += gap_us(rng.uniform() as f64, cfg.arrival_rate_per_s);
         out.push(Request {
             id,
             arrival_us: t_us,
@@ -177,6 +195,24 @@ mod tests {
         let span_s = reqs.last().unwrap().arrival_us as f64 / 1e6;
         let measured = reqs.len() as f64 / span_s;
         assert!((measured - 10.0).abs() < 1.0, "measured rate {measured}");
+    }
+
+    #[test]
+    fn a_rate_too_low_for_the_arrival_clock_is_rejected() {
+        // The longest gap at 1e-6 req/s is ~2.1e13 µs, so about 890k of
+        // them fit the µs clock: the bound admits exactly that many.
+        let low = |num_requests| TrafficConfig {
+            arrival_rate_per_s: 1e-6,
+            num_requests,
+            ..TrafficConfig::default()
+        };
+        let longest = gap_us(1.0, 1e-6);
+        let fits = (u64::MAX / longest) as usize;
+        assert!(low(fits).validate().is_ok());
+        assert!(low(fits + 1).validate().is_err());
+        let reqs = generate_requests(&low(3));
+        assert!(reqs.windows(2).all(|w| w[0].arrival_us <= w[1].arrival_us));
+        assert!(reqs.iter().all(|r| r.arrival_us <= 3 * longest));
     }
 
     #[test]
