@@ -35,7 +35,7 @@
 use crate::engine::{simulate_records, ExecPolicy, ServingConfig};
 use crate::error::ServingError;
 use crate::idhash::splitmix64;
-use crate::report::{ServingReport, Tally};
+use crate::report::{Ranks, Records, ServingReport, Tally};
 use crate::request::{generate_requests, Request};
 use gaudi_hw::Topology;
 
@@ -263,9 +263,10 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> Result<ClusterReport, ServingErr
 }
 
 /// [`simulate_cluster`] under an explicit [`ExecPolicy`]: boxes fan out
-/// across the policy's pool (each box simulates serially inline, so an
-/// N-box cluster never nests fan-out) and merge in box order — the report
-/// is bit-identical across policies.
+/// across the policy's pool, as many at a time as it runs at once (each
+/// box simulates serially inline, so an N-box cluster never nests
+/// fan-out), and fold in box order as each group ends — the report is
+/// bit-identical across policies.
 pub fn simulate_cluster_with(
     cfg: &ClusterConfig,
     policy: &ExecPolicy,
@@ -331,42 +332,49 @@ pub fn simulate_cluster_with(
 
     // Every box serves its shard with the full engine; boxes are
     // independent, so they are the parallel grain (serial inline within a
-    // box). Results come back in box order regardless of the pool.
+    // box). They run as many at a time as the pool runs at once, and each
+    // group folds in box order as soon as it ends: a box's summary is
+    // taken, its counters absorbed, its records moved to their final slots
+    // and its routed shard freed, so later boxes reuse that memory and no
+    // box's tally outlives its group. The first failing group surfaces its
+    // lowest-index error, which is the lowest-index error overall.
     let mut box_cfg = cfg.box_config.clone();
     box_cfg.devices = cfg.cards_per_box;
     let inner = ExecPolicy {
         pool: gaudi_exec::ExecPool::serial(),
         plans: policy.plans.clone(),
     };
-    let boxes: Vec<Tally> = policy
-        .pool
-        .try_par_map(&shards, |_, shard| -> Result<_, ServingError> {
-            simulate_records(&box_cfg, shard.clone(), &inner)
-        })?;
-    // Every box has run: free the routed requests before the fold holds
-    // every record at once.
-    drop(shards);
-
-    let per_box: Vec<BoxSummary> = boxes
-        .iter()
-        .enumerate()
-        .map(|(b, t)| BoxSummary {
-            box_id: b,
-            offered: t.report.offered,
-            completed: t.completed.iter().map(Vec::len).sum(),
-            routed_tokens: routed_tokens[b],
-            goodput_tokens_per_s: t.goodput_tokens_per_s(),
-            makespan_ms: t.report.makespan_ms,
-            availability: t.availability(),
-        })
-        .collect();
     let mut cluster = Tally::default();
-    for b in boxes {
-        cluster.absorb(b);
+    // The generator numbers the stream `0..num_requests`, so each record's
+    // slot is its id.
+    let mut records = Records::new(Ranks::Range {
+        first: 0,
+        len: cfg.box_config.traffic.num_requests,
+    });
+    let mut per_box = Vec::with_capacity(cfg.boxes);
+    for group in shards.chunks_mut(policy.pool.concurrency()) {
+        let parts = policy.pool.try_par_map(group, |_, shard| {
+            simulate_records(&box_cfg, shard.clone(), &inner).map(|(part, _)| part)
+        })?;
+        for (shard, mut part) in group.iter_mut().zip(parts) {
+            let b = per_box.len();
+            per_box.push(BoxSummary {
+                box_id: b,
+                offered: part.report.offered,
+                completed: part.completed.iter().map(Vec::len).sum(),
+                routed_tokens: routed_tokens[b],
+                goodput_tokens_per_s: part.goodput_tokens_per_s(),
+                makespan_ms: part.report.makespan_ms,
+                availability: part.availability(),
+            });
+            records.place(&mut part);
+            cluster.absorb(part);
+            *shard = Vec::new();
+        }
     }
 
     Ok(ClusterReport {
-        report: cluster.finish(),
+        report: cluster.finish(records),
         boxes: cfg.boxes,
         cards_per_box: cfg.cards_per_box,
         router: cfg.router,

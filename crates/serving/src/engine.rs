@@ -75,7 +75,9 @@ use crate::error::ServingError;
 use crate::fault::Job;
 use crate::idhash::IdMap;
 use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig};
-use crate::report::{CardTime, DropKind, DroppedRequest, RequestOutcome, ServingReport, Tally};
+use crate::report::{
+    CardTime, DropKind, DroppedRequest, Ranks, Records, RequestOutcome, ServingReport, Tally,
+};
 use crate::request::{generate_requests, Request, TrafficConfig};
 use crate::robustness::RobustnessConfig;
 use gaudi_compiler::CompilerOptions;
@@ -1080,8 +1082,9 @@ fn check_ctx_bucket(cfg: &ServingConfig) -> Result<(), ServingError> {
 /// reservations, the host snapshots and the dispatch calendar, and the
 /// report orders its records by them, so a trace must not repeat one.
 /// Checked by sorting, not hashing: ids can come from the caller, and a
-/// generated trace lists them in order already.
-fn check_requests(requests: &[Request]) -> Result<(), ServingError> {
+/// generated trace lists them in order already. The sorted ids then rank
+/// each request's record in the report.
+fn check_requests(requests: &[Request]) -> Result<Ranks, ServingError> {
     if let Some(r) = requests
         .iter()
         .find(|r| r.prompt_len == 0 || r.output_len == 0)
@@ -1098,7 +1101,7 @@ fn check_requests(requests: &[Request]) -> Result<(), ServingError> {
             "request id {} appears more than once",
             w[0]
         ))),
-        None => Ok(()),
+        None => Ok(Ranks::of_sorted(ids)),
     }
 }
 
@@ -1108,17 +1111,20 @@ pub fn simulate_trace_with(
     requests: Vec<Request>,
     policy: &ExecPolicy,
 ) -> Result<ServingReport, ServingError> {
-    Ok(simulate_records(cfg, requests, policy)?.finish())
+    let (tally, ranks) = simulate_records(cfg, requests, policy)?;
+    Ok(tally.finish(Records::new(ranks)))
 }
 
-/// One box's run as a [`Tally`] of its replicas, left for the caller to
-/// finish once: [`simulate_trace_with`] for a box on its own,
-/// [`crate::simulate_cluster_with`] after absorbing every box.
+/// One box's run as a [`Tally`] of its replicas, with the ranks of
+/// `requests`' ids, left for the caller to finish once:
+/// [`simulate_trace_with`] for a box on its own, ranking its records by
+/// those ids, and [`crate::simulate_cluster_with`] after folding every
+/// box, by the ids of the cluster's whole stream.
 pub(crate) fn simulate_records(
     cfg: &ServingConfig,
     mut requests: Vec<Request>,
     policy: &ExecPolicy,
-) -> Result<Tally, ServingError> {
+) -> Result<(Tally, Ranks), ServingError> {
     if cfg.max_batch == 0 {
         return Err(ServingError::InvalidConfig(
             "max_batch must be at least 1".into(),
@@ -1141,7 +1147,7 @@ pub(crate) fn simulate_records(
         .validate()
         .map_err(ServingError::InvalidConfig)?;
 
-    check_requests(&requests)?;
+    let ranks = check_requests(&requests)?;
     requests.sort_by_key(|r| (r.arrival_us, r.id));
 
     // One compile context shared by every replica of this call.
@@ -1232,7 +1238,7 @@ pub(crate) fn simulate_records(
         let r = &mut tally.report;
         record_fault_lanes(&mut r.trace, &cfg.faults, cfg.devices, r.makespan_ms);
     }
-    Ok(tally)
+    Ok((tally, ranks))
 }
 
 /// Append one trace lane per fault window, tagged with the device it hits:

@@ -501,19 +501,20 @@ impl CardTime {
 }
 
 /// A run not yet summarized: a [`ServingReport`] holding only counters,
-/// the records in per-card runs, and the raw inputs the gauges need.
-/// [`absorb`](Self::absorb) is the one merge (replicas into a box, boxes
-/// into a cluster) and [`finish`](Self::finish) the one derivation, run
-/// once where a public call returns a report.
+/// the records not yet placed in per-card runs, and the raw inputs the
+/// gauges need. [`absorb`](Self::absorb) is the one merge (replicas into a
+/// box, boxes into a cluster), [`Records::place`] the one move of records
+/// to their final order, and [`finish`](Self::finish) the one derivation,
+/// run once where a public call returns a report.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     /// Counters. The records, latency summaries, token rates, gauges and
     /// up-times stay empty or zero until [`finish`](Self::finish).
     pub(crate) report: ServingReport,
-    /// Completed records, one run per card in device order, each run in
-    /// completion order.
+    /// Completed records not yet placed, one run per card in device order,
+    /// each run in completion order.
     pub(crate) completed: Vec<Vec<RequestOutcome>>,
-    /// Drop records, one run per card in device order.
+    /// Drop records not yet placed, one run per card in device order.
     pub(crate) dropped: Vec<Vec<DroppedRequest>>,
     /// MME, TPC, DMA and NIC busy time summed over cards, ns.
     pub(crate) busy_ns: [f64; 4],
@@ -578,13 +579,10 @@ impl Tally {
         }
     }
 
-    fn goodput_tokens(&self) -> usize {
-        self.completed.iter().flatten().map(|o| o.output_len).sum()
-    }
-
-    /// Goodput against this tally's own makespan, tokens/s.
+    /// Goodput of the records not yet placed, against this tally's own
+    /// makespan, tokens/s.
     pub(crate) fn goodput_tokens_per_s(&self) -> f64 {
-        self.per_s(self.goodput_tokens())
+        self.per_s(self.completed.iter().flatten().map(|o| o.output_len).sum())
     }
 
     fn uptimes_ms(&self) -> Vec<f64> {
@@ -601,31 +599,27 @@ impl Tally {
         availability(&self.uptimes_ms(), self.report.makespan_ms)
     }
 
-    /// Summarize: records ordered by id, latency percentiles over the
-    /// pooled records, token rates over the makespan, each engine's
+    /// Summarize: every record placed in `records` (the runs still held
+    /// here first) and compacted into id order, latency percentiles over
+    /// the pooled records, token rates over the makespan, each engine's
     /// utilization as its busy time over `makespan × devices`, the mean
     /// per-card KV gauge, and every card's up-time.
-    pub(crate) fn finish(self) -> ServingReport {
-        let goodput = self.goodput_tokens();
-        let wasted: usize = self
-            .dropped
-            .iter()
-            .flatten()
-            .map(|d| d.tokens_generated)
-            .sum();
+    pub(crate) fn finish(mut self, mut records: Records) -> ServingReport {
+        records.place(&mut self);
+        let (completed, dropped) = records.into_lists();
+        let goodput = completed.iter().map(|o| o.output_len).sum();
+        let wasted: usize = dropped.iter().map(|d| d.tokens_generated).sum();
         let rates = [goodput, goodput + wasted].map(|tokens| self.per_s(tokens));
         let uptimes_ms = self.uptimes_ms();
         let Tally {
             mut report,
-            completed,
-            dropped,
             busy_ns,
             kv_block_utilization,
             ..
         } = self;
         let r = &mut report;
-        r.completed = by_id(completed, |o| o.id);
-        r.dropped = by_id(dropped, |d| d.id);
+        r.completed = completed;
+        r.dropped = dropped;
         let completed = &r.completed;
         // One key buffer sized for the largest sorted population.
         let mut keys = Vec::with_capacity(completed.len().max(r.dropped.len()));
@@ -667,34 +661,120 @@ impl Tally {
     }
 }
 
-/// The records of `runs` in ascending id order. Sorting 16-byte
-/// `(id, run, index)` keys and then moving each record once out of its run
-/// moves far less memory than sorting the records themselves.
-fn by_id<T>(runs: Vec<Vec<T>>, id: impl Fn(&T) -> u64) -> Vec<T> {
-    let narrow = |x: usize| u32::try_from(x).expect("fewer than 2^32 cards, and records per card");
-    let mut keys: Vec<(u64, u32, u32)> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    for (r, run) in runs.iter().enumerate() {
-        keys.extend(
-            run.iter()
-                .enumerate()
-                .map(|(i, x)| (id(x), narrow(r), narrow(i))),
-        );
+/// Where a public call's records land: each request's rank in the id
+/// order of the stream the call simulates.
+#[derive(Debug)]
+pub(crate) enum Ranks {
+    /// `len` ids from `first` on, so the rank is `id - first`. Every
+    /// [`generate_requests`](crate::generate_requests) stream is one.
+    Range {
+        /// The lowest id.
+        first: u64,
+        /// Requests in the stream.
+        len: usize,
+    },
+    /// Any other distinct ids, ascending: the rank is the id's index.
+    Sorted(Vec<u64>),
+}
+
+impl Ranks {
+    /// The ranks of a stream's distinct ids, given in ascending order.
+    pub(crate) fn of_sorted(ids: Vec<u64>) -> Ranks {
+        let (first, len) = (ids.first().map_or(0, |&id| id), ids.len());
+        if ids
+            .last()
+            .is_some_and(|&last| last - first != len as u64 - 1)
+        {
+            Ranks::Sorted(ids)
+        } else {
+            Ranks::Range { first, len }
+        }
     }
-    keys.sort_unstable();
-    // Each run becomes `Option`s in its own buffer (the records hold a
-    // `Vec` or an enum, so `Option` adds no bytes): a flat copy of every
-    // record would raise peak memory by the whole record set.
-    let mut slots: Vec<Vec<Option<T>>> = runs
-        .into_iter()
-        .map(|run| run.into_iter().map(Some).collect())
-        .collect();
-    keys.into_iter()
-        .map(|(_, r, i)| {
-            slots[r as usize][i as usize]
-                .take()
-                .expect("every key names one record")
-        })
-        .collect()
+
+    fn len(&self) -> usize {
+        match self {
+            Ranks::Range { len, .. } => *len,
+            Ranks::Sorted(ids) => ids.len(),
+        }
+    }
+
+    fn of(&self, id: u64) -> usize {
+        match self {
+            Ranks::Range { first, .. } => (id - first) as usize,
+            Ranks::Sorted(ids) => ids.partition_point(|&x| x < id),
+        }
+    }
+}
+
+/// One request's record, whichever way it terminated. Niche filling keeps
+/// `Option<Record>` at the size of a [`RequestOutcome`], so one slot
+/// vector holds both kinds at no extra cost.
+#[derive(Debug)]
+enum Record {
+    Completed(RequestOutcome),
+    Dropped(DroppedRequest),
+}
+
+/// The records of one public call, each moved once, straight into the
+/// slot of its request's [`Ranks`] rank: they end in id order with no sort
+/// and no second copy of the record set.
+#[derive(Debug)]
+pub(crate) struct Records {
+    ranks: Ranks,
+    slots: Vec<Option<Record>>,
+    /// Drop records placed so far, so their list is allocated once, at its
+    /// final size.
+    dropped: usize,
+}
+
+impl Records {
+    /// One empty slot per request of the stream `ranks` orders.
+    pub(crate) fn new(ranks: Ranks) -> Self {
+        let mut slots = Vec::new();
+        slots.resize_with(ranks.len(), || None);
+        Records {
+            ranks,
+            slots,
+            dropped: 0,
+        }
+    }
+
+    /// Move every record of `tally`'s runs into its slot, leaving the runs
+    /// empty. Placement is order-free, so folding parts in any grouping
+    /// gives the same slots.
+    pub(crate) fn place(&mut self, tally: &mut Tally) {
+        for o in tally.completed.drain(..).flatten() {
+            self.put(o.id, Record::Completed(o));
+        }
+        for d in tally.dropped.drain(..).flatten() {
+            self.dropped += 1;
+            self.put(d.id, Record::Dropped(d));
+        }
+    }
+
+    fn put(&mut self, id: u64, record: Record) {
+        let slot = &mut self.slots[self.ranks.of(id)];
+        debug_assert!(slot.is_none(), "request {id} has one record");
+        *slot = Some(record);
+    }
+
+    /// The report's two record lists, each in id order. The completed list
+    /// reuses the slot buffer in place.
+    fn into_lists(self) -> (Vec<RequestOutcome>, Vec<DroppedRequest>) {
+        let mut dropped = Vec::with_capacity(self.dropped);
+        let completed = self
+            .slots
+            .into_iter()
+            .filter_map(|slot| match slot? {
+                Record::Completed(o) => Some(o),
+                Record::Dropped(d) => {
+                    dropped.push(d);
+                    None
+                }
+            })
+            .collect();
+        (completed, dropped)
+    }
 }
 
 /// Mean over cards of the fraction of `makespan_ms` each was alive
@@ -743,7 +823,7 @@ mod tests {
         // mean of (0.9*2 + 0.6*2) / 4 = 0.75.
         let mut merged = tally(2, 0.9);
         merged.absorb(tally(2, 0.6));
-        let merged = merged.finish();
+        let merged = merged.finish(Records::new(Ranks::of_sorted(Vec::new())));
         assert_eq!(merged.devices, 4);
         assert!(
             (merged.kv_block_utilization - 0.75).abs() < 1e-12,
@@ -752,6 +832,78 @@ mod tests {
         );
         assert_eq!(merged.replica_uptime_ms, vec![10.0; 4]);
         assert_eq!(merged.availability(), 1.0);
+    }
+
+    fn outcome(id: u64) -> RequestOutcome {
+        RequestOutcome {
+            id,
+            arrival_ms: 0.0,
+            prompt_len: 1,
+            output_len: 2,
+            queue_ms: 0.0,
+            ttft_ms: 1.0,
+            retries: 0,
+            finish_ms: 2.0,
+            token_times_ms: vec![1.0, 2.0],
+        }
+    }
+
+    fn drop_record(id: u64) -> DroppedRequest {
+        DroppedRequest {
+            id,
+            arrival_ms: 0.0,
+            kind: DropKind::Rejected,
+            at_ms: 0.0,
+            retries: 0,
+            tokens_generated: 0,
+        }
+    }
+
+    #[test]
+    fn one_slot_holds_either_record_kind_at_the_size_of_an_outcome() {
+        assert_eq!(
+            std::mem::size_of::<Option<Record>>(),
+            std::mem::size_of::<RequestOutcome>()
+        );
+    }
+
+    #[test]
+    fn records_land_in_id_order_at_their_rank() {
+        // Two cards' runs in completion order, over ids that are a range
+        // not starting at 0, and over sparse ids.
+        for ids in [
+            (100..110).collect::<Vec<u64>>(),
+            (0..10).map(|k| 7 * k + 3).collect(),
+        ] {
+            let ranks = Ranks::of_sorted(ids.clone());
+            assert_eq!(matches!(ranks, Ranks::Range { .. }), ids[0] == 100);
+            let mut records = Records::new(ranks);
+            let slots = records.slots.as_ptr() as usize;
+            let mut part = Tally {
+                completed: vec![
+                    [9, 1, 4].map(|i| outcome(ids[i])).into(),
+                    [6, 0, 8, 2].map(|i| outcome(ids[i])).into(),
+                ],
+                dropped: vec![
+                    vec![drop_record(ids[7]), drop_record(ids[3])],
+                    vec![drop_record(ids[5])],
+                ],
+                ..Tally::default()
+            };
+            records.place(&mut part);
+            assert!(part.completed.is_empty() && part.dropped.is_empty());
+            let (completed, dropped) = records.into_lists();
+            let of = |idx: &[usize]| idx.iter().map(|&i| ids[i]).collect::<Vec<_>>();
+            assert_eq!(
+                completed.iter().map(|o| o.id).collect::<Vec<_>>(),
+                of(&[0, 1, 2, 4, 6, 8, 9])
+            );
+            assert_eq!(
+                dropped.iter().map(|d| d.id).collect::<Vec<_>>(),
+                of(&[3, 5, 7])
+            );
+            assert_eq!(completed.as_ptr() as usize, slots, "compacted in place");
+        }
     }
 
     /// One box of the fold proptest: one card, tiny decoder, light load.
@@ -799,10 +951,11 @@ mod tests {
                     .filter(|(i, _)| i % boxes == b)
                     .map(|(_, r)| r.clone())
                     .collect();
-                parts.push(simulate_records(&cfg, shard.clone(), &policy).unwrap().finish());
-                merged.absorb(simulate_records(&cfg, shard, &policy).unwrap());
+                let (part, ranks) = simulate_records(&cfg, shard.clone(), &policy).unwrap();
+                parts.push(part.finish(Records::new(ranks)));
+                merged.absorb(simulate_records(&cfg, shard, &policy).unwrap().0);
             }
-            let merged = merged.finish();
+            let merged = merged.finish(Records::new(Ranks::Range { first: 0, len: num_requests }));
 
             prop_assert_eq!(merged.devices, boxes);
             prop_assert_eq!(merged.offered, num_requests);
