@@ -8,8 +8,8 @@ use gaudi_hw::GaudiConfig;
 use gaudi_models::LlmConfig;
 use gaudi_serving::{
     generate_requests, simulate, simulate_cluster, simulate_trace, ClusterConfig, DropKind,
-    EventCalendar, FaultPlan, KvAdmissionConfig, Percentiles, RobustnessConfig, ServingConfig,
-    ServingError, TrafficConfig,
+    EventCalendar, FaultPlan, KvAdmissionConfig, Percentiles, Request, RobustnessConfig,
+    ServingConfig, ServingError, TrafficConfig,
 };
 use gaudi_tensor::DType;
 use proptest::prelude::*;
@@ -412,7 +412,10 @@ proptest! {
 
     /// Every public entry point returns latency summaries derived from
     /// that report's own records: a report that escapes with underived,
-    /// all-zero percentiles, or with another level's, fails here.
+    /// all-zero percentiles, or with another level's, fails here. Its
+    /// records are its offered stream, each request once, both lists in
+    /// strictly ascending id order: through the single-box finish, over
+    /// sparse shuffled ids, and through the cluster fold with drops.
     #[test]
     fn every_public_report_derives_percentiles_from_its_own_records(
         seed in 0u64..1_000_000,
@@ -425,27 +428,70 @@ proptest! {
             c.devices = devices;
             c
         };
+        let cluster = |box_config: &ServingConfig, boxes: usize, cards: usize| {
+            simulate_cluster(&ClusterConfig::new(box_config.clone(), boxes, cards))
+                .unwrap()
+                .report
+        };
         // A one-card burst against a TTFT deadline at its own unprotected
         // median: the queue tail times out, so every population has samples.
+        // The same burst on one-card boxes, against the cluster's own
+        // median, sends drop records through the cluster fold.
         let mut burst = cfg(1);
         burst.traffic.arrival_rate_per_s = 1e6;
+        let mut cluster_burst = burst.clone();
         burst.robustness =
             RobustnessConfig::default().ttft_deadline(simulate(&burst).unwrap().ttft_ms.p50);
+        cluster_burst.robustness = RobustnessConfig::default()
+            .ttft_deadline(cluster(&cluster_burst, boxes, 1).ttft_ms.p50);
         let mut faulted = cfg(3);
         faulted.faults = FaultPlan::none().kill_for(DeviceId(2), kill_at, 20.0);
-        let cluster = |boxes: usize| {
-            simulate_cluster(&ClusterConfig::new(cfg(2), boxes, 2)).unwrap().report
-        };
+        // Sparse ids, 7k + 3, handed over in a seeded shuffle: records rank
+        // by the sorted ids, not by the ids themselves.
+        let generated = generate_requests(&cfg(1).traffic);
+        let mut sparse = generated.clone();
+        for r in &mut sparse {
+            r.id = 7 * r.id + 3;
+        }
+        sparse.sort_by_key(|r| (r.id ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let ids = |requests: &[Request]| requests.iter().map(|r| r.id).collect::<Vec<_>>();
+        let (stream, sparse_ids) = (ids(&generated), ids(&sparse));
         let reports = [
-            ("1 card", simulate(&cfg(1)).unwrap()),
-            ("3 cards", simulate(&cfg(3)).unwrap()),
-            ("1-card burst under a deadline", simulate(&burst).unwrap()),
-            ("3 cards with a kill_for", simulate(&faulted).unwrap()),
-            ("1-box cluster", cluster(1)),
-            ("multi-box cluster", cluster(boxes)),
+            ("1 card", simulate(&cfg(1)).unwrap(), &stream),
+            ("3 cards", simulate(&cfg(3)).unwrap(), &stream),
+            ("1-card burst under a deadline", simulate(&burst).unwrap(), &stream),
+            ("3 cards with a kill_for", simulate(&faulted).unwrap(), &stream),
+            ("1-box cluster", cluster(&cfg(2), 1, 2), &stream),
+            ("multi-box cluster", cluster(&cfg(2), boxes, 2), &stream),
+            (
+                "3 cards over sparse shuffled ids",
+                simulate_trace(&cfg(3), sparse).unwrap(),
+                &sparse_ids,
+            ),
+            ("multi-box burst under a deadline", cluster(&cluster_burst, boxes, 1), &stream),
         ];
         prop_assert!(reports[2].1.timed_out() > 0, "the burst tail must time out");
-        for (name, r) in &reports {
+        prop_assert!(reports[7].1.timed_out() > 0, "the cluster burst tail must time out");
+        for (name, r, offered) in &reports {
+            let completed: Vec<u64> = r.completed.iter().map(|o| o.id).collect();
+            let dropped: Vec<u64> = r.dropped.iter().map(|d| d.id).collect();
+            prop_assert!(
+                completed.windows(2).all(|w| w[0] < w[1]),
+                "{}: completed ids {:?}",
+                name,
+                completed
+            );
+            prop_assert!(
+                dropped.windows(2).all(|w| w[0] < w[1]),
+                "{}: dropped ids {:?}",
+                name,
+                dropped
+            );
+            let mut records = [completed, dropped].concat();
+            records.sort_unstable();
+            let mut offered = offered.to_vec();
+            offered.sort_unstable();
+            prop_assert_eq!(records, offered, "{}: records are not the offered stream", name);
             prop_assert!(!r.completed.is_empty(), "{}: nothing completed", name);
             let ttft = oracle(r.completed.iter().map(|o| o.ttft_ms));
             let tpot = oracle(r.completed.iter().flat_map(|o| {
