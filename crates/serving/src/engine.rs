@@ -1741,6 +1741,39 @@ mod tests {
     }
 
     #[test]
+    fn a_request_dropped_at_admission_prices_its_shape_but_never_warms_it() {
+        // The prefill alone meets a 20 ms TTFT deadline, its 50 ms recipe
+        // compile does not: the admission check peeks at the warmup, drops
+        // the request at the admission clock and runs nothing.
+        let mut cfg = tiny_config();
+        cfg.recipes = RecipeConfig {
+            compile_ms: 50.0,
+            batch_bucket: 1,
+        };
+        cfg.robustness = RobustnessConfig::default().ttft_deadline(20.0);
+        assert!(tiny_cost_model(&cfg).prefill(1, 8).unwrap().ms < 20.0);
+        let mut r = Replica::new(&cfg, DeviceId(0), tiny_cost_model(&cfg), 0).unwrap();
+        r.enqueue(Job::fresh(Request {
+            id: 0,
+            arrival_us: 0,
+            prompt_len: 8,
+            output_len: 4,
+        }));
+        assert!(r.step(f64::INFINITY).unwrap());
+        assert_eq!(r.clock_ms, 0.0, "a drop at admission runs no phase");
+        assert!(r.running.is_empty());
+        let t = r.finalize();
+        assert_eq!(t.dropped[0][0].kind, DropKind::TimedOut);
+        assert_eq!(t.dropped[0][0].at_ms, 0.0);
+        assert_eq!(t.report.prefills, 0);
+        assert_eq!(t.report.compiled_graphs, 1, "the prefill shape was priced");
+        assert_eq!(
+            t.report.recipe_compiles, 0,
+            "a dropped request warms nothing"
+        );
+    }
+
+    #[test]
     fn kv_peak_never_exceeds_capacity() {
         let r = simulate(&tiny_config()).unwrap();
         assert!(r.kv_peak_bytes <= r.kv_capacity_bytes);
