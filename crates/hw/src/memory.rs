@@ -109,8 +109,9 @@ impl HbmTracker {
     /// Freeing more than is allocated is a caller accounting bug: it
     /// panics in debug builds (the same contract `BlockPool::dealloc`
     /// uses) and saturates to zero in release builds rather than
-    /// wrapping. Callers with untrusted inputs — like the serving
-    /// `KvAccountant::release` — must bounds-check before freeing.
+    /// wrapping. Callers must bound what they free — the serving
+    /// `ContiguousKv` frees only what its per-request table says that
+    /// request reserved.
     pub fn free(&mut self, bytes: u64) {
         debug_assert!(
             bytes <= self.allocated,

@@ -9,17 +9,20 @@
 //!
 //! Compiling a graph per simulated step would dwarf the simulation itself,
 //! so compiled costs are memoized — the serving analog of SynapseAI's
-//! recipe cache, and the reason the scheduler quantizes context lengths to
-//! buckets at all. Memoization is two-level:
+//! recipe cache, and the reason phase shapes are bucketed at all
+//! ([`CostModel::shape`], the one place that buckets them). Memoization
+//! is two-level:
 //!
-//! * each [`CostModel`] keeps a private L1 keyed by `(batch, bucketed
-//!   length)` — a lock-free `HashMap` hit on every simulated phase;
-//! * L1 misses fall through to the [`PlanCache`] of the model's
+//! * each [`CostModel`] is one replica's recipe table: one entry per phase
+//!   [`Shape`] it has priced, holding the compiled plan and whether the
+//!   replica has paid that shape's recipe warmup ([`RecipeConfig`]) — a
+//!   lock-free `HashMap` hit on every simulated phase;
+//! * table misses fall through to the [`PlanCache`] of the model's
 //!   [`CostContext`], keyed by the full
-//!   `(model/hardware/options/bucket/partition fingerprint, phase, batch,
-//!   bucketed length)` — shareable across data-parallel replicas and
-//!   across sweep configuration points, so the compiler runs **once per
-//!   distinct shape process-wide** instead of once per replica per point.
+//!   `(model/hardware/options/bucket/partition fingerprint, shape)` —
+//!   shareable across data-parallel replicas and across sweep
+//!   configuration points, so the compiler runs **once per distinct shape
+//!   process-wide** instead of once per replica per point.
 //!
 //! The cache is safe to share between threads (the engine's replicas run
 //! on a [`gaudi_exec::ExecPool`]); a compile happens under the cache lock,
@@ -27,10 +30,11 @@
 //! to it, and every caller gets back the *same* [`Arc`]'d entry — which is
 //! what the pointer-equality tests pin down.
 
+use crate::engine::ServingConfig;
 use crate::error::ServingError;
-use crate::idhash::{IdMap, IdSet};
-use gaudi_compiler::{CompilerOptions, ExecutionPlan, GraphCompiler};
-use gaudi_hw::{EngineId, GaudiConfig};
+use crate::idhash::IdMap;
+use gaudi_compiler::{ExecutionPlan, GraphCompiler};
+use gaudi_hw::EngineId;
 use gaudi_models::decode::{build_decode_step, build_prefill};
 use gaudi_models::LlmConfig;
 use std::collections::HashMap;
@@ -92,6 +96,25 @@ pub enum Phase {
     Decode,
 }
 
+/// One phase as a replica runs it, built by [`CostModel::shape`]: the key
+/// of the replica's recipe table and of the shared [`PlanCache`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape {
+    /// Which phase graph.
+    pub phase: Phase,
+    /// Sequences the phase is priced for, padding included.
+    pub batch: usize,
+    /// Prompt or longest context, rounded up to the context bucket, tokens.
+    pub len: usize,
+}
+
+impl Shape {
+    /// Token slots the phase computes (`batch × len`), padding included.
+    pub fn slots(&self) -> usize {
+        self.batch * self.len
+    }
+}
+
 /// Full identity of a compiled phase plan. The `config` component is a
 /// collision-free fingerprint of everything else that shapes the plan:
 /// model configuration, hardware model, compiler options, context bucket,
@@ -101,10 +124,7 @@ pub enum Phase {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     config: Arc<str>,
-    phase: Phase,
-    batch: usize,
-    /// Bucket-quantized prompt/context length, tokens.
-    len: usize,
+    shape: Shape,
 }
 
 /// One memoized compilation: the plan's engine-busy summary plus its
@@ -199,10 +219,10 @@ impl PlanCache {
 ///
 /// The [`PlanCache`]/[`CostModel`] memos above keep the *simulation* fast;
 /// this models what recipe compilation costs the *simulated device*. The
-/// first time a replica runs a phase shape — keyed `(phase, batch bucket,
-/// ctx bucket)` — the host compiles a recipe, and that latency lands on
-/// the request stream. A fresh replica starts cold; a restarted replica
-/// (the `kill_for` path) loses its recipe cache and pays warmup again.
+/// first time a replica runs a phase [`Shape`] the host compiles a
+/// recipe, and that latency lands on the request stream. A fresh replica
+/// starts cold; a restarted replica (the `kill_for` path) loses its recipe
+/// table ([`CostModel`]) and pays warmup again.
 ///
 /// `batch_bucket` is the knob the HPU serving stack exposes as batch-size
 /// bucketing: coarser buckets mean fewer distinct recipes (fewer warmup
@@ -251,59 +271,11 @@ impl RecipeConfig {
     }
 }
 
-/// Per-replica record of which recipe shapes have been compiled, charging
-/// [`RecipeConfig::compile_ms`] on each first sight. Dropped (and
-/// recreated cold) when a replica restarts.
-#[derive(Debug, Clone, Default)]
-pub struct RecipeCache {
-    seen: IdSet<(Phase, usize, usize)>,
-    compiles: u64,
-    compile_ms: f64,
-}
-
-impl RecipeCache {
-    /// A cold cache for one replica.
-    pub fn new(cfg: &RecipeConfig) -> Self {
-        RecipeCache {
-            seen: IdSet::default(),
-            compiles: 0,
-            compile_ms: cfg.compile_ms,
-        }
-    }
-
-    /// Peek: the warmup penalty running `(phase, batch, len)` *would*
-    /// incur, without committing the compile. Used for SLO-feasibility
-    /// checks that must not warm the cache for work that is then dropped.
-    pub fn warmup_ms(&self, phase: Phase, batch: usize, len: usize) -> f64 {
-        if self.seen.contains(&(phase, batch, len)) {
-            0.0
-        } else {
-            self.compile_ms
-        }
-    }
-
-    /// Commit: record the shape as compiled and return the warmup penalty
-    /// this (first) use pays.
-    pub fn charge(&mut self, phase: Phase, batch: usize, len: usize) -> f64 {
-        if self.seen.insert((phase, batch, len)) {
-            self.compiles += 1;
-            self.compile_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Recipes compiled so far on this replica.
-    pub fn compiles(&self) -> u64 {
-        self.compiles
-    }
-}
-
-/// Everything needed to compile and price phases for one combination of
-/// model, hardware, and compiler configuration: immutable and `Sync`,
-/// built once per serving simulation (or once per sweep) and shared by
-/// `Arc` across all replica [`CostModel`]s — replicas no longer clone the
-/// model, hardware, and option structs apiece.
+/// Everything needed to compile, shape and price phases for one serving
+/// configuration: immutable and `Sync`, built once per serving simulation
+/// (or once per sweep) and shared by `Arc` across all replica
+/// [`CostModel`]s — replicas do not clone the model, hardware, and option
+/// structs apiece.
 #[derive(Debug)]
 pub struct CostContext {
     compiler: GraphCompiler,
@@ -311,6 +283,10 @@ pub struct CostContext {
     /// Context/prompt lengths are rounded up to a multiple of this before
     /// graph construction, bounding the number of distinct compilations.
     bucket: usize,
+    /// Decode batch bucketing and the first-run recipe warmup.
+    recipes: RecipeConfig,
+    /// Decode slot count: no batch is padded past it.
+    max_batch: usize,
     /// Collision-free identity of this configuration inside [`PlanCache`]
     /// keys (the cache may be shared across differently-configured sweep
     /// points).
@@ -319,59 +295,36 @@ pub struct CostContext {
 }
 
 impl CostContext {
-    /// Context for `model` on `hw` under compiler `opts`, memoizing into
-    /// `cache` (pass one `Arc` to every point of a sweep to share plans
-    /// across it).
-    pub fn new(
-        model: LlmConfig,
-        hw: GaudiConfig,
-        opts: CompilerOptions,
-        bucket: usize,
-        cache: Arc<PlanCache>,
-    ) -> Self {
+    /// Context for `cfg`'s model on its hardware under its compiler
+    /// options, shaping phases by its `ctx_bucket`, `recipes` and
+    /// `max_batch`, and memoizing into `cache` (pass one `Arc` to every
+    /// point of a sweep to share plans across it).
+    pub fn new(cfg: &ServingConfig, cache: Arc<PlanCache>) -> Self {
+        let (model, hw, opts, bucket) = (&cfg.model, &cfg.hw, &cfg.opts, cfg.ctx_bucket);
         assert!(bucket > 0, "bucket must be positive");
         let fingerprint: Arc<str> = format!(
             "model={model:?}|hw={hw:?}|opts={opts:?}|bucket={bucket}|partition=1-card replica"
         )
         .into();
         CostContext {
-            compiler: GraphCompiler::new(hw, opts),
-            model,
+            compiler: GraphCompiler::new(hw.clone(), opts.clone()),
+            model: model.clone(),
             bucket,
+            recipes: cfg.recipes.clone(),
+            max_batch: cfg.max_batch,
             fingerprint,
             cache,
         }
     }
 
-    /// Round a length up to its bucket.
-    pub fn bucketed(&self, len: usize) -> usize {
-        len.max(1).div_ceil(self.bucket) * self.bucket
-    }
-
-    /// The model being priced.
-    pub fn model(&self) -> &LlmConfig {
-        &self.model
-    }
-
-    /// The shared plan cache this context memoizes into.
-    pub fn cache(&self) -> &Arc<PlanCache> {
-        &self.cache
-    }
-
-    /// Compile-or-fetch one phase at an already-bucketed length.
-    fn compiled(
-        &self,
-        phase: Phase,
-        batch: usize,
-        len: usize,
-    ) -> Result<Arc<CompiledPhase>, ServingError> {
+    /// Compile-or-fetch one phase shape.
+    fn compiled(&self, shape: Shape) -> Result<Arc<CompiledPhase>, ServingError> {
         let key = PlanKey {
             config: Arc::clone(&self.fingerprint),
-            phase,
-            batch,
-            len,
+            shape,
         };
         self.cache.get_or_compile(key, || {
+            let Shape { phase, batch, len } = shape;
             let graph = match phase {
                 Phase::Prefill => build_prefill(&self.model, batch, len)?.0,
                 Phase::Decode => build_decode_step(&self.model, batch, len)?.0,
@@ -389,133 +342,148 @@ impl CostContext {
     }
 }
 
-/// Caching cost model over one model + compiler configuration: a private
-/// per-replica L1 over a shared [`CostContext`].
+/// One replica's recipe table over a shared [`CostContext`]: every phase
+/// [`Shape`] the replica has priced, with its compiled plan and whether
+/// the replica has run it yet (paid its recipe warmup). A restarted
+/// replica gets a fresh, cold table.
 pub struct CostModel {
     ctx: Arc<CostContext>,
-    prefill_l1: IdMap<(usize, usize), Arc<CompiledPhase>>,
-    decode_l1: IdMap<(usize, usize), Arc<CompiledPhase>>,
+    table: IdMap<Shape, (Arc<CompiledPhase>, bool)>,
 }
 
 impl CostModel {
-    /// Cost model for `model` on `hw` under compiler `opts`, with a
-    /// private plan cache. To share compiled plans across replicas or
-    /// sweep points, build one [`CostContext`] and use
-    /// [`with_context`](Self::with_context) instead.
-    pub fn new(model: LlmConfig, hw: GaudiConfig, opts: CompilerOptions, bucket: usize) -> Self {
-        Self::with_context(Arc::new(CostContext::new(
-            model,
-            hw,
-            opts,
-            bucket,
-            Arc::new(PlanCache::new()),
-        )))
+    /// Cost model for `cfg` with a private plan cache. To share compiled
+    /// plans across replicas or sweep points, build one [`CostContext`]
+    /// and use [`with_context`](Self::with_context) instead.
+    pub fn new(cfg: &ServingConfig) -> Self {
+        Self::with_context(Arc::new(CostContext::new(cfg, Arc::new(PlanCache::new()))))
     }
 
-    /// A cost model over a shared compile context: cheap to construct (no
+    /// A cold table over a shared compile context: cheap to construct (no
     /// config clones), and plan compilations are shared with every other
     /// model on the same context.
     pub fn with_context(ctx: Arc<CostContext>) -> Self {
         CostModel {
             ctx,
-            prefill_l1: IdMap::default(),
-            decode_l1: IdMap::default(),
+            table: IdMap::default(),
         }
     }
 
-    /// Round a length up to its bucket.
-    pub fn bucketed(&self, len: usize) -> usize {
-        self.ctx.bucketed(len)
+    /// The shape a `phase` over `batch` sequences runs at, whose prompt or
+    /// longest context is `len` tokens — the one place phase shapes are
+    /// bucketed. Lengths round up to the context bucket; a decode batch is
+    /// padded up to the recipe batch bucket, but never past the slot
+    /// count.
+    pub fn shape(&self, phase: Phase, batch: usize, len: usize) -> Shape {
+        let ctx = &self.ctx;
+        let batch = match phase {
+            Phase::Prefill => batch,
+            Phase::Decode => ctx.recipes.bucketed_batch(batch).min(ctx.max_batch),
+        };
+        let len = len.max(1).div_ceil(ctx.bucket) * ctx.bucket;
+        Shape { phase, batch, len }
     }
 
-    /// Cost of prefilling a `[batch, prompt_len]` prompt batch.
-    pub fn prefill(&mut self, batch: usize, prompt_len: usize) -> Result<PhaseCost, ServingError> {
-        Ok(self.prefill_compiled(batch, prompt_len)?.cost)
-    }
-
-    /// The shared cache entry behind [`prefill`](Self::prefill) — the same
-    /// `Arc` for every caller that asks for the same shape.
-    pub fn prefill_compiled(
-        &mut self,
-        batch: usize,
-        prompt_len: usize,
-    ) -> Result<Arc<CompiledPhase>, ServingError> {
-        let key = (batch, self.ctx.bucketed(prompt_len));
-        if let Some(hit) = self.prefill_l1.get(&key) {
+    /// The compiled plan of `shape`, from the table or else from the
+    /// shared [`PlanCache`] — the same `Arc` for every caller that asks
+    /// for the same shape. Pricing a shape does not warm it.
+    pub fn compiled(&mut self, shape: Shape) -> Result<Arc<CompiledPhase>, ServingError> {
+        if let Some((hit, _)) = self.table.get(&shape) {
             return Ok(Arc::clone(hit));
         }
-        let compiled = self.ctx.compiled(Phase::Prefill, key.0, key.1)?;
-        self.prefill_l1.insert(key, Arc::clone(&compiled));
+        let compiled = self.ctx.compiled(shape)?;
+        self.table.insert(shape, (Arc::clone(&compiled), false));
         Ok(compiled)
     }
 
-    /// Cost of one decode step for `batch` requests whose longest live
-    /// context is `max_ctx` tokens.
-    pub fn decode(&mut self, batch: usize, max_ctx: usize) -> Result<PhaseCost, ServingError> {
-        Ok(self.decode_compiled(batch, max_ctx)?.cost)
-    }
-
-    /// The shared cache entry behind [`decode`](Self::decode).
-    pub fn decode_compiled(
-        &mut self,
-        batch: usize,
-        max_ctx: usize,
-    ) -> Result<Arc<CompiledPhase>, ServingError> {
-        let key = (batch, self.ctx.bucketed(max_ctx));
-        if let Some(hit) = self.decode_l1.get(&key) {
-            return Ok(Arc::clone(hit));
+    /// Peek: the recipe warmup running `shape` would cost, without warming
+    /// it — for SLO checks that must not warm the table for work that is
+    /// then dropped.
+    pub fn warmup_ms(&self, shape: Shape) -> f64 {
+        match self.table.get(&shape) {
+            Some((_, true)) => 0.0,
+            _ => self.ctx.recipes.compile_ms,
         }
-        let compiled = self.ctx.compiled(Phase::Decode, key.0, key.1)?;
-        self.decode_l1.insert(key, Arc::clone(&compiled));
-        Ok(compiled)
     }
 
-    /// Number of distinct phase shapes this model has priced (the
-    /// recipe-cache size as seen by one replica; a shared [`CostContext`]
-    /// may have compiled some of them on another replica's behalf).
+    /// Run `shape`, which [`compiled`](Self::compiled) has priced: the
+    /// first run warms it and returns the recipe warmup it costs, and
+    /// every later run costs nothing.
+    pub fn warm(&mut self, shape: Shape) -> f64 {
+        match self.table.get_mut(&shape) {
+            Some((_, warm)) if !*warm => {
+                *warm = true;
+                self.ctx.recipes.compile_ms
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// Distinct phase shapes this replica has priced, the table's size (a
+    /// shared [`CostContext`] may have compiled some of them on another
+    /// replica's behalf).
     pub fn compiled_graphs(&self) -> usize {
-        self.prefill_l1.len() + self.decode_l1.len()
+        self.table.len()
     }
 
-    /// The model being served.
-    pub fn model(&self) -> &LlmConfig {
-        self.ctx.model()
-    }
-
-    /// The shared compile context.
-    pub fn context(&self) -> &Arc<CostContext> {
-        &self.ctx
+    /// Recipes this replica has compiled: the shapes it has run.
+    pub fn recipe_compiles(&self) -> u64 {
+        self.table.values().filter(|(_, warm)| *warm).count() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Phase::{Decode, Prefill};
 
-    fn model() -> LlmConfig {
-        LlmConfig::tiny(97)
+    /// The tiny model on the default hardware and options, bucketed by
+    /// `bucket` tokens.
+    fn cfg(bucket: usize) -> ServingConfig {
+        ServingConfig::builder()
+            .model(LlmConfig::tiny(97))
+            .ctx_bucket(bucket)
+            .build()
     }
 
     fn cm() -> CostModel {
-        CostModel::new(model(), GaudiConfig::hls1(), CompilerOptions::default(), 64)
+        CostModel::new(&cfg(64))
+    }
+
+    /// The table entry behind one phase over `batch` sequences at `len`
+    /// tokens.
+    fn price(m: &mut CostModel, phase: Phase, batch: usize, len: usize) -> Arc<CompiledPhase> {
+        let shape = m.shape(phase, batch, len);
+        m.compiled(shape).unwrap()
     }
 
     #[test]
-    fn bucketing_rounds_up() {
-        let m = cm();
-        assert_eq!(m.bucketed(1), 64);
-        assert_eq!(m.bucketed(64), 64);
-        assert_eq!(m.bucketed(65), 128);
+    fn shapes_round_lengths_up_and_pad_decode_batches_to_the_slot_count() {
+        let m = CostModel::new(&ServingConfig {
+            max_batch: 10,
+            recipes: RecipeConfig {
+                compile_ms: 0.0,
+                batch_bucket: 4,
+            },
+            ..cfg(64)
+        });
+        let len = |len| m.shape(Decode, 1, len).len;
+        assert_eq!((len(0), len(1), len(64), len(65)), (64, 64, 64, 128));
+        let batch = |phase, batch| m.shape(phase, batch, 1).batch;
+        assert_eq!((batch(Decode, 1), batch(Decode, 5)), (4, 8));
+        assert_eq!(batch(Decode, 9), 10, "a bucket of 12 would pass 10 slots");
+        assert_eq!(batch(Prefill, 1), 1, "prefill batches are never padded");
+        assert_eq!(m.shape(Decode, 3, 100).slots(), 4 * 128);
     }
 
     #[test]
     fn caching_is_exact_per_bucket() {
         let mut m = cm();
-        let a = m.decode(2, 10).unwrap();
-        let b = m.decode(2, 60).unwrap(); // same bucket
+        let a = price(&mut m, Decode, 2, 10).cost;
+        let b = price(&mut m, Decode, 2, 60).cost; // same bucket
         assert_eq!(m.compiled_graphs(), 1);
         assert_eq!(a.ms, b.ms);
-        let c = m.decode(2, 70).unwrap(); // next bucket
+        let c = price(&mut m, Decode, 2, 70).cost; // next bucket
         assert_eq!(m.compiled_graphs(), 2);
         assert!(c.ms >= a.ms);
     }
@@ -523,18 +491,12 @@ mod tests {
     #[test]
     fn shared_context_returns_pointer_equal_plans_across_replicas() {
         let cache = Arc::new(PlanCache::new());
-        let ctx = Arc::new(CostContext::new(
-            model(),
-            GaudiConfig::hls1(),
-            CompilerOptions::default(),
-            64,
-            Arc::clone(&cache),
-        ));
+        let ctx = Arc::new(CostContext::new(&cfg(64), Arc::clone(&cache)));
         let mut replica_a = CostModel::with_context(Arc::clone(&ctx));
         let mut replica_b = CostModel::with_context(Arc::clone(&ctx));
 
-        let a = replica_a.decode_compiled(2, 10).unwrap();
-        let b = replica_b.decode_compiled(2, 60).unwrap(); // same bucket
+        let a = price(&mut replica_a, Decode, 2, 10);
+        let b = price(&mut replica_b, Decode, 2, 60); // same bucket
         assert!(
             Arc::ptr_eq(&a, &b),
             "repeated shapes must share one compiled plan"
@@ -550,16 +512,16 @@ mod tests {
         );
 
         // A different ctx bucket is a different plan…
-        let c = replica_a.decode_compiled(2, 70).unwrap();
+        let c = price(&mut replica_a, Decode, 2, 70);
         assert!(!Arc::ptr_eq(&a, &c));
         // …and so is a different phase at the same shape.
-        let p = replica_a.prefill_compiled(2, 10).unwrap();
+        let p = price(&mut replica_a, Prefill, 2, 10);
         assert!(!Arc::ptr_eq(&a, &p));
         assert_eq!(cache.len(), 3);
 
-        // L1 answers repeats without touching the shared cache again.
+        // The table answers repeats without touching the shared cache.
         let before = cache.stats();
-        let a2 = replica_a.decode_compiled(2, 10).unwrap();
+        let a2 = price(&mut replica_a, Decode, 2, 10);
         assert!(Arc::ptr_eq(&a, &a2));
         assert_eq!(cache.stats(), before);
     }
@@ -567,26 +529,10 @@ mod tests {
     #[test]
     fn distinct_bucket_configs_do_not_collide_in_a_shared_cache() {
         let cache = Arc::new(PlanCache::new());
-        let coarse = Arc::new(CostContext::new(
-            model(),
-            GaudiConfig::hls1(),
-            CompilerOptions::default(),
-            64,
-            Arc::clone(&cache),
-        ));
-        let fine = Arc::new(CostContext::new(
-            model(),
-            GaudiConfig::hls1(),
-            CompilerOptions::default(),
-            16,
-            Arc::clone(&cache),
-        ));
-        let a = CostModel::with_context(coarse)
-            .decode_compiled(1, 10)
-            .unwrap();
-        let b = CostModel::with_context(fine)
-            .decode_compiled(1, 10)
-            .unwrap();
+        let coarse = Arc::new(CostContext::new(&cfg(64), Arc::clone(&cache)));
+        let fine = Arc::new(CostContext::new(&cfg(16), Arc::clone(&cache)));
+        let a = price(&mut CostModel::with_context(coarse), Decode, 1, 10);
+        let b = price(&mut CostModel::with_context(fine), Decode, 1, 10);
         // Same nominal request, different bucketing: 64- vs 16-token graphs.
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 2);
@@ -597,9 +543,7 @@ mod tests {
     }
 
     fn paper_cm() -> CostModel {
-        let mut m = LlmConfig::paper_section_3_4(50257);
-        m.training = false;
-        CostModel::new(m, GaudiConfig::hls1(), CompilerOptions::default(), 64)
+        CostModel::new(&ServingConfig::builder().ctx_bucket(64).build())
     }
 
     #[test]
@@ -610,8 +554,8 @@ mod tests {
         // tokens. This asymmetry is the entire case for continuous
         // batching.
         let mut m = paper_cm();
-        let prefill = m.prefill(1, 512).unwrap();
-        let decode = m.decode(1, 512).unwrap();
+        let prefill = price(&mut m, Prefill, 1, 512).cost;
+        let decode = price(&mut m, Decode, 1, 512).cost;
         assert!(
             prefill.ms > decode.ms,
             "prefill of 512 tokens ({} ms) should outweigh one decode step ({} ms)",
@@ -635,8 +579,8 @@ mod tests {
         // softmax/norm TPC work shrinks from S×S scores to 1×S. The busy
         // balance therefore tilts toward the MME in decode.
         let mut m = paper_cm();
-        let prefill = m.prefill(1, 512).unwrap();
-        let decode = m.decode(1, 512).unwrap();
+        let prefill = price(&mut m, Prefill, 1, 512).cost;
+        let decode = price(&mut m, Decode, 1, 512).cost;
         let prefill_tpc_share = prefill.tpc_busy_ns / (prefill.tpc_busy_ns + prefill.mme_busy_ns);
         let decode_tpc_share = decode.tpc_busy_ns / (decode.tpc_busy_ns + decode.mme_busy_ns);
         assert!(
@@ -646,25 +590,35 @@ mod tests {
     }
 
     #[test]
-    fn recipe_cache_charges_each_shape_once() {
-        let cfg = RecipeConfig {
-            compile_ms: 7.5,
-            batch_bucket: 4,
-        };
-        let mut rc = RecipeCache::new(&cfg);
-        // Peek does not warm the cache…
-        assert_eq!(rc.warmup_ms(Phase::Decode, 4, 64), 7.5);
-        assert_eq!(rc.warmup_ms(Phase::Decode, 4, 64), 7.5);
-        assert_eq!(rc.compiles(), 0);
-        // …charge does, exactly once per shape.
-        assert_eq!(rc.charge(Phase::Decode, 4, 64), 7.5);
-        assert_eq!(rc.charge(Phase::Decode, 4, 64), 0.0);
-        assert_eq!(rc.warmup_ms(Phase::Decode, 4, 64), 0.0);
+    fn recipe_table_warms_each_shape_once() {
+        let mut m = CostModel::new(&ServingConfig {
+            recipes: RecipeConfig {
+                compile_ms: 7.5,
+                batch_bucket: 4,
+            },
+            ..cfg(64)
+        });
+        let shape = m.shape(Decode, 3, 50);
+        // Pricing and peeking do not warm the table…
+        m.compiled(shape).unwrap();
+        assert_eq!(m.warmup_ms(shape), 7.5);
+        assert_eq!(m.warmup_ms(shape), 7.5);
+        assert_eq!((m.compiled_graphs(), m.recipe_compiles()), (1, 0));
+        // …the first run does, exactly once per shape.
+        assert_eq!(m.warm(shape), 7.5);
+        assert_eq!(m.warm(shape), 0.0);
+        assert_eq!(m.warmup_ms(shape), 0.0);
+        assert_eq!(m.warm(m.shape(Decode, 4, 64)), 0.0, "the same shape");
         // Phase, batch, and length are all part of the key.
-        assert_eq!(rc.charge(Phase::Prefill, 4, 64), 7.5);
-        assert_eq!(rc.charge(Phase::Decode, 8, 64), 7.5);
-        assert_eq!(rc.charge(Phase::Decode, 4, 128), 7.5);
-        assert_eq!(rc.compiles(), 4);
+        for other in [
+            m.shape(Prefill, 4, 64),
+            m.shape(Decode, 8, 64),
+            m.shape(Decode, 4, 128),
+        ] {
+            m.compiled(other).unwrap();
+            assert_eq!(m.warm(other), 7.5);
+        }
+        assert_eq!((m.compiled_graphs(), m.recipe_compiles()), (4, 4));
     }
 
     #[test]
@@ -707,10 +661,7 @@ mod tests {
     #[test]
     fn compiled_phases_carry_activation_plans() {
         let mut m = cm();
-        for compiled in [
-            m.prefill_compiled(1, 64).unwrap(),
-            m.decode_compiled(4, 128).unwrap(),
-        ] {
+        for compiled in [price(&mut m, Prefill, 1, 64), price(&mut m, Decode, 4, 128)] {
             assert!(compiled.planned_activation_bytes > 0);
             assert!(
                 compiled.planned_activation_bytes <= compiled.naive_activation_bytes,
@@ -722,7 +673,7 @@ mod tests {
         }
         // A transformer phase has elementwise chains to collapse, so the
         // planner must actually win, not just tie.
-        let p = m.prefill_compiled(1, 64).unwrap();
+        let p = price(&mut m, Prefill, 1, 64);
         assert!(p.planned_activation_bytes < p.naive_activation_bytes);
     }
 
@@ -731,8 +682,8 @@ mod tests {
         // Continuous batching works because one decode step for B requests
         // costs far less than B single-request steps.
         let mut m = paper_cm();
-        let single = m.decode(1, 512).unwrap();
-        let batched = m.decode(8, 512).unwrap();
+        let single = price(&mut m, Decode, 1, 512).cost;
+        let batched = price(&mut m, Decode, 8, 512).cost;
         assert!(
             batched.ms < 4.0 * single.ms,
             "batch-8 step {} ms vs single step {} ms",

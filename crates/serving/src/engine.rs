@@ -33,14 +33,15 @@
 //!    re-admission) until the survivors fit — deterministic, and bounded
 //!    because a lone runner always fits by the admission-time pre-scan.
 //!
-//! Phases are additionally charged recipe-compile warmup: the first time
-//! a replica runs a `(phase, batch bucket, ctx bucket)` shape, the
-//! configured [`RecipeConfig::compile_ms`] lands on the clock (host
-//! compile — engine-busy counters are untouched). Decode batches are
-//! rounded up to `RecipeConfig::batch_bucket` for pricing, trading
-//! padded compute for fewer distinct recipes; the report's
-//! padded/scheduled token counters make the waste side of that trade
-//! visible.
+//! Every phase runs at one shape ([`CostModel::shape`]): its length
+//! rounded up to the context bucket and, for a decode step, its batch
+//! padded up to `RecipeConfig::batch_bucket` (never past the slot count),
+//! trading padded compute for fewer distinct recipes. The shape's slots
+//! feed the report's padded/scheduled token counters, which make the
+//! waste side of that trade visible. The first time a replica runs a
+//! shape, the configured [`RecipeConfig::compile_ms`] of recipe-compile
+//! warmup lands on the clock (host compile — engine-busy counters are
+//! untouched).
 //!
 //! Every phase is priced by the [`CostModel`], so the same §3.3/§3.4
 //! hardware calibration that reproduces the paper's training figures also
@@ -62,7 +63,7 @@
 //! dispatcher with deterministic exponential backoff (retry count bumped,
 //! generated tokens discarded) — or terminated as failed once the retry
 //! budget is spent. A kill with a restart window brings the card back with
-//! a **cold recipe cache** (its compiled phase plans are recompiled on
+//! a **cold recipe table** (its compiled phase plans are fetched again on
 //! demand, and with warmup enabled every shape pays its compile latency
 //! again), and the recovered replica immediately rejoins the round-robin
 //! dispatch pool. Slowdown windows stretch the phases that start inside
@@ -70,7 +71,7 @@
 //! seed, same plan, bit-identical report.
 
 use crate::calendar::EventCalendar;
-use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeCache, RecipeConfig};
+use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeConfig};
 use crate::error::ServingError;
 use crate::fault::Job;
 use crate::idhash::IdMap;
@@ -420,10 +421,9 @@ impl Active {
 struct Replica<'a> {
     cfg: &'a ServingConfig,
     device: DeviceId,
+    /// The replica's recipe table; replaced cold on restart.
     cost: CostModel,
     kv: Box<dyn KvAdmission>,
-    /// Per-replica recipe warmup state; reset cold on restart.
-    recipes: RecipeCache,
     /// Dispatched to this replica but not yet arrived, in submission order.
     pending: VecDeque<Job>,
     /// The FIFO admission queue.
@@ -449,7 +449,7 @@ struct Replica<'a> {
     snapshots: IdMap<u64, usize>,
     /// This card's counters and trace, in the report's own fields. The
     /// compile counts hold what restarts retired until
-    /// [`finalize`](Self::finalize) adds the live caches' and sets the
+    /// [`finalize`](Self::finalize) adds the live table's and sets the
     /// fields it derives.
     report: ServingReport,
     /// MME, TPC, DMA and NIC busy time, ns.
@@ -486,7 +486,6 @@ impl<'a> Replica<'a> {
             device,
             cost,
             kv,
-            recipes: RecipeCache::new(&cfg.recipes),
             pending: VecDeque::new(),
             waiting: VecDeque::new(),
             waiting_tokens: 0,
@@ -743,7 +742,7 @@ impl<'a> Replica<'a> {
         let job = self.waiting.pop_front().expect("front checked");
         self.waiting_tokens -= job.req.total_tokens();
         let queue_ms = self.clock_ms - job.submitted_ms();
-        let (mut c, warmup, prefill_len) = self.price_admission(&job)?;
+        let (mut c, warmup) = self.price_admission(&job)?;
         // Deadline-aware admission: a request whose first token could only
         // land past the TTFT SLO is dropped before wasting the engine time
         // — the load-shedding analogue of a server's "estimated wait
@@ -771,9 +770,10 @@ impl<'a> Replica<'a> {
             // First use of this prefill shape on this replica: the host
             // compiles a recipe before launch. Wall time only — no engine
             // is busy during a host compile.
-            c.ms += self.recipes.charge(Phase::Prefill, 1, prefill_len);
-            self.report.scheduled_tokens += prefill_len;
-            self.report.padded_tokens += prefill_len - job.req.prompt_len;
+            let shape = self.cost.shape(Phase::Prefill, 1, job.req.prompt_len);
+            c.ms += self.cost.warm(shape);
+            self.report.scheduled_tokens += shape.slots();
+            self.report.padded_tokens += shape.slots() - job.req.prompt_len;
             self.record("prefill", &c);
             self.report.prefills += 1;
             1
@@ -794,21 +794,21 @@ impl<'a> Replica<'a> {
     }
 
     /// Price admitting `job` at the clock, stretched by any slowdown window
-    /// it starts in, as `(cost, peeked warmup, bucketed prefill length)`.
+    /// it starts in, as `(cost, peeked warmup)`.
     /// A restore copies the whole checkpointed chain — prompt KV plus the
     /// snapshotted decode tokens — back from host: a copy, not a compiled
     /// graph, so it has no warmup, and the cold-cache recompiles still
     /// land on the first prefill/decode shapes. A prefill's recipe warmup
-    /// is *peeked*, not charged: a dropped request must not warm the cache.
-    fn price_admission(&mut self, job: &Job) -> Result<(PhaseCost, f64, usize), ServingError> {
+    /// is *peeked*, not charged: a dropped request must not warm the table.
+    fn price_admission(&mut self, job: &Job) -> Result<(PhaseCost, f64), ServingError> {
         let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
         let (prompt, snap) = (job.req.prompt_len, job.checkpointed_tokens);
         if snap > 0 {
-            return Ok((self.kv_copy(prompt + snap).1.scaled(factor), 0.0, 0));
+            return Ok((self.kv_copy(prompt + snap).1.scaled(factor), 0.0));
         }
-        let c = self.cost.prefill(1, prompt)?.scaled(factor);
-        let len = self.cost.bucketed(prompt);
-        Ok((c, self.recipes.warmup_ms(Phase::Prefill, 1, len), len))
+        let shape = self.cost.shape(Phase::Prefill, 1, prompt);
+        let c = self.cost.compiled(shape)?.cost.scaled(factor);
+        Ok((c, self.cost.warmup_ms(shape)))
     }
 
     /// One decode step advances every running request by one token;
@@ -819,22 +819,17 @@ impl<'a> Replica<'a> {
             return Ok(false);
         }
         self.grow_or_preempt()?;
-        // Decode batches are padded up to the recipe batch bucket (capped
-        // at the slot count): coarser buckets mean fewer distinct recipes
-        // but more dead slots per step.
-        let priced_batch = self
-            .cfg
-            .recipes
-            .bucketed_batch(self.running.len())
-            .min(self.cfg.max_batch);
+        // The step runs at the batch padded up to its recipe bucket (capped
+        // at the slot count) and the longest context's bucket: coarser
+        // buckets mean fewer distinct recipes but more dead slots per step.
         let max_ctx = self.running.iter().map(|a| a.ctx).max().unwrap_or(1);
+        let shape = self.cost.shape(Phase::Decode, self.running.len(), max_ctx);
         let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
-        let mut c = self.cost.decode(priced_batch, max_ctx)?.scaled(factor);
-        let ctx_len = self.cost.bucketed(max_ctx);
-        c.ms += self.recipes.charge(Phase::Decode, priced_batch, ctx_len);
+        let mut c = self.cost.compiled(shape)?.cost.scaled(factor);
+        c.ms += self.cost.warm(shape);
         let live: usize = self.running.iter().map(|a| a.ctx).sum();
-        self.report.scheduled_tokens += priced_batch * ctx_len;
-        self.report.padded_tokens += priced_batch * ctx_len - live;
+        self.report.scheduled_tokens += shape.slots();
+        self.report.padded_tokens += shape.slots() - live;
         self.record("decode", &c);
         self.report.decode_steps += 1;
 
@@ -932,10 +927,10 @@ impl<'a> Replica<'a> {
         Ok(orphans)
     }
 
-    /// Bring the replica back at `at_ms` with a **cold** compiled-plan
-    /// cache: a restarted SynapseAI process recompiles its recipes, so the
-    /// warm cost model is retired (its compilations still count) and a
-    /// fresh one takes over.
+    /// Bring the replica back at `at_ms` with a **cold** recipe table: a
+    /// restarted SynapseAI process recompiles its recipes, so every shape
+    /// pays warmup again. The warm table is retired, and the shapes it
+    /// priced and the recipes it compiled stay in the report's totals.
     fn restart(&mut self, at_ms: f64, cost: CostModel) {
         let since = self.down_since.take().expect("restart of an up replica");
         self.down_ms += at_ms - since;
@@ -943,12 +938,8 @@ impl<'a> Replica<'a> {
         self.clock_ms = self.clock_ms.max(at_ms);
         self.report.restarts += 1;
         self.report.compiled_graphs += self.cost.compiled_graphs();
+        self.report.recipe_compiles += self.cost.recipe_compiles();
         self.cost = cost;
-        // The restarted process also lost its compiled recipes: every
-        // shape pays warmup again, and the compiles already charged stay
-        // in the report's total.
-        self.report.recipe_compiles += self.recipes.compiles();
-        self.recipes = RecipeCache::new(&self.cfg.recipes);
     }
 
     /// Consume the replica into its one-card [`Tally`].
@@ -969,7 +960,7 @@ impl<'a> Replica<'a> {
         report.kv_peak_bytes = self.kv.peak();
         report.kv_capacity_bytes = self.kv.capacity();
         report.compiled_graphs += self.cost.compiled_graphs();
-        report.recipe_compiles += self.recipes.compiles();
+        report.recipe_compiles += self.cost.recipe_compiles();
         report.devices = 1;
         report.retries = retries;
         Tally {
@@ -1032,29 +1023,22 @@ pub fn simulate_trace(
 /// Worst-case activation workspace of `cfg`'s schedulable phase shapes, as
 /// `(planned, naive)` bytes: the memory planner's packed-arena extent and
 /// the sum-of-all-activation-tensors baseline it replaces. The shapes are
-/// the same ones [`simulate_trace_with`] charges at admission — a prefill
-/// of the longest admissible prompt (prefill always runs at batch 1) and a
-/// decode at the bucket-padded max batch and longest context.
+/// the largest ones a replica can run — a prefill of the longest
+/// admissible prompt (prefill always runs at batch 1) and a decode of a
+/// full slot set at the longest context — shaped by the same
+/// [`CostModel::shape`] the engine runs them at.
 pub fn activation_estimate(cfg: &ServingConfig) -> Result<(u64, u64), ServingError> {
-    check_ctx_bucket(cfg)?;
-    let mut cost = CostModel::new(
-        cfg.model.clone(),
-        cfg.hw.clone(),
-        cfg.opts.clone(),
-        cfg.ctx_bucket,
-    );
-    activation_estimate_with(&mut cost, cfg)
+    check_shapes(cfg)?;
+    activation_estimate_with(&mut CostModel::new(cfg), cfg)
 }
 
 fn activation_estimate_with(
     cost: &mut CostModel,
     cfg: &ServingConfig,
 ) -> Result<(u64, u64), ServingError> {
-    let prefill = cost.prefill_compiled(1, cfg.traffic.prompt_range.1)?;
-    let decode = cost.decode_compiled(
-        cfg.recipes.bucketed_batch(cfg.max_batch),
-        cfg.max_request_tokens(),
-    )?;
+    let prefill = cost.compiled(cost.shape(Phase::Prefill, 1, cfg.traffic.prompt_range.1))?;
+    let decode =
+        cost.compiled(cost.shape(Phase::Decode, cfg.max_batch, cfg.max_request_tokens()))?;
     Ok((
         prefill
             .planned_activation_bytes
@@ -1065,15 +1049,22 @@ fn activation_estimate_with(
     ))
 }
 
-/// Phase lengths round up to a multiple of `ctx_bucket`, so it must be
-/// positive before any phase is priced.
-fn check_ctx_bucket(cfg: &ServingConfig) -> Result<(), ServingError> {
+/// Phase shapes round lengths up to a multiple of `ctx_bucket` and pad
+/// decode batches up to the recipe bucket, capped at `max_batch`, so all
+/// three must be positive (and the recipe model well-formed) before any
+/// phase is priced.
+fn check_shapes(cfg: &ServingConfig) -> Result<(), ServingError> {
+    if cfg.max_batch == 0 {
+        return Err(ServingError::InvalidConfig(
+            "max_batch must be at least 1".into(),
+        ));
+    }
     if cfg.ctx_bucket == 0 {
         return Err(ServingError::InvalidConfig(
             "ctx_bucket must be at least 1".into(),
         ));
     }
-    Ok(())
+    cfg.recipes.validate().map_err(ServingError::InvalidConfig)
 }
 
 /// A request needs a prompt to prefill and an output of at least the one
@@ -1125,25 +1116,17 @@ pub(crate) fn simulate_records(
     mut requests: Vec<Request>,
     policy: &ExecPolicy,
 ) -> Result<(Tally, Ranks), ServingError> {
-    if cfg.max_batch == 0 {
-        return Err(ServingError::InvalidConfig(
-            "max_batch must be at least 1".into(),
-        ));
-    }
+    check_shapes(cfg)?;
     if cfg.devices == 0 {
         return Err(ServingError::InvalidConfig(
             "devices must be at least 1".into(),
         ));
     }
-    check_ctx_bucket(cfg)?;
     cfg.faults.validate(cfg.devices)?;
     cfg.robustness
         .validate()
         .map_err(ServingError::InvalidConfig)?;
     cfg.kv_admission
-        .validate()
-        .map_err(ServingError::InvalidConfig)?;
-    cfg.recipes
         .validate()
         .map_err(ServingError::InvalidConfig)?;
 
@@ -1155,19 +1138,13 @@ pub(crate) fn simulate_records(
         PlanSharing::PerCall => Arc::new(PlanCache::new()),
         PlanSharing::Shared(cache) => Arc::clone(cache),
     };
-    let ctx = Arc::new(CostContext::new(
-        cfg.model.clone(),
-        cfg.hw.clone(),
-        cfg.opts.clone(),
-        cfg.ctx_bucket,
-        cache,
-    ));
+    let ctx = Arc::new(CostContext::new(cfg, cache));
     let make_cost = || CostModel::with_context(Arc::clone(&ctx));
 
     // Activation workspace charged against HBM at admission. Computed once
     // from the worst-case phase shapes this config can schedule: a prefill
     // at the longest admissible prompt (prefill always runs at batch 1) and
-    // a decode at the padded max batch and longest context. `Off` (the
+    // a decode of a full slot set at the longest context. `Off` (the
     // default) skips the compiles entirely so the plan-cache statistics and
     // compiled-graph counts of existing configurations are untouched.
     let activation_reserve = match cfg.activation_budget {
@@ -1292,7 +1269,7 @@ fn record_fault_lanes(trace: &mut Trace, faults: &FaultPlan, devices: usize, mak
 /// A single pass interleaves three deterministic streams: replica
 /// execution (each advanced to quiescence below the next event), fault
 /// transitions (kills halt and orphan; restarts rejoin the pool with a
-/// cold recipe cache), and live dispatch (arrivals and backoff-delayed
+/// cold recipe table), and live dispatch (arrivals and backoff-delayed
 /// retries routed round-robin to a live replica). The loop is
 /// single-threaded on purpose: every interleaving decision is a pure
 /// function of the configuration, so the result is bit-identical across
@@ -1484,13 +1461,14 @@ mod tests {
         }
     }
 
-    fn tiny_cost_model(cfg: &ServingConfig) -> CostModel {
-        CostModel::new(
-            cfg.model.clone(),
-            cfg.hw.clone(),
-            cfg.opts.clone(),
-            cfg.ctx_bucket,
-        )
+    /// Wall time of one `phase` of `cfg` over `batch` sequences at `len`
+    /// tokens, ms.
+    fn phase_ms(cfg: &ServingConfig, phase: Phase, batch: usize, len: usize) -> f64 {
+        let mut cost = CostModel::new(cfg);
+        cost.compiled(cost.shape(phase, batch, len))
+            .unwrap()
+            .cost
+            .ms
     }
 
     #[test]
@@ -1548,8 +1526,7 @@ mod tests {
             output_len: 6,
         };
         let r = simulate_trace(&cfg, vec![req]).unwrap();
-        let mut cost = tiny_cost_model(&cfg);
-        let prefill_ms = cost.prefill(1, 48).unwrap().ms;
+        let prefill_ms = phase_ms(&cfg, Phase::Prefill, 1, 48);
         let o = &r.completed[0];
         assert_eq!(o.queue_ms, 0.0);
         assert_eq!(o.ttft_ms, prefill_ms, "TTFT must equal the prefill cost");
@@ -1634,7 +1611,7 @@ mod tests {
             .queue_depth(4)
             .ttft_deadline(15.0)
             .checkpoint(2.0, 64e9);
-        let mut r = Replica::new(&cfg, DeviceId(0), tiny_cost_model(&cfg), 0).unwrap();
+        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0).unwrap();
         let reqs = generate_requests(&cfg.traffic);
         let limits: Vec<f64> = reqs
             .iter()
@@ -1646,7 +1623,7 @@ mod tests {
         for (i, (req, &limit)) in reqs.into_iter().zip(&limits).enumerate() {
             match i {
                 12 => drop(r.halt(limit).unwrap()),
-                18 => r.restart(limit, tiny_cost_model(&cfg)),
+                18 => r.restart(limit, CostModel::new(&cfg)),
                 _ if i % 3 == 0 && r.up => r.enqueue(Job::fresh(req)),
                 _ => {}
             }
@@ -1662,7 +1639,7 @@ mod tests {
 
         // A dispatched job due exactly at the clock is still ingested at
         // the limit, so the replica may not be skipped.
-        let mut r = Replica::new(&cfg, DeviceId(0), tiny_cost_model(&cfg), 0).unwrap();
+        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0).unwrap();
         r.clock_ms = 5.0;
         r.enqueue(Job::fresh(Request {
             id: 0,
@@ -1701,7 +1678,7 @@ mod tests {
             .kv_bytes_per_token(&cfg.model, cfg.kv_dtype);
         let restore_ms = ((prompt + k) as u64 * per_tok) as f64 / dma * 1e3 * factor;
         fn replica<'a>(cfg: &'a ServingConfig, orphan: &Job) -> Replica<'a> {
-            let mut r = Replica::new(cfg, DeviceId(0), tiny_cost_model(cfg), 0).unwrap();
+            let mut r = Replica::new(cfg, DeviceId(0), CostModel::new(cfg), 0).unwrap();
             r.clock_ms = 2.0;
             r.enqueue(orphan.clone());
             r
@@ -1751,8 +1728,8 @@ mod tests {
             batch_bucket: 1,
         };
         cfg.robustness = RobustnessConfig::default().ttft_deadline(20.0);
-        assert!(tiny_cost_model(&cfg).prefill(1, 8).unwrap().ms < 20.0);
-        let mut r = Replica::new(&cfg, DeviceId(0), tiny_cost_model(&cfg), 0).unwrap();
+        assert!(phase_ms(&cfg, Phase::Prefill, 1, 8) < 20.0);
+        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0).unwrap();
         r.enqueue(Job::fresh(Request {
             id: 0,
             arrival_us: 0,
@@ -1995,7 +1972,7 @@ mod tests {
         // every completion actually met the deadline.
         let mut cfg = tiny_config();
         cfg.traffic.arrival_rate_per_s = 1e6;
-        let deadline = tiny_cost_model(&cfg).prefill(1, 64).unwrap().ms * 3.0;
+        let deadline = phase_ms(&cfg, Phase::Prefill, 1, 64) * 3.0;
         cfg.robustness = RobustnessConfig::default().ttft_deadline(deadline);
         let r = simulate(&cfg).unwrap();
         assert!(
@@ -2017,9 +1994,8 @@ mod tests {
         // the request is cancelled at a decode boundary with its partial
         // tokens counted toward throughput only.
         let mut cfg = tiny_config();
-        let mut cost = tiny_cost_model(&cfg);
-        let prefill = cost.prefill(1, 32).unwrap().ms;
-        let decode = cost.decode(1, 48).unwrap().ms;
+        let prefill = phase_ms(&cfg, Phase::Prefill, 1, 32);
+        let decode = phase_ms(&cfg, Phase::Decode, 1, 48);
         cfg.robustness = RobustnessConfig::default().deadline(prefill + 3.5 * decode);
         let req = Request {
             id: 0,
@@ -2179,6 +2155,35 @@ mod tests {
             .kv_bytes_per_token(&cfg.model, cfg.kv_dtype);
         cfg.hw.memory.hbm_capacity_bytes = weights + naive + per_tok * tokens;
         cfg
+    }
+
+    #[test]
+    fn activation_estimate_prices_only_shapes_the_engine_runs() {
+        // A decode bucket of 4 does not divide 10 slots. The engine caps
+        // every decode at 10 sequences, so the estimate's worst decode is
+        // a batch of 10, not the bucket's 12.
+        let mut cfg = tiny_config();
+        cfg.traffic.prompt_range = (4, 8);
+        cfg.traffic.output_range = (4, 200);
+        cfg.max_batch = 10;
+        cfg.recipes.batch_bucket = 4;
+        let compiler = gaudi_compiler::GraphCompiler::new(cfg.hw.clone(), cfg.opts.clone());
+        let footprint = |graph| {
+            let (_, _, mem) = compiler.compile_with_memplan(&graph).unwrap();
+            (mem.arena_bytes, mem.naive_bytes)
+        };
+        // Lengths round up to the 32-token bucket: the longest prompt, 8,
+        // to 32, and the longest context, 8 + 200, to 224.
+        let prefill = footprint(gaudi_models::build_prefill(&cfg.model, 1, 32).unwrap().0);
+        let decode = footprint(
+            gaudi_models::build_decode_step(&cfg.model, 10, 224)
+                .unwrap()
+                .0,
+        );
+        assert_eq!(
+            activation_estimate(&cfg).unwrap(),
+            (prefill.0.max(decode.0), prefill.1.max(decode.1))
+        );
     }
 
     #[test]
@@ -2436,15 +2441,24 @@ mod tests {
     }
 
     #[test]
-    fn zero_ctx_bucket_is_a_config_error_at_every_entry_point() {
-        let cfg = tiny_config().to_builder().ctx_bucket(0).build();
+    fn zero_shape_parameters_are_config_errors_at_every_entry_point() {
+        // Every phase shape divides by the context and recipe batch
+        // buckets and is capped at the slot count.
+        let mut zero_batch_bucket = tiny_config();
+        zero_batch_bucket.recipes.batch_bucket = 0;
         let invalid = |r: Result<_, ServingError>| matches!(r, Err(ServingError::InvalidConfig(_)));
-        assert!(invalid(simulate(&cfg).map(drop)));
-        assert!(invalid(activation_estimate(&cfg).map(drop)));
-        let cluster = crate::cluster::ClusterConfig::new(cfg, 2, 1);
-        assert!(invalid(
-            crate::cluster::simulate_cluster(&cluster).map(drop)
-        ));
+        for cfg in [
+            tiny_config().to_builder().ctx_bucket(0).build(),
+            tiny_config().to_builder().max_batch(0).build(),
+            zero_batch_bucket,
+        ] {
+            assert!(invalid(simulate(&cfg).map(drop)));
+            assert!(invalid(activation_estimate(&cfg).map(drop)));
+            let cluster = crate::cluster::ClusterConfig::new(cfg, 2, 1);
+            assert!(invalid(
+                crate::cluster::simulate_cluster(&cluster).map(drop)
+            ));
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Hashers for the engine's internal maps.
 //!
 //! The maps probed on every simulated step — KV reservations and chains,
-//! host snapshots, the cost model's L1 plan caches and the recipe cache —
-//! are keyed by request ids and phase-shape tuples that the simulator
-//! mints itself, and none of them is ever iterated. So they need neither
-//! SipHash's defence against crafted keys nor any particular order: one
+//! host snapshots, and each replica's recipe table of phase shapes — are
+//! keyed by request ids and shapes that the simulator mints itself, and
+//! none of them is ever iterated in an order that reaches a result (the
+//! recipe table is only ever counted). So they need neither SipHash's
+//! defence against crafted keys nor any particular order: one
 //! rotate-xor-multiply per key word (the Fx scheme, [`IdMap`]) is enough to
 //! spread sequential ids over the table.
 //!
@@ -15,14 +16,11 @@
 //! they would pile into a few buckets. Such keys go in a [`MixMap`], whose
 //! SplitMix64 finalizer carries every key bit into every output bit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed by simulator-internal ids or shapes.
 pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-
-/// `HashSet` of simulator-internal ids or shapes.
-pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// `HashMap` keyed by arbitrary 64-bit words, such as the bit patterns of
 /// measured latencies.

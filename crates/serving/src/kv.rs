@@ -5,8 +5,9 @@
 //! elements and lives until the request completes. How that footprint is
 //! *reserved* is the [`KvAdmission`] strategy:
 //!
-//! * [`KvAdmissionConfig::Contiguous`] (the legacy accountant) charges a
-//!   worst-case reservation — `prompt + output` tokens — at admission.
+//! * [`KvAdmissionConfig::Contiguous`] ([`ContiguousKv`], the legacy
+//!   accountant) charges a worst-case reservation — `prompt + output`
+//!   tokens — at admission, one table entry per request.
 //!   Reserving up front makes the capacity invariant airtight (an admitted
 //!   request can always finish), but every not-yet-generated output token
 //!   is dead headroom while the request decodes.
@@ -136,9 +137,9 @@ impl KvAdmissionConfig {
         let resident = self.weight_bytes(model, max_positions, dtype) + activation_bytes;
         let per_token = self.kv_bytes_per_token(model, dtype);
         match *self {
-            KvAdmissionConfig::Contiguous => Ok(Box::new(ContiguousKv::new(KvAccountant::new(
-                mem, resident, per_token,
-            )?))),
+            KvAdmissionConfig::Contiguous => {
+                Ok(Box::new(ContiguousKv::new(mem, resident, per_token)?))
+            }
             KvAdmissionConfig::Paged { block_tokens } => Ok(Box::new(crate::paged::PagedKv::new(
                 mem,
                 resident,
@@ -233,17 +234,29 @@ pub trait KvAdmission: std::fmt::Debug + Send {
     }
 }
 
-/// Tracks KV-cache reservations against device HBM.
-#[derive(Debug, Clone)]
-pub struct KvAccountant {
+/// The legacy worst-case strategy behind the [`KvAdmission`] trait: an
+/// HBM tracker with the weights resident, and one table entry per
+/// admitted request holding its reserved worst case and its live tokens,
+/// so the waste of up-front reservation becomes measurable
+/// ([`utilization_at_peak`](KvAdmission::utilization_at_peak)).
+#[derive(Debug)]
+pub struct ContiguousKv {
     tracker: HbmTracker,
-    bytes_per_token: u64,
     weight_bytes: u64,
+    bytes_per_token: u64,
+    /// `(reserved, live)` tokens per admitted request: its worst case
+    /// (prompt + output) and its context so far (prompt + generated).
+    requests: IdMap<u64, (usize, usize)>,
+    reserved_tokens: usize,
+    live_tokens: usize,
+    live_at_peak: usize,
+    reserved_at_peak: usize,
 }
 
-impl KvAccountant {
-    /// Accountant for a device, with `weight_bytes` of model parameters
-    /// made resident up front. Fails if the weights alone overflow HBM.
+impl ContiguousKv {
+    /// Admission state for a device, with `weight_bytes` made resident up
+    /// front and `bytes_per_token` of KV per cached token. Fails if the
+    /// weights alone overflow HBM.
     pub fn new(
         mem: &MemoryConfig,
         weight_bytes: u64,
@@ -252,105 +265,16 @@ impl KvAccountant {
         assert!(bytes_per_token > 0, "KV rows cannot be zero-sized");
         let mut tracker = HbmTracker::new(mem);
         tracker.allocate(weight_bytes)?;
-        Ok(KvAccountant {
+        Ok(ContiguousKv {
             tracker,
-            bytes_per_token,
             weight_bytes,
-        })
-    }
-
-    /// Reserve the full KV footprint of a request (`tokens` = prompt +
-    /// output). Fails — leaving the accountant unchanged — when the
-    /// reservation would exceed device capacity; the scheduler turns that
-    /// into admission backpressure.
-    pub fn try_reserve(&mut self, tokens: usize) -> Result<(), OutOfMemory> {
-        self.tracker.allocate(tokens as u64 * self.bytes_per_token)
-    }
-
-    /// Release a completed request's reservation.
-    ///
-    /// Checked: releasing more tokens than are currently reserved is a
-    /// [`ServingError::KvAccounting`] error, not a saturating free — a
-    /// saturating free would silently eat into the resident-weight
-    /// reservation and corrupt every later admission decision.
-    pub fn release(&mut self, tokens: usize) -> Result<(), ServingError> {
-        let bytes = tokens as u64 * self.bytes_per_token;
-        let kv_reserved = self.tracker.allocated() - self.weight_bytes;
-        if bytes > kv_reserved {
-            return Err(ServingError::KvAccounting(format!(
-                "released {tokens} tokens ({bytes} B) but only {kv_reserved} B of KV is reserved"
-            )));
-        }
-        self.tracker.free(bytes);
-        Ok(())
-    }
-
-    /// Bytes currently reserved (weights + live KV).
-    pub fn allocated(&self) -> u64 {
-        self.tracker.allocated()
-    }
-
-    /// High-water mark in bytes.
-    pub fn peak(&self) -> u64 {
-        self.tracker.peak()
-    }
-
-    /// Device capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.tracker.capacity()
-    }
-
-    /// KV bytes per cached token.
-    pub fn bytes_per_token(&self) -> u64 {
-        self.bytes_per_token
-    }
-
-    /// Largest request (in total tokens) this device can ever admit.
-    pub fn max_admissible_tokens(&self) -> u64 {
-        (self.capacity() - self.weight_bytes) / self.bytes_per_token
-    }
-}
-
-/// The legacy worst-case strategy behind the [`KvAdmission`] trait: a
-/// [`KvAccountant`] plus per-request bookkeeping of what was reserved and
-/// how much of it is actually live, so the waste of up-front reservation
-/// becomes measurable ([`utilization_at_peak`](KvAdmission::utilization_at_peak)).
-#[derive(Debug)]
-pub struct ContiguousKv {
-    acct: KvAccountant,
-    /// Worst-case tokens reserved per admitted request.
-    reserved: IdMap<u64, usize>,
-    /// Live context tokens per admitted request (prompt + generated).
-    live: IdMap<u64, usize>,
-    reserved_tokens: usize,
-    live_tokens: usize,
-    peak_bytes_seen: u64,
-    live_at_peak: usize,
-    reserved_at_peak: usize,
-}
-
-impl ContiguousKv {
-    /// Wrap an accountant (weights already resident).
-    pub fn new(acct: KvAccountant) -> Self {
-        let peak = acct.allocated();
-        ContiguousKv {
-            acct,
-            reserved: IdMap::default(),
-            live: IdMap::default(),
+            bytes_per_token,
+            requests: IdMap::default(),
             reserved_tokens: 0,
             live_tokens: 0,
-            peak_bytes_seen: peak,
             live_at_peak: 0,
             reserved_at_peak: 0,
-        }
-    }
-
-    fn note_peak(&mut self) {
-        if self.acct.allocated() > self.peak_bytes_seen {
-            self.peak_bytes_seen = self.acct.allocated();
-            self.live_at_peak = self.live_tokens;
-            self.reserved_at_peak = self.reserved_tokens;
-        }
+        })
     }
 }
 
@@ -362,54 +286,56 @@ impl KvAdmission for ContiguousKv {
         output_len: usize,
     ) -> Result<(), OutOfMemory> {
         let total = prompt_len + output_len;
-        self.acct.try_reserve(total)?;
-        self.reserved.insert(id, total);
+        let peak = self.tracker.peak();
+        self.tracker.allocate(total as u64 * self.bytes_per_token)?;
         // Prefill leaves `prompt + 1` tokens live (its last forward pass
         // emits the first output token).
-        self.live.insert(id, prompt_len + 1);
+        self.requests.insert(id, (total, prompt_len + 1));
         self.reserved_tokens += total;
         self.live_tokens += prompt_len + 1;
-        self.note_peak();
+        // Only a new high-water mark re-snapshots the live/reserved mix.
+        if self.tracker.peak() > peak {
+            self.live_at_peak = self.live_tokens;
+            self.reserved_at_peak = self.reserved_tokens;
+        }
         Ok(())
     }
 
     fn grow(&mut self, id: u64) -> Result<(), OutOfMemory> {
         // The worst case is pre-reserved; growth just moves a token from
         // "reserved headroom" to "live".
-        if let Some(live) = self.live.get_mut(&id) {
+        if let Some((_, live)) = self.requests.get_mut(&id) {
             *live += 1;
             self.live_tokens += 1;
-            // Allocation did not change, but the live/reserved mix at the
-            // standing peak did — only a *new* peak re-snapshots.
         }
         Ok(())
     }
 
     fn release(&mut self, id: u64) -> Result<(), ServingError> {
-        let tokens = self.reserved.remove(&id).ok_or_else(|| {
+        let (reserved, live) = self.requests.remove(&id).ok_or_else(|| {
             ServingError::KvAccounting(format!("request {id} released without a reservation"))
         })?;
-        let live = self.live.remove(&id).unwrap_or(0);
-        self.acct.release(tokens)?;
-        self.reserved_tokens -= tokens;
+        // The table bounds the free: it is exactly what this id reserved.
+        self.tracker.free(reserved as u64 * self.bytes_per_token);
+        self.reserved_tokens -= reserved;
         self.live_tokens -= live;
         Ok(())
     }
 
     fn allocated(&self) -> u64 {
-        self.acct.allocated()
+        self.tracker.allocated()
     }
 
     fn peak(&self) -> u64 {
-        self.acct.peak()
+        self.tracker.peak()
     }
 
     fn capacity(&self) -> u64 {
-        self.acct.capacity()
+        self.tracker.capacity()
     }
 
     fn max_admissible_tokens(&self) -> u64 {
-        self.acct.max_admissible_tokens()
+        (self.capacity() - self.weight_bytes) / self.bytes_per_token
     }
 
     fn utilization_at_peak(&self) -> f64 {
@@ -453,51 +379,36 @@ mod tests {
 
     #[test]
     fn reserve_release_roundtrip() {
-        let mut acc = KvAccountant::new(&mem(1 << 20), 1 << 16, 256).unwrap();
-        let before = acc.allocated();
-        acc.try_reserve(100).unwrap();
-        assert_eq!(acc.allocated(), before + 100 * 256);
-        acc.release(100).unwrap();
-        assert_eq!(acc.allocated(), before);
-        assert!(acc.peak() >= before + 100 * 256);
+        let mut kv = ContiguousKv::new(&mem(1 << 20), 1 << 16, 256).unwrap();
+        let before = kv.allocated();
+        kv.try_admit(0, 60, 40).unwrap();
+        assert_eq!(kv.allocated(), before + 100 * 256);
+        kv.release(0).unwrap();
+        assert_eq!(kv.allocated(), before);
+        assert!(kv.peak() >= before + 100 * 256);
     }
 
     #[test]
     fn overflow_is_rejected_not_exceeded() {
-        let mut acc = KvAccountant::new(&mem(1 << 20), 0, 1024).unwrap();
+        let mut kv = ContiguousKv::new(&mem(1 << 20), 0, 1024).unwrap();
         // Capacity is 1024 tokens worth; reserve most of it.
-        acc.try_reserve(1000).unwrap();
-        let err = acc.try_reserve(100).unwrap_err();
+        kv.try_admit(0, 900, 100).unwrap();
+        let err = kv.try_admit(1, 50, 50).unwrap_err();
         assert_eq!(err.available, 24 * 1024);
         // Failed reservation must not change accounting.
-        assert_eq!(acc.allocated(), 1000 * 1024);
-        assert!(acc.allocated() <= acc.capacity());
+        assert_eq!(kv.allocated(), 1000 * 1024);
+        assert!(kv.allocated() <= kv.capacity());
+        assert!(kv.release(1).is_err(), "a rejected id holds nothing");
     }
 
     #[test]
     fn weights_that_overflow_fail_construction() {
-        assert!(KvAccountant::new(&mem(1 << 20), 2 << 20, 1).is_err());
-    }
-
-    #[test]
-    fn over_release_is_a_checked_error_not_weight_corruption() {
-        // Regression: release used to saturate through HbmTracker::free,
-        // silently freeing resident-weight bytes when over-released.
-        let mut acc = KvAccountant::new(&mem(1 << 20), 1 << 16, 256).unwrap();
-        acc.try_reserve(10).unwrap();
-        let err = acc.release(11).unwrap_err();
-        assert!(matches!(err, ServingError::KvAccounting(_)));
-        // The failed release must not have touched the weights.
-        assert_eq!(acc.allocated(), (1 << 16) + 10 * 256);
-        acc.release(10).unwrap();
-        assert_eq!(acc.allocated(), 1 << 16);
-        assert!(acc.release(1).is_err(), "nothing left to release");
+        assert!(ContiguousKv::new(&mem(1 << 20), 2 << 20, 1).is_err());
     }
 
     #[test]
     fn contiguous_admission_tracks_per_request_reservations() {
-        let acc = KvAccountant::new(&mem(1 << 20), 0, 1024).unwrap();
-        let mut kv = ContiguousKv::new(acc);
+        let mut kv = ContiguousKv::new(&mem(1 << 20), 0, 1024).unwrap();
         kv.try_admit(7, 100, 50).unwrap();
         assert_eq!(kv.allocated(), 150 * 1024);
         // Double admit of another id, then release both by id.
@@ -506,14 +417,14 @@ mod tests {
         kv.release(7).unwrap();
         assert_eq!(kv.allocated(), 15 * 1024);
         assert!(matches!(kv.release(7), Err(ServingError::KvAccounting(_))));
+        assert!(matches!(kv.release(9), Err(ServingError::KvAccounting(_))));
         kv.release(8).unwrap();
         assert_eq!(kv.allocated(), 0);
     }
 
     #[test]
     fn contiguous_utilization_measures_worst_case_waste() {
-        let acc = KvAccountant::new(&mem(1 << 20), 0, 1024).unwrap();
-        let mut kv = ContiguousKv::new(acc);
+        let mut kv = ContiguousKv::new(&mem(1 << 20), 0, 1024).unwrap();
         // 100 reserved, 11 live at the (only) peak: utilization is the
         // live fraction of the reservation.
         kv.try_admit(0, 10, 90).unwrap();
@@ -529,8 +440,7 @@ mod tests {
 
     #[test]
     fn try_restore_is_all_or_nothing() {
-        let acc = KvAccountant::new(&mem(1 << 20), 0, 1024).unwrap();
-        let mut kv = ContiguousKv::new(acc);
+        let mut kv = ContiguousKv::new(&mem(1 << 20), 0, 1024).unwrap();
         // Restore at 5 generated tokens: prompt 100 + 5 live, 140 reserved.
         kv.try_restore(3, 100, 40, 5).unwrap();
         assert_eq!(kv.allocated(), 140 * 1024);

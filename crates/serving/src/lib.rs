@@ -20,11 +20,12 @@
 //!   front, while paged admission ([`paged`]) allocates fixed-size blocks
 //!   as contexts actually grow — more concurrent sequences from the same
 //!   HBM, with deterministic preemption when the pool runs dry;
-//! - SynapseAI's **recipe cache** becomes a compiled-phase-cost cache
-//!   keyed by `(batch, bucketed length)` ([`CostModel`]), which is why the
-//!   scheduler quantizes context lengths to buckets — and a quantitative
-//!   warmup model ([`RecipeConfig`]) charges a compile-latency penalty the
-//!   first time each replica sees a `(phase, ctx bucket, batch bucket)`
+//! - SynapseAI's **recipe cache** becomes each replica's recipe table
+//!   ([`CostModel`]): one entry per phase shape — the phase, its batch
+//!   padded to a recipe bucket, its length rounded up to a context bucket
+//!   — holding the compiled phase cost, which is why phase shapes are
+//!   bucketed at all. A quantitative warmup model ([`RecipeConfig`])
+//!   charges a compile-latency penalty the first time a replica runs each
 //!   shape, so cold or restarted replicas pay recipe compilation.
 //!
 //! ## Quick start
@@ -72,9 +73,7 @@ pub use calendar::EventCalendar;
 pub use cluster::{
     simulate_cluster, simulate_cluster_with, BoxSummary, ClusterConfig, ClusterReport, RouterPolicy,
 };
-pub use cost::{
-    CostContext, CostModel, Phase, PhaseCost, PlanCache, PlanCacheStats, RecipeCache, RecipeConfig,
-};
+pub use cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, PlanCacheStats, RecipeConfig};
 pub use engine::{
     activation_estimate, simulate, simulate_trace, simulate_trace_with, simulate_with, ExecPolicy,
     PlanSharing, ServingConfig, ServingConfigBuilder,
@@ -83,7 +82,7 @@ pub use error::ServingError;
 pub use fault::Job;
 pub use gaudi_exec::ExecPool;
 pub use gaudi_hw::fault::{FaultCampaign, FaultError, FaultPlan};
-pub use kv::{ActivationBudget, ContiguousKv, KvAccountant, KvAdmission, KvAdmissionConfig};
+pub use kv::{ActivationBudget, ContiguousKv, KvAdmission, KvAdmissionConfig};
 pub use paged::{BlockPool, PagedKv};
 pub use report::{DropKind, DroppedRequest, Percentiles, RequestOutcome, ServingReport};
 pub use request::{generate_requests, Request, TrafficConfig};

@@ -288,7 +288,7 @@ pub struct ServingReport {
     pub failed_replicas: usize,
     /// Replica restart events: transient kills whose down window ended
     /// inside the run, returning the card to the dispatch pool with a cold
-    /// compiled-plan cache.
+    /// recipe table.
     pub restarts: usize,
     /// Per-card up-time, ms, indexed by device: the time before the card
     /// last went down (the makespan, if it ended the run up) minus the
