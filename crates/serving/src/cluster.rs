@@ -324,7 +324,10 @@ pub fn simulate_cluster_with(
             // switch hops, quantized up to the engine's µs arrival grid.
             cross_box_requests += 1;
             let ns = topo.cross_box_transfer_ns(r.prompt_len as u64 * BYTES_PER_PROMPT_TOKEN);
-            r.arrival_us += (ns / 1e3).ceil() as u64;
+            let delay_us = (ns / 1e3).ceil() as u64;
+            r.arrival_us = r.arrival_us.checked_add(delay_us).ok_or_else(|| {
+                ServingError::InvalidConfig(format!("request {} arrives past the µs clock", r.id))
+            })?;
             cross_box_delay_ms += ns / 1e6;
         }
         shards[target].push(r);
@@ -465,6 +468,23 @@ mod tests {
         let fat = simulate_cluster(&cluster_config(4, 1, 100).oversubscription(16.0)).unwrap();
         assert_eq!(thin.cross_box_requests, fat.cross_box_requests);
         assert!(fat.cross_box_delay_ms > thin.cross_box_delay_ms);
+    }
+
+    #[test]
+    fn a_transfer_past_the_arrival_clock_is_a_config_error() {
+        let invalid = |cfg: &ClusterConfig| {
+            matches!(simulate_cluster(cfg), Err(ServingError::InvalidConfig(_)))
+        };
+        // One request so rare that its one gap fills the µs clock: routed
+        // off-home, any transfer delay overflows it.
+        for boxes in 2..=4 {
+            let mut cfg = cluster_config(boxes, 1, 1);
+            cfg.box_config.traffic.arrival_rate_per_s = 1e-300;
+            assert!(invalid(&cfg), "{boxes} boxes");
+        }
+        // A switch tier so oversubscribed that one prompt's transfer alone
+        // fills the clock.
+        assert!(invalid(&cluster_config(2, 1, 20).oversubscription(1e30)));
     }
 
     #[test]
