@@ -9,10 +9,10 @@
 //!
 //! Plans are plain data: building one never touches a clock or an OS RNG,
 //! so a simulation driven by a plan is exactly as reproducible as the plan
-//! itself. [`FaultPlan::seeded`] derives a randomized-but-deterministic
-//! plan from a `u64` seed (SplitMix64). The `fault` experiment of the
-//! `sweeps` binary checks the consequence: its two passes must agree on
-//! every faulted report bit for bit.
+//! itself. [`FaultCampaign::seeded`] lowers a correlated burst model to a
+//! randomized-but-deterministic plan from a `u64` seed (SplitMix64). The
+//! `fault` experiment of the `sweeps` binary checks the consequence: its
+//! two passes must agree on every faulted report bit for bit.
 //!
 //! What each fault means to consumers:
 //!
@@ -20,8 +20,8 @@
 //!   serving layer halts that replica at the next phase boundary at or
 //!   after the failure time and re-queues its unfinished work elsewhere.
 //!   A failure with `restart_after_ms` is *transient*: the card comes back
-//!   `restart_after_ms` later with cold caches (the serving layer rebuilds
-//!   its compiled-plan cache and the replica rejoins the dispatch pool).
+//!   `restart_after_ms` later with cold caches (the serving layer gives
+//!   the replica a cold recipe table and it rejoins the dispatch pool).
 //! * **Link degradation** ([`LinkDegradation`]): an inter-card edge runs at
 //!   `factor` × nominal bandwidth. Ring collectives pace to the slowest
 //!   participating link, so [`crate::Topology`] prices collectives against
@@ -336,52 +336,6 @@ impl FaultPlan {
         self
     }
 
-    /// A randomized-but-deterministic plan over `devices` cards and a
-    /// `horizon_ms` simulation window, fully determined by `seed`
-    /// (SplitMix64; no OS entropy anywhere).
-    ///
-    /// Roughly one in four cards dies at a uniform time in the horizon
-    /// (device 0 is spared so at least one replica survives) — half of the
-    /// deaths are transient, restarting after 5–30% of the horizon — one
-    /// in four adjacent links degrades to 25–100% bandwidth, and half of
-    /// all plans carry one box-wide 1–3× slowdown window.
-    pub fn seeded(seed: u64, devices: usize, horizon_ms: f64) -> Self {
-        let mut rng = SplitMix64::new(seed);
-        let mut plan = FaultPlan::none();
-        for d in 1..devices {
-            if rng.uniform() < 0.25 {
-                let at = rng.uniform() * horizon_ms;
-                plan = if rng.uniform() < 0.5 {
-                    let down = (0.05 + 0.25 * rng.uniform()) * horizon_ms;
-                    plan.kill_for(DeviceId(d), at, down)
-                } else {
-                    plan.kill(DeviceId(d), at)
-                };
-            }
-        }
-        for d in 1..devices {
-            if rng.uniform() < 0.25 {
-                let factor = 0.25 + 0.75 * rng.uniform();
-                plan = plan.degrade_link(DeviceId(d - 1), DeviceId(d), factor);
-            }
-        }
-        if rng.uniform() < 0.5 {
-            let start = rng.uniform() * horizon_ms * 0.5;
-            let len = (0.1 + 0.4 * rng.uniform()) * horizon_ms;
-            plan = plan.slow(start, start + len, 1.0 + 2.0 * rng.uniform());
-        }
-        plan
-    }
-
-    /// Earliest failure time of `device`, if the plan kills it at all.
-    pub fn kill_time_ms(&self, device: DeviceId) -> Option<f64> {
-        self.card_failures
-            .iter()
-            .filter(|c| c.device == device)
-            .map(|c| c.at_ms)
-            .min_by(|a, b| a.partial_cmp(b).expect("failure times are finite"))
-    }
-
     /// The up/down transition schedule of `device`, sorted by time: each
     /// kill contributes `(at_ms, false)`, and a transient kill additionally
     /// contributes `(at_ms + restart_after_ms, true)` for the restart.
@@ -396,26 +350,6 @@ impl FaultPlan {
         }
         out.sort_by(|x, y| x.partial_cmp(y).expect("failure times are finite"));
         out
-    }
-
-    /// Whether `device` is inside a down window at `t_ms` (kills are
-    /// inclusive at `at_ms`, restarts exclusive at `at_ms + restart`).
-    pub fn is_down(&self, device: DeviceId, t_ms: f64) -> bool {
-        self.card_failures
-            .iter()
-            .filter(|c| c.device == device)
-            .any(|c| t_ms >= c.at_ms && c.restart_after_ms.is_none_or(|d| t_ms < c.at_ms + d))
-    }
-
-    /// The link degradations active at `t_ms`: permanent entries plus
-    /// every flap whose window contains the instant. The result is what a
-    /// topology snapshot at `t_ms` should be degraded with.
-    pub fn link_degradations_at(&self, t_ms: f64) -> Vec<LinkDegradation> {
-        self.link_degradations
-            .iter()
-            .filter(|l| l.window.is_none_or(|(s, e)| s <= t_ms && t_ms < e))
-            .copied()
-            .collect()
     }
 
     /// Combined slowdown multiplier for a phase starting at `t_ms` on
@@ -554,10 +488,9 @@ impl FaultPlan {
 
 /// A correlated-fault burst model that lowers to a validated [`FaultPlan`].
 ///
-/// [`FaultPlan::seeded`] draws *independent* faults: each card fails on its
-/// own coin flip. Real fleet incidents are correlated — a rack PDU trip
-/// takes down every card in a box at once, and a flapping link perturbs its
-/// neighbors. A `FaultCampaign` captures those burst shapes as plain data;
+/// Real fleet incidents are correlated — a rack PDU trip takes down every
+/// card in a box at once, and a flapping link perturbs its neighbors. A
+/// `FaultCampaign` captures those burst shapes as plain data;
 /// [`FaultCampaign::seeded`] expands one into a concrete [`FaultPlan`]
 /// deterministically from a `u64` seed, using the [`Topology`] to resolve
 /// box membership and link adjacency.
@@ -789,7 +722,6 @@ mod tests {
     fn empty_plan_is_inert() {
         let p = FaultPlan::none();
         assert!(p.is_empty());
-        assert_eq!(p.kill_time_ms(DeviceId(0)), None);
         assert_eq!(p.slowdown_factor(DeviceId(0), 10.0), 1.0);
         assert!(p.validate(1).is_ok());
     }
@@ -802,8 +734,6 @@ mod tests {
             .degrade_link(DeviceId(0), DeviceId(1), 0.5)
             .slow(10.0, 20.0, 2.0)
             .slow_device(Some(DeviceId(1)), 15.0, 25.0, 3.0);
-        assert_eq!(p.kill_time_ms(DeviceId(2)), Some(30.0));
-        assert_eq!(p.kill_time_ms(DeviceId(1)), None);
         // At t=15 on device 1: both the box-wide 2x and the local 3x apply.
         assert_eq!(p.slowdown_factor(DeviceId(1), 15.0), 6.0);
         // Device 0 only sees the box-wide window.
@@ -814,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn transitions_and_is_down_track_restart_windows() {
+    fn transitions_track_restart_windows() {
         let p = FaultPlan::none()
             .kill_for(DeviceId(1), 20.0, 10.0)
             .kill(DeviceId(1), 50.0);
@@ -823,30 +753,7 @@ mod tests {
             vec![(20.0, false), (30.0, true), (50.0, false)]
         );
         assert_eq!(p.transitions(DeviceId(0)), vec![]);
-        assert!(!p.is_down(DeviceId(1), 19.9));
-        assert!(p.is_down(DeviceId(1), 20.0), "kill edge is inclusive");
-        assert!(p.is_down(DeviceId(1), 29.9));
-        assert!(!p.is_down(DeviceId(1), 30.0), "restart edge is exclusive");
-        assert!(p.is_down(DeviceId(1), 50.0));
-        assert!(p.is_down(DeviceId(1), 1e12), "the second kill is permanent");
         assert!(p.validate(2).is_ok());
-    }
-
-    #[test]
-    fn link_flaps_window_the_degradation() {
-        let p = FaultPlan::none()
-            .flap_link(DeviceId(0), DeviceId(1), 0.5, 10.0, 20.0)
-            .degrade_link(DeviceId(1), DeviceId(2), 0.75);
-        assert!(p.validate(3).is_ok());
-        let active = |t: f64| {
-            p.link_degradations_at(t)
-                .iter()
-                .map(|l| (l.a.index(), l.b.index()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(active(5.0), [(1, 2)], "flap not yet active");
-        assert_eq!(active(10.0), [(0, 1), (1, 2)], "flap start is inclusive");
-        assert_eq!(active(20.0), [(1, 2)], "flap end is exclusive");
     }
 
     #[test]
@@ -1069,20 +976,5 @@ mod tests {
             .seeded(1, &topo, 100.0)
             .unwrap();
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_valid() {
-        for seed in 0..50u64 {
-            let a = FaultPlan::seeded(seed, 8, 1000.0);
-            let b = FaultPlan::seeded(seed, 8, 1000.0);
-            assert_eq!(a, b, "seed {seed} must reproduce the plan");
-            a.validate(8).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            // Device 0 is always spared.
-            assert_eq!(a.kill_time_ms(DeviceId(0)), None);
-        }
-        // Different seeds eventually differ.
-        assert!((0..50u64)
-            .any(|s| FaultPlan::seeded(s, 8, 1000.0) != FaultPlan::seeded(s + 50, 8, 1000.0)));
     }
 }
