@@ -110,7 +110,7 @@ pub struct Shape {
 
 impl Shape {
     /// Token slots the phase computes (`batch × len`), padding included.
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.batch * self.len
     }
 }
