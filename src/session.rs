@@ -607,6 +607,22 @@ mod tests {
     }
 
     #[test]
+    fn a_flapping_link_is_rejected_by_the_partitioned_run() {
+        use gaudi_hw::DeviceId;
+        let g = mlp_graph(16, 32);
+        let flapping = GaudiSession::builder()
+            .devices(2)
+            .faults(FaultPlan::none().flap_link(DeviceId(0), DeviceId(1), 0.2, 1e9, 2e9))
+            .build()
+            .unwrap();
+        match flapping.run_partitioned(&g, mlp_feeds(16)) {
+            Err(GaudiError::Config(msg)) => assert!(msg.contains("link D0-D1"), "{msg}"),
+            Err(e) => panic!("expected a config error, got {e}"),
+            Ok(r) => panic!("a flap was priced into a {} ms run", r.makespan_ms),
+        }
+    }
+
+    #[test]
     fn degraded_links_slow_the_partitioned_run() {
         use gaudi_hw::DeviceId;
         let g = mlp_graph(16, 32);
