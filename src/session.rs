@@ -114,6 +114,11 @@ impl GaudiSession {
 
     /// [`run_partitioned`](Self::run_partitioned) with an explicit numerics
     /// mode.
+    ///
+    /// The session's permanent link degradations reprice every collective
+    /// against the slowest link. A windowed flap returns
+    /// [`GaudiError::Config`] naming the edge: the run is priced once,
+    /// without a clock, so the flap has no instant to be active at.
     pub fn run_partitioned_with_mode(
         &self,
         graph: &Graph,
@@ -128,6 +133,18 @@ impl GaudiSession {
                 &feeds,
                 mode,
             )?);
+        }
+        if let Some(flap) = self
+            .faults
+            .link_degradations
+            .iter()
+            .find(|l| l.window.is_some())
+        {
+            return Err(GaudiError::Config(format!(
+                "link {}-{} flaps over a window, but a partitioned run is priced \
+                 once, without a clock; only permanent degradations apply",
+                flap.a, flap.b
+            )));
         }
         // Degraded links reprice every collective against the bottleneck.
         let topo = Topology::hls1_box(&self.hw, self.parallelism.world())
