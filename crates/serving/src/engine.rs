@@ -1388,8 +1388,16 @@ fn simulate_box(
                         });
                     };
                     // Strictly later key than the one just removed, so the
-                    // deferral always makes progress.
-                    let up_us = ((up_t * 1e3).ceil() as u64).max(key.0 + 1);
+                    // deferral always makes progress; a job already due at
+                    // the end of the µs clock has no later key to wait for.
+                    let Some(next_us) = key.0.checked_add(1) else {
+                        return Err(ServingError::InvalidConfig(format!(
+                            "request {} arrives at the last representable µs while every \
+                             replica is down, so it cannot wait for a restart",
+                            job.req.id
+                        )));
+                    };
+                    let up_us = ((up_t * 1e3).ceil() as u64).max(next_us);
                     let mut j = job;
                     j.submitted_us = j.submitted_us.max(up_us);
                     disp.push(j.submitted_us, j.req.id, j);
@@ -1883,6 +1891,27 @@ mod tests {
         match simulate(&cfg) {
             Err(ServingError::AllReplicasDead { unserved }) => assert_eq!(unserved, 30),
             other => panic!("expected AllReplicasDead, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_job_due_at_the_end_of_the_clock_with_the_pool_down_is_rejected() {
+        // The only card is down over the request's arrival, the last
+        // representable µs, so deferring it to the restart needs a key
+        // past the end of the clock.
+        let mut cfg = tiny_config();
+        cfg.faults = FaultPlan::none().kill_for(DeviceId(0), 1.8e16, 1e16);
+        let req = Request {
+            id: 7,
+            arrival_us: u64::MAX,
+            prompt_len: 8,
+            output_len: 4,
+        };
+        match simulate_trace(&cfg, vec![req]) {
+            Err(ServingError::InvalidConfig(msg)) => {
+                assert!(msg.contains("request 7"), "{msg}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
 

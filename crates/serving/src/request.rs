@@ -16,9 +16,9 @@ use gaudi_workloads::ZipfSampler;
 pub struct Request {
     /// Monotonic id in arrival order.
     pub id: u64,
-    /// Arrival time in simulated milliseconds (stored as integer
-    /// microseconds internally would lose nothing; f64 ms is exact enough
-    /// for ordering and is what the report quotes).
+    /// Arrival time in whole simulated microseconds;
+    /// [`arrival_ms`](Self::arrival_ms) gives the milliseconds the report
+    /// quotes.
     pub arrival_us: u64,
     /// Prompt length in tokens.
     pub prompt_len: usize,
