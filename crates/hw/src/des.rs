@@ -1,116 +1,17 @@
-//! A small discrete-event simulation kernel.
-//!
-//! Two pieces:
-//!
-//! * [`EventQueue`] — a time-ordered event heap with stable FIFO ordering for
-//!   simultaneous events (so simulation runs are deterministic), and
-//! * [`Timeline`] — per-engine availability tracking used by the schedulers:
-//!   an operation scheduled on an engine starts no earlier than both its
-//!   dependencies and the engine's previous work.
+//! Per-engine availability tracking for the compiler's scheduler: an
+//! operation scheduled on an engine starts no earlier than both its
+//! dependencies and the engine's previous work.
 
 use crate::engine::EngineId;
-use crate::topology::DeviceId;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-
-/// An event scheduled at a simulated time.
-#[derive(Debug, Clone)]
-struct Scheduled<T> {
-    time: f64,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Scheduled<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Scheduled<T> {}
-impl<T> Ord for Scheduled<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for min-heap; ties broken by insertion order (FIFO).
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<T> PartialOrd for Scheduled<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A deterministic min-time event queue.
-#[derive(Debug)]
-pub struct EventQueue<T> {
-    heap: BinaryHeap<Scheduled<T>>,
-    seq: u64,
-    now: f64,
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// Empty queue at time zero.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: 0.0,
-        }
-    }
-
-    /// Current simulated time (the time of the last popped event).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Schedule `payload` at absolute time `time` (must not be in the past).
-    pub fn schedule_at(&mut self, time: f64, payload: T) {
-        debug_assert!(time >= self.now, "cannot schedule into the past");
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
-    }
-
-    /// Schedule `payload` after a delay from the current time.
-    pub fn schedule_in(&mut self, delay: f64, payload: T) {
-        self.schedule_at(self.now + delay, payload);
-    }
-
-    /// Pop the earliest event, advancing simulated time.
-    pub fn pop(&mut self) -> Option<(f64, T)> {
-        self.heap.pop().map(|s| {
-            self.now = s.time;
-            (s.time, s.payload)
-        })
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue has no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
 
 /// Per-engine availability tracker.
+///
+/// A plan touches a handful of lanes (MME, TPC, one DMA channel, the
+/// host, the NIC), so each lane's free-at time sits in a short table
+/// scanned linearly; a lane gets its slot the first time it is reserved.
 #[derive(Debug, Default, Clone)]
 pub struct Timeline {
-    free_at: HashMap<EngineId, f64>,
+    free_at: Vec<(EngineId, f64)>,
 }
 
 impl Timeline {
@@ -121,108 +22,37 @@ impl Timeline {
 
     /// When the engine is next free.
     pub fn free_at(&self, engine: EngineId) -> f64 {
-        self.free_at.get(&engine).copied().unwrap_or(0.0)
+        self.free_at
+            .iter()
+            .find(|(e, _)| *e == engine)
+            .map_or(0.0, |&(_, t)| t)
     }
 
     /// Reserve the engine for `duration` starting no earlier than
     /// `earliest_start`; returns the actual `(start, end)` interval.
     pub fn reserve(&mut self, engine: EngineId, earliest_start: f64, duration: f64) -> (f64, f64) {
-        let start = self.free_at(engine).max(earliest_start);
+        let slot = match self.free_at.iter().position(|(e, _)| *e == engine) {
+            Some(i) => i,
+            None => {
+                self.free_at.push((engine, 0.0));
+                self.free_at.len() - 1
+            }
+        };
+        let start = self.free_at[slot].1.max(earliest_start);
         let end = start + duration;
-        self.free_at.insert(engine, end);
+        self.free_at[slot].1 = end;
         (start, end)
     }
 
     /// The time at which every engine is idle (overall makespan).
     pub fn makespan(&self) -> f64 {
-        self.free_at.values().copied().fold(0.0, f64::max)
-    }
-}
-
-/// Per-`(device, engine)` availability tracker — the multi-card analogue of
-/// [`Timeline`], sharing one simulated clock across all cards of a box.
-#[derive(Debug, Default, Clone)]
-pub struct BoxTimeline {
-    free_at: HashMap<(DeviceId, EngineId), f64>,
-}
-
-impl BoxTimeline {
-    /// Fresh timeline with every engine on every device free at time zero.
-    pub fn new() -> Self {
-        BoxTimeline::default()
-    }
-
-    /// When `engine` on `device` is next free.
-    pub fn free_at(&self, device: DeviceId, engine: EngineId) -> f64 {
-        self.free_at.get(&(device, engine)).copied().unwrap_or(0.0)
-    }
-
-    /// Reserve `engine` on `device` for `duration` starting no earlier than
-    /// `earliest_start`; returns the actual `(start, end)` interval.
-    pub fn reserve(
-        &mut self,
-        device: DeviceId,
-        engine: EngineId,
-        earliest_start: f64,
-        duration: f64,
-    ) -> (f64, f64) {
-        let start = self.free_at(device, engine).max(earliest_start);
-        let end = start + duration;
-        self.free_at.insert((device, engine), end);
-        (start, end)
-    }
-
-    /// The time at which every engine on every device is idle.
-    pub fn makespan(&self) -> f64 {
-        self.free_at.values().copied().fold(0.0, f64::max)
-    }
-
-    /// The time at which every engine on one device is idle.
-    pub fn device_makespan(&self, device: DeviceId) -> f64 {
-        self.free_at
-            .iter()
-            .filter(|((d, _), _)| *d == device)
-            .map(|(_, t)| *t)
-            .fold(0.0, f64::max)
+        self.free_at.iter().map(|&(_, t)| t).fold(0.0, f64::max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_queue_orders_by_time() {
-        let mut q = EventQueue::new();
-        q.schedule_at(5.0, "c");
-        q.schedule_at(1.0, "a");
-        q.schedule_at(3.0, "b");
-        assert_eq!(q.pop().unwrap(), (1.0, "a"));
-        assert_eq!(q.pop().unwrap(), (3.0, "b"));
-        assert_eq!(q.now(), 3.0);
-        assert_eq!(q.pop().unwrap(), (5.0, "c"));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn simultaneous_events_are_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule_at(2.0, i);
-        }
-        for i in 0..10 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule_at(10.0, "first");
-        q.pop();
-        q.schedule_in(5.0, "second");
-        assert_eq!(q.pop().unwrap(), (15.0, "second"));
-    }
 
     #[test]
     fn timeline_serializes_same_engine() {
@@ -249,19 +79,5 @@ mod tests {
         // Dependency ready at 8 -> starts at 8 even though engine free at 3.
         let (s, _) = t.reserve(EngineId::Mme, 8.0, 1.0);
         assert_eq!(s, 8.0);
-    }
-
-    #[test]
-    fn box_timeline_isolates_devices() {
-        let mut t = BoxTimeline::new();
-        t.reserve(DeviceId(0), EngineId::Mme, 0.0, 10.0);
-        // The same engine on another card is independent...
-        let (s, e) = t.reserve(DeviceId(1), EngineId::Mme, 0.0, 4.0);
-        assert_eq!((s, e), (0.0, 4.0));
-        // ...but the same (device, engine) pair serializes.
-        let (s2, _) = t.reserve(DeviceId(0), EngineId::Mme, 0.0, 1.0);
-        assert_eq!(s2, 10.0);
-        assert_eq!(t.makespan(), 11.0);
-        assert_eq!(t.device_makespan(DeviceId(1)), 4.0);
     }
 }
