@@ -34,12 +34,13 @@ pub fn scheduler_ablation() -> TensorResult<(LayerFigure, LayerFigure)> {
 /// fused `einsum` op, compiled (a) naively (TPC fallback) and (b) with the
 /// lowering pass (MME). Returns `(naive_ms, lowered_ms)`.
 pub fn einsum_ablation() -> TensorResult<(f64, f64)> {
-    let [naive, lowered] = einsum_plans()?;
+    let [(_, naive), (_, lowered)] = einsum_plans()?;
     Ok((naive.makespan_ms(), lowered.makespan_ms()))
 }
 
-/// The A2 block's plans without and with einsum lowering.
-fn einsum_plans() -> TensorResult<[ExecutionPlan; 2]> {
+/// The A2 block's scheduled graphs and plans without and with einsum
+/// lowering.
+fn einsum_plans() -> TensorResult<[(Graph, ExecutionPlan); 2]> {
     let cfg = TransformerLayerConfig::paper_section_3_3();
     let (b, h, n, d) = (cfg.batch, cfg.heads, cfg.seq_len, cfg.head_dim);
 
@@ -66,7 +67,7 @@ fn einsum_plans() -> TensorResult<[ExecutionPlan; 2]> {
     let plan = |lower: bool| {
         let opts = paper_options().to_builder().lower_einsum(lower).build();
         let compiler = GraphCompiler::new(GaudiConfig::hls1(), opts);
-        compiler.compile(&g).expect("valid graph").1
+        compiler.compile(&g).expect("valid graph")
     };
     Ok([plan(false), plan(true)])
 }
@@ -262,13 +263,13 @@ mod tests {
             let f = llm_experiment(kind).unwrap();
             runs.push((f.name, labels(&f.trace)));
         }
-        for (arm, plan) in ["einsum-naive", "einsum-lowered"]
+        for (arm, (g, plan)) in ["einsum-naive", "einsum-lowered"]
             .into_iter()
             .zip(einsum_plans().unwrap())
         {
             runs.push((
                 arm.into(),
-                plan.steps.into_iter().map(|s| s.label).collect(),
+                plan.steps.iter().map(|s| s.label.render(&g)).collect(),
             ));
         }
         for (run, labels) in &runs {

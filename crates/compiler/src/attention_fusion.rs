@@ -79,7 +79,7 @@ enum Readers {
     Many,
 }
 
-/// What the rebuild does with a node.
+/// What the rewrite does with a node.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Role {
     Keep,
@@ -91,13 +91,66 @@ enum Role {
 
 /// Run the pass: returns the rewritten graph and match statistics.
 pub fn fuse_attention(graph: &Graph) -> Result<(Graph, AttentionFusionStats), GraphError> {
-    let (fused, stats) = fuse(graph)?;
+    let mut fused = Cow::Borrowed(graph);
+    let stats = fuse(&mut fused);
     Ok((fused.into_owned(), stats))
 }
 
-/// [`fuse_attention`] that borrows `graph` back when no pattern matches,
-/// instead of rebuilding an identical copy.
-pub(crate) fn fuse(graph: &Graph) -> Result<(Cow<'_, Graph>, AttentionFusionStats), GraphError> {
+/// [`fuse_attention`] on a graph the caller may own: matches are found on
+/// the graph as it stands, then applied in place, so an owned graph is
+/// never copied and a borrowed one is cloned once, only when a pattern
+/// matches.
+pub(crate) fn fuse(graph: &mut Cow<'_, Graph>) -> AttentionFusionStats {
+    let (matches, role) = find_matches(graph);
+    let mut stats = AttentionFusionStats::default();
+    for m in &matches {
+        stats.ops_removed += m.consumed.len();
+        match m.replacement {
+            Replacement::Attention { .. } => stats.attention += 1,
+            Replacement::SoftmaxMatMul { .. } => stats.softmax_matmul += 1,
+        }
+    }
+    if matches.is_empty() {
+        return stats;
+    }
+
+    // Drop the consumed interiors and turn each anchor into its fused node.
+    // No surviving node reads an interior: its only consumer is inside its
+    // own match.
+    graph
+        .to_mut()
+        .retain_nodes(|node| match role[node.id.index()] {
+            Role::Keep => true,
+            Role::Consumed => false,
+            Role::Anchor(i) => {
+                node.inputs.clear();
+                match matches[i].replacement {
+                    Replacement::Attention {
+                        q,
+                        k,
+                        v,
+                        mask,
+                        scale,
+                    } => {
+                        node.kind = OpKind::FusedAttention {
+                            scale,
+                            masked: mask.is_some(),
+                        };
+                        node.inputs.extend([q, k, v].into_iter().chain(mask));
+                    }
+                    Replacement::SoftmaxMatMul { x, v } => {
+                        node.kind = OpKind::FusedSoftmaxMatMul;
+                        node.inputs.extend([x, v]);
+                    }
+                }
+                true
+            }
+        });
+    stats
+}
+
+/// Every non-overlapping pattern in `graph`, and each node's role in them.
+fn find_matches(graph: &Graph) -> (Vec<Match>, Vec<Role>) {
     // One pass over the edges: the matcher only asks whether a node has a
     // sole, unobservable consumer, and which.
     let mut readers = vec![Readers::Unread; graph.len()];
@@ -265,68 +318,7 @@ pub(crate) fn fuse(graph: &Graph) -> Result<(Cow<'_, Graph>, AttentionFusionStat
         matches.push(m);
     }
 
-    let mut stats = AttentionFusionStats::default();
-    for m in &matches {
-        stats.ops_removed += m.consumed.len();
-        match m.replacement {
-            Replacement::Attention { .. } => stats.attention += 1,
-            Replacement::SoftmaxMatMul { .. } => stats.softmax_matmul += 1,
-        }
-    }
-    if matches.is_empty() {
-        return Ok((Cow::Borrowed(graph), stats));
-    }
-
-    // Rebuild, skipping consumed interiors and swapping the fused node in
-    // at each anchor.
-    let mut out = Graph::new();
-    out.storage_dtype = graph.storage_dtype;
-    // New id of each surviving node; a consumed interior's entry is never
-    // read, since its only consumer is inside its own match.
-    let mut remap = vec![NodeId(usize::MAX); graph.len()];
-    for node in graph.nodes() {
-        let new_id = match role[node.id.index()] {
-            Role::Consumed => continue,
-            Role::Anchor(i) => match &matches[i].replacement {
-                Replacement::Attention {
-                    q,
-                    k,
-                    v,
-                    mask,
-                    scale,
-                } => {
-                    let mut inputs = vec![remap[q.index()], remap[k.index()], remap[v.index()]];
-                    if let Some(mk) = mask {
-                        inputs.push(remap[mk.index()]);
-                    }
-                    out.push_node(
-                        OpKind::FusedAttention {
-                            scale: *scale,
-                            masked: mask.is_some(),
-                        },
-                        &inputs,
-                        node.shape,
-                        node.name.clone(),
-                    )?
-                }
-                Replacement::SoftmaxMatMul { x, v } => out.push_node(
-                    OpKind::FusedSoftmaxMatMul,
-                    &[remap[x.index()], remap[v.index()]],
-                    node.shape,
-                    node.name.clone(),
-                )?,
-            },
-            Role::Keep => {
-                let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i.index()]).collect();
-                out.push_node(node.kind.clone(), &inputs, node.shape, node.name.clone())?
-            }
-        };
-        remap[node.id.index()] = new_id;
-    }
-    for o in graph.outputs() {
-        out.mark_output(remap[o.index()]);
-    }
-    Ok((Cow::Owned(out), stats))
+    (matches, role)
 }
 
 #[cfg(test)]
@@ -467,9 +459,20 @@ mod tests {
             .unwrap()
             .id;
         g.mark_output(probs);
-        let (f, stats) = fuse(&g).unwrap();
-        assert_eq!(stats, AttentionFusionStats::default());
+        let mut f = Cow::Borrowed(&g);
+        assert_eq!(fuse(&mut f), AttentionFusionStats::default());
         assert!(matches!(f, Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn an_owned_graph_is_fused_in_place() {
+        let g = attention_graph(true);
+        let (expected, expected_stats) = fuse_attention(&g).unwrap();
+        let nodes = g.nodes().as_ptr();
+        let mut f = Cow::Owned(g);
+        assert_eq!(fuse(&mut f), expected_stats);
+        assert_eq!(f.nodes().as_ptr(), nodes, "the node vector is reused");
+        assert_eq!(format!("{:?}", *f), format!("{expected:?}"));
     }
 
     #[test]

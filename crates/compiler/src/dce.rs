@@ -14,15 +14,18 @@ use std::borrow::Cow;
 /// Remove nodes unreachable from the marked outputs. Returns the pruned
 /// graph and the number of nodes eliminated.
 pub fn eliminate_dead_code(graph: &Graph) -> Result<(Graph, usize), GraphError> {
-    let (pruned, removed) = prune(graph)?;
+    let mut pruned = Cow::Borrowed(graph);
+    let removed = prune(&mut pruned);
     Ok((pruned.into_owned(), removed))
 }
 
-/// [`eliminate_dead_code`] that borrows `graph` back when nothing is dead,
-/// instead of rebuilding an identical copy.
-pub(crate) fn prune(graph: &Graph) -> Result<(Cow<'_, Graph>, usize), GraphError> {
+/// [`eliminate_dead_code`] on a graph the caller may own: the dead nodes
+/// are dropped in place, so an owned graph is never copied and a borrowed
+/// one is cloned once, only when something is dead. Returns the number of
+/// nodes eliminated.
+pub(crate) fn prune(graph: &mut Cow<'_, Graph>) -> usize {
     if graph.outputs().is_empty() {
-        return Ok((Cow::Borrowed(graph), 0));
+        return 0;
     }
     let mut live = vec![false; graph.len()];
     let mut stack: Vec<NodeId> = graph.outputs().to_vec();
@@ -34,27 +37,11 @@ pub(crate) fn prune(graph: &Graph) -> Result<(Cow<'_, Graph>, usize), GraphError
         stack.extend_from_slice(&graph.node(id).inputs);
     }
     let removed = live.iter().filter(|&&l| !l).count();
-    if removed == 0 {
-        return Ok((Cow::Borrowed(graph), 0));
+    if removed > 0 {
+        // A live node's inputs are live, so nothing kept dangles.
+        graph.to_mut().retain_nodes(|n| live[n.id.index()]);
     }
-
-    let mut out = Graph::new();
-    out.storage_dtype = graph.storage_dtype;
-    // New id of each live node; dead entries are never read, since a live
-    // node's inputs are live.
-    let mut remap = vec![NodeId(usize::MAX); graph.len()];
-    for node in graph.nodes() {
-        if !live[node.id.index()] {
-            continue;
-        }
-        let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i.index()]).collect();
-        remap[node.id.index()] =
-            out.push_node(node.kind.clone(), &inputs, node.shape, node.name.clone())?;
-    }
-    for o in graph.outputs() {
-        out.mark_output(remap[o.index()]);
-    }
-    Ok((Cow::Owned(out), removed))
+    removed
 }
 
 #[cfg(test)]
@@ -82,9 +69,26 @@ mod tests {
         let x = g.input("x", &[4]).unwrap();
         let y = g.exp(x).unwrap();
         g.mark_output(y);
-        let (pruned, removed) = prune(&g).unwrap();
-        assert_eq!(removed, 0);
+        let mut pruned = Cow::Borrowed(&g);
+        assert_eq!(prune(&mut pruned), 0);
         assert!(matches!(pruned, Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn an_owned_graph_is_pruned_in_place() {
+        let mut g = Graph::new();
+        let x = g.input("x", &[4]).unwrap();
+        let dead = g.log(x).unwrap();
+        let y = g.exp(x).unwrap();
+        let _ = g.add(dead, y).unwrap();
+        let z = g.square(y).unwrap();
+        g.mark_output(z);
+        let (expected, _) = eliminate_dead_code(&g).unwrap();
+        let nodes = g.nodes().as_ptr();
+        let mut pruned = Cow::Owned(g);
+        assert_eq!(prune(&mut pruned), 2);
+        assert_eq!(pruned.nodes().as_ptr(), nodes, "the node vector is reused");
+        assert_eq!(format!("{:?}", *pruned), format!("{expected:?}"));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use mapping::{engine_for, table1, Table1Row};
 pub use memplan::{plan_memory, plan_memory_with, MemPlanOptions, MemoryPlan, TensorInterval};
 pub use multi::MultiDevicePlan;
 pub use partition::{partition, Parallelism, PartitionSpec, PartitionedGraph, ShardInfo};
-pub use schedule::{ExecutionPlan, GraphCompiler, PlannedOp, SchedulerKind};
+pub use schedule::{ExecutionPlan, GraphCompiler, PlannedOp, SchedulerKind, StepLabel};
 
 /// Compiler configuration knobs (the ablation axes of DESIGN.md §6).
 ///

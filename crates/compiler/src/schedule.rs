@@ -21,13 +21,48 @@ pub enum SchedulerKind {
     Overlap,
 }
 
+/// What a plan step ran, kept as ids into the scheduled graph so that
+/// scheduling formats no text; [`render`](Self::render) turns it into the
+/// trace label where a trace is recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepLabel {
+    /// A compute op: `name:kind`, or the bare kind if the node is unnamed.
+    Op(NodeId),
+    /// A collective on the NIC lane: the bare kind.
+    Collective(NodeId),
+    /// A transfer of this node's output to another engine: `dma(kind)`.
+    Dma(NodeId),
+    /// The one-time GLU recompilation stall: `recompile(glu)`.
+    GluRecompile,
+}
+
+impl StepLabel {
+    /// The trace label, against the graph the plan was scheduled from
+    /// (the graph [`GraphCompiler::compile`] returns with it).
+    pub fn render(&self, g: &Graph) -> String {
+        match *self {
+            StepLabel::Op(id) => {
+                let node = g.node(id);
+                if node.name.is_empty() {
+                    node.kind.label()
+                } else {
+                    format!("{}:{}", node.name, node.kind.label())
+                }
+            }
+            StepLabel::Collective(id) => g.node(id).kind.label(),
+            StepLabel::Dma(id) => format!("dma({})", g.node(id).kind.label()),
+            StepLabel::GluRecompile => "recompile(glu)".to_string(),
+        }
+    }
+}
+
 /// One scheduled occupation of an engine lane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlannedOp {
     /// Graph node this step executes (None for DMA transfers and stalls).
     pub node: Option<NodeId>,
-    /// Trace label.
-    pub label: String,
+    /// What the step ran; [`StepLabel::render`] gives its trace label.
+    pub label: StepLabel,
     /// Trace category (`op`, `dma`, `stall`, `collective`).
     pub category: &'static str,
     /// Device the step runs on (`DeviceId(0)` for single-device plans).
@@ -89,7 +124,7 @@ impl GraphCompiler {
     /// Returns the graph actually scheduled (lowered when `lower_einsum` is
     /// set) along with the plan, whose node ids refer to that graph.
     pub fn compile(&self, graph: &Graph) -> Result<(Graph, ExecutionPlan), GraphError> {
-        self.compile_on(graph, None)
+        self.compile_on(Cow::Borrowed(graph), None)
     }
 
     /// Like [`compile`](Self::compile), additionally running the static
@@ -97,12 +132,13 @@ impl GraphCompiler {
     /// returned [`MemoryPlan`](crate::memplan::MemoryPlan) carries tensor
     /// lifetimes, in-placing decisions, locked arena offsets, and the
     /// peak/arena/naive activation footprints the serving stack budgets
-    /// admission with.
+    /// admission with. It takes the graph by value, so the passes rewrite
+    /// it in place instead of copying it.
     pub fn compile_with_memplan(
         &self,
-        graph: &Graph,
+        graph: Graph,
     ) -> Result<(Graph, ExecutionPlan, crate::memplan::MemoryPlan), GraphError> {
-        let (g, plan) = self.compile(graph)?;
+        let (g, plan) = self.compile_on(Cow::Owned(graph), None)?;
         let mem = crate::memplan::plan_memory(&g);
         Ok((g, plan, mem))
     }
@@ -116,12 +152,12 @@ impl GraphCompiler {
         graph: &Graph,
         comm: &Topology,
     ) -> Result<(Graph, ExecutionPlan), GraphError> {
-        self.compile_on(graph, Some(comm))
+        self.compile_on(Cow::Borrowed(graph), Some(comm))
     }
 
     fn compile_on(
         &self,
-        graph: &Graph,
+        graph: Cow<'_, Graph>,
         comm: Option<&Topology>,
     ) -> Result<(Graph, ExecutionPlan), GraphError> {
         let g = self.run_passes(graph)?;
@@ -130,26 +166,22 @@ impl GraphCompiler {
     }
 
     /// The graph passes in order: lower, DCE, element-wise fusion,
-    /// attention fusion. A pass that changes nothing hands its input on
-    /// instead of a copy, so a graph no pass rewrites is never cloned.
-    fn run_passes<'g>(&self, graph: &'g Graph) -> Result<Cow<'g, Graph>, GraphError> {
-        graph.validate()?;
-        let mut g = Cow::Borrowed(graph);
+    /// attention fusion. DCE and attention fusion rewrite an owned graph in
+    /// place and clone a borrowed one only when they change it, so a graph
+    /// no pass rewrites is never cloned.
+    fn run_passes<'g>(&self, mut g: Cow<'g, Graph>) -> Result<Cow<'g, Graph>, GraphError> {
+        g.validate()?;
         if self.opts.lower_einsum {
             g = Cow::Owned(lower_einsum(&g)?);
         }
         if self.opts.dce {
-            if let (Cow::Owned(pruned), _) = crate::dce::prune(&g)? {
-                g = Cow::Owned(pruned);
-            }
+            crate::dce::prune(&mut g);
         }
         if self.opts.fuse_elementwise {
             g = Cow::Owned(crate::fusion::fuse_elementwise(&g)?.0);
         }
         if self.opts.fuse_attention {
-            if let (Cow::Owned(fused), _) = crate::attention_fusion::fuse(&g)? {
-                g = Cow::Owned(fused);
-            }
+            crate::attention_fusion::fuse(&mut g);
         }
         Ok(g)
     }
@@ -205,7 +237,7 @@ impl GraphCompiler {
                     let (start, end) = timeline.reserve(EngineId::Nic, deps_end, cost.time_ns);
                     steps.push(PlannedOp {
                         node: Some(node.id),
-                        label: node.kind.label(),
+                        label: StepLabel::Collective(node.id),
                         category: "collective",
                         device: DeviceId(0),
                         engine: EngineId::Nic,
@@ -244,7 +276,7 @@ impl GraphCompiler {
                         let (s, e) = timeline.reserve(EngineId::Dma(0), ready, dur);
                         steps.push(PlannedOp {
                             node: None,
-                            label: format!("dma({})", g.node(input).kind.label()),
+                            label: StepLabel::Dma(input),
                             category: "dma",
                             device: DeviceId(0),
                             engine: EngineId::Dma(0),
@@ -268,7 +300,7 @@ impl GraphCompiler {
                 let (s, e) = timeline.reserve(EngineId::Host, deps_end, stall);
                 steps.push(PlannedOp {
                     node: None,
-                    label: "recompile(glu)".to_string(),
+                    label: StepLabel::GluRecompile,
                     category: "stall",
                     device: DeviceId(0),
                     engine: EngineId::Host,
@@ -293,11 +325,7 @@ impl GraphCompiler {
             let (start, end) = timeline.reserve(cost.engine, earliest, cost.time_ns);
             steps.push(PlannedOp {
                 node: Some(node.id),
-                label: if node.name.is_empty() {
-                    node.kind.label()
-                } else {
-                    format!("{}:{}", node.name, node.kind.label())
-                },
+                label: StepLabel::Op(node.id),
                 category: "op",
                 device: DeviceId(0),
                 engine: cost.engine,
@@ -470,6 +498,61 @@ mod tests {
         assert_eq!(stalls.len(), 1);
         assert_eq!(stalls[0].engine, EngineId::Host);
         assert_eq!(stalls[0].dur_ns, GaudiConfig::hls1().recompile_stall_ns);
+    }
+
+    #[test]
+    fn step_labels_render_the_trace_text() {
+        let mut g = Graph::new();
+        let a = g.input("a", &[64, 64]).unwrap();
+        let m = g.matmul(a, a).unwrap(); // named, on the MME
+        g.name_last("proj");
+        let s = g.softmax(m).unwrap(); // unnamed, on the TPC: its input ships
+        let glu = g.activation(Activation::Glu, s).unwrap(); // stalls once
+        g.mark_output(glu);
+        let (scheduled, plan) = GraphCompiler::synapse_like().compile(&g).unwrap();
+        let rendered: Vec<String> = plan
+            .steps
+            .iter()
+            .map(|st| format!("{} {}", st.category, st.label.render(&scheduled)))
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                "op proj:matmul",
+                "dma dma(matmul)",
+                "op softmax",
+                "stall recompile(glu)",
+                "op glu",
+            ]
+        );
+
+        // A tensor-parallel MLP all-reduces its row-parallel output.
+        let mut g = Graph::new();
+        let x = g.input("x", &[8, 64]).unwrap();
+        let w1 = g.parameter("l.fc1.w", &[64, 256]).unwrap();
+        let h = g.matmul(x, w1).unwrap();
+        let w2 = g.parameter("l.fc2.w", &[256, 64]).unwrap();
+        let y = g.matmul(h, w2).unwrap();
+        g.mark_output(y);
+        let part = crate::partition(
+            &g,
+            crate::Parallelism::tensor(2),
+            &crate::PartitionSpec::llm(),
+        )
+        .unwrap();
+        let topo = Topology::hls1_box(&GaudiConfig::hls1(), 2);
+        let (scheduled, plan) = GraphCompiler::synapse_like()
+            .compile_partitioned(&part, &topo)
+            .unwrap();
+        for device_plan in &plan.device_plans {
+            let collectives: Vec<String> = device_plan
+                .steps
+                .iter()
+                .filter(|st| st.category == "collective")
+                .map(|st| st.label.render(&scheduled))
+                .collect();
+            assert_eq!(collectives, ["all_reduce"]);
+        }
     }
 
     #[test]

@@ -642,6 +642,41 @@ impl Graph {
         }
     }
 
+    /// Keep, in order, the nodes for which `keep` returns `true`, and
+    /// renumber ids, operands and marked outputs to close the gaps. `keep`
+    /// sees each node with its id and operands still in the old numbering,
+    /// and may rewrite it in place (a pass swapping in a fused op sets the
+    /// kind and operands of the node it replaces).
+    ///
+    /// # Panics
+    ///
+    /// If a kept node or a marked output refers to a dropped node.
+    pub fn retain_nodes(&mut self, mut keep: impl FnMut(&mut Node) -> bool) {
+        const DROPPED: usize = usize::MAX;
+        let mut remap = vec![DROPPED; self.nodes.len()];
+        let mut next = 0;
+        let renumber = |remap: &[usize], id: &mut NodeId| {
+            let new = remap[id.0];
+            assert!(new != DROPPED, "a kept node refers to dropped node {id}");
+            *id = NodeId(new);
+        };
+        self.nodes.retain_mut(|n| {
+            if !keep(n) {
+                return false;
+            }
+            for i in &mut n.inputs {
+                renumber(&remap, i);
+            }
+            remap[n.id.0] = next;
+            n.id = NodeId(next);
+            next += 1;
+            true
+        });
+        for o in &mut self.outputs {
+            renumber(&remap, o);
+        }
+    }
+
     /// Consumers of each node (computed on demand).
     pub fn consumers(&self) -> Vec<Vec<NodeId>> {
         let mut c = vec![Vec::new(); self.nodes.len()];
@@ -870,6 +905,47 @@ mod tests {
         assert_eq!(cons[x.index()], vec![a, b]);
         assert_eq!(cons[a.index()], vec![c]);
         assert!(cons[c.index()].is_empty());
+    }
+
+    #[test]
+    fn retain_nodes_renumbers_ids_inputs_and_outputs() {
+        let mut g = Graph::new();
+        let x = g.input("x", &[4]).unwrap(); // %0
+        let dead = g.log(x).unwrap(); // %1, dropped
+        let a = g.exp(x).unwrap(); // %2 -> %1
+        let _ = g.neg(dead).unwrap(); // %3, dropped
+        let b = g.add(a, x).unwrap(); // %4 -> %2
+        g.name_last("sum");
+        g.mark_output(b);
+        g.mark_output(a);
+        let mut seen = Vec::new();
+        g.retain_nodes(|n| {
+            seen.push((n.id, n.inputs.clone()));
+            if n.id == b {
+                // Rewrites see operands in the old numbering.
+                n.inputs.swap(0, 1);
+            }
+            !matches!(n.kind, OpKind::Log | OpKind::Neg)
+        });
+        assert_eq!(seen[4], (b, vec![a, x]));
+        assert_eq!(g.len(), 3);
+        let ids: Vec<NodeId> = g.nodes().iter().map(|n| n.id).collect();
+        assert_eq!(ids, [NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(g.node(NodeId(1)).inputs, [NodeId(0)]);
+        assert_eq!(g.node(NodeId(2)).inputs, [NodeId(0), NodeId(1)]);
+        assert_eq!(g.node(NodeId(2)).name, "sum");
+        assert_eq!(g.outputs(), [NodeId(2), NodeId(1)]);
+        g.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped node")]
+    fn retain_nodes_rejects_a_dangling_operand() {
+        let mut g = Graph::new();
+        let x = g.input("x", &[4]).unwrap();
+        let y = g.exp(x).unwrap();
+        g.mark_output(y);
+        g.retain_nodes(|n| n.id != x);
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl Runtime {
         let sink = TraceSink::new();
         for step in &plan.steps {
             sink.record_full(
-                step.label.clone(),
+                step.label.render(&compiled),
                 step.category,
                 step.device,
                 step.engine,

@@ -92,7 +92,7 @@ impl Runtime {
         for device_plan in &plan.device_plans {
             for step in &device_plan.steps {
                 sink.record_full(
-                    step.label.clone(),
+                    step.label.render(&compiled),
                     step.category,
                     step.device,
                     step.engine,

@@ -332,7 +332,7 @@ impl CostContext {
             // The memory planner runs on the *scheduled* graph (after
             // lowering/DCE/fusion), so the footprint matches what the
             // plan actually executes.
-            let (_, plan, mem) = self.compiler.compile_with_memplan(&graph)?;
+            let (_, plan, mem) = self.compiler.compile_with_memplan(graph)?;
             Ok(CompiledPhase {
                 cost: PhaseCost::from_plan(&plan),
                 planned_activation_bytes: mem.arena_bytes,

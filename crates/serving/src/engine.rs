@@ -2198,7 +2198,7 @@ mod tests {
         cfg.recipes.batch_bucket = 4;
         let compiler = gaudi_compiler::GraphCompiler::new(cfg.hw.clone(), cfg.opts.clone());
         let footprint = |graph| {
-            let (_, _, mem) = compiler.compile_with_memplan(&graph).unwrap();
+            let (_, _, mem) = compiler.compile_with_memplan(graph).unwrap();
             (mem.arena_bytes, mem.naive_bytes)
         };
         // Lengths round up to the 32-token bucket: the longest prompt, 8,

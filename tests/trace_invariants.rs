@@ -5,7 +5,8 @@
 //! be independent of the scheduling policy.
 
 use gaudi_compiler::{
-    eliminate_dead_code, fuse_attention, CompilerOptions, GraphCompiler, SchedulerKind,
+    eliminate_dead_code, fuse_attention, CompilerOptions, ExecutionPlan, GraphCompiler,
+    SchedulerKind,
 };
 use gaudi_graph::{Graph, NodeId};
 use gaudi_hw::GaudiConfig;
@@ -82,13 +83,35 @@ fn same_graph(a: &Graph, b: &Graph) -> bool {
         })
 }
 
-fn compile(g: &Graph, kind: SchedulerKind) -> (Graph, gaudi_compiler::ExecutionPlan) {
-    let c = GraphCompiler::new(
+/// Whether two plans agree step for step in every field, `f64`s by bits.
+fn same_plan(a: &ExecutionPlan, b: &ExecutionPlan) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    a.steps.len() == b.steps.len()
+        && a.makespan_ns.to_bits() == b.makespan_ns.to_bits()
+        && bits(&a.node_end_ns) == bits(&b.node_end_ns)
+        && a.steps.iter().zip(&b.steps).all(|(x, y)| {
+            x.node == y.node
+                && x.label == y.label
+                && x.category == y.category
+                && x.device == y.device
+                && x.engine == y.engine
+                && x.start_ns.to_bits() == y.start_ns.to_bits()
+                && x.dur_ns.to_bits() == y.dur_ns.to_bits()
+                && x.flops.to_bits() == y.flops.to_bits()
+                && x.bytes == y.bytes
+        })
+}
+
+fn compiler(kind: SchedulerKind) -> GraphCompiler {
+    GraphCompiler::new(
         GaudiConfig::hls1(),
         CompilerOptions::builder().scheduler(kind).build(),
-    );
+    )
+}
+
+fn compile(g: &Graph, kind: SchedulerKind) -> (Graph, ExecutionPlan) {
     // The plan's node ids refer to the *compiled* graph (DCE renumbers).
-    c.compile(g).expect("compiles")
+    compiler(kind).compile(g).expect("compiles")
 }
 
 proptest! {
@@ -116,6 +139,12 @@ proptest! {
                     let node = step.node.expect("op steps execute a node");
                     prop_assert_eq!(step.start_ns + step.dur_ns, plan.node_end_ns[node.index()]);
                 }
+                // Handing the graph over by value rewrites it in place; the
+                // result must not differ from compiling a borrowed copy.
+                let (owned, owned_plan, _) =
+                    compiler(kind).compile_with_memplan(g.clone()).expect("compiles");
+                prop_assert!(same_graph(&owned, &compiled));
+                prop_assert!(same_plan(&owned_plan, &plan));
             }
         }
     }
