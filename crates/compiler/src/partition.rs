@@ -112,14 +112,6 @@ impl PartitionSpec {
         }
     }
 
-    /// `llm()` with `gather_outputs` enabled.
-    pub fn llm_gathered() -> Self {
-        PartitionSpec {
-            gather_outputs: true,
-            ..PartitionSpec::llm()
-        }
-    }
-
     fn matches(list: &[String], name: &str) -> bool {
         list.iter().any(|e| name == e || name.ends_with(e.as_str()))
     }
@@ -830,8 +822,11 @@ mod tests {
         g.mark_output(y);
         let sharded = partition(&g, Parallelism::tensor(2), &PartitionSpec::llm()).unwrap();
         assert_eq!(sharded.output_shards[0].tp_axis, Some(2));
-        let gathered =
-            partition(&g, Parallelism::tensor(2), &PartitionSpec::llm_gathered()).unwrap();
+        let spec = PartitionSpec {
+            gather_outputs: true,
+            ..PartitionSpec::llm()
+        };
+        let gathered = partition(&g, Parallelism::tensor(2), &spec).unwrap();
         assert_eq!(gathered.output_shards[0].tp_axis, None);
         assert_eq!(gathered.collectives, 1);
         let out = gathered.graph.outputs()[0];

@@ -122,23 +122,28 @@ impl GraphCompiler {
     /// Compile a graph: lower (optionally), cost, and schedule.
     ///
     /// Returns the graph actually scheduled (lowered when `lower_einsum` is
-    /// set) along with the plan, whose node ids refer to that graph.
-    pub fn compile(&self, graph: &Graph) -> Result<(Graph, ExecutionPlan), GraphError> {
-        self.compile_on(Cow::Borrowed(graph), None)
+    /// set) along with the plan, whose node ids refer to that graph. Pass
+    /// `&graph` to keep the graph, or `graph` by value to hand it over: the
+    /// passes then rewrite it in place instead of cloning it. Both run the
+    /// same passes and return the same graph and plan.
+    pub fn compile<'g>(
+        &self,
+        graph: impl Into<Cow<'g, Graph>>,
+    ) -> Result<(Graph, ExecutionPlan), GraphError> {
+        self.compile_on(graph.into(), None)
     }
 
-    /// Like [`compile`](Self::compile), additionally running the static
-    /// memory planner ([`crate::memplan`]) over the scheduled graph: the
-    /// returned [`MemoryPlan`](crate::memplan::MemoryPlan) carries tensor
-    /// lifetimes, in-placing decisions, locked arena offsets, and the
-    /// peak/arena/naive activation footprints the serving stack budgets
-    /// admission with. It takes the graph by value, so the passes rewrite
-    /// it in place instead of copying it.
+    /// Like [`compile`](Self::compile) on a graph handed over by value,
+    /// additionally running the static memory planner ([`crate::memplan`])
+    /// over the scheduled graph: the returned
+    /// [`MemoryPlan`](crate::memplan::MemoryPlan) carries tensor lifetimes,
+    /// in-placing decisions, locked arena offsets, and the peak/arena/naive
+    /// activation footprints the serving stack budgets admission with.
     pub fn compile_with_memplan(
         &self,
         graph: Graph,
     ) -> Result<(Graph, ExecutionPlan, crate::memplan::MemoryPlan), GraphError> {
-        let (g, plan) = self.compile_on(Cow::Owned(graph), None)?;
+        let (g, plan) = self.compile(graph)?;
         let mem = crate::memplan::plan_memory(&g);
         Ok((g, plan, mem))
     }
@@ -584,6 +589,19 @@ mod tests {
         let (_, p2) = good.compile(&g).unwrap();
         assert!(p2.engine_busy_ns(EngineId::Mme) > 0.0);
         assert!(p2.makespan_ns < p1.makespan_ns);
+    }
+
+    #[test]
+    fn a_marked_output_that_names_no_node_is_an_unknown_node_error() {
+        let mut g = Graph::new();
+        let x = g.input("x", &[4]).unwrap();
+        g.exp(x).unwrap();
+        g.mark_output(NodeId(99));
+        let unknown = GraphError::UnknownNode(NodeId(99));
+        assert_eq!(g.validate(), Err(unknown.clone()));
+        let compiler = GraphCompiler::synapse_like();
+        assert_eq!(compiler.compile(&g).unwrap_err(), unknown);
+        assert_eq!(compiler.compile(g).unwrap_err(), unknown);
     }
 
     #[test]

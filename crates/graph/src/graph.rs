@@ -1,8 +1,11 @@
 //! Graph container, builder API, and shape inference.
 
 use crate::op::{Activation, CollectiveKind, EinsumSpec, OpKind};
+use gaudi_tensor::shape::MAX_RANK;
 use gaudi_tensor::{DType, Shape, TensorError};
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// Handle to a node within a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,6 +78,90 @@ impl From<TensorError> for GraphError {
     }
 }
 
+/// A node's operand handles, held inline: no operator takes more than
+/// [`Operands::CAPACITY`] (see [`OpKind::arity`]), so building a node
+/// allocates nothing for them. Derefs to `[NodeId]`; its `Debug` output is
+/// the slice's.
+#[derive(Clone, Copy)]
+pub struct Operands {
+    ids: [NodeId; Operands::CAPACITY],
+    len: u8,
+}
+
+impl Operands {
+    /// The most operands any operator takes.
+    pub const CAPACITY: usize = 4;
+
+    /// Remove every operand.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Append `ids` in order.
+    ///
+    /// # Panics
+    ///
+    /// If the list would grow past [`CAPACITY`](Self::CAPACITY).
+    pub fn extend(&mut self, ids: impl IntoIterator<Item = NodeId>) {
+        for id in ids {
+            let len = usize::from(self.len);
+            assert!(
+                len < Self::CAPACITY,
+                "more than {} operands",
+                Self::CAPACITY
+            );
+            self.ids[len] = id;
+            self.len += 1;
+        }
+    }
+}
+
+impl Default for Operands {
+    fn default() -> Self {
+        Operands {
+            ids: [NodeId(0); Operands::CAPACITY],
+            len: 0,
+        }
+    }
+}
+
+impl Deref for Operands {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Operands {
+    fn deref_mut(&mut self) -> &mut [NodeId] {
+        &mut self.ids[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Operands {
+    type Item = &'a NodeId;
+    type IntoIter = std::slice::Iter<'a, NodeId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Operands {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Operands {}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One operation (or source tensor) in the graph.
 #[derive(Debug, Clone)]
 pub struct Node {
@@ -83,7 +170,7 @@ pub struct Node {
     /// Operator.
     pub kind: OpKind,
     /// Operand handles (empty for sources).
-    pub inputs: Vec<NodeId>,
+    pub inputs: Operands,
     /// Inferred output shape.
     pub shape: Shape,
     /// Human-readable name for traces.
@@ -112,6 +199,21 @@ pub struct Graph {
     outputs: Vec<NodeId>,
     /// Storage dtype charged by the memory/DMA models for activations.
     pub storage_dtype: DType,
+}
+
+/// A graph for callees that take it owned or borrowed
+/// (`impl Into<Cow<'_, Graph>>`): they rewrite an owned one in place and
+/// clone a borrowed one only if they change it.
+impl From<Graph> for Cow<'_, Graph> {
+    fn from(graph: Graph) -> Self {
+        Cow::Owned(graph)
+    }
+}
+
+impl<'g> From<&'g Graph> for Cow<'g, Graph> {
+    fn from(graph: &'g Graph) -> Self {
+        Cow::Borrowed(graph)
+    }
 }
 
 impl Graph {
@@ -187,11 +289,14 @@ impl Graph {
                 actual: inputs.len(),
             });
         }
+        // Every arity fits: no operator takes more than `Operands::CAPACITY`.
+        let mut operands = Operands::default();
+        operands.extend(inputs.iter().copied());
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             id,
             kind,
-            inputs: inputs.to_vec(),
+            inputs: operands,
             shape,
             name: name.into(),
         });
@@ -200,26 +305,35 @@ impl Graph {
 
     // ---- source nodes -------------------------------------------------
 
-    /// External input tensor.
-    pub fn input(&mut self, name: &str, dims: &[usize]) -> Result<NodeId, GraphError> {
+    /// External input tensor. A `String` name is moved into the node.
+    pub fn input(&mut self, name: impl Into<String>, dims: &[usize]) -> Result<NodeId, GraphError> {
         let shape = Shape::new(dims)?;
         self.push_node(OpKind::Input, &[], shape, name)
     }
 
-    /// Trainable parameter tensor.
-    pub fn parameter(&mut self, name: &str, dims: &[usize]) -> Result<NodeId, GraphError> {
+    /// Trainable parameter tensor. A `String` name is moved into the node.
+    pub fn parameter(
+        &mut self,
+        name: impl Into<String>,
+        dims: &[usize],
+    ) -> Result<NodeId, GraphError> {
         let shape = Shape::new(dims)?;
         self.push_node(OpKind::Parameter, &[], shape, name)
     }
 
     /// Constant-filled tensor.
-    pub fn fill(&mut self, name: &str, dims: &[usize], value: f32) -> Result<NodeId, GraphError> {
+    pub fn fill(
+        &mut self,
+        name: impl Into<String>,
+        dims: &[usize],
+        value: f32,
+    ) -> Result<NodeId, GraphError> {
         let shape = Shape::new(dims)?;
         self.push_node(OpKind::Fill(value), &[], shape, name)
     }
 
     /// `torch.ones_like` analog.
-    pub fn ones_like(&mut self, of: NodeId, name: &str) -> Result<NodeId, GraphError> {
+    pub fn ones_like(&mut self, of: NodeId, name: impl Into<String>) -> Result<NodeId, GraphError> {
         let shape = self.shape(of);
         self.push_node(OpKind::Fill(1.0), &[], shape, name)
     }
@@ -320,9 +434,9 @@ impl Graph {
             if !d.is_multiple_of(2) {
                 return Err(TensorError::OddSplitDim { dim: d }.into());
             }
-            let mut dims = in_shape.dims().to_vec();
-            *dims.last_mut().unwrap() = d / 2;
-            Shape::new(&dims)?
+            let mut halved = in_shape;
+            *halved.dims_mut().last_mut().unwrap() = d / 2;
+            halved
         } else {
             in_shape
         };
@@ -366,10 +480,8 @@ impl Graph {
             }
             .into());
         }
-        let mut dims = s.dims().to_vec();
-        let r = dims.len();
-        dims.swap(r - 2, r - 1);
-        let shape = Shape::new(&dims)?;
+        let mut shape = s;
+        shape.dims_mut()[s.rank() - 2..].reverse();
         self.push_node(OpKind::Transpose, &[a], shape, "")
     }
 
@@ -391,8 +503,10 @@ impl Graph {
             }
             seen[o] = true;
         }
-        let dims: Vec<usize> = order.iter().map(|&o| s.dim(o)).collect();
-        let shape = Shape::new(&dims)?;
+        let mut shape = s;
+        for (d, &o) in shape.dims_mut().iter_mut().zip(order) {
+            *d = s.dim(o);
+        }
         self.push_node(OpKind::Permute(order.to_vec()), &[a], shape, "")
     }
 
@@ -439,13 +553,13 @@ impl Graph {
 
     fn reduce(&mut self, kind: OpKind, a: NodeId, keep_dim: bool) -> Result<NodeId, GraphError> {
         let s = self.shape(a);
-        let mut dims = s.dims().to_vec();
-        if keep_dim || dims.len() == 1 {
-            *dims.last_mut().unwrap() = 1;
+        let shape = if keep_dim || s.rank() == 1 {
+            let mut kept = s;
+            *kept.dims_mut().last_mut().unwrap() = 1;
+            kept
         } else {
-            dims.pop();
-        }
-        let shape = Shape::new(&dims)?;
+            Shape::new(&s.dims()[..s.rank() - 1])?
+        };
         self.push_node(kind, &[a], shape, "")
     }
 
@@ -473,9 +587,12 @@ impl Graph {
                 what: "embedding table must be rank 2",
             });
         }
-        let mut dims = i.dims().to_vec();
-        dims.push(t.dim(1));
-        let shape = Shape::new(&dims)?;
+        // One axis more than the ids: `Shape::new` rejects a rank past
+        // `MAX_RANK`.
+        let mut dims = [0; MAX_RANK + 1];
+        dims[..i.rank()].copy_from_slice(i.dims());
+        dims[i.rank()] = t.dim(1);
+        let shape = Shape::new(&dims[..=i.rank()])?;
         self.push_node(OpKind::Embedding, &[table, ids], shape, "")
     }
 
@@ -509,9 +626,9 @@ impl Graph {
                         what: "all_gather axis out of range",
                     });
                 }
-                let mut dims = s.dims().to_vec();
-                dims[axis] *= world;
-                Shape::new(&dims)?
+                let mut gathered = s;
+                gathered.dims_mut()[axis] *= world;
+                gathered
             }
             CollectiveKind::ReduceScatter { axis, world } => {
                 if axis >= s.rank() || world == 0 {
@@ -524,9 +641,9 @@ impl Graph {
                         what: "reduce_scatter axis not divisible by world size",
                     });
                 }
-                let mut dims = s.dims().to_vec();
-                dims[axis] /= world;
-                Shape::new(&dims)?
+                let mut scattered = s;
+                scattered.dims_mut()[axis] /= world;
+                scattered
             }
         };
         self.push_node(OpKind::Collective(kind), &[a], shape, "")
@@ -590,14 +707,12 @@ impl Graph {
         if qs.dim(r - 1) != ks.dim(r - 1) || ks.dim(r - 2) != vs.dim(r - 2) {
             return Err(TensorError::MatmulMismatch { lhs: qs, rhs: ks }.into());
         }
-        let mut dims = qs.dims().to_vec();
-        dims[r - 1] = vs.dim(r - 1);
-        let shape = Shape::new(&dims)?;
+        let mut shape = qs;
+        shape.dims_mut()[r - 1] = vs.dim(r - 1);
         if let Some(m) = mask {
             // The mask adds onto the [..., n, m] score tile.
-            let mut score_dims = qs.dims().to_vec();
-            score_dims[r - 1] = ks.dim(r - 2);
-            let scores = Shape::new(&score_dims)?;
+            let mut scores = qs;
+            scores.dims_mut()[r - 1] = ks.dim(r - 2);
             if Shape::broadcast(&self.shape(m), &scores)? != scores {
                 return Err(TensorError::BroadcastMismatch {
                     lhs: self.shape(m),
@@ -635,10 +750,11 @@ impl Graph {
         self.push_node(OpKind::FusedSoftmaxMatMul, &[x, v], shape, "")
     }
 
-    /// Attach a trace name to the most recently created node.
-    pub fn name_last(&mut self, name: &str) {
+    /// Attach a trace name to the most recently created node. A `String`
+    /// name is moved into the node.
+    pub fn name_last(&mut self, name: impl Into<String>) {
         if let Some(n) = self.nodes.last_mut() {
-            n.name = name.to_string();
+            n.name = name.into();
         }
     }
 
@@ -664,7 +780,7 @@ impl Graph {
             if !keep(n) {
                 return false;
             }
-            for i in &mut n.inputs {
+            for i in n.inputs.iter_mut() {
                 renumber(&remap, i);
             }
             remap[n.id.0] = next;
@@ -688,8 +804,12 @@ impl Graph {
         c
     }
 
-    /// Validate structural invariants (operands precede consumers; arity).
+    /// Validate structural invariants (operands precede consumers; arity;
+    /// every marked output names a node).
     pub fn validate(&self) -> Result<(), GraphError> {
+        if let Some(&o) = self.outputs.iter().find(|o| o.0 >= self.nodes.len()) {
+            return Err(GraphError::UnknownNode(o));
+        }
         for n in &self.nodes {
             for &i in &n.inputs {
                 if i.0 >= n.id.0 {
@@ -720,12 +840,11 @@ fn infer_matmul(a: Shape, b: Shape) -> Result<Shape, GraphError> {
     if k != k2 || (ab != bb && ab != 1 && bb != 1) {
         return Err(TensorError::MatmulMismatch { lhs: a, rhs: b }.into());
     }
-    let (src, keep_a) = if ab >= bb { (a, true) } else { (b, false) };
-    let _ = keep_a;
-    let mut dims: Vec<usize> = src.dims()[..src.rank() - 2].to_vec();
-    dims.push(m);
-    dims.push(n);
-    Ok(Shape::new(&dims)?)
+    // The batch axes come from the operand with the larger batch.
+    let mut out = if ab >= bb { a } else { b };
+    let r = out.rank();
+    out.dims_mut()[r - 2..].copy_from_slice(&[m, n]);
+    Ok(out)
 }
 
 fn infer_einsum(spec: EinsumSpec, a: Shape, b: Shape) -> Result<Shape, GraphError> {
@@ -736,24 +855,24 @@ fn infer_einsum(spec: EinsumSpec, a: Shape, b: Shape) -> Result<Shape, GraphErro
     if a.dims()[..r - 2] != b.dims()[..r - 2] {
         return Err(TensorError::MatmulMismatch { lhs: a, rhs: b }.into());
     }
-    let mut dims = a.dims().to_vec();
+    let mut out = a;
     match spec {
         EinsumSpec::ScoresQKt => {
             // a: [..., n, d], b: [..., m, d] -> [..., n, m]
             if a.dim(r - 1) != b.dim(r - 1) {
                 return Err(TensorError::MatmulMismatch { lhs: a, rhs: b }.into());
             }
-            dims[r - 1] = b.dim(r - 2);
+            out.dims_mut()[r - 1] = b.dim(r - 2);
         }
         EinsumSpec::OutputAv => {
             // a: [..., n, m], b: [..., m, d] -> [..., n, d]
             if a.dim(r - 1) != b.dim(r - 2) {
                 return Err(TensorError::MatmulMismatch { lhs: a, rhs: b }.into());
             }
-            dims[r - 1] = b.dim(r - 1);
+            out.dims_mut()[r - 1] = b.dim(r - 1);
         }
     }
-    Ok(Shape::new(&dims)?)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -920,7 +1039,7 @@ mod tests {
         g.mark_output(a);
         let mut seen = Vec::new();
         g.retain_nodes(|n| {
-            seen.push((n.id, n.inputs.clone()));
+            seen.push((n.id, n.inputs.to_vec()));
             if n.id == b {
                 // Rewrites see operands in the old numbering.
                 n.inputs.swap(0, 1);
@@ -931,8 +1050,8 @@ mod tests {
         assert_eq!(g.len(), 3);
         let ids: Vec<NodeId> = g.nodes().iter().map(|n| n.id).collect();
         assert_eq!(ids, [NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(g.node(NodeId(1)).inputs, [NodeId(0)]);
-        assert_eq!(g.node(NodeId(2)).inputs, [NodeId(0), NodeId(1)]);
+        assert_eq!(*g.node(NodeId(1)).inputs, [NodeId(0)]);
+        assert_eq!(*g.node(NodeId(2)).inputs, [NodeId(0), NodeId(1)]);
         assert_eq!(g.node(NodeId(2)).name, "sum");
         assert_eq!(g.outputs(), [NodeId(2), NodeId(1)]);
         g.validate().unwrap();

@@ -292,11 +292,6 @@ impl OpKind {
         ) || matches!(self, OpKind::Activation(a) if !matches!(a, Activation::Glu))
     }
 
-    /// Whether the node carries data into the graph rather than computing.
-    pub fn is_source(&self) -> bool {
-        matches!(self, OpKind::Input | OpKind::Parameter | OpKind::Fill(_))
-    }
-
     /// Number of operand edges the operator expects (`None` = source node).
     pub fn arity(&self) -> Option<usize> {
         Some(match self {
@@ -361,12 +356,5 @@ mod tests {
         assert!(Activation::Gelu.uses_special_func());
         assert!(Activation::Glu.uses_special_func());
         assert!(Activation::EluPlusOne.uses_special_func());
-    }
-
-    #[test]
-    fn source_classification() {
-        assert!(OpKind::Input.is_source());
-        assert!(OpKind::Fill(1.0).is_source());
-        assert!(!OpKind::Exp.is_source());
     }
 }

@@ -94,8 +94,8 @@ pub fn linear_attention(
     g.name_last("attn_numer");
 
     // Normalizer: z = φ(Q) (φ(K)ᵀ 1_N) as an [B,H,N,1] column.
-    let v_dims = g.shape(v).dims().to_vec();
-    let ones = g.fill("ones_col", &[v_dims[0], v_dims[1], v_dims[2], 1], 1.0)?;
+    let vs = g.shape(v);
+    let ones = g.fill("ones_col", &[vs.dim(0), vs.dim(1), vs.dim(2), 1], 1.0)?;
     let k_sum = g.matmul(phi_kt, ones)?; // [B,H,D,1]
     let z = g.matmul(phi_q, k_sum)?; // [B,H,N,1]
     g.name_last("attn_norm");

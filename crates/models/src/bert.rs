@@ -3,7 +3,7 @@
 
 use crate::attention::AttentionKind;
 use crate::config::{LlmConfig, TransformerLayerConfig};
-use crate::layers::{layernorm, linear};
+use crate::layers::{dotted, layernorm, linear};
 use crate::transformer::transformer_layer;
 use gaudi_graph::{autograd, Activation, Graph, GraphError, NodeId};
 
@@ -66,12 +66,12 @@ pub(crate) fn build_encoder_lm(
     let ids = g.input("ids", &[c.batch, c.seq_len])?;
     let labels = g.input("labels", &[c.batch, c.seq_len])?;
 
-    let tok_table = g.parameter(&format!("{name}.tok_embed"), &[c.vocab, d])?;
+    let tok_table = g.parameter(dotted(name, "tok_embed"), &[c.vocab, d])?;
     let tok = g.embedding(tok_table, ids)?;
     g.name_last("tok_embed");
-    let pos_table = g.parameter(&format!("{name}.pos_embed"), &[c.seq_len, d])?;
+    let pos_table = g.parameter(dotted(name, "pos_embed"), &[c.seq_len, d])?;
     let mut h = g.add(tok, pos_table)?;
-    h = layernorm(&mut g, h, &format!("{name}.embed_ln"))?;
+    h = layernorm(&mut g, h, dotted(name, "embed_ln"))?;
 
     let mask = if causal {
         Some(g.input("causal_mask", &[c.seq_len, c.seq_len])?)
@@ -94,7 +94,7 @@ pub(crate) fn build_encoder_lm(
         h = transformer_layer(&mut g, h, &layer_cfg, &format!("{name}.layer{l}"), mask)?;
     }
 
-    let logits = linear(&mut g, h, d, c.vocab, &format!("{name}.lm_head"))?;
+    let logits = linear(&mut g, h, d, c.vocab, dotted(name, "lm_head"))?;
     let loss = g.cross_entropy(logits, labels)?;
     g.name_last("lm_loss");
     g.mark_output(loss);

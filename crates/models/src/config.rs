@@ -79,12 +79,6 @@ impl TransformerLayerConfig {
         self
     }
 
-    /// Enable the backward pass.
-    pub fn with_training(mut self, on: bool) -> Self {
-        self.training = on;
-        self
-    }
-
     /// Model width `H * D`.
     pub fn model_dim(&self) -> usize {
         self.heads * self.head_dim
@@ -175,10 +169,8 @@ mod tests {
         let c = TransformerLayerConfig::tiny()
             .with_attention(AttentionKind::Linear)
             .with_activation(Activation::Gelu)
-            .with_seq_len(128)
-            .with_training(true);
+            .with_seq_len(128);
         assert_eq!(c.attention, AttentionKind::Linear);
         assert_eq!(c.seq_len, 128);
-        assert!(c.training);
     }
 }

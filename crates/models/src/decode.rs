@@ -20,8 +20,9 @@
 
 use crate::attention::softmax_attention;
 use crate::config::LlmConfig;
-use crate::layers::{ffn, layernorm, linear, merge_heads, split_heads};
+use crate::layers::{dotted, ffn, layernorm, linear, merge_heads, split_heads};
 use gaudi_graph::{Activation, Graph, GraphError, NodeId};
+use gaudi_tensor::TensorError;
 
 /// Node handles of a built prefill graph.
 #[derive(Debug, Clone)]
@@ -46,12 +47,19 @@ pub struct BuiltDecodeStep {
 /// the KV cache. The LM head is *not* applied here — the first sampled
 /// token comes out of the first decode step, which is also how
 /// iteration-level serving engines schedule it.
+///
+/// # Errors
+///
+/// A zero `batch` or `prompt_len` is
+/// `GraphError::Shape(TensorError::EmptyTensor)`.
 pub fn build_prefill(
     cfg: &LlmConfig,
     batch: usize,
     prompt_len: usize,
 ) -> Result<(Graph, BuiltPrefill), GraphError> {
-    assert!(batch > 0 && prompt_len > 0, "empty prefill");
+    if batch == 0 || prompt_len == 0 {
+        return Err(TensorError::EmptyTensor.into());
+    }
     let mut g = Graph::new();
     g.storage_dtype = gaudi_tensor::DType::F32;
     let d = cfg.model_dim();
@@ -91,12 +99,19 @@ pub fn build_prefill(
 
 /// Build one decode step: a `[batch, 1]` token batch attends to per-layer
 /// KV caches of `ctx_len` positions and produces next-token logits.
+///
+/// # Errors
+///
+/// A zero `batch` or `ctx_len` is
+/// `GraphError::Shape(TensorError::EmptyTensor)`.
 pub fn build_decode_step(
     cfg: &LlmConfig,
     batch: usize,
     ctx_len: usize,
 ) -> Result<(Graph, BuiltDecodeStep), GraphError> {
-    assert!(batch > 0 && ctx_len > 0, "empty decode step");
+    if batch == 0 || ctx_len == 0 {
+        return Err(TensorError::EmptyTensor.into());
+    }
     let mut g = Graph::new();
     g.storage_dtype = gaudi_tensor::DType::F32;
     let d = cfg.model_dim();
@@ -113,9 +128,9 @@ pub fn build_decode_step(
     for l in 0..cfg.layers {
         let name = format!("serve.layer{l}");
         // GEMV-shaped projections for the single current position.
-        let q = linear(&mut g, h, d, d, &format!("{name}.q_proj"))?;
-        let k = linear(&mut g, h, d, d, &format!("{name}.k_proj"))?;
-        let v = linear(&mut g, h, d, d, &format!("{name}.v_proj"))?;
+        let q = linear(&mut g, h, d, d, dotted(&name, "q_proj"))?;
+        let k = linear(&mut g, h, d, d, dotted(&name, "k_proj"))?;
+        let v = linear(&mut g, h, d, d, dotted(&name, "v_proj"))?;
         let qh = split_heads(&mut g, q, cfg.heads, cfg.head_dim)?;
         let kh = split_heads(&mut g, k, cfg.heads, cfg.head_dim)?;
         let vh = split_heads(&mut g, v, cfg.heads, cfg.head_dim)?;
@@ -124,30 +139,25 @@ pub fn build_decode_step(
         g.mark_output(vh);
 
         // Attend over the cached context.
-        let k_cache = g.input(
-            &format!("{name}.k_cache"),
-            &[batch, cfg.heads, ctx_len, cfg.head_dim],
-        )?;
-        let v_cache = g.input(
-            &format!("{name}.v_cache"),
-            &[batch, cfg.heads, ctx_len, cfg.head_dim],
-        )?;
+        let cache = [batch, cfg.heads, ctx_len, cfg.head_dim];
+        let k_cache = g.input(dotted(&name, "k_cache"), &cache)?;
+        let v_cache = g.input(dotted(&name, "v_cache"), &cache)?;
         let ctx = softmax_attention(&mut g, qh, k_cache, v_cache, None)?;
         let merged = merge_heads(&mut g, ctx)?;
-        let attn_out = linear(&mut g, merged, d, d, &format!("{name}.out_proj"))?;
+        let attn_out = linear(&mut g, merged, d, d, dotted(&name, "out_proj"))?;
 
         let res1 = g.add(h, attn_out)?;
-        let ln1 = layernorm(&mut g, res1, &format!("{name}.ln1"))?;
+        let ln1 = layernorm(&mut g, res1, dotted(&name, "ln1"))?;
         let f = ffn(
             &mut g,
             ln1,
             d,
             d * cfg.ffn_mult,
             Activation::Gelu,
-            &format!("{name}.ffn"),
+            &dotted(&name, "ffn"),
         )?;
         let res2 = g.add(ln1, f)?;
-        h = layernorm(&mut g, res2, &format!("{name}.ln2"))?;
+        h = layernorm(&mut g, res2, dotted(&name, "ln2"))?;
     }
 
     // LM head over the single position: `[B, 1, d] × [d, V]`.
@@ -187,6 +197,101 @@ mod tests {
         let (g, _) = build_decode_step(&cfg, 2, 8).unwrap();
         // hidden K/V per layer + logits: at least 2*layers + 1 outputs.
         assert!(g.outputs().len() > 2 * cfg.layers);
+    }
+
+    /// `g`'s node names in order, unnamed nodes skipped: the embedding and
+    /// layer 0, then what follows the last layer.
+    fn embedding_layer0_and_head(g: &Graph) -> Vec<&str> {
+        let names: Vec<&str> = g
+            .nodes()
+            .iter()
+            .map(|n| n.name.as_str())
+            .filter(|n| !n.is_empty())
+            .collect();
+        let layer0_end = names.iter().position(|&n| n == "serve.layer0.ln2").unwrap() + 1;
+        let layers_end = names.iter().rposition(|&n| n.ends_with(".ln2")).unwrap() + 1;
+        [&names[..layer0_end], &names[layers_end..]].concat()
+    }
+
+    /// Layer 0 of either phase after its attention inputs: the same names
+    /// in both.
+    const LAYER0_TAIL: [&str; 19] = [
+        "attn_scores",
+        "attn_softmax",
+        "attn_output",
+        "serve.layer0.out_proj.w",
+        "serve.layer0.out_proj.b",
+        "serve.layer0.out_proj",
+        "serve.layer0.ln1.gamma",
+        "serve.layer0.ln1.beta",
+        "serve.layer0.ln1",
+        "serve.layer0.ffn.fc1.w",
+        "serve.layer0.ffn.fc1.b",
+        "serve.layer0.ffn.fc1",
+        "serve.layer0.ffn.gelu",
+        "serve.layer0.ffn.fc2.w",
+        "serve.layer0.ffn.fc2.b",
+        "serve.layer0.ffn.fc2",
+        "serve.layer0.ln2.gamma",
+        "serve.layer0.ln2.beta",
+        "serve.layer0.ln2",
+    ];
+
+    /// The q/k/v projections of layer 0.
+    const LAYER0_QKV: [&str; 9] = [
+        "serve.layer0.q_proj.w",
+        "serve.layer0.q_proj.b",
+        "serve.layer0.q_proj",
+        "serve.layer0.k_proj.w",
+        "serve.layer0.k_proj.b",
+        "serve.layer0.k_proj",
+        "serve.layer0.v_proj.w",
+        "serve.layer0.v_proj.b",
+        "serve.layer0.v_proj",
+    ];
+
+    #[test]
+    fn serving_graphs_name_their_nodes() {
+        // Partitioning matches `.k_cache`/`.v_cache`, and the runtime feeds
+        // inputs and initializes parameters by these names.
+        let (g, _) = build_decode_step(&tiny(), 2, 32).unwrap();
+        let embedding = [
+            "ids",
+            "serve.tok_embed",
+            "tok_embed",
+            "serve.pos_embed_step",
+            "serve.embed_ln.gamma",
+            "serve.embed_ln.beta",
+            "serve.embed_ln",
+        ];
+        let caches = ["serve.layer0.k_cache", "serve.layer0.v_cache"];
+        let head = ["serve.lm_head.w", "serve.lm_head.b", "serve.lm_head"];
+        let expected = [&embedding[..], &LAYER0_QKV, &caches, &LAYER0_TAIL, &head].concat();
+        assert_eq!(embedding_layer0_and_head(&g), expected);
+
+        // Prefill applies no head; its mask follows the embedding.
+        let (g, _) = build_prefill(&tiny(), 1, 32).unwrap();
+        let embedding = [
+            "ids",
+            "serve.tok_embed",
+            "tok_embed",
+            "serve.pos_embed",
+            "serve.embed_ln.gamma",
+            "serve.embed_ln.beta",
+            "serve.embed_ln",
+            "causal_mask",
+        ];
+        let expected = [&embedding[..], &LAYER0_QKV, &LAYER0_TAIL].concat();
+        assert_eq!(embedding_layer0_and_head(&g), expected);
+    }
+
+    #[test]
+    fn empty_shapes_are_shape_errors() {
+        let empty = Err(GraphError::Shape(TensorError::EmptyTensor));
+        for (batch, len) in [(0, 32), (4, 0)] {
+            assert_eq!(build_prefill(&tiny(), batch, len).map(drop), empty);
+            assert_eq!(build_decode_step(&tiny(), batch, len).map(drop), empty);
+        }
     }
 
     #[test]

@@ -3,16 +3,28 @@
 
 use gaudi_graph::{Activation, Graph, GraphError, NodeId};
 
-/// `y = x W + b` with parameters named `{name}.w` / `{name}.b`.
+/// `{prefix}.{suffix}`, allocated once at its final length: node names
+/// are built where the graph stores them, with no temporary to copy from.
+pub(crate) fn dotted(prefix: &str, suffix: &str) -> String {
+    let mut name = String::with_capacity(prefix.len() + 1 + suffix.len());
+    name.push_str(prefix);
+    name.push('.');
+    name.push_str(suffix);
+    name
+}
+
+/// `y = x W + b` with parameters named `{name}.w` / `{name}.b`. A `String`
+/// name is moved onto the matmul node.
 pub fn linear(
     g: &mut Graph,
     x: NodeId,
     d_in: usize,
     d_out: usize,
-    name: &str,
+    name: impl Into<String>,
 ) -> Result<NodeId, GraphError> {
-    let w = g.parameter(&format!("{name}.w"), &[d_in, d_out])?;
-    let b = g.parameter(&format!("{name}.b"), &[d_out])?;
+    let name = name.into();
+    let w = g.parameter(dotted(&name, "w"), &[d_in, d_out])?;
+    let b = g.parameter(dotted(&name, "b"), &[d_out])?;
     let xw = g.matmul(x, w)?;
     g.name_last(name);
     let y = g.add(xw, b)?;
@@ -26,25 +38,25 @@ pub fn split_heads(
     heads: usize,
     head_dim: usize,
 ) -> Result<NodeId, GraphError> {
-    let dims = g.shape(x).dims().to_vec();
-    let (b, n) = (dims[0], dims[1]);
-    let r = g.reshape(x, &[b, n, heads, head_dim])?;
+    let s = g.shape(x);
+    let r = g.reshape(x, &[s.dim(0), s.dim(1), heads, head_dim])?;
     g.permute(r, &[0, 2, 1, 3])
 }
 
 /// Merge heads `[B, H, N, D]` back into `[B, N, H*D]`.
 pub fn merge_heads(g: &mut Graph, x: NodeId) -> Result<NodeId, GraphError> {
-    let dims = g.shape(x).dims().to_vec();
-    let (b, h, n, d) = (dims[0], dims[1], dims[2], dims[3]);
+    let s = g.shape(x);
     let p = g.permute(x, &[0, 2, 1, 3])?;
-    g.reshape(p, &[b, n, h * d])
+    g.reshape(p, &[s.dim(0), s.dim(2), s.dim(1) * s.dim(3)])
 }
 
 /// Layer normalization with parameters named `{name}.gamma` / `{name}.beta`.
-pub fn layernorm(g: &mut Graph, x: NodeId, name: &str) -> Result<NodeId, GraphError> {
+/// A `String` name is moved onto the layernorm node.
+pub fn layernorm(g: &mut Graph, x: NodeId, name: impl Into<String>) -> Result<NodeId, GraphError> {
+    let name = name.into();
     let d = g.shape(x).last_dim();
-    let gamma = g.parameter(&format!("{name}.gamma"), &[d])?;
-    let beta = g.parameter(&format!("{name}.beta"), &[d])?;
+    let gamma = g.parameter(dotted(&name, "gamma"), &[d])?;
+    let beta = g.parameter(dotted(&name, "beta"), &[d])?;
     let y = g.layernorm(x, gamma, beta, 1e-5)?;
     g.name_last(name);
     Ok(y)
@@ -62,15 +74,15 @@ pub fn ffn(
     act: Activation,
     name: &str,
 ) -> Result<NodeId, GraphError> {
-    let h = linear(g, x, d_model, d_ff, &format!("{name}.fc1"))?;
+    let h = linear(g, x, d_model, d_ff, dotted(name, "fc1"))?;
     let a = g.activation(act, h)?;
-    g.name_last(&format!("{name}.{}", act.name()));
+    g.name_last(dotted(name, act.name()));
     let second_in = if matches!(act, Activation::Glu) {
         d_ff / 2
     } else {
         d_ff
     };
-    linear(g, a, second_in, d_model, &format!("{name}.fc2"))
+    linear(g, a, second_in, d_model, dotted(name, "fc2"))
 }
 
 #[cfg(test)]

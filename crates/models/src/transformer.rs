@@ -2,7 +2,7 @@
 
 use crate::attention::build_attention;
 use crate::config::TransformerLayerConfig;
-use crate::layers::{ffn, layernorm, linear, merge_heads, split_heads};
+use crate::layers::{dotted, ffn, layernorm, linear, merge_heads, split_heads};
 use gaudi_graph::{autograd, Graph, GraphError, NodeId};
 
 /// The IDs a built layer exposes.
@@ -27,9 +27,9 @@ pub fn transformer_layer(
     let d_model = cfg.model_dim();
 
     // Projections, head split.
-    let q = linear(g, x, d_model, d_model, &format!("{name}.q_proj"))?;
-    let k = linear(g, x, d_model, d_model, &format!("{name}.k_proj"))?;
-    let v = linear(g, x, d_model, d_model, &format!("{name}.v_proj"))?;
+    let q = linear(g, x, d_model, d_model, dotted(name, "q_proj"))?;
+    let k = linear(g, x, d_model, d_model, dotted(name, "k_proj"))?;
+    let v = linear(g, x, d_model, d_model, dotted(name, "v_proj"))?;
     let qh = split_heads(g, q, cfg.heads, cfg.head_dim)?;
     let kh = split_heads(g, k, cfg.heads, cfg.head_dim)?;
     let vh = split_heads(g, v, cfg.heads, cfg.head_dim)?;
@@ -37,11 +37,11 @@ pub fn transformer_layer(
     // Attention.
     let ctx = build_attention(g, cfg.attention, qh, kh, vh, mask)?;
     let merged = merge_heads(g, ctx)?;
-    let attn_out = linear(g, merged, d_model, d_model, &format!("{name}.out_proj"))?;
+    let attn_out = linear(g, merged, d_model, d_model, dotted(name, "out_proj"))?;
 
     // Residual + LN.
     let res1 = g.add(x, attn_out)?;
-    let ln1 = layernorm(g, res1, &format!("{name}.ln1"))?;
+    let ln1 = layernorm(g, res1, dotted(name, "ln1"))?;
 
     if !cfg.include_ffn {
         return Ok(ln1);
@@ -49,16 +49,9 @@ pub fn transformer_layer(
 
     // FFN + residual + LN.
     let d_ff = d_model * cfg.ffn_mult;
-    let f = ffn(
-        g,
-        ln1,
-        d_model,
-        d_ff,
-        cfg.activation,
-        &format!("{name}.ffn"),
-    )?;
+    let f = ffn(g, ln1, d_model, d_ff, cfg.activation, &dotted(name, "ffn"))?;
     let res2 = g.add(ln1, f)?;
-    layernorm(g, res2, &format!("{name}.ln2"))
+    layernorm(g, res2, dotted(name, "ln2"))
 }
 
 /// Build a standalone single-layer benchmark graph per the configuration.
@@ -136,7 +129,8 @@ mod tests {
 
     #[test]
     fn training_appends_backward_ops() {
-        let cfg = TransformerLayerConfig::tiny().with_training(true);
+        let mut cfg = TransformerLayerConfig::tiny();
+        cfg.training = true;
         let (g, built) = build_transformer_layer(&cfg).unwrap();
         assert!(built.loss.is_some());
         assert!(g

@@ -10,11 +10,13 @@
 //! Compiling a graph per simulated step would dwarf the simulation itself,
 //! so compiled costs are memoized — the serving analog of SynapseAI's
 //! recipe cache, and the reason phase shapes are bucketed at all
-//! ([`CostModel::shape`], the one place that buckets them). Memoization
-//! is two-level:
+//! ([`CostModel::shape`], the one place that buckets them). A memo entry
+//! is the [`PhaseCost`] alone, the only part of a compile the simulation
+//! reads: the phase graph is handed to the compiler by value and dropped
+//! with its plan, and no memory plan is made. Memoization is two-level:
 //!
 //! * each [`CostModel`] is one replica's recipe table: one entry per phase
-//!   [`Shape`] it has priced, holding the compiled plan and whether the
+//!   [`Shape`] it has priced, holding the phase's cost and whether the
 //!   replica has paid that shape's recipe warmup ([`RecipeConfig`]) — a
 //!   lock-free `HashMap` hit on every simulated phase;
 //! * table misses fall through to the [`PlanCache`] of the model's
@@ -27,13 +29,18 @@
 //! The cache is safe to share between threads (the engine's replicas run
 //! on a [`gaudi_exec::ExecPool`]); a compile happens under the cache lock,
 //! so each shape is compiled exactly once no matter how many replicas race
-//! to it, and every caller gets back the *same* [`Arc`]'d entry — which is
-//! what the pointer-equality tests pin down.
+//! to it, and every caller reads the same cost, bit for bit.
+//!
+//! The memory planner has one reader: the activation footprint that
+//! [`ActivationBudget`](crate::ActivationBudget) admission reserves. Its
+//! estimate compiles the two worst-case shapes afresh with the planner
+//! and caches nothing.
 
 use crate::engine::ServingConfig;
 use crate::error::ServingError;
 use crate::idhash::IdMap;
 use gaudi_compiler::{ExecutionPlan, GraphCompiler};
+use gaudi_graph::Graph;
 use gaudi_hw::EngineId;
 use gaudi_models::decode::{build_decode_step, build_prefill};
 use gaudi_models::LlmConfig;
@@ -127,21 +134,6 @@ pub struct PlanKey {
     shape: Shape,
 }
 
-/// One memoized compilation: the plan's engine-busy summary plus its
-/// static memory plan, shared by [`Arc`] so repeated shapes are
-/// pointer-equal across replicas and sweep points.
-#[derive(Debug, Clone, Copy)]
-pub struct CompiledPhase {
-    /// The priced phase.
-    pub cost: PhaseCost,
-    /// Packed activation-arena extent of the phase graph (the memory
-    /// planner's locked-offset region) — what planned admission reserves.
-    pub planned_activation_bytes: u64,
-    /// Sum of every activation tensor in the phase graph: the no-reuse
-    /// footprint a planner-less budget must reserve.
-    pub naive_activation_bytes: u64,
-}
-
 /// Running totals of a [`PlanCache`]'s effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -153,11 +145,11 @@ pub struct PlanCacheStats {
     pub entries: usize,
 }
 
-/// A keyed, thread-safe memo of compiled phase plans.
+/// A keyed, thread-safe memo of compiled phase costs.
 ///
 /// The compile closure runs under the cache lock, so every distinct
 /// [`PlanKey`] is compiled exactly once even when many replicas race to
-/// the same cold shape, and all of them receive the same `Arc` entry.
+/// the same cold shape, and all of them read the same cost.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     inner: Mutex<PlanCacheInner>,
@@ -165,7 +157,7 @@ pub struct PlanCache {
 
 #[derive(Debug, Default)]
 struct PlanCacheInner {
-    map: HashMap<PlanKey, Arc<CompiledPhase>>,
+    map: HashMap<PlanKey, PhaseCost>,
     hits: u64,
     misses: u64,
 }
@@ -180,18 +172,18 @@ impl PlanCache {
     pub fn get_or_compile(
         &self,
         key: PlanKey,
-        compile: impl FnOnce() -> Result<CompiledPhase, ServingError>,
-    ) -> Result<Arc<CompiledPhase>, ServingError> {
+        compile: impl FnOnce() -> Result<PhaseCost, ServingError>,
+    ) -> Result<PhaseCost, ServingError> {
         let mut inner = self.inner.lock().expect("plan cache lock");
-        if let Some(hit) = inner.map.get(&key).map(Arc::clone) {
+        if let Some(&hit) = inner.map.get(&key) {
             inner.hits += 1;
             return Ok(hit);
         }
         // Compile under the lock: a cold shape is compiled exactly once.
-        let compiled = Arc::new(compile()?);
+        let cost = compile()?;
         inner.misses += 1;
-        inner.map.insert(key, Arc::clone(&compiled));
-        Ok(compiled)
+        inner.map.insert(key, cost);
+        Ok(cost)
     }
 
     /// Distinct plans cached.
@@ -317,38 +309,36 @@ impl CostContext {
         }
     }
 
-    /// Compile-or-fetch one phase shape.
-    fn compiled(&self, shape: Shape) -> Result<Arc<CompiledPhase>, ServingError> {
+    /// The phase graph of `shape`.
+    fn graph(&self, shape: Shape) -> Result<Graph, ServingError> {
+        let Shape { phase, batch, len } = shape;
+        Ok(match phase {
+            Phase::Prefill => build_prefill(&self.model, batch, len)?.0,
+            Phase::Decode => build_decode_step(&self.model, batch, len)?.0,
+        })
+    }
+
+    /// Compile-or-fetch one phase shape's cost. A cold shape's graph is
+    /// handed to the compiler by value, so the passes rewrite it in place.
+    fn cost(&self, shape: Shape) -> Result<PhaseCost, ServingError> {
         let key = PlanKey {
             config: Arc::clone(&self.fingerprint),
             shape,
         };
         self.cache.get_or_compile(key, || {
-            let Shape { phase, batch, len } = shape;
-            let graph = match phase {
-                Phase::Prefill => build_prefill(&self.model, batch, len)?.0,
-                Phase::Decode => build_decode_step(&self.model, batch, len)?.0,
-            };
-            // The memory planner runs on the *scheduled* graph (after
-            // lowering/DCE/fusion), so the footprint matches what the
-            // plan actually executes.
-            let (_, plan, mem) = self.compiler.compile_with_memplan(graph)?;
-            Ok(CompiledPhase {
-                cost: PhaseCost::from_plan(&plan),
-                planned_activation_bytes: mem.arena_bytes,
-                naive_activation_bytes: mem.naive_bytes,
-            })
+            let (_, plan) = self.compiler.compile(self.graph(shape)?)?;
+            Ok(PhaseCost::from_plan(&plan))
         })
     }
 }
 
 /// One replica's recipe table over a shared [`CostContext`]: every phase
-/// [`Shape`] the replica has priced, with its compiled plan and whether
-/// the replica has run it yet (paid its recipe warmup). A restarted
-/// replica gets a fresh, cold table.
+/// [`Shape`] the replica has priced, with its cost and whether the replica
+/// has run it yet (paid its recipe warmup). A restarted replica gets a
+/// fresh, cold table.
 pub struct CostModel {
     ctx: Arc<CostContext>,
-    table: IdMap<Shape, (Arc<CompiledPhase>, bool)>,
+    table: IdMap<Shape, (PhaseCost, bool)>,
 }
 
 impl CostModel {
@@ -384,16 +374,30 @@ impl CostModel {
         Shape { phase, batch, len }
     }
 
-    /// The compiled plan of `shape`, from the table or else from the
-    /// shared [`PlanCache`] — the same `Arc` for every caller that asks
-    /// for the same shape. Pricing a shape does not warm it.
-    pub fn compiled(&mut self, shape: Shape) -> Result<Arc<CompiledPhase>, ServingError> {
-        if let Some((hit, _)) = self.table.get(&shape) {
-            return Ok(Arc::clone(hit));
+    /// The compiled cost of `shape`, from the table or else from the
+    /// shared [`PlanCache`] — bit-equal for every caller that asks for the
+    /// same shape. Pricing a shape does not warm it.
+    pub fn compiled(&mut self, shape: Shape) -> Result<PhaseCost, ServingError> {
+        if let Some(&(hit, _)) = self.table.get(&shape) {
+            return Ok(hit);
         }
-        let compiled = self.ctx.compiled(shape)?;
-        self.table.insert(shape, (Arc::clone(&compiled), false));
-        Ok(compiled)
+        let cost = self.ctx.cost(shape)?;
+        self.table.insert(shape, (cost, false));
+        Ok(cost)
+    }
+
+    /// Activation workspace of `shape` as `(planned, naive)` bytes: the
+    /// memory planner's packed-arena extent (what planned admission
+    /// reserves) and the sum of every activation tensor in the phase graph
+    /// (the no-reuse footprint a planner-less budget must reserve). It
+    /// compiles the shape afresh, outside the table and the [`PlanCache`],
+    /// which keep costs only. The planner runs on the *scheduled* graph
+    /// (after lowering/DCE/fusion), so the footprint matches what the plan
+    /// executes.
+    pub(crate) fn activation_bytes(&self, shape: Shape) -> Result<(u64, u64), ServingError> {
+        let ctx = &self.ctx;
+        let (_, _, mem) = ctx.compiler.compile_with_memplan(ctx.graph(shape)?)?;
+        Ok((mem.arena_bytes, mem.naive_bytes))
     }
 
     /// Peek: the recipe warmup running `shape` would cost, without warming
@@ -452,9 +456,21 @@ mod tests {
 
     /// The table entry behind one phase over `batch` sequences at `len`
     /// tokens.
-    fn price(m: &mut CostModel, phase: Phase, batch: usize, len: usize) -> Arc<CompiledPhase> {
+    fn price(m: &mut CostModel, phase: Phase, batch: usize, len: usize) -> PhaseCost {
         let shape = m.shape(phase, batch, len);
         m.compiled(shape).unwrap()
+    }
+
+    /// Every field of `c`, as bits.
+    fn bits(c: PhaseCost) -> [u64; 5] {
+        [
+            c.ms,
+            c.mme_busy_ns,
+            c.tpc_busy_ns,
+            c.dma_busy_ns,
+            c.nic_busy_ns,
+        ]
+        .map(f64::to_bits)
     }
 
     #[test]
@@ -479,17 +495,17 @@ mod tests {
     #[test]
     fn caching_is_exact_per_bucket() {
         let mut m = cm();
-        let a = price(&mut m, Decode, 2, 10).cost;
-        let b = price(&mut m, Decode, 2, 60).cost; // same bucket
+        let a = price(&mut m, Decode, 2, 10);
+        let b = price(&mut m, Decode, 2, 60); // same bucket
         assert_eq!(m.compiled_graphs(), 1);
         assert_eq!(a.ms, b.ms);
-        let c = price(&mut m, Decode, 2, 70).cost; // next bucket
+        let c = price(&mut m, Decode, 2, 70); // next bucket
         assert_eq!(m.compiled_graphs(), 2);
         assert!(c.ms >= a.ms);
     }
 
     #[test]
-    fn shared_context_returns_pointer_equal_plans_across_replicas() {
+    fn shared_context_compiles_each_shape_once_across_replicas() {
         let cache = Arc::new(PlanCache::new());
         let ctx = Arc::new(CostContext::new(&cfg(64), Arc::clone(&cache)));
         let mut replica_a = CostModel::with_context(Arc::clone(&ctx));
@@ -497,10 +513,7 @@ mod tests {
 
         let a = price(&mut replica_a, Decode, 2, 10);
         let b = price(&mut replica_b, Decode, 2, 60); // same bucket
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "repeated shapes must share one compiled plan"
-        );
+        assert_eq!(bits(a), bits(b), "repeated shapes read one compiled cost");
         assert_eq!(
             cache.stats(),
             PlanCacheStats {
@@ -511,18 +524,22 @@ mod tests {
             "one compile, one hit"
         );
 
-        // A different ctx bucket is a different plan…
+        // A different ctx bucket is a different plan, and so is a
+        // different phase at the same shape: each compiles once.
         let c = price(&mut replica_a, Decode, 2, 70);
-        assert!(!Arc::ptr_eq(&a, &c));
-        // …and so is a different phase at the same shape.
         let p = price(&mut replica_a, Prefill, 2, 10);
-        assert!(!Arc::ptr_eq(&a, &p));
-        assert_eq!(cache.len(), 3);
+        assert_eq!((cache.stats().misses, cache.len()), (3, 3));
+        assert_eq!(bits(price(&mut replica_b, Decode, 2, 70)), bits(c));
+        assert_eq!(bits(price(&mut replica_b, Prefill, 2, 10)), bits(p));
+        assert_eq!(
+            cache.stats().misses,
+            3,
+            "the other replica compiles nothing"
+        );
 
         // The table answers repeats without touching the shared cache.
         let before = cache.stats();
-        let a2 = price(&mut replica_a, Decode, 2, 10);
-        assert!(Arc::ptr_eq(&a, &a2));
+        assert_eq!(bits(price(&mut replica_a, Decode, 2, 10)), bits(a));
         assert_eq!(cache.stats(), before);
     }
 
@@ -534,12 +551,8 @@ mod tests {
         let a = price(&mut CostModel::with_context(coarse), Decode, 1, 10);
         let b = price(&mut CostModel::with_context(fine), Decode, 1, 10);
         // Same nominal request, different bucketing: 64- vs 16-token graphs.
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 2);
-        assert!(
-            b.cost.ms <= a.cost.ms,
-            "finer bucket prices a smaller graph"
-        );
+        assert_eq!((cache.stats().misses, cache.len()), (2, 2));
+        assert!(b.ms <= a.ms, "finer bucket prices a smaller graph");
     }
 
     fn paper_cm() -> CostModel {
@@ -554,8 +567,8 @@ mod tests {
         // tokens. This asymmetry is the entire case for continuous
         // batching.
         let mut m = paper_cm();
-        let prefill = price(&mut m, Prefill, 1, 512).cost;
-        let decode = price(&mut m, Decode, 1, 512).cost;
+        let prefill = price(&mut m, Prefill, 1, 512);
+        let decode = price(&mut m, Decode, 1, 512);
         assert!(
             prefill.ms > decode.ms,
             "prefill of 512 tokens ({} ms) should outweigh one decode step ({} ms)",
@@ -579,8 +592,8 @@ mod tests {
         // softmax/norm TPC work shrinks from S×S scores to 1×S. The busy
         // balance therefore tilts toward the MME in decode.
         let mut m = paper_cm();
-        let prefill = price(&mut m, Prefill, 1, 512).cost;
-        let decode = price(&mut m, Decode, 1, 512).cost;
+        let prefill = price(&mut m, Prefill, 1, 512);
+        let decode = price(&mut m, Decode, 1, 512);
         let prefill_tpc_share = prefill.tpc_busy_ns / (prefill.tpc_busy_ns + prefill.mme_busy_ns);
         let decode_tpc_share = decode.tpc_busy_ns / (decode.tpc_busy_ns + decode.mme_busy_ns);
         assert!(
@@ -659,22 +672,26 @@ mod tests {
     }
 
     #[test]
-    fn compiled_phases_carry_activation_plans() {
-        let mut m = cm();
-        for compiled in [price(&mut m, Prefill, 1, 64), price(&mut m, Decode, 4, 128)] {
-            assert!(compiled.planned_activation_bytes > 0);
+    fn activation_estimates_pack_below_the_naive_sum() {
+        let cache = Arc::new(PlanCache::new());
+        let m = CostModel::with_context(Arc::new(CostContext::new(&cfg(64), Arc::clone(&cache))));
+        for shape in [m.shape(Prefill, 1, 64), m.shape(Decode, 4, 128)] {
+            let (planned, naive) = m.activation_bytes(shape).unwrap();
+            assert!(planned > 0);
             assert!(
-                compiled.planned_activation_bytes <= compiled.naive_activation_bytes,
-                "the packed arena can never exceed the naive sum \
-                 ({} vs {})",
-                compiled.planned_activation_bytes,
-                compiled.naive_activation_bytes
+                planned <= naive,
+                "the packed arena can never exceed the naive sum ({planned} vs {naive})"
             );
         }
         // A transformer phase has elementwise chains to collapse, so the
         // planner must actually win, not just tie.
-        let p = price(&mut m, Prefill, 1, 64);
-        assert!(p.planned_activation_bytes < p.naive_activation_bytes);
+        let (planned, naive) = m.activation_bytes(m.shape(Prefill, 1, 64)).unwrap();
+        assert!(planned < naive);
+        let (planned, naive) = crate::engine::activation_estimate(&cfg(64)).unwrap();
+        assert!(0 < planned && planned < naive, "{planned} vs {naive}");
+        // The footprints are compiled outside the table and the cache.
+        assert_eq!(m.compiled_graphs(), 0);
+        assert_eq!(cache.stats(), PlanCacheStats::default());
     }
 
     #[test]
@@ -682,8 +699,8 @@ mod tests {
         // Continuous batching works because one decode step for B requests
         // costs far less than B single-request steps.
         let mut m = paper_cm();
-        let single = price(&mut m, Decode, 1, 512).cost;
-        let batched = price(&mut m, Decode, 8, 512).cost;
+        let single = price(&mut m, Decode, 1, 512);
+        let batched = price(&mut m, Decode, 8, 512);
         assert!(
             batched.ms < 4.0 * single.ms,
             "batch-8 step {} ms vs single step {} ms",

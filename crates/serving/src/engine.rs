@@ -807,7 +807,7 @@ impl<'a> Replica<'a> {
             return Ok((self.kv_copy(prompt + snap).1.scaled(factor), 0.0));
         }
         let shape = self.cost.shape(Phase::Prefill, 1, prompt);
-        let c = self.cost.compiled(shape)?.cost.scaled(factor);
+        let c = self.cost.compiled(shape)?.scaled(factor);
         Ok((c, self.cost.warmup_ms(shape)))
     }
 
@@ -825,7 +825,7 @@ impl<'a> Replica<'a> {
         let max_ctx = self.running.iter().map(|a| a.ctx).max().unwrap_or(1);
         let shape = self.cost.shape(Phase::Decode, self.running.len(), max_ctx);
         let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
-        let mut c = self.cost.compiled(shape)?.cost.scaled(factor);
+        let mut c = self.cost.compiled(shape)?.scaled(factor);
         c.ms += self.cost.warm(shape);
         let live: usize = self.running.iter().map(|a| a.ctx).sum();
         self.report.scheduled_tokens += shape.slots();
@@ -1029,24 +1029,21 @@ pub fn simulate_trace(
 /// [`CostModel::shape`] the engine runs them at.
 pub fn activation_estimate(cfg: &ServingConfig) -> Result<(u64, u64), ServingError> {
     check_shapes(cfg)?;
-    activation_estimate_with(&mut CostModel::new(cfg), cfg)
+    activation_estimate_with(&CostModel::new(cfg), cfg)
 }
 
+/// [`activation_estimate`] with `cost`'s compiler and shaping. Each call
+/// compiles both shapes with the memory planner: plan caches keep costs
+/// only.
 fn activation_estimate_with(
-    cost: &mut CostModel,
+    cost: &CostModel,
     cfg: &ServingConfig,
 ) -> Result<(u64, u64), ServingError> {
-    let prefill = cost.compiled(cost.shape(Phase::Prefill, 1, cfg.traffic.prompt_range.1))?;
+    let prefill =
+        cost.activation_bytes(cost.shape(Phase::Prefill, 1, cfg.traffic.prompt_range.1))?;
     let decode =
-        cost.compiled(cost.shape(Phase::Decode, cfg.max_batch, cfg.max_request_tokens()))?;
-    Ok((
-        prefill
-            .planned_activation_bytes
-            .max(decode.planned_activation_bytes),
-        prefill
-            .naive_activation_bytes
-            .max(decode.naive_activation_bytes),
-    ))
+        cost.activation_bytes(cost.shape(Phase::Decode, cfg.max_batch, cfg.max_request_tokens()))?;
+    Ok((prefill.0.max(decode.0), prefill.1.max(decode.1)))
 }
 
 /// Phase shapes round lengths up to a multiple of `ctx_bucket` and pad
@@ -1145,12 +1142,13 @@ pub(crate) fn simulate_records(
     // from the worst-case phase shapes this config can schedule: a prefill
     // at the longest admissible prompt (prefill always runs at batch 1) and
     // a decode of a full slot set at the longest context. `Off` (the
-    // default) skips the compiles entirely so the plan-cache statistics and
-    // compiled-graph counts of existing configurations are untouched.
+    // default) skips the compiles entirely; a budget compiles both shapes
+    // with the memory planner, outside the plan cache and the recipe
+    // tables, so neither's counts move.
     let activation_reserve = match cfg.activation_budget {
         ActivationBudget::Off => 0,
         budget => {
-            let (planned, naive) = activation_estimate_with(&mut make_cost(), cfg)?;
+            let (planned, naive) = activation_estimate_with(&make_cost(), cfg)?;
             budget.reserve_bytes(planned, naive)
         }
     };
@@ -1473,10 +1471,7 @@ mod tests {
     /// tokens, ms.
     fn phase_ms(cfg: &ServingConfig, phase: Phase, batch: usize, len: usize) -> f64 {
         let mut cost = CostModel::new(cfg);
-        cost.compiled(cost.shape(phase, batch, len))
-            .unwrap()
-            .cost
-            .ms
+        cost.compiled(cost.shape(phase, batch, len)).unwrap().ms
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl SeededRng {
         r * theta.cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// Fill a buffer with standard-normal samples scaled by `std`.
     pub fn fill_normal(&mut self, buf: &mut [f32], std: f32) {
         for v in buf {

@@ -40,6 +40,13 @@ impl Shape {
         &self.dims[..self.rank]
     }
 
+    /// The dimensions, editable in place: shape inference derives an
+    /// output shape from a copy of an operand's without a heap buffer. The
+    /// rank stays fixed.
+    pub fn dims_mut(&mut self) -> &mut [usize] {
+        &mut self.dims[..self.rank]
+    }
+
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
         self.rank

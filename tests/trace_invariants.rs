@@ -45,7 +45,7 @@ fn random_graph_with(ops: &[u8], fanin: &[u8], dead_at: Option<usize>) -> Graph 
                 // matmul against the [16, 8] pool to change shape family;
                 // re-project back to [8, 16] to keep the pool homogeneous.
                 let m = g.matmul(x, matpool[0]).unwrap(); // [8, 8]
-                let w = g.input(&format!("w{i}"), &[8, 16]).unwrap();
+                let w = g.input(format!("w{i}"), &[8, 16]).unwrap();
                 g.matmul(m, w).unwrap()
             }
             5 => g.activation(gaudi_graph::Activation::Gelu, x).unwrap(),
@@ -139,12 +139,16 @@ proptest! {
                     let node = step.node.expect("op steps execute a node");
                     prop_assert_eq!(step.start_ns + step.dur_ns, plan.node_end_ns[node.index()]);
                 }
-                // Handing the graph over by value rewrites it in place; the
+                // Handing the graph over by value, as serving's plan cache
+                // and its activation estimate do, rewrites it in place; the
                 // result must not differ from compiling a borrowed copy.
-                let (owned, owned_plan, _) =
-                    compiler(kind).compile_with_memplan(g.clone()).expect("compiles");
+                let (owned, owned_plan) = compiler(kind).compile(g.clone()).expect("compiles");
                 prop_assert!(same_graph(&owned, &compiled));
                 prop_assert!(same_plan(&owned_plan, &plan));
+                let (planned, planned_plan, _) =
+                    compiler(kind).compile_with_memplan(g.clone()).expect("compiles");
+                prop_assert!(same_graph(&planned, &compiled));
+                prop_assert!(same_plan(&planned_plan, &plan));
             }
         }
     }
