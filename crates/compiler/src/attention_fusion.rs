@@ -89,8 +89,11 @@ enum Role {
     Anchor(usize),
 }
 
-/// Run the pass: returns the rewritten graph and match statistics.
+/// Run the pass: returns the rewritten graph and match statistics, or the
+/// graph's own [`Graph::validate`] error (a marked output that names no
+/// node, say) before matching anything.
 pub fn fuse_attention(graph: &Graph) -> Result<(Graph, AttentionFusionStats), GraphError> {
+    graph.validate()?;
     let mut fused = Cow::Borrowed(graph);
     let stats = fuse(&mut fused);
     Ok((fused.into_owned(), stats))
@@ -324,6 +327,18 @@ fn find_matches(graph: &Graph) -> (Vec<Match>, Vec<Role>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_output_that_names_no_node_is_an_error() {
+        let mut g = Graph::new();
+        let x = g.input("x", &[4]).unwrap();
+        let _y = g.exp(x).unwrap();
+        g.mark_output(NodeId(99));
+        assert_eq!(
+            fuse_attention(&g).unwrap_err(),
+            GraphError::UnknownNode(NodeId(99))
+        );
+    }
 
     /// Hand-build the exact subgraph `gaudi_models::attention` emits.
     fn attention_graph(masked: bool) -> Graph {

@@ -12,8 +12,11 @@ use gaudi_graph::{Graph, GraphError, NodeId};
 use std::borrow::Cow;
 
 /// Remove nodes unreachable from the marked outputs. Returns the pruned
-/// graph and the number of nodes eliminated.
+/// graph and the number of nodes eliminated, or the graph's own
+/// [`Graph::validate`] error (a marked output that names no node, say)
+/// before pruning anything.
 pub fn eliminate_dead_code(graph: &Graph) -> Result<(Graph, usize), GraphError> {
+    graph.validate()?;
     let mut pruned = Cow::Borrowed(graph);
     let removed = prune(&mut pruned);
     Ok((pruned.into_owned(), removed))
@@ -48,6 +51,18 @@ pub(crate) fn prune(graph: &mut Cow<'_, Graph>) -> usize {
 mod tests {
     use super::*;
     use gaudi_graph::autograd;
+
+    #[test]
+    fn an_output_that_names_no_node_is_an_error() {
+        let mut g = Graph::new();
+        let x = g.input("x", &[4]).unwrap();
+        let _y = g.exp(x).unwrap();
+        g.mark_output(NodeId(99));
+        assert_eq!(
+            eliminate_dead_code(&g).unwrap_err(),
+            GraphError::UnknownNode(NodeId(99))
+        );
+    }
 
     #[test]
     fn removes_unreachable_chains() {

@@ -107,11 +107,10 @@ impl HbmTracker {
     /// Release `bytes`.
     ///
     /// Freeing more than is allocated is a caller accounting bug: it
-    /// panics in debug builds (the same contract `BlockPool::dealloc`
-    /// uses) and saturates to zero in release builds rather than
-    /// wrapping. Callers must bound what they free — the serving
-    /// `ContiguousKv` frees only what its per-request table says that
-    /// request reserved.
+    /// panics in debug builds and saturates to zero in release builds
+    /// rather than wrapping. Callers must bound what they free — the
+    /// serving `ContiguousKv` frees only what the released request's
+    /// lease says it reserved.
     pub fn free(&mut self, bytes: u64) {
         debug_assert!(
             bytes <= self.allocated,

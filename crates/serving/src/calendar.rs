@@ -1,4 +1,5 @@
-//! Indexed event calendar: the dispatch structure of the serving engine.
+//! Indexed event calendar: where the serving engine's dispatcher keeps
+//! re-queued and parked jobs (fresh arrivals stream from the sorted trace).
 //!
 //! The PR-5 engine kept pending dispatches in a
 //! `BTreeMap<(u64, u64), Job>` and popped the first entry each loop

@@ -32,12 +32,13 @@
 //! [`gaudi_exec::ExecPool`] but are merged in box order, so the cluster
 //! report is bit-identical across execution policies.
 
-use crate::engine::{simulate_records, ExecPolicy, ServingConfig};
+use crate::engine::{check_config, into_inner, simulate_records, take, ExecPolicy, ServingConfig};
 use crate::error::ServingError;
 use crate::idhash::splitmix64;
 use crate::report::{Ranks, Records, ServingReport, Tally};
 use crate::request::{generate_requests, Request};
 use gaudi_hw::Topology;
+use std::sync::Mutex;
 
 /// How the front-end router assigns requests to boxes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -263,10 +264,10 @@ pub fn simulate_cluster(cfg: &ClusterConfig) -> Result<ClusterReport, ServingErr
 }
 
 /// [`simulate_cluster`] under an explicit [`ExecPolicy`]: boxes fan out
-/// across the policy's pool, as many at a time as it runs at once (each
-/// box simulates serially inline, so an N-box cluster never nests
-/// fan-out), and fold in box order as each group ends — the report is
-/// bit-identical across policies.
+/// across the policy's pool (each box simulates serially inline, so an
+/// N-box cluster never nests fan-out), and their counters fold in box
+/// order once every box has ended — the report is bit-identical across
+/// policies.
 pub fn simulate_cluster_with(
     cfg: &ClusterConfig,
     policy: &ExecPolicy,
@@ -335,49 +336,44 @@ pub fn simulate_cluster_with(
 
     // Every box serves its shard with the full engine; boxes are
     // independent, so they are the parallel grain (serial inline within a
-    // box). They run as many at a time as the pool runs at once, and each
-    // group folds in box order as soon as it ends: a box's summary is
-    // taken, its counters absorbed, its records moved to their final slots
-    // and its routed shard freed, so later boxes reuse that memory and no
-    // box's tally outlives its group. The first failing group surfaces its
-    // lowest-index error, which is the lowest-index error overall.
+    // box), all in one fan-out. Each box takes its routed shard instead of
+    // copying it, and its cards place their records in the cluster's slots
+    // as they run, so what a box returns is counters only; those fold in
+    // box order afterwards, and the pool surfaces the lowest-index error.
     let mut box_cfg = cfg.box_config.clone();
     box_cfg.devices = cfg.cards_per_box;
+    check_config(&box_cfg)?;
     let inner = ExecPolicy {
         pool: gaudi_exec::ExecPool::serial(),
         plans: policy.plans.clone(),
     };
-    let mut cluster = Tally::default();
     // The generator numbers the stream `0..num_requests`, so each record's
     // slot is its id.
-    let mut records = Records::new(Ranks::Range {
+    let records = Mutex::new(Records::new(Ranks::Range {
         first: 0,
         len: cfg.box_config.traffic.num_requests,
-    });
+    }));
+    let shards: Vec<Mutex<Vec<Request>>> = shards.into_iter().map(Mutex::new).collect();
+    let parts = policy.pool.try_par_map(&shards, |_, shard| {
+        simulate_records(&box_cfg, take(shard), &inner, &records)
+    })?;
+    let mut cluster = Tally::default();
     let mut per_box = Vec::with_capacity(cfg.boxes);
-    for group in shards.chunks_mut(policy.pool.concurrency()) {
-        let parts = policy.pool.try_par_map(group, |_, shard| {
-            simulate_records(&box_cfg, shard.clone(), &inner).map(|(part, _)| part)
-        })?;
-        for (shard, mut part) in group.iter_mut().zip(parts) {
-            let b = per_box.len();
-            per_box.push(BoxSummary {
-                box_id: b,
-                offered: part.report.offered,
-                completed: part.completed.iter().map(Vec::len).sum(),
-                routed_tokens: routed_tokens[b],
-                goodput_tokens_per_s: part.goodput_tokens_per_s(),
-                makespan_ms: part.report.makespan_ms,
-                availability: part.availability(),
-            });
-            records.place(&mut part);
-            cluster.absorb(part);
-            *shard = Vec::new();
-        }
+    for (b, part) in parts.into_iter().enumerate() {
+        per_box.push(BoxSummary {
+            box_id: b,
+            offered: part.report.offered,
+            completed: part.completed,
+            routed_tokens: routed_tokens[b],
+            goodput_tokens_per_s: part.goodput_tokens_per_s(),
+            makespan_ms: part.report.makespan_ms,
+            availability: part.availability(),
+        });
+        cluster.absorb(part);
     }
 
     Ok(ClusterReport {
-        report: cluster.finish(records),
+        report: cluster.finish(into_inner(records)),
         boxes: cfg.boxes,
         cards_per_box: cfg.cards_per_box,
         router: cfg.router,

@@ -52,12 +52,19 @@
 //! snapshot restore), `decode` (4) and `idle` (jump to the next arrival)
 //! that makes progress.
 //!
+//! A request's serving state travels with the request, so no replica keeps
+//! a table keyed by request id: a runner holds its KV lease
+//! ([`KvLease`]) and its host snapshot position, and a job carries that
+//! position to its next attempt. Each card places its terminal records in
+//! the call's id-ordered slots in bounded batches as it runs.
+//!
 //! ## Fault injection and recovery
 //!
 //! A [`FaultPlan`] in the configuration makes replicas mortal, and kills
 //! turn the run into a single-pass event-driven simulation: replicas
 //! advance to quiescence below the next fault or arrival event, then the
-//! event is delivered. A killed replica halts at the first phase boundary
+//! event is delivered. Fresh arrivals stream from the sorted trace; only
+//! re-queued and parked jobs wait in an [`EventCalendar`]. A killed replica halts at the first phase boundary
 //! at or after the failure time; its in-flight, queued, and
 //! dispatched-but-unarrived requests are re-queued through the central
 //! dispatcher with deterministic exponential backoff (retry count bumped,
@@ -74,10 +81,10 @@ use crate::calendar::EventCalendar;
 use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeConfig};
 use crate::error::ServingError;
 use crate::fault::Job;
-use crate::idhash::IdMap;
-use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig};
+use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig, KvLease};
 use crate::report::{
-    CardTime, DropKind, DroppedRequest, Ranks, Records, RequestOutcome, ServingReport, Tally,
+    CardRecords, CardTime, DropKind, DroppedRequest, Ranks, Records, RequestOutcome, ServingReport,
+    Tally,
 };
 use crate::request::{generate_requests, Request, TrafficConfig};
 use crate::robustness::RobustnessConfig;
@@ -90,7 +97,7 @@ use gaudi_profiler::trace::TraceEvent;
 use gaudi_profiler::Trace;
 use gaudi_tensor::DType;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Full configuration of a serving simulation.
 ///
@@ -373,13 +380,21 @@ impl ExecPolicy {
     }
 }
 
-/// A request currently holding a decode slot.
+/// A request currently holding a decode slot, with everything the replica
+/// keeps about it: its KV lease and its host snapshot position.
 #[derive(Debug)]
 struct Active {
     job: Job,
+    /// Its KV reservation, released exactly once when it leaves the card.
+    lease: KvLease,
     /// Tokens visible to attention (prompt + generated so far).
     ctx: usize,
     generated: usize,
+    /// Generated tokens its last host snapshot holds: the snapshot it was
+    /// restored from (zero after a prefill) until a checkpoint takes a
+    /// newer one. Host DRAM survives the card, so an eviction hands this
+    /// position to the job's next attempt.
+    snapshot: usize,
     outcome: RequestOutcome,
 }
 
@@ -387,12 +402,21 @@ impl Active {
     /// A runner whose first `generated` tokens exist as of `clock_ms`: the
     /// prefill's one, or a restored snapshot's. TTFT is measured from the
     /// request's original arrival.
-    fn new(job: Job, generated: usize, queue_ms: f64, ttft_ms: f64, clock_ms: f64) -> Self {
+    fn new(
+        job: Job,
+        lease: KvLease,
+        generated: usize,
+        queue_ms: f64,
+        ttft_ms: f64,
+        clock_ms: f64,
+    ) -> Self {
         let mut token_times_ms = Vec::with_capacity(job.req.output_len - generated + 1);
         token_times_ms.push(clock_ms);
         Active {
+            lease,
             ctx: job.req.prompt_len + generated,
             generated,
+            snapshot: job.checkpointed_tokens,
             outcome: RequestOutcome {
                 id: job.req.id,
                 arrival_ms: job.req.arrival_ms(),
@@ -431,8 +455,8 @@ struct Replica<'a> {
     /// Worst-case token footprint of the admission queue.
     waiting_tokens: usize,
     running: Vec<Active>,
-    completed: Vec<RequestOutcome>,
-    dropped: Vec<DroppedRequest>,
+    /// Terminal records on their way to the call's slots.
+    records: CardRecords<'a>,
     clock_ms: f64,
     up: bool,
     down_since: Option<f64>,
@@ -442,11 +466,6 @@ struct Replica<'a> {
     kv_bytes_per_token: u64,
     /// Replica clock of the next due KV snapshot (infinity: no policy).
     next_checkpoint_ms: f64,
-    /// Host-side snapshot state: generated-token count per request at its
-    /// last checkpoint. Host DRAM survives the card's death, so the map is
-    /// *not* cleared on restart; it is only ever probed by id (never
-    /// iterated), keeping the simulation order-deterministic.
-    snapshots: IdMap<u64, usize>,
     /// This card's counters and trace, in the report's own fields. The
     /// compile counts hold what restarts retired until
     /// [`finalize`](Self::finalize) adds the live table's and sets the
@@ -463,6 +482,7 @@ impl<'a> Replica<'a> {
         device: DeviceId,
         cost: CostModel,
         activation_reserve: u64,
+        records: &'a Mutex<Records>,
     ) -> Result<Self, ServingError> {
         let kv = cfg
             .kv_admission
@@ -490,15 +510,13 @@ impl<'a> Replica<'a> {
             waiting: VecDeque::new(),
             waiting_tokens: 0,
             running: Vec::new(),
-            completed: Vec::new(),
-            dropped: Vec::new(),
+            records: CardRecords::new(records),
             clock_ms: 0.0,
             up: true,
             down_since: None,
             down_ms: 0.0,
             kv_bytes_per_token,
             next_checkpoint_ms,
-            snapshots: IdMap::default(),
             report: ServingReport::default(),
             busy_ns: [0.0; 4],
         })
@@ -549,7 +567,7 @@ impl<'a> Replica<'a> {
 
     /// File a terminal drop record for `job`.
     fn drop_job(&mut self, job: Job, kind: DropKind, at_ms: f64, tokens_generated: usize) {
-        self.dropped.push(DroppedRequest {
+        self.records.file_dropped(DroppedRequest {
             id: job.req.id,
             arrival_ms: job.req.arrival_ms(),
             kind,
@@ -565,12 +583,10 @@ impl<'a> Replica<'a> {
     /// never invisible to the bounds.
     fn housekeep(&mut self) {
         let rb = &self.cfg.robustness;
-        while self
+        while let Some(job) = self
             .pending
-            .front()
-            .is_some_and(|j| j.submitted_ms() <= self.clock_ms)
+            .pop_front_if(|j| j.submitted_ms() <= self.clock_ms)
         {
-            let job = self.pending.pop_front().expect("front checked");
             let tokens = job.req.total_tokens();
             let full = rb.max_queue_depth.is_some_and(|d| self.waiting.len() >= d)
                 || rb
@@ -612,42 +628,44 @@ impl<'a> Replica<'a> {
         }
     }
 
-    /// Free a finished request's KV reservation and classify it: completed
-    /// if every SLO held, a timed-out drop (throughput, not goodput) if it
+    /// Free a finished request's KV lease and classify it: completed if
+    /// every SLO held, a timed-out drop (throughput, not goodput) if it
     /// finished past its end-to-end deadline.
-    fn retire(&mut self, a: Active) -> Result<(), ServingError> {
-        self.kv.release(a.job.req.id)?;
-        // The host-side snapshot of a finished chain is dead weight.
-        self.snapshots.remove(&a.job.req.id);
+    fn retire(&mut self, a: Active) {
         let Active {
             job,
+            lease,
             outcome,
             generated,
             ..
         } = a;
+        self.kv.release(lease);
         let latency = outcome.finish_ms - outcome.arrival_ms;
         if self.cfg.robustness.deadline_ms.is_some_and(|d| latency > d) {
             let at = outcome.finish_ms;
             self.drop_job(job, DropKind::TimedOut, at, generated);
         } else {
-            self.completed.push(outcome);
+            self.records.file_completed(outcome);
         }
-        Ok(())
     }
 
     /// Take a runner off the card — a halt's in-flight work, or a paged
-    /// preemption's victim — releasing its KV. The job carries its host
-    /// snapshot position (zero without one), so its next attempt restores
-    /// instead of recomputing, and only the tokens generated past the
-    /// snapshot count as lost.
-    fn evict(&mut self, a: Active) -> Result<Job, ServingError> {
+    /// preemption's victim — releasing its KV. The job carries the
+    /// runner's host snapshot position (zero without one), so its next
+    /// attempt restores instead of recomputing, and only the tokens
+    /// generated past the snapshot count as lost.
+    fn evict(&mut self, a: Active) -> Job {
         let Active {
-            mut job, generated, ..
+            mut job,
+            lease,
+            generated,
+            snapshot,
+            ..
         } = a;
-        self.kv.release(job.req.id)?;
-        job.checkpointed_tokens = self.snapshots.get(&job.req.id).copied().unwrap_or(0);
-        self.report.requeued_tokens += generated.saturating_sub(job.checkpointed_tokens);
-        Ok(job)
+        self.kv.release(lease);
+        job.checkpointed_tokens = snapshot;
+        self.report.requeued_tokens += generated.saturating_sub(snapshot);
+        job
     }
 
     /// Run at most one timed phase, never starting one at or past
@@ -701,8 +719,8 @@ impl<'a> Replica<'a> {
         let (bytes, c) = self.kv_copy(self.running.iter().map(|a| a.ctx).sum());
         self.record("kv_checkpoint", &c);
         self.report.checkpoint_bytes += bytes;
-        for a in &self.running {
-            self.snapshots.insert(a.job.req.id, a.generated);
+        for a in &mut self.running {
+            a.snapshot = a.generated;
         }
         true
     }
@@ -718,28 +736,26 @@ impl<'a> Replica<'a> {
         if self.running.len() >= self.cfg.max_batch {
             return Ok(false);
         }
-        let Some(front) = self.waiting.front() else {
+        let Some(job) = self.waiting.pop_front() else {
             return Ok(false);
         };
-        let (r, snap) = (&front.req, front.checkpointed_tokens);
-        let fits = if snap > 0 {
-            self.kv
-                .try_restore(r.id, r.prompt_len, r.output_len, snap)
-                .is_ok()
+        let (r, snap) = (&job.req, job.checkpointed_tokens);
+        let lease = if snap > 0 {
+            self.kv.try_restore(r.prompt_len, r.output_len, snap)
         } else {
-            self.kv.try_admit(r.id, r.prompt_len, r.output_len).is_ok()
+            self.kv.try_admit(r.prompt_len, r.output_len)
         };
-        if !fits {
+        let Ok(lease) = lease else {
             // FIFO backpressure: wait for retirements, never starve or
             // reorder past the queue head.
+            self.waiting.push_front(job);
             self.report.backpressure_stalls += 1;
             debug_assert!(
                 !self.running.is_empty(),
                 "an idle engine always admits a pre-validated request"
             );
             return Ok(false);
-        }
-        let job = self.waiting.pop_front().expect("front checked");
+        };
         self.waiting_tokens -= job.req.total_tokens();
         let queue_ms = self.clock_ms - job.submitted_ms();
         let (mut c, warmup) = self.price_admission(&job)?;
@@ -754,7 +770,7 @@ impl<'a> Replica<'a> {
             .ttft_deadline_ms
             .is_some_and(|d| ttft_ms > d)
         {
-            self.kv.release(job.req.id)?;
+            self.kv.release(lease);
             let at = self.clock_ms;
             self.drop_job(job, DropKind::TimedOut, at, 0);
             return Ok(true);
@@ -763,8 +779,6 @@ impl<'a> Replica<'a> {
             self.record("kv_restore", &c);
             self.report.restore_ms += c.ms;
             self.report.recovered_tokens += snap as u64;
-            // The restored chain is (again) this replica's latest snapshot.
-            self.snapshots.insert(job.req.id, snap);
             snap
         } else {
             // First use of this prefill shape on this replica: the host
@@ -778,13 +792,13 @@ impl<'a> Replica<'a> {
             self.report.prefills += 1;
             1
         };
-        let mut a = Active::new(job, generated, queue_ms, ttft_ms, self.clock_ms);
+        let mut a = Active::new(job, lease, generated, queue_ms, ttft_ms, self.clock_ms);
         // Only a single-token request finishes here: a snapshot is always
         // strictly mid-decode (running never holds finished chains at a
         // boundary).
         if generated == a.job.req.output_len {
             a.outcome.finish_ms = self.clock_ms;
-            self.retire(a)?;
+            self.retire(a);
         } else {
             self.running.push(a);
             let r = &mut self.report;
@@ -818,7 +832,7 @@ impl<'a> Replica<'a> {
         if self.running.is_empty() {
             return Ok(false);
         }
-        self.grow_or_preempt()?;
+        self.grow_or_preempt();
         // The step runs at the batch padded up to its recipe bucket (capped
         // at the slot count) and the longest context's bucket: coarser
         // buckets mean fewer distinct recipes but more dead slots per step.
@@ -842,7 +856,7 @@ impl<'a> Replica<'a> {
             if a.generated == a.job.req.output_len {
                 let mut finished = self.running.swap_remove(i);
                 finished.outcome.finish_ms = self.clock_ms;
-                self.retire(finished)?;
+                self.retire(finished);
             } else {
                 i += 1;
             }
@@ -854,10 +868,15 @@ impl<'a> Replica<'a> {
             let mut i = 0;
             while i < self.running.len() {
                 if self.clock_ms - self.running[i].outcome.arrival_ms > d {
-                    let a = self.running.swap_remove(i);
-                    self.kv.release(a.job.req.id)?;
+                    let Active {
+                        job,
+                        lease,
+                        generated,
+                        ..
+                    } = self.running.swap_remove(i);
+                    self.kv.release(lease);
                     let at = self.clock_ms;
-                    self.drop_job(a.job, DropKind::TimedOut, at, a.generated);
+                    self.drop_job(job, DropKind::TimedOut, at, generated);
                 } else {
                     i += 1;
                 }
@@ -874,24 +893,22 @@ impl<'a> Replica<'a> {
     /// recompute preemption. The loop terminates: every failure shrinks
     /// the batch by one, and the pre-scan guarantees a lone runner always
     /// fits to completion.
-    fn grow_or_preempt(&mut self) -> Result<(), ServingError> {
+    fn grow_or_preempt(&mut self) {
         let mut g = 0;
-        while g < self.running.len() {
-            if self.kv.grow(self.running[g].job.req.id).is_ok() {
+        while let Some(a) = self.running.get_mut(g) {
+            if self.kv.grow(&mut a.lease).is_ok() {
                 g += 1;
-                continue;
+            } else if let Some(victim) = self.running.pop() {
+                let job = self.evict(victim);
+                self.report.preemptions += 1;
+                self.waiting_tokens += job.req.total_tokens();
+                self.waiting.push_front(job);
             }
-            let victim = self.running.pop().expect("running is non-empty");
-            let job = self.evict(victim)?;
-            self.report.preemptions += 1;
-            self.waiting_tokens += job.req.total_tokens();
-            self.waiting.push_front(job);
         }
         debug_assert!(
             !self.running.is_empty(),
             "a lone runner can always grow (pre-scan bounds its total)"
         );
-        Ok(())
     }
 
     /// With nothing running or queued, jump to the next dispatched arrival
@@ -913,18 +930,18 @@ impl<'a> Replica<'a> {
     /// coordinator to re-dispatch. In-flight work is evicted: it loses the
     /// tokens generated since its last snapshot (the simulator models no
     /// KV-cache migration).
-    fn halt(&mut self, at_ms: f64) -> Result<Vec<Job>, ServingError> {
+    fn halt(&mut self, at_ms: f64) -> Vec<Job> {
         self.up = false;
         self.down_since = Some(at_ms);
         self.report.failed_replicas += 1;
-        let mut orphans = std::mem::take(&mut self.running)
+        let mut orphans: Vec<Job> = std::mem::take(&mut self.running)
             .into_iter()
             .map(|a| self.evict(a))
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect();
         orphans.extend(self.waiting.drain(..));
         orphans.extend(self.pending.drain(..));
         self.waiting_tokens = 0;
-        Ok(orphans)
+        orphans
     }
 
     /// Bring the replica back at `at_ms` with a **cold** recipe table: a
@@ -942,31 +959,24 @@ impl<'a> Replica<'a> {
         self.cost = cost;
     }
 
-    /// Consume the replica into its one-card [`Tally`].
-    fn finalize(self) -> Tally {
-        let retries = self
-            .completed
-            .iter()
-            .map(|o| o.retries as usize)
-            .sum::<usize>()
-            + self
-                .dropped
-                .iter()
-                .map(|d| d.retries as usize)
-                .sum::<usize>();
+    /// Consume the replica into its one-card [`Tally`], placing the
+    /// records it still holds.
+    fn finalize(mut self) -> Tally {
+        let records = &mut self.records;
+        records.flush();
         let mut report = self.report;
-        report.offered = self.completed.len() + self.dropped.len();
+        report.offered = records.filed;
+        report.retries = records.retries;
         report.makespan_ms = self.clock_ms;
         report.kv_peak_bytes = self.kv.peak();
         report.kv_capacity_bytes = self.kv.capacity();
         report.compiled_graphs += self.cost.compiled_graphs();
         report.recipe_compiles += self.cost.recipe_compiles();
         report.devices = 1;
-        report.retries = retries;
         Tally {
             report,
-            completed: vec![self.completed],
-            dropped: vec![self.dropped],
+            completed: records.completed_count,
+            completed_tokens: records.completed_tokens,
             busy_ns: self.busy_ns,
             kv_block_utilization: self.kv.utilization_at_peak(),
             cards: vec![CardTime {
@@ -1066,9 +1076,9 @@ fn check_shapes(cfg: &ServingConfig) -> Result<(), ServingError> {
 
 /// A request needs a prompt to prefill and an output of at least the one
 /// token its prefill emits: admission starts it at one generated token,
-/// so an empty output would never retire. Request ids key the KV
-/// reservations, the host snapshots and the dispatch calendar, and the
-/// report orders its records by them, so a trace must not repeat one.
+/// so an empty output would never retire. Request ids break ties in the
+/// dispatch order, and the report orders its records by them, so a trace
+/// must not repeat one.
 /// Checked by sorting, not hashing: ids can come from the caller, and a
 /// generated trace lists them in order already. The sorted ids then rank
 /// each request's record in the report.
@@ -1093,26 +1103,9 @@ fn check_requests(requests: &[Request]) -> Result<Ranks, ServingError> {
     }
 }
 
-/// [`simulate_trace`] under an explicit [`ExecPolicy`].
-pub fn simulate_trace_with(
-    cfg: &ServingConfig,
-    requests: Vec<Request>,
-    policy: &ExecPolicy,
-) -> Result<ServingReport, ServingError> {
-    let (tally, ranks) = simulate_records(cfg, requests, policy)?;
-    Ok(tally.finish(Records::new(ranks)))
-}
-
-/// One box's run as a [`Tally`] of its replicas, with the ranks of
-/// `requests`' ids, left for the caller to finish once:
-/// [`simulate_trace_with`] for a box on its own, ranking its records by
-/// those ids, and [`crate::simulate_cluster_with`] after folding every
-/// box, by the ids of the cluster's whole stream.
-pub(crate) fn simulate_records(
-    cfg: &ServingConfig,
-    mut requests: Vec<Request>,
-    policy: &ExecPolicy,
-) -> Result<(Tally, Ranks), ServingError> {
+/// Everything about `cfg` a simulation checks before it looks at the
+/// requests, in the order its errors are reported.
+pub(crate) fn check_config(cfg: &ServingConfig) -> Result<(), ServingError> {
     check_shapes(cfg)?;
     if cfg.devices == 0 {
         return Err(ServingError::InvalidConfig(
@@ -1125,9 +1118,46 @@ pub(crate) fn simulate_records(
         .map_err(ServingError::InvalidConfig)?;
     cfg.kv_admission
         .validate()
-        .map_err(ServingError::InvalidConfig)?;
+        .map_err(ServingError::InvalidConfig)
+}
 
-    let ranks = check_requests(&requests)?;
+/// [`simulate_trace`] under an explicit [`ExecPolicy`].
+pub fn simulate_trace_with(
+    cfg: &ServingConfig,
+    requests: Vec<Request>,
+    policy: &ExecPolicy,
+) -> Result<ServingReport, ServingError> {
+    check_config(cfg)?;
+    let records = Mutex::new(Records::new(check_requests(&requests)?));
+    let tally = simulate_records(cfg, requests, policy, &records)?;
+    Ok(tally.finish(into_inner(records)))
+}
+
+/// Move a value out of a slot that workers share: how each one takes the
+/// shard it owns instead of copying it, and how a call takes its records
+/// back once every card has flushed. A poisoned lock is taken anyway: the
+/// pool re-raises the panic that poisoned it.
+pub(crate) fn into_inner<T>(slot: Mutex<T>) -> T {
+    slot.into_inner().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Take the value out of a shared slot, leaving its default (see
+/// [`into_inner`]).
+pub(crate) fn take<T: Default>(slot: &Mutex<T>) -> T {
+    std::mem::take(&mut *slot.lock().unwrap_or_else(PoisonError::into_inner))
+}
+
+/// One box's run of `requests` as a [`Tally`] of its replicas, for a
+/// `cfg` that [`check_config`] accepted. Every card places its records in
+/// `records` as it runs, so the caller finishes the tally with them once:
+/// [`simulate_trace_with`] for a box on its own, and
+/// [`crate::simulate_cluster_with`] after folding every box.
+pub(crate) fn simulate_records(
+    cfg: &ServingConfig,
+    mut requests: Vec<Request>,
+    policy: &ExecPolicy,
+    records: &Mutex<Records>,
+) -> Result<Tally, ServingError> {
     requests.sort_by_key(|r| (r.arrival_us, r.id));
 
     // One compile context shared by every replica of this call.
@@ -1177,27 +1207,28 @@ pub(crate) fn simulate_records(
     let parts: Vec<Tally> = if cfg.faults.card_failures.is_empty() {
         // Fault-free: replicas never interact, so shard the stream
         // round-robin up front and fan the independent single-card
-        // simulations out on the policy's pool. `try_par_map` returns
-        // results in input order and surfaces the lowest-index error,
-        // matching the serial semantics.
-        let mut shards: Vec<Vec<Job>> = vec![Vec::new(); cfg.devices];
+        // simulations out on the policy's pool, each taking its shard as
+        // its dispatched work. `try_par_map` returns results in input
+        // order and surfaces the lowest-index error, matching the serial
+        // semantics.
+        let mut shards: Vec<VecDeque<Job>> = vec![VecDeque::new(); cfg.devices];
         for (i, r) in requests.into_iter().enumerate() {
-            shards[i % cfg.devices].push(Job::fresh(r));
+            shards[i % cfg.devices].push_back(Job::fresh(r));
         }
+        let shards: Vec<Mutex<VecDeque<Job>>> = shards.into_iter().map(Mutex::new).collect();
         policy
             .pool
-            .try_par_map(&shards, |d, jobs| -> Result<_, ServingError> {
-                let mut replica = Replica::new(cfg, DeviceId(d), make_cost(), activation_reserve)?;
-                for j in jobs {
-                    replica.enqueue(j.clone());
-                }
+            .try_par_map(&shards, |d, shard| -> Result<_, ServingError> {
+                let mut replica =
+                    Replica::new(cfg, DeviceId(d), make_cost(), activation_reserve, records)?;
+                replica.pending = take(shard);
                 while replica.step(f64::INFINITY)? {}
                 Ok(replica.finalize())
             })?
     } else {
         // Kills couple the replicas (orphans migrate, restarts rejoin):
         // run the single-pass event-driven box simulation.
-        simulate_box(cfg, requests, &make_cost, activation_reserve)?
+        simulate_box(cfg, requests, &make_cost, activation_reserve, records)?
     };
 
     let mut tally = Tally::default();
@@ -1213,7 +1244,7 @@ pub(crate) fn simulate_records(
         let r = &mut tally.report;
         record_fault_lanes(&mut r.trace, &cfg.faults, cfg.devices, r.makespan_ms);
     }
-    Ok((tally, ranks))
+    Ok(tally)
 }
 
 /// Append one trace lane per fault window, tagged with the device it hits:
@@ -1277,9 +1308,10 @@ fn simulate_box(
     requests: Vec<Request>,
     make_cost: &impl Fn() -> CostModel,
     activation_reserve: u64,
+    records: &Mutex<Records>,
 ) -> Result<Vec<Tally>, ServingError> {
     let mut replicas: Vec<Replica> = (0..cfg.devices)
-        .map(|d| Replica::new(cfg, DeviceId(d), make_cost(), activation_reserve))
+        .map(|d| Replica::new(cfg, DeviceId(d), make_cost(), activation_reserve, records))
         .collect::<Result<_, _>>()?;
 
     // Kill/restart transitions, time-ordered; a restart at the same
@@ -1299,16 +1331,10 @@ fn simulate_box(
     });
     let mut ti = 0;
 
-    // Undispatched work keyed by (submission µs, id): the initial
-    // arrivals, plus re-queued orphans as failures produce them. Keys are
-    // unique (a job is popped before it can be re-inserted, and ids are
-    // unique), so the calendar pops in exactly the order the old
-    // `BTreeMap` dispatcher iterated — see `tests/golden_report.rs`.
-    let mut disp: EventCalendar<Job> = requests
-        .into_iter()
-        .map(Job::fresh)
-        .map(|j| ((j.submitted_us, j.req.id), j))
-        .collect();
+    // Undispatched work: the sorted arrivals, streamed, and the calendar
+    // of re-queued orphans and parked jobs, popped together in
+    // `(submission µs, id)` order.
+    let mut disp = Dispatch::new(requests);
     let mut rr_next = 0usize;
 
     // Per-replica ready-index: a replica leaves the ready set once it is
@@ -1320,7 +1346,7 @@ fn simulate_box(
     let mut ready: Vec<bool> = vec![true; cfg.devices];
 
     loop {
-        let next_disp = disp.peek_key().map(|(us, _)| us as f64 / 1e3);
+        let next_disp = disp.first().map(|(us, _)| us as f64 / 1e3);
         let next_tr = transitions.get(ti).map(|t| t.0);
         let t_ext = [next_disp, next_tr]
             .into_iter()
@@ -1350,14 +1376,13 @@ fn simulate_box(
                 ready[d] = true;
                 continue;
             }
-            for job in replicas[d].halt(t)? {
+            for job in replicas[d].halt(t) {
                 let attempt = job.retries + 1;
                 if attempt > cfg.robustness.max_retries {
                     replicas[d].drop_job(job, DropKind::Failed, t, 0);
                 } else {
                     let delay = cfg.robustness.backoff_delay_ms(job.req.id, attempt);
-                    let j = job.requeued(t + delay);
-                    disp.push(j.submitted_us, j.req.id, j);
+                    disp.push(job.requeued(t + delay));
                 }
             }
             // A halt drains the replica, but its clock still owes the
@@ -1367,11 +1392,7 @@ fn simulate_box(
         }
 
         // Dispatch due arrivals onto live replicas.
-        while let Some(key) = disp.peek_key() {
-            if key.0 as f64 / 1e3 > t_ext {
-                break;
-            }
-            let (_, job) = disp.pop().expect("key just observed");
+        while let Some(job) = disp.pop_due(t_ext) {
             match pick_replica(&replicas, &mut rr_next) {
                 Some(d) => {
                     replicas[d].enqueue(job);
@@ -1388,7 +1409,7 @@ fn simulate_box(
                     // Strictly later key than the one just removed, so the
                     // deferral always makes progress; a job already due at
                     // the end of the µs clock has no later key to wait for.
-                    let Some(next_us) = key.0.checked_add(1) else {
+                    let Some(next_us) = job.submitted_us.checked_add(1) else {
                         return Err(ServingError::InvalidConfig(format!(
                             "request {} arrives at the last representable µs while every \
                              replica is down, so it cannot wait for a restart",
@@ -1398,13 +1419,68 @@ fn simulate_box(
                     let up_us = ((up_t * 1e3).ceil() as u64).max(next_us);
                     let mut j = job;
                     j.submitted_us = j.submitted_us.max(up_us);
-                    disp.push(j.submitted_us, j.req.id, j);
+                    disp.push(j);
                 }
             }
         }
     }
 
     Ok(replicas.into_iter().map(Replica::finalize).collect())
+}
+
+/// The box dispatcher's undispatched work, popped in `(submission µs, id)`
+/// order. Fresh arrivals stream from the trace, already sorted by that
+/// key; only jobs re-queued after a kill or parked while every replica is
+/// down go in an [`EventCalendar`]. Keys are unique (ids are unique, and a
+/// job is popped before it can be pushed again), so taking the smaller of
+/// the two heads pops exactly the order one calendar of every job would —
+/// see `tests/golden_report.rs`.
+struct Dispatch {
+    fresh: std::vec::IntoIter<Request>,
+    requeued: EventCalendar<Job>,
+}
+
+impl Dispatch {
+    /// Dispatch over `requests`, sorted by `(arrival_us, id)`.
+    fn new(requests: Vec<Request>) -> Self {
+        Dispatch {
+            fresh: requests.into_iter(),
+            requeued: EventCalendar::new(),
+        }
+    }
+
+    /// The earliest job's submission time, µs, and whether it is a fresh
+    /// arrival.
+    fn first(&self) -> Option<(u64, bool)> {
+        let fresh = self.fresh.as_slice().first().map(|r| (r.arrival_us, r.id));
+        match (fresh, self.requeued.peek_key()) {
+            (Some(f), Some(q)) if q < f => Some((q.0, false)),
+            (Some(f), _) => Some((f.0, true)),
+            (None, q) => q.map(|q| (q.0, false)),
+        }
+    }
+
+    /// Remove and return the earliest job if it is due by `t_ms`.
+    fn pop_due(&mut self, t_ms: f64) -> Option<Job> {
+        let (us, fresh) = self.first()?;
+        if us as f64 / 1e3 > t_ms {
+            None
+        } else if fresh {
+            self.fresh.next().map(Job::fresh)
+        } else {
+            self.requeued.pop().map(|(_, job)| job)
+        }
+    }
+
+    /// Schedule a re-queued or parked job at its submission time.
+    fn push(&mut self, job: Job) {
+        self.requeued.push(job.submitted_us, job.req.id, job);
+    }
+
+    /// Jobs not yet dispatched.
+    fn len(&self) -> usize {
+        self.fresh.len() + self.requeued.len()
+    }
 }
 
 /// Choose the next live replica round-robin, or `None` if the whole pool
@@ -1582,8 +1658,14 @@ mod tests {
         }
     }
 
+    /// Slots for the records of a test stream with ids `0..n`.
+    fn slots(n: usize) -> Mutex<Records> {
+        Mutex::new(Records::new(Ranks::Range { first: 0, len: n }))
+    }
+
     /// Everything a `step` can change on a replica: its clock, queues,
-    /// runners, terminal records, counters, trace and checkpoint schedule.
+    /// runners and their snapshots, terminal records, counters, trace and
+    /// checkpoint schedule.
     fn observe(r: &Replica) -> String {
         let ids = |q: &VecDeque<Job>| q.iter().map(|j| j.req.id).collect::<Vec<_>>();
         format!(
@@ -1593,9 +1675,9 @@ mod tests {
                 (ids(&r.pending), ids(&r.waiting), r.waiting_tokens),
                 r.running
                     .iter()
-                    .map(|a| (a.job.req.id, a.generated))
+                    .map(|a| (a.job.req.id, a.generated, a.snapshot, a.lease.tokens()))
                     .collect::<Vec<_>>(),
-                (r.completed.len(), r.dropped.len()),
+                (r.records.filed, r.records.completed_count),
                 (&r.report, r.busy_ns),
             )
         )
@@ -1614,7 +1696,8 @@ mod tests {
             .queue_depth(4)
             .ttft_deadline(15.0)
             .checkpoint(2.0, 64e9);
-        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0).unwrap();
+        let records = slots(cfg.traffic.num_requests);
+        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0, &records).unwrap();
         let reqs = generate_requests(&cfg.traffic);
         let limits: Vec<f64> = reqs
             .iter()
@@ -1625,7 +1708,7 @@ mod tests {
         let mut skipped = 0;
         for (i, (req, &limit)) in reqs.into_iter().zip(&limits).enumerate() {
             match i {
-                12 => drop(r.halt(limit).unwrap()),
+                12 => drop(r.halt(limit)),
                 18 => r.restart(limit, CostModel::new(&cfg)),
                 _ if i % 3 == 0 && r.up => r.enqueue(Job::fresh(req)),
                 _ => {}
@@ -1642,7 +1725,7 @@ mod tests {
 
         // A dispatched job due exactly at the clock is still ingested at
         // the limit, so the replica may not be skipped.
-        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0).unwrap();
+        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0, &records).unwrap();
         r.clock_ms = 5.0;
         r.enqueue(Job::fresh(Request {
             id: 0,
@@ -1680,18 +1763,25 @@ mod tests {
             .kv_admission
             .kv_bytes_per_token(&cfg.model, cfg.kv_dtype);
         let restore_ms = ((prompt + k) as u64 * per_tok) as f64 / dma * 1e3 * factor;
-        fn replica<'a>(cfg: &'a ServingConfig, orphan: &Job) -> Replica<'a> {
-            let mut r = Replica::new(cfg, DeviceId(0), CostModel::new(cfg), 0).unwrap();
+        fn replica<'a>(
+            cfg: &'a ServingConfig,
+            orphan: &Job,
+            records: &'a Mutex<Records>,
+        ) -> Replica<'a> {
+            let mut r = Replica::new(cfg, DeviceId(0), CostModel::new(cfg), 0, records).unwrap();
             r.clock_ms = 2.0;
             r.enqueue(orphan.clone());
             r
         }
 
-        let mut r = replica(&cfg, &orphan);
+        let records = slots(1);
+        let mut r = replica(&cfg, &orphan, &records);
         assert!(r.step(f64::INFINITY).unwrap());
         assert_eq!(r.clock_ms, 2.0 + restore_ms, "one slowed DMA copy");
         let a = &r.running[0];
         assert_eq!((a.ctx, a.generated), (prompt + k, k));
+        assert_eq!(a.snapshot, k, "the runner holds the snapshot it resumed");
+        assert_eq!(a.lease.tokens(), prompt + k);
         assert_eq!(a.outcome.queue_ms, 0.0);
         assert_eq!(a.outcome.ttft_ms, r.clock_ms - 0.5);
         let t = r.finalize().report;
@@ -1701,13 +1791,14 @@ mod tests {
         // A TTFT deadline the 1.5 ms wait meets but the copy would miss:
         // dropped at the admission clock, its restored KV released.
         cfg.robustness = cfg.robustness.ttft_deadline(1.5 + restore_ms / 2.0);
-        let mut r = replica(&cfg, &orphan);
+        let records = slots(1);
+        let mut r = replica(&cfg, &orphan, &records);
         let allocated = r.kv.allocated();
         assert!(r.step(f64::INFINITY).unwrap());
         assert_eq!(r.clock_ms, 2.0);
         assert!(r.running.is_empty());
         assert_eq!(r.kv.allocated(), allocated);
-        let t = r.finalize();
+        let t = r.finalize().finish(into_inner(records));
         let dropped = DroppedRequest {
             id: 0,
             arrival_ms: 0.5,
@@ -1716,8 +1807,8 @@ mod tests {
             retries: 1,
             tokens_generated: 0,
         };
-        assert_eq!(t.dropped, [vec![dropped]]);
-        assert_eq!((t.report.restore_ms, t.report.recovered_tokens), (0.0, 0));
+        assert_eq!(t.dropped, [dropped]);
+        assert_eq!((t.restore_ms, t.recovered_tokens), (0.0, 0));
     }
 
     #[test]
@@ -1732,7 +1823,8 @@ mod tests {
         };
         cfg.robustness = RobustnessConfig::default().ttft_deadline(20.0);
         assert!(phase_ms(&cfg, Phase::Prefill, 1, 8) < 20.0);
-        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0).unwrap();
+        let records = slots(1);
+        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0, &records).unwrap();
         r.enqueue(Job::fresh(Request {
             id: 0,
             arrival_us: 0,
@@ -1742,15 +1834,12 @@ mod tests {
         assert!(r.step(f64::INFINITY).unwrap());
         assert_eq!(r.clock_ms, 0.0, "a drop at admission runs no phase");
         assert!(r.running.is_empty());
-        let t = r.finalize();
-        assert_eq!(t.dropped[0][0].kind, DropKind::TimedOut);
-        assert_eq!(t.dropped[0][0].at_ms, 0.0);
-        assert_eq!(t.report.prefills, 0);
-        assert_eq!(t.report.compiled_graphs, 1, "the prefill shape was priced");
-        assert_eq!(
-            t.report.recipe_compiles, 0,
-            "a dropped request warms nothing"
-        );
+        let t = r.finalize().finish(into_inner(records));
+        assert_eq!(t.dropped[0].kind, DropKind::TimedOut);
+        assert_eq!(t.dropped[0].at_ms, 0.0);
+        assert_eq!(t.prefills, 0);
+        assert_eq!(t.compiled_graphs, 1, "the prefill shape was priced");
+        assert_eq!(t.recipe_compiles, 0, "a dropped request warms nothing");
     }
 
     #[test]
@@ -1886,6 +1975,104 @@ mod tests {
         match simulate(&cfg) {
             Err(ServingError::AllReplicasDead { unserved }) => assert_eq!(unserved, 30),
             other => panic!("expected AllReplicasDead, got {other:?}"),
+        }
+    }
+
+    /// Pop `dispatch` and a calendar that was handed every fresh job up
+    /// front, in lockstep, each pop bounded by `due_ms(step)`; after pop
+    /// `step`, re-queue the popped job at `requeue_us(step, key)` into
+    /// both. Returns the popped `(µs, id)` keys once both agree on them
+    /// and on how many jobs are left.
+    fn lockstep(
+        requests: Vec<Request>,
+        due_ms: impl Fn(usize) -> f64,
+        requeue_us: impl Fn(usize, (u64, u64)) -> Option<u64>,
+    ) -> Vec<(u64, u64)> {
+        let mut one: EventCalendar<Job> = requests
+            .iter()
+            .map(|r| ((r.arrival_us, r.id), Job::fresh(r.clone())))
+            .collect();
+        let mut dispatch = Dispatch::new(requests);
+        let mut popped = Vec::new();
+        for step in 0.. {
+            let t = due_ms(step);
+            let want = one
+                .peek_key()
+                .filter(|k| k.0 as f64 / 1e3 <= t)
+                .and_then(|_| one.pop());
+            let got = dispatch.pop_due(t);
+            let key = |j: &Job| (j.submitted_us, j.req.id);
+            assert_eq!(got.as_ref().map(key), want.as_ref().map(|(k, _)| *k));
+            let Some(job) = got else {
+                if one.is_empty() {
+                    break;
+                }
+                continue;
+            };
+            popped.push(key(&job));
+            if let Some(at_us) = requeue_us(step, key(&job)) {
+                let j = Job {
+                    submitted_us: at_us,
+                    ..job
+                };
+                one.push(at_us, j.req.id, j.clone());
+                dispatch.push(j);
+            }
+            assert_eq!(dispatch.len(), one.len());
+        }
+        popped
+    }
+
+    #[test]
+    fn the_streamed_dispatcher_pops_in_one_calendars_key_order() {
+        let req = |id, arrival_us| Request {
+            id,
+            arrival_us,
+            prompt_len: 8,
+            output_len: 4,
+        };
+        // Fresh arrivals in `(µs, id)` order. Job 0 comes back keyed
+        // before the next fresh arrival, then tied on time with fresh job
+        // 2 (a lower id, so first); job 5 comes back tied with it too (a
+        // higher id, so after it), and once more after the stream ends.
+        let fresh = vec![req(0, 10), req(5, 20), req(2, 30), req(1, 40)];
+        let again = [Some(15), Some(30), Some(30), None, None, Some(45)];
+        assert_eq!(
+            lockstep(
+                fresh,
+                |_| f64::INFINITY,
+                |step, _| again.get(step).copied().flatten()
+            ),
+            [
+                (10, 0),
+                (15, 0),
+                (20, 5),
+                (30, 0),
+                (30, 2),
+                (30, 5),
+                (40, 1),
+                (45, 5)
+            ]
+        );
+
+        // Seeded interleavings with bounded pops: sparse ids, tied
+        // arrival times, and re-queues at or after the pop.
+        let mut seed = 0u64;
+        let mut next = || {
+            seed += 1;
+            crate::idhash::splitmix64(seed)
+        };
+        for _ in 0..20 {
+            let mut fresh: Vec<Request> = (0..200).map(|i| req(3 * i + 1, next() % 400)).collect();
+            fresh.sort_by_key(|r| (r.arrival_us, r.id));
+            let salt = next();
+            let due = |step: usize| (step as u64 * 3 + salt % 7) as f64 / 1e3;
+            let requeue = |step: usize, (us, id): (u64, u64)| {
+                let h = crate::idhash::splitmix64(salt ^ ((step as u64) << 20) ^ id);
+                h.is_multiple_of(3).then_some(us + h % 40)
+            };
+            let popped = lockstep(fresh, due, requeue);
+            assert!(popped.len() > 200);
         }
     }
 

@@ -24,12 +24,6 @@ pub enum ServingError {
     },
     /// Configuration rejected before simulation (empty trace, zero batch…).
     InvalidConfig(String),
-    /// KV bookkeeping went inconsistent: a release without a matching
-    /// reservation (double free, unknown request id, or more tokens than
-    /// the request ever held). Always a scheduler bug, never a workload
-    /// condition — surfaced instead of silently eating into the resident
-    /// weights the way a saturating free would.
-    KvAccounting(String),
     /// The fault plan is malformed (unknown device, bad factor…).
     Fault(FaultError),
     /// The fault plan kills every replica while work is still outstanding,
@@ -54,7 +48,6 @@ impl std::fmt::Display for ServingError {
                 "request {id} needs {tokens} KV tokens but the device fits at most {max_tokens}"
             ),
             ServingError::InvalidConfig(msg) => write!(f, "invalid serving config: {msg}"),
-            ServingError::KvAccounting(msg) => write!(f, "KV accounting error: {msg}"),
             ServingError::Fault(e) => write!(f, "invalid fault plan: {e}"),
             ServingError::AllReplicasDead { unserved } => write!(
                 f,

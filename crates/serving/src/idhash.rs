@@ -1,13 +1,11 @@
 //! Hashers for the engine's internal maps.
 //!
-//! The maps probed on every simulated step — KV reservations and chains,
-//! host snapshots, and each replica's recipe table of phase shapes — are
-//! keyed by request ids and shapes that the simulator mints itself, and
-//! none of them is ever iterated in an order that reaches a result (the
-//! recipe table is only ever counted). So they need neither SipHash's
-//! defence against crafted keys nor any particular order: one
-//! rotate-xor-multiply per key word (the Fx scheme, [`IdMap`]) is enough to
-//! spread sequential ids over the table.
+//! The map probed on every simulated step — each replica's recipe table
+//! of phase shapes — is keyed by shapes that the simulator mints itself,
+//! and it is never iterated in an order that reaches a result (it is only
+//! ever counted). So it needs neither SipHash's defence against crafted
+//! keys nor any particular order: one rotate-xor-multiply per key word
+//! (the Fx scheme, [`IdMap`]) is enough to spread its keys over the table.
 //!
 //! That holds only for keys the simulator mints itself. A multiply carries
 //! bits upward only, so Fx's low output bits, which pick the bucket,

@@ -7,23 +7,23 @@
 //!
 //! * [`KvAdmissionConfig::Contiguous`] ([`ContiguousKv`], the legacy
 //!   accountant) charges a worst-case reservation — `prompt + output`
-//!   tokens — at admission, one table entry per request.
+//!   tokens — at admission.
 //!   Reserving up front makes the capacity invariant airtight (an admitted
 //!   request can always finish), but every not-yet-generated output token
 //!   is dead headroom while the request decodes.
-//! * [`KvAdmissionConfig::Paged`] allocates fixed-size blocks from a
-//!   [`BlockPool`](crate::paged::BlockPool) as the context actually grows
-//!   (the vLLM design): admission needs only the prompt's blocks, so many
-//!   more sequences fit the same HBM, at the price of block-rounding waste
-//!   and the possibility of preempting the newest sequence when the pool
-//!   runs dry mid-decode.
+//! * [`KvAdmissionConfig::Paged`] ([`PagedKv`](crate::paged::PagedKv))
+//!   allocates fixed-size blocks as the context actually grows (the vLLM
+//!   design): admission needs only the prompt's blocks, so many more
+//!   sequences fit the same HBM, at the price of block-rounding waste and
+//!   the possibility of preempting the newest sequence when the pool runs
+//!   dry mid-decode.
 //!
 //! Either way the model weights are resident up front and overflow turns
 //! into queueing backpressure (or deterministic preemption) instead of a
-//! mid-generation OOM.
+//! mid-generation OOM. An admitted request holds a [`KvLease`] that
+//! records what its strategy reserved for it; the runner gives it back
+//! exactly once, so the strategies keep no table keyed by request id.
 
-use crate::error::ServingError;
-use crate::idhash::IdMap;
 use gaudi_hw::config::MemoryConfig;
 use gaudi_hw::memory::{HbmTracker, OutOfMemory};
 use gaudi_models::LlmConfig;
@@ -150,37 +150,63 @@ impl KvAdmissionConfig {
     }
 }
 
+/// One running request's KV reservation: handed out by
+/// [`KvAdmission::try_admit`] or [`KvAdmission::try_restore`], grown once
+/// per decode step, and given back exactly once to
+/// [`KvAdmission::release`]. The runner holds it, so no side table keyed
+/// by request id is needed to know what a release frees. Neither `Clone`
+/// nor `Copy`, and releasing consumes it: a lease cannot be released twice.
+#[must_use = "a lease holds KV memory until it is released"]
+#[derive(Debug)]
+pub struct KvLease {
+    /// Live context tokens (prompt + generated).
+    pub(crate) tokens: usize,
+    /// What the strategy holds for those tokens: the worst-case token
+    /// reservation under contiguous admission, the block count under paged
+    /// admission.
+    pub(crate) held: usize,
+}
+
+impl KvLease {
+    /// Live context tokens: the prompt plus every generated token.
+    pub fn tokens(&self) -> usize {
+        self.tokens
+    }
+
+    /// What the issuing strategy holds for this request: tokens of
+    /// worst-case reservation ([`ContiguousKv`]) or KV blocks
+    /// ([`PagedKv`](crate::paged::PagedKv)).
+    pub fn held(&self) -> usize {
+        self.held
+    }
+}
+
 /// Per-replica KV admission bookkeeping: what [`ServingConfig`]'s strategy
-/// selection dispatches to. One value per replica; requests are identified
-/// by their id.
+/// selection dispatches to. One value per replica; each admitted request
+/// holds its [`KvLease`].
 ///
-/// The lifecycle per request is `try_admit` → `grow` once per decode step
-/// → `release` exactly once (completion, cancellation, preemption, or
-/// halt). `release` is *checked*: releasing an id that holds nothing is a
-/// [`ServingError::KvAccounting`] bug report, never silent corruption.
+/// The lifecycle per request is `try_admit` (or `try_restore`) → `grow`
+/// once per decode step → `release` exactly once (completion,
+/// cancellation, preemption, or halt). The lease carries what the
+/// release frees, so a release cannot fail.
 ///
 /// [`ServingConfig`]: crate::ServingConfig
 pub trait KvAdmission: std::fmt::Debug + Send {
-    /// Reserve the admission footprint of request `id` (`prompt_len + 1`
+    /// Reserve the admission footprint of a request (`prompt_len + 1`
     /// live tokens; contiguous admission additionally pins the whole
     /// worst-case `prompt + output`). Fails — leaving the state
     /// unchanged — when the reservation does not fit; the scheduler turns
     /// that into backpressure.
-    fn try_admit(
-        &mut self,
-        id: u64,
-        prompt_len: usize,
-        output_len: usize,
-    ) -> Result<(), OutOfMemory>;
+    fn try_admit(&mut self, prompt_len: usize, output_len: usize) -> Result<KvLease, OutOfMemory>;
 
-    /// Extend request `id` by one decoded token. Never fails under
-    /// contiguous admission (the worst case is pre-reserved); under paged
-    /// admission a dry pool fails the growth and the scheduler preempts.
-    fn grow(&mut self, id: u64) -> Result<(), OutOfMemory>;
+    /// Extend a lease by one decoded token. Never fails under contiguous
+    /// admission (the worst case is pre-reserved); under paged admission a
+    /// dry pool fails the growth, leaving the lease unchanged, and the
+    /// scheduler preempts.
+    fn grow(&mut self, lease: &mut KvLease) -> Result<(), OutOfMemory>;
 
-    /// Release everything request `id` holds. Errors if `id` holds
-    /// nothing — a double free or unknown id is a scheduler bug.
-    fn release(&mut self, id: u64) -> Result<(), ServingError>;
+    /// Release everything a lease holds.
+    fn release(&mut self, lease: KvLease);
 
     /// Bytes currently reserved (weights + KV).
     fn allocated(&self) -> u64;
@@ -197,16 +223,16 @@ pub trait KvAdmission: std::fmt::Debug + Send {
     /// Fraction of the reserved KV bytes that held live tokens when the
     /// reservation peaked (`1.0` when nothing was ever reserved).
     /// Contiguous admission wastes the not-yet-generated output tail;
-    /// paged admission wastes only the rounding of each chain's last
+    /// paged admission wastes only the rounding of each lease's last
     /// block.
     fn utilization_at_peak(&self) -> f64;
 
-    /// Re-admit request `id` at a checkpointed decode position: reserve
-    /// its admission footprint and then grow it to `generated` live decode
+    /// Re-admit a request at a checkpointed decode position: reserve its
+    /// admission footprint and then grow it to `generated` live decode
     /// tokens, as if the chain had been decoded in place. All-or-nothing:
-    /// if any growth step fails, the partial reservation is released and
-    /// the state is as before the call — the scheduler turns the failure
-    /// into backpressure exactly like a failed [`try_admit`].
+    /// if any growth step fails, the partial lease is released and the
+    /// state is as before the call — the scheduler turns the failure into
+    /// backpressure exactly like a failed [`try_admit`].
     ///
     /// `generated` must be at least 1 (the chain was checkpointed after
     /// its prefill produced the first token) and below `output_len`.
@@ -214,39 +240,34 @@ pub trait KvAdmission: std::fmt::Debug + Send {
     /// [`try_admit`]: KvAdmission::try_admit
     fn try_restore(
         &mut self,
-        id: u64,
         prompt_len: usize,
         output_len: usize,
         generated: usize,
-    ) -> Result<(), OutOfMemory> {
+    ) -> Result<KvLease, OutOfMemory> {
         debug_assert!((1..output_len.max(1)).contains(&generated));
-        self.try_admit(id, prompt_len, output_len)?;
+        let mut lease = self.try_admit(prompt_len, output_len)?;
         // Admission leaves `prompt + 1` live tokens — the first generated
         // token — so the snapshot needs `generated - 1` growth steps.
         for _ in 1..generated {
-            if let Err(oom) = self.grow(id) {
-                self.release(id)
-                    .expect("rolling back a reservation this call just made");
+            if let Err(oom) = self.grow(&mut lease) {
+                self.release(lease);
                 return Err(oom);
             }
         }
-        Ok(())
+        Ok(lease)
     }
 }
 
 /// The legacy worst-case strategy behind the [`KvAdmission`] trait: an
-/// HBM tracker with the weights resident, and one table entry per
-/// admitted request holding its reserved worst case and its live tokens,
-/// so the waste of up-front reservation becomes measurable
+/// HBM tracker with the weights resident. Each lease holds its request's
+/// worst-case reservation and its live tokens, and the totals of both are
+/// kept here, so the waste of up-front reservation becomes measurable
 /// ([`utilization_at_peak`](KvAdmission::utilization_at_peak)).
 #[derive(Debug)]
 pub struct ContiguousKv {
     tracker: HbmTracker,
     weight_bytes: u64,
     bytes_per_token: u64,
-    /// `(reserved, live)` tokens per admitted request: its worst case
-    /// (prompt + output) and its context so far (prompt + generated).
-    requests: IdMap<u64, (usize, usize)>,
     reserved_tokens: usize,
     live_tokens: usize,
     live_at_peak: usize,
@@ -269,7 +290,6 @@ impl ContiguousKv {
             tracker,
             weight_bytes,
             bytes_per_token,
-            requests: IdMap::default(),
             reserved_tokens: 0,
             live_tokens: 0,
             live_at_peak: 0,
@@ -279,47 +299,40 @@ impl ContiguousKv {
 }
 
 impl KvAdmission for ContiguousKv {
-    fn try_admit(
-        &mut self,
-        id: u64,
-        prompt_len: usize,
-        output_len: usize,
-    ) -> Result<(), OutOfMemory> {
+    fn try_admit(&mut self, prompt_len: usize, output_len: usize) -> Result<KvLease, OutOfMemory> {
         let total = prompt_len + output_len;
         let peak = self.tracker.peak();
         self.tracker.allocate(total as u64 * self.bytes_per_token)?;
         // Prefill leaves `prompt + 1` tokens live (its last forward pass
         // emits the first output token).
-        self.requests.insert(id, (total, prompt_len + 1));
+        let lease = KvLease {
+            tokens: prompt_len + 1,
+            held: total,
+        };
         self.reserved_tokens += total;
-        self.live_tokens += prompt_len + 1;
+        self.live_tokens += lease.tokens;
         // Only a new high-water mark re-snapshots the live/reserved mix.
         if self.tracker.peak() > peak {
             self.live_at_peak = self.live_tokens;
             self.reserved_at_peak = self.reserved_tokens;
         }
-        Ok(())
+        Ok(lease)
     }
 
-    fn grow(&mut self, id: u64) -> Result<(), OutOfMemory> {
+    fn grow(&mut self, lease: &mut KvLease) -> Result<(), OutOfMemory> {
         // The worst case is pre-reserved; growth just moves a token from
         // "reserved headroom" to "live".
-        if let Some((_, live)) = self.requests.get_mut(&id) {
-            *live += 1;
-            self.live_tokens += 1;
-        }
+        lease.tokens += 1;
+        self.live_tokens += 1;
         Ok(())
     }
 
-    fn release(&mut self, id: u64) -> Result<(), ServingError> {
-        let (reserved, live) = self.requests.remove(&id).ok_or_else(|| {
-            ServingError::KvAccounting(format!("request {id} released without a reservation"))
-        })?;
-        // The table bounds the free: it is exactly what this id reserved.
-        self.tracker.free(reserved as u64 * self.bytes_per_token);
-        self.reserved_tokens -= reserved;
-        self.live_tokens -= live;
-        Ok(())
+    fn release(&mut self, lease: KvLease) {
+        // The lease bounds the free: it is exactly what its request
+        // reserved.
+        self.tracker.free(lease.held as u64 * self.bytes_per_token);
+        self.reserved_tokens -= lease.held;
+        self.live_tokens -= lease.tokens;
     }
 
     fn allocated(&self) -> u64 {
@@ -381,9 +394,10 @@ mod tests {
     fn reserve_release_roundtrip() {
         let mut kv = ContiguousKv::new(&mem(1 << 20), 1 << 16, 256).unwrap();
         let before = kv.allocated();
-        kv.try_admit(0, 60, 40).unwrap();
+        let lease = kv.try_admit(60, 40).unwrap();
+        assert_eq!((lease.tokens(), lease.held()), (61, 100));
         assert_eq!(kv.allocated(), before + 100 * 256);
-        kv.release(0).unwrap();
+        kv.release(lease);
         assert_eq!(kv.allocated(), before);
         assert!(kv.peak() >= before + 100 * 256);
     }
@@ -392,13 +406,12 @@ mod tests {
     fn overflow_is_rejected_not_exceeded() {
         let mut kv = ContiguousKv::new(&mem(1 << 20), 0, 1024).unwrap();
         // Capacity is 1024 tokens worth; reserve most of it.
-        kv.try_admit(0, 900, 100).unwrap();
-        let err = kv.try_admit(1, 50, 50).unwrap_err();
+        let _held = kv.try_admit(900, 100).unwrap();
+        let err = kv.try_admit(50, 50).unwrap_err();
         assert_eq!(err.available, 24 * 1024);
         // Failed reservation must not change accounting.
         assert_eq!(kv.allocated(), 1000 * 1024);
         assert!(kv.allocated() <= kv.capacity());
-        assert!(kv.release(1).is_err(), "a rejected id holds nothing");
     }
 
     #[test]
@@ -409,17 +422,20 @@ mod tests {
     #[test]
     fn contiguous_admission_tracks_per_request_reservations() {
         let mut kv = ContiguousKv::new(&mem(1 << 20), 0, 1024).unwrap();
-        kv.try_admit(7, 100, 50).unwrap();
+        let a = kv.try_admit(100, 50).unwrap();
         assert_eq!(kv.allocated(), 150 * 1024);
-        // Double admit of another id, then release both by id.
-        kv.try_admit(8, 10, 5).unwrap();
+        // A second lease, then release both, each freeing its own
+        // reservation whatever the other holds.
+        let mut b = kv.try_admit(10, 5).unwrap();
         assert_eq!(kv.allocated(), 165 * 1024);
-        kv.release(7).unwrap();
+        kv.grow(&mut b).unwrap();
+        assert_eq!((b.tokens(), b.held()), (12, 15), "growth stays reserved");
+        assert_eq!(kv.allocated(), 165 * 1024);
+        kv.release(a);
         assert_eq!(kv.allocated(), 15 * 1024);
-        assert!(matches!(kv.release(7), Err(ServingError::KvAccounting(_))));
-        assert!(matches!(kv.release(9), Err(ServingError::KvAccounting(_))));
-        kv.release(8).unwrap();
+        kv.release(b);
         assert_eq!(kv.allocated(), 0);
+        assert_eq!((kv.reserved_tokens, kv.live_tokens), (0, 0));
     }
 
     #[test]
@@ -427,14 +443,14 @@ mod tests {
         let mut kv = ContiguousKv::new(&mem(1 << 20), 0, 1024).unwrap();
         // 100 reserved, 11 live at the (only) peak: utilization is the
         // live fraction of the reservation.
-        kv.try_admit(0, 10, 90).unwrap();
+        let mut a = kv.try_admit(10, 90).unwrap();
         let u = kv.utilization_at_peak();
         assert!((u - 11.0 / 100.0).abs() < 1e-12, "utilization {u}");
         // Growth without a new peak does not rewrite the snapshot…
-        kv.grow(0).unwrap();
+        kv.grow(&mut a).unwrap();
         assert_eq!(kv.utilization_at_peak(), u);
         // …but a new peak does.
-        kv.try_admit(1, 10, 10).unwrap();
+        let _b = kv.try_admit(10, 10).unwrap();
         assert!(kv.utilization_at_peak() > u);
     }
 
@@ -442,32 +458,34 @@ mod tests {
     fn try_restore_is_all_or_nothing() {
         let mut kv = ContiguousKv::new(&mem(1 << 20), 0, 1024).unwrap();
         // Restore at 5 generated tokens: prompt 100 + 5 live, 140 reserved.
-        kv.try_restore(3, 100, 40, 5).unwrap();
+        let mut lease = kv.try_restore(100, 40, 5).unwrap();
+        assert_eq!((lease.tokens(), lease.held()), (105, 140));
         assert_eq!(kv.allocated(), 140 * 1024);
-        kv.grow(3).unwrap();
-        kv.release(3).unwrap();
+        kv.grow(&mut lease).unwrap();
+        kv.release(lease);
         assert_eq!(kv.allocated(), 0);
         // A restore that cannot even admit leaves the state untouched.
-        kv.try_admit(0, 900, 100).unwrap();
+        let _held = kv.try_admit(900, 100).unwrap();
         let before = kv.allocated();
-        assert!(kv.try_restore(4, 100, 40, 5).is_err());
+        assert!(kv.try_restore(100, 40, 5).is_err());
         assert_eq!(kv.allocated(), before);
     }
 
     #[test]
     fn paged_restore_rolls_back_when_the_pool_runs_dry() {
-        // Paged pool sized so admission fits but mid-restore growth does
-        // not: the failed restore must release its partial reservation.
+        // A paged pool of two 16-token blocks, both held by a resident
+        // 21-token lease: a restore that cannot get its blocks leaves the
+        // pool as it was. (`paged.rs` tests a restore that runs dry midway.)
         let m = LlmConfig::paper_section_3_4(50257);
         let per_token = KvAdmissionConfig::paged().kv_bytes_per_token(&m, DType::F32);
         let cap = 40 * per_token;
         let mut kv = crate::paged::PagedKv::new(&mem(cap), 0, per_token, 16).unwrap();
-        // One block-hungry resident chain leaves a single 16-token block.
-        kv.try_admit(0, 20, 4).unwrap();
-        let before = kv.allocated();
+        let _held = kv.try_admit(20, 4).unwrap();
+        let (before, free) = (kv.allocated(), kv.free_blocks());
         // Restoring 100 prompt + 30 generated needs far more than a block.
-        assert!(kv.try_restore(1, 100, 40, 30).is_err());
+        assert!(kv.try_restore(100, 40, 30).is_err());
         assert_eq!(kv.allocated(), before, "partial restore must roll back");
+        assert_eq!(kv.free_blocks(), free);
         assert!(kv.peak() <= kv.capacity());
     }
 

@@ -82,8 +82,8 @@ pub use error::ServingError;
 pub use fault::Job;
 pub use gaudi_exec::ExecPool;
 pub use gaudi_hw::fault::{FaultCampaign, FaultError, FaultPlan};
-pub use kv::{ActivationBudget, ContiguousKv, KvAdmission, KvAdmissionConfig};
-pub use paged::{BlockPool, PagedKv};
+pub use kv::{ActivationBudget, ContiguousKv, KvAdmission, KvAdmissionConfig, KvLease};
+pub use paged::PagedKv;
 pub use report::{DropKind, DroppedRequest, Percentiles, RequestOutcome, ServingReport};
 pub use request::{generate_requests, Request, TrafficConfig};
 pub use robustness::{CheckpointPolicy, RobustnessConfig};

@@ -8,92 +8,36 @@
 //! blocks: a request is admitted on the blocks its *current* context
 //! needs and takes one more block only when decode actually crosses a
 //! block boundary. The reclaimed headroom admits more concurrent
-//! sequences from the same device; the price is per-chain rounding waste
+//! sequences from the same device; the price is per-request rounding waste
 //! (the tail of the last block) and the possibility that the pool runs
 //! dry mid-decode, which the engine resolves by deterministically
 //! preempting the newest sequence.
+//!
+//! No simulated decision reads which blocks a request holds, only how
+//! many, so the pool is a free-block count and each request's
+//! [`KvLease`] records its own block count.
 
-use crate::error::ServingError;
-use crate::idhash::IdMap;
-use crate::kv::KvAdmission;
+use crate::kv::{KvAdmission, KvLease};
 use gaudi_hw::config::MemoryConfig;
 use gaudi_hw::memory::OutOfMemory;
 
-/// Fixed-size block allocator over the KV region of one device.
+/// Paged [`KvAdmission`]: a pool of fixed-size KV blocks, counted, with
+/// weights resident outside the pool.
 ///
-/// Blocks are identified by dense indices `0..capacity`. The free list is
-/// LIFO, so allocation order is deterministic: a fresh pool hands out
-/// `0, 1, 2, …` and re-uses the most recently freed block first (warm
-/// blocks, like a real allocator chasing cache locality).
-///
-/// Invariant (checked by the conservation property test):
-/// `free_blocks() + allocated_blocks() == capacity_blocks()` at all times.
-#[derive(Debug, Clone)]
-pub struct BlockPool {
-    /// Free block indices; `pop` yields the next allocation.
-    free: Vec<u32>,
-    capacity: u32,
-}
-
-impl BlockPool {
-    /// Pool over `capacity_blocks` blocks, all initially free.
-    pub fn new(capacity_blocks: u32) -> Self {
-        // Reverse order so LIFO pop hands out 0, 1, 2, … on a fresh pool.
-        BlockPool {
-            free: (0..capacity_blocks).rev().collect(),
-            capacity: capacity_blocks,
-        }
-    }
-
-    /// Take one block, or `None` when the pool is dry.
-    pub fn alloc(&mut self) -> Option<u32> {
-        self.free.pop()
-    }
-
-    /// Return a block to the pool. The caller owns the handed-out index;
-    /// returning a foreign or doubly-freed index is a logic error (checked
-    /// in debug builds).
-    pub fn dealloc(&mut self, block: u32) {
-        debug_assert!(block < self.capacity, "freed block {block} out of range");
-        debug_assert!(!self.free.contains(&block), "double free of block {block}");
-        self.free.push(block);
-    }
-
-    /// Blocks currently free.
-    pub fn free_blocks(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Blocks currently handed out.
-    pub fn allocated_blocks(&self) -> usize {
-        self.capacity as usize - self.free.len()
-    }
-
-    /// Total blocks in the pool.
-    pub fn capacity_blocks(&self) -> usize {
-        self.capacity as usize
-    }
-}
-
-/// One request's block chain: the ordered blocks backing its context plus
-/// the live token count (which the last block only partially fills).
-#[derive(Debug, Clone)]
-struct Chain {
-    blocks: Vec<u32>,
-    tokens: usize,
-}
-
-/// Paged [`KvAdmission`]: per-request block chains over a [`BlockPool`],
-/// with weights resident outside the pool.
+/// Invariant (checked by the conservation property test): the free blocks
+/// plus the blocks every live lease holds equal
+/// [`capacity_blocks`](Self::capacity_blocks) at all times.
 #[derive(Debug)]
 pub struct PagedKv {
-    pool: BlockPool,
-    chains: IdMap<u64, Chain>,
+    free_blocks: usize,
+    capacity_blocks: usize,
+    /// Leases handed out and not yet released.
+    live_leases: usize,
     block_tokens: usize,
     block_bytes: u64,
     weight_bytes: u64,
     capacity_bytes: u64,
-    /// Live context tokens summed over all chains.
+    /// Live context tokens summed over all leases.
     tokens_in_use: usize,
     peak_bytes: u64,
     /// Snapshot taken whenever `peak_bytes` advances.
@@ -122,8 +66,9 @@ impl PagedKv {
         let block_bytes = block_tokens as u64 * bytes_per_token;
         let capacity_blocks = ((capacity_bytes - weight_bytes) / block_bytes).min(u32::MAX as u64);
         Ok(PagedKv {
-            pool: BlockPool::new(capacity_blocks as u32),
-            chains: IdMap::default(),
+            free_blocks: capacity_blocks as usize,
+            capacity_blocks: capacity_blocks as usize,
+            live_leases: 0,
             block_tokens,
             block_bytes,
             weight_bytes,
@@ -135,7 +80,7 @@ impl PagedKv {
         })
     }
 
-    /// Growth headroom held back per live chain at admission, tokens
+    /// Growth headroom held back per live lease at admission, tokens
     /// (capped at one block for coarse block sizes).
     const WATERMARK_TOKENS: usize = 8;
 
@@ -144,18 +89,29 @@ impl PagedKv {
         tokens.div_ceil(self.block_tokens)
     }
 
+    /// Blocks currently held by live leases.
+    fn allocated_blocks(&self) -> usize {
+        self.capacity_blocks - self.free_blocks
+    }
+
+    /// Called whenever blocks were taken: the byte count only moves then.
     fn note_peak(&mut self) {
         let now = self.allocated();
         if now > self.peak_bytes {
             self.peak_bytes = now;
             self.tokens_at_peak = self.tokens_in_use;
-            self.blocks_at_peak = self.pool.allocated_blocks();
+            self.blocks_at_peak = self.allocated_blocks();
         }
     }
 
-    /// The underlying pool (read-only), for reporting.
-    pub fn pool(&self) -> &BlockPool {
-        &self.pool
+    /// Blocks currently free.
+    pub fn free_blocks(&self) -> usize {
+        self.free_blocks
+    }
+
+    /// Total blocks in the pool.
+    pub fn capacity_blocks(&self) -> usize {
+        self.capacity_blocks
     }
 
     /// Tokens per block.
@@ -165,87 +121,60 @@ impl PagedKv {
 }
 
 impl KvAdmission for PagedKv {
-    fn try_admit(
-        &mut self,
-        id: u64,
-        prompt_len: usize,
-        _output_len: usize,
-    ) -> Result<(), OutOfMemory> {
+    fn try_admit(&mut self, prompt_len: usize, _output_len: usize) -> Result<KvLease, OutOfMemory> {
         // Prefill leaves `prompt + 1` live tokens (its last forward pass
         // emits the first output token). The rest of the output is NOT
         // reserved — that is the whole point. A watermark of a few tokens
-        // of growth headroom per live chain is held back (vLLM holds a
+        // of growth headroom per live lease is held back (vLLM holds a
         // free-block watermark for the same reason), so a saturating burst
         // cannot over-admit the pool into recompute-preemption thrash on
         // the very next decode steps.
         let tokens = prompt_len + 1;
         let need = self.blocks_for(tokens);
         let headroom_tokens = self.block_tokens.min(Self::WATERMARK_TOKENS);
-        let watermark = (self.chains.len() * headroom_tokens).div_ceil(self.block_tokens);
-        if need + watermark > self.pool.free_blocks() {
+        let watermark = (self.live_leases * headroom_tokens).div_ceil(self.block_tokens);
+        if need + watermark > self.free_blocks {
             // Report the caller's true request; the watermark is the
             // pool's own reserve and is surfaced separately so operators
             // can size pools from the error instead of chasing a phantom
             // oversized request.
             return Err(OutOfMemory {
                 requested: need as u64 * self.block_bytes,
-                available: self.pool.free_blocks() as u64 * self.block_bytes,
+                available: self.free_blocks as u64 * self.block_bytes,
                 held_back: watermark as u64 * self.block_bytes,
             });
         }
-        let mut blocks = Vec::with_capacity(need);
-        for _ in 0..need {
-            blocks.push(self.pool.alloc().expect("free count was just checked"));
-        }
-        self.chains.insert(id, Chain { blocks, tokens });
+        self.free_blocks -= need;
+        self.live_leases += 1;
         self.tokens_in_use += tokens;
         self.note_peak();
-        Ok(())
+        Ok(KvLease { tokens, held: need })
     }
 
-    fn grow(&mut self, id: u64) -> Result<(), OutOfMemory> {
-        let block_bytes = self.block_bytes;
-        let block_tokens = self.block_tokens;
-        let free = self.pool.free_blocks();
-        let Some(chain) = self.chains.get_mut(&id) else {
-            // Unknown id: nothing to grow (mirrors ContiguousKv::grow).
-            return Ok(());
-        };
-        let needs_block = chain.tokens + 1 > chain.blocks.len() * block_tokens;
-        if needs_block && free == 0 {
-            // Leave the chain unchanged; the scheduler will preempt.
-            return Err(OutOfMemory::new(block_bytes, 0));
+    fn grow(&mut self, lease: &mut KvLease) -> Result<(), OutOfMemory> {
+        let needs_block = lease.tokens + 1 > lease.held * self.block_tokens;
+        if needs_block && self.free_blocks == 0 {
+            // Leave the lease unchanged; the scheduler will preempt.
+            return Err(OutOfMemory::new(self.block_bytes, 0));
         }
-        if needs_block {
-            let b = self.pool.alloc().expect("free count was just checked");
-            self.chains
-                .get_mut(&id)
-                .expect("chain existed above")
-                .blocks
-                .push(b);
-        }
-        let chain = self.chains.get_mut(&id).expect("chain existed above");
-        chain.tokens += 1;
+        lease.tokens += 1;
         self.tokens_in_use += 1;
-        self.note_peak();
+        if needs_block {
+            self.free_blocks -= 1;
+            lease.held += 1;
+            self.note_peak();
+        }
         Ok(())
     }
 
-    fn release(&mut self, id: u64) -> Result<(), ServingError> {
-        let chain = self.chains.remove(&id).ok_or_else(|| {
-            ServingError::KvAccounting(format!("request {id} released without a block chain"))
-        })?;
-        self.tokens_in_use -= chain.tokens;
-        // Free in reverse so the LIFO free list re-issues this chain's
-        // blocks in their original order on the next allocation.
-        for b in chain.blocks.into_iter().rev() {
-            self.pool.dealloc(b);
-        }
-        Ok(())
+    fn release(&mut self, lease: KvLease) {
+        self.tokens_in_use -= lease.tokens;
+        self.free_blocks += lease.held;
+        self.live_leases -= 1;
     }
 
     fn allocated(&self) -> u64 {
-        self.weight_bytes + self.pool.allocated_blocks() as u64 * self.block_bytes
+        self.weight_bytes + self.allocated_blocks() as u64 * self.block_bytes
     }
 
     fn peak(&self) -> u64 {
@@ -260,7 +189,7 @@ impl KvAdmission for PagedKv {
         // `ceil(t / block_tokens) <= capacity_blocks` iff
         // `t <= capacity_blocks * block_tokens`, so the block-rounded
         // bound equals the token-granular one.
-        self.pool.capacity_blocks() as u64 * self.block_tokens as u64
+        self.capacity_blocks as u64 * self.block_tokens as u64
     }
 
     fn utilization_at_peak(&self) -> f64 {
@@ -289,63 +218,58 @@ mod tests {
     }
 
     #[test]
-    fn pool_hands_out_blocks_in_order_and_reuses_lifo() {
-        let mut p = BlockPool::new(4);
-        assert_eq!(p.alloc(), Some(0));
-        assert_eq!(p.alloc(), Some(1));
-        p.dealloc(0);
-        assert_eq!(p.alloc(), Some(0), "most recently freed comes back first");
-        assert_eq!(p.free_blocks() + p.allocated_blocks(), p.capacity_blocks());
-    }
-
-    #[test]
     fn admit_charges_current_footprint_not_worst_case() {
         let mut kv = small();
         // prompt 3 → 4 live tokens → 1 block, regardless of output_len.
-        kv.try_admit(0, 3, 1000).unwrap();
-        assert_eq!(kv.pool().allocated_blocks(), 1);
+        let lease = kv.try_admit(3, 1000).unwrap();
+        assert_eq!((lease.tokens(), lease.held()), (4, 1));
+        assert_eq!(kv.free_blocks(), 15);
         // Contiguous admission could never have taken this request.
         assert!(3 + 1000 > kv.max_admissible_tokens() as usize);
+        kv.release(lease);
+        assert_eq!(kv.free_blocks(), kv.capacity_blocks());
     }
 
     #[test]
     fn grow_takes_a_block_only_at_the_boundary() {
         let mut kv = small();
-        kv.try_admit(0, 2, 8).unwrap(); // 3 live tokens, 1 block
-        assert_eq!(kv.pool().allocated_blocks(), 1);
-        kv.grow(0).unwrap(); // 4 tokens — still fits block 0
-        assert_eq!(kv.pool().allocated_blocks(), 1);
-        kv.grow(0).unwrap(); // 5 tokens — crosses into block 1
-        assert_eq!(kv.pool().allocated_blocks(), 2);
+        let mut lease = kv.try_admit(2, 8).unwrap(); // 3 live tokens, 1 block
+        assert_eq!(kv.free_blocks(), 15);
+        kv.grow(&mut lease).unwrap(); // 4 tokens — still fits block 0
+        assert_eq!((lease.held(), kv.free_blocks()), (1, 15));
+        kv.grow(&mut lease).unwrap(); // 5 tokens — crosses into block 1
+        assert_eq!((lease.held(), kv.free_blocks()), (2, 14));
+        assert_eq!(lease.tokens(), 5);
     }
 
     #[test]
-    fn dry_pool_fails_growth_without_corrupting_the_chain() {
+    fn dry_pool_fails_growth_without_corrupting_the_lease() {
         // 3 blocks of 4 tokens (admission holds one back as watermark).
         let mut kv = PagedKv::new(&mem(3 * 4096), 0, 1024, 4).unwrap();
-        kv.try_admit(0, 3, 64).unwrap(); // 4 tokens, block 0
-        kv.try_admit(1, 3, 64).unwrap(); // 4 tokens, block 1
-        kv.grow(0).unwrap(); // 5 tokens — takes the last block
-        let err = kv.grow(1).unwrap_err();
+        let mut a = kv.try_admit(3, 64).unwrap(); // 4 tokens, 1 block
+        let mut b = kv.try_admit(3, 64).unwrap(); // 4 tokens, 1 block
+        kv.grow(&mut a).unwrap(); // 5 tokens — takes the last block
+        let err = kv.grow(&mut b).unwrap_err();
         assert_eq!(err.available, 0);
-        // Chain 1 is untouched: releasing both must return exactly 3 blocks.
-        kv.release(0).unwrap();
-        kv.release(1).unwrap();
-        assert_eq!(kv.pool().free_blocks(), 3);
+        // Lease b is untouched: releasing both returns exactly 3 blocks.
+        assert_eq!((b.tokens(), b.held()), (4, 1));
+        kv.release(a);
+        kv.release(b);
+        assert_eq!(kv.free_blocks(), 3);
         assert_eq!(kv.allocated(), 0);
     }
 
     #[test]
-    fn admission_holds_back_one_block_per_live_chain() {
-        // 2 blocks of 4: admitting a second chain would leave no growth
+    fn admission_holds_back_one_block_per_live_lease() {
+        // 2 blocks of 4: admitting a second lease would leave no growth
         // headroom for the first, so the watermark rejects it.
         let mut kv = PagedKv::new(&mem(2 * 4096), 0, 1024, 4).unwrap();
-        kv.try_admit(0, 3, 64).unwrap();
-        assert!(kv.try_admit(1, 3, 64).is_err());
-        // Once the first chain completes, the pool is all headroom again.
-        kv.release(0).unwrap();
-        kv.try_admit(1, 3, 64).unwrap();
-        assert_eq!(kv.pool().allocated_blocks(), 1);
+        let first = kv.try_admit(3, 64).unwrap();
+        assert!(kv.try_admit(3, 64).is_err());
+        // Once the first request completes, the pool is all headroom again.
+        kv.release(first);
+        let _second = kv.try_admit(3, 64).unwrap();
+        assert_eq!(kv.free_blocks(), 1);
     }
 
     #[test]
@@ -353,8 +277,8 @@ mod tests {
         // Regression: the error used to fold the growth watermark into
         // `requested`, making a 1-block ask look like a 2-block one.
         let mut kv = PagedKv::new(&mem(2 * 4096), 0, 1024, 4).unwrap();
-        kv.try_admit(0, 3, 64).unwrap(); // 1 block live, 1 free
-        let err = kv.try_admit(1, 3, 64).unwrap_err();
+        let _held = kv.try_admit(3, 64).unwrap(); // 1 block live, 1 free
+        let err = kv.try_admit(3, 64).unwrap_err();
         assert_eq!(err.requested, 4096, "one block actually requested");
         assert_eq!(err.held_back, 4096, "one watermark block withheld");
         assert_eq!(err.available, 4096);
@@ -363,25 +287,35 @@ mod tests {
     }
 
     #[test]
-    fn release_is_checked() {
+    fn a_restore_that_runs_the_pool_dry_midway_rolls_back() {
+        // 16 blocks: a 10-block lease leaves 6, enough to admit a 5-token
+        // prompt (2 blocks + 1 watermark) but not to grow it to 30 tokens.
         let mut kv = small();
-        kv.try_admit(5, 3, 4).unwrap();
-        kv.release(5).unwrap();
-        assert!(matches!(kv.release(5), Err(ServingError::KvAccounting(_))));
-        assert!(matches!(kv.release(99), Err(ServingError::KvAccounting(_))));
+        let _held = kv.try_admit(39, 1).unwrap();
+        assert_eq!(kv.free_blocks(), 6);
+        let (allocated, peak) = (kv.allocated(), kv.peak());
+        assert!(kv.try_restore(4, 40, 26).is_err());
+        assert_eq!(kv.free_blocks(), 6, "partial restore must roll back");
+        assert_eq!(kv.allocated(), allocated);
+        assert!(kv.peak() > peak, "the partial restore did reach a new peak");
+        // The rolled-back lease is no longer live: with one live lease the
+        // watermark is one block, so a 5-block admission fits the 6 free.
+        let lease = kv.try_admit(19, 1).unwrap();
+        assert_eq!((lease.held(), kv.free_blocks()), (5, 1));
     }
 
     #[test]
     fn utilization_counts_last_block_rounding_only() {
         let mut kv = small();
         // 5 live tokens over 2 blocks of 4 → 5/8 at the peak.
-        kv.try_admit(0, 4, 100).unwrap();
+        let mut lease = kv.try_admit(4, 100).unwrap();
         assert!((kv.utilization_at_peak() - 5.0 / 8.0).abs() < 1e-12);
         // Growing into the slack raises utilization at the next peak…
-        kv.grow(0).unwrap(); // 6/8, no new block: same bytes, old snapshot
-        kv.grow(0).unwrap(); // 7/8
-        kv.grow(0).unwrap(); // 8/8
-        kv.grow(0).unwrap(); // 9 tokens, 3rd block → new byte peak, 9/12
+        kv.grow(&mut lease).unwrap(); // 6/8, no new block: same bytes, old snapshot
+        kv.grow(&mut lease).unwrap(); // 7/8
+        kv.grow(&mut lease).unwrap(); // 8/8
+        assert!((kv.utilization_at_peak() - 5.0 / 8.0).abs() < 1e-12);
+        kv.grow(&mut lease).unwrap(); // 9 tokens, 3rd block → new byte peak, 9/12
         assert!((kv.utilization_at_peak() - 9.0 / 12.0).abs() < 1e-12);
     }
 
@@ -391,11 +325,11 @@ mod tests {
         assert_eq!(kv.max_admissible_tokens(), 64);
         // A 64-token request takes exactly all 16 blocks.
         let mut kv = small();
-        kv.try_admit(0, 63, 1).unwrap();
-        assert_eq!(kv.pool().free_blocks(), 0);
+        let _held = kv.try_admit(63, 1).unwrap();
+        assert_eq!(kv.free_blocks(), 0);
         // 65 tokens can never fit.
         let mut kv = small();
-        assert!(kv.try_admit(0, 64, 1).is_err());
+        assert!(kv.try_admit(64, 1).is_err());
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::idhash::MixMap;
 use gaudi_hw::DeviceId;
 use gaudi_profiler::report::TextTable;
 use gaudi_profiler::Trace;
+use std::sync::{Mutex, PoisonError};
 
 /// p50/p95/p99 summary of a latency population, in milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -501,21 +502,22 @@ impl CardTime {
 }
 
 /// A run not yet summarized: a [`ServingReport`] holding only counters,
-/// the records not yet placed in per-card runs, and the raw inputs the
-/// gauges need. [`absorb`](Self::absorb) is the one merge (replicas into a
-/// box, boxes into a cluster), [`Records::place`] the one move of records
-/// to their final order, and [`finish`](Self::finish) the one derivation,
-/// run once where a public call returns a report.
+/// the counts its records give, and the raw inputs the gauges need. The
+/// records themselves are already in the call's [`Records`], placed there
+/// by each card's [`CardRecords`]. [`absorb`](Self::absorb) is the one
+/// merge (replicas into a box, boxes into a cluster), and
+/// [`finish`](Self::finish) the one derivation, run once where a public
+/// call returns a report.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
-    /// Counters. The records, latency summaries, token rates, gauges and
-    /// up-times stay empty or zero until [`finish`](Self::finish).
+    /// Counters, `offered` and `retries` among them. The records, latency
+    /// summaries, token rates, gauges and up-times stay empty or zero until
+    /// [`finish`](Self::finish).
     pub(crate) report: ServingReport,
-    /// Completed records not yet placed, one run per card in device order,
-    /// each run in completion order.
-    pub(crate) completed: Vec<Vec<RequestOutcome>>,
-    /// Drop records not yet placed, one run per card in device order.
-    pub(crate) dropped: Vec<Vec<DroppedRequest>>,
+    /// Requests that completed within every SLO.
+    pub(crate) completed: usize,
+    /// Their output tokens: the goodput numerator.
+    pub(crate) completed_tokens: usize,
     /// MME, TPC, DMA and NIC busy time summed over cards, ns.
     pub(crate) busy_ns: [f64; 4],
     /// Per-card `kv_block_utilization`, summed over cards.
@@ -526,8 +528,8 @@ pub(crate) struct Tally {
 
 impl Tally {
     /// Fold `part` in after the parts already absorbed: counters summed,
-    /// peaks maxed, record runs and cards appended, and `part`'s trace
-    /// events moved past the devices already absorbed.
+    /// peaks maxed, cards appended, and `part`'s trace events moved past
+    /// the devices already absorbed.
     pub(crate) fn absorb(&mut self, part: Tally) {
         let (r, p) = (&mut self.report, part.report);
         for ev in p.trace.events() {
@@ -560,8 +562,8 @@ impl Tally {
         r.recovered_tokens += p.recovered_tokens;
         r.failed_replicas += p.failed_replicas;
         r.restarts += p.restarts;
-        self.completed.extend(part.completed);
-        self.dropped.extend(part.dropped);
+        self.completed += part.completed;
+        self.completed_tokens += part.completed_tokens;
         for (sum, ns) in self.busy_ns.iter_mut().zip(part.busy_ns) {
             *sum += ns;
         }
@@ -579,10 +581,9 @@ impl Tally {
         }
     }
 
-    /// Goodput of the records not yet placed, against this tally's own
-    /// makespan, tokens/s.
+    /// Goodput against this tally's own makespan, tokens/s.
     pub(crate) fn goodput_tokens_per_s(&self) -> f64 {
-        self.per_s(self.completed.iter().flatten().map(|o| o.output_len).sum())
+        self.per_s(self.completed_tokens)
     }
 
     fn uptimes_ms(&self) -> Vec<f64> {
@@ -599,16 +600,15 @@ impl Tally {
         availability(&self.uptimes_ms(), self.report.makespan_ms)
     }
 
-    /// Summarize: every record placed in `records` (the runs still held
-    /// here first) and compacted into id order, latency percentiles over
-    /// the pooled records, token rates over the makespan, each engine's
+    /// Summarize: the records `records` holds, in id order, latency
+    /// percentiles over them, token rates over the makespan, each engine's
     /// utilization as its busy time over `makespan × devices`, the mean
     /// per-card KV gauge, and every card's up-time.
-    pub(crate) fn finish(mut self, mut records: Records) -> ServingReport {
-        records.place(&mut self);
+    pub(crate) fn finish(self, records: Records) -> ServingReport {
         let (completed, dropped) = records.into_lists();
-        let goodput = completed.iter().map(|o| o.output_len).sum();
+        debug_assert_eq!(completed.len(), self.completed, "every card flushed");
         let wasted: usize = dropped.iter().map(|d| d.tokens_generated).sum();
+        let goodput = self.completed_tokens;
         let rates = [goodput, goodput + wasted].map(|tokens| self.per_s(tokens));
         let uptimes_ms = self.uptimes_ms();
         let Tally {
@@ -717,7 +717,9 @@ enum Record {
 
 /// The records of one public call, each moved once, straight into the
 /// slot of its request's [`Ranks`] rank: they end in id order with no sort
-/// and no second copy of the record set.
+/// and no second copy of the record set. Allocated before the call
+/// simulates; its cards place their records here in batches
+/// ([`CardRecords`]) as they run.
 #[derive(Debug)]
 pub(crate) struct Records {
     ranks: Ranks,
@@ -739,15 +741,15 @@ impl Records {
         }
     }
 
-    /// Move every record of `tally`'s runs into its slot, leaving the runs
-    /// empty. Placement is order-free, so folding parts in any grouping
-    /// gives the same slots.
-    pub(crate) fn place(&mut self, tally: &mut Tally) {
-        for o in tally.completed.drain(..).flatten() {
+    /// Move every record of a batch into its slot, leaving the batch
+    /// empty. Placement is order-free, so batches from any card in any
+    /// order give the same slots.
+    fn place(&mut self, completed: &mut Vec<RequestOutcome>, dropped: &mut Vec<DroppedRequest>) {
+        for o in completed.drain(..) {
             self.put(o.id, Record::Completed(o));
         }
-        for d in tally.dropped.drain(..).flatten() {
-            self.dropped += 1;
+        self.dropped += dropped.len();
+        for d in dropped.drain(..) {
             self.put(d.id, Record::Dropped(d));
         }
     }
@@ -777,6 +779,77 @@ impl Records {
     }
 }
 
+/// Records a card files before it places them in the call's [`Records`].
+/// Large enough that the lock is taken rarely, small enough that the
+/// per-card runs never approach the slot array's own size.
+const RECORD_BATCH: usize = 4096;
+
+/// One card's terminal records on their way to the call's [`Records`]: it
+/// holds at most one batch, places the batch under the lock once it is
+/// full and when the card is done ([`flush`](Self::flush)), and counts
+/// what the card's [`Tally`] keeps of them.
+#[derive(Debug)]
+pub(crate) struct CardRecords<'a> {
+    records: &'a Mutex<Records>,
+    completed: Vec<RequestOutcome>,
+    dropped: Vec<DroppedRequest>,
+    /// Records filed, of either kind.
+    pub(crate) filed: usize,
+    /// Retries of the filed requests, summed.
+    pub(crate) retries: usize,
+    /// Completed records filed, and their output tokens.
+    pub(crate) completed_count: usize,
+    pub(crate) completed_tokens: usize,
+}
+
+impl<'a> CardRecords<'a> {
+    /// A card filing into `records`.
+    pub(crate) fn new(records: &'a Mutex<Records>) -> Self {
+        CardRecords {
+            records,
+            completed: Vec::new(),
+            dropped: Vec::new(),
+            filed: 0,
+            retries: 0,
+            completed_count: 0,
+            completed_tokens: 0,
+        }
+    }
+
+    /// File a request that completed within every SLO.
+    pub(crate) fn file_completed(&mut self, o: RequestOutcome) {
+        self.completed_count += 1;
+        self.completed_tokens += o.output_len;
+        self.retries += o.retries as usize;
+        self.completed.push(o);
+        self.filed();
+    }
+
+    /// File a request that terminated without completing.
+    pub(crate) fn file_dropped(&mut self, d: DroppedRequest) {
+        self.retries += d.retries as usize;
+        self.dropped.push(d);
+        self.filed();
+    }
+
+    fn filed(&mut self) {
+        self.filed += 1;
+        if self.completed.len() + self.dropped.len() >= RECORD_BATCH {
+            self.flush();
+        }
+    }
+
+    /// Place every record held so far. A lock a panicking card poisoned
+    /// is taken anyway: the pool re-raises that panic, so no report is
+    /// ever built from these slots.
+    pub(crate) fn flush(&mut self) {
+        self.records
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .place(&mut self.completed, &mut self.dropped);
+    }
+}
+
 /// Mean over cards of the fraction of `makespan_ms` each was alive
 /// (`1.0` for no cards or an empty run). Averaging per-card fractions
 /// keeps a run in which every card stayed up at exactly `1.0`.
@@ -794,7 +867,7 @@ fn availability(uptime_ms: &[f64], makespan_ms: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate_records, ExecPolicy, ServingConfig};
+    use crate::engine::{simulate_records, simulate_trace_with, ExecPolicy, ServingConfig};
     use crate::request::{generate_requests, TrafficConfig};
     use gaudi_models::LlmConfig;
     use gaudi_tensor::DType;
@@ -869,8 +942,8 @@ mod tests {
 
     #[test]
     fn records_land_in_id_order_at_their_rank() {
-        // Two cards' runs in completion order, over ids that are a range
-        // not starting at 0, and over sparse ids.
+        // Two cards' batches in completion order, over ids that are a
+        // range not starting at 0, and over sparse ids.
         for ids in [
             (100..110).collect::<Vec<u64>>(),
             (0..10).map(|k| 7 * k + 3).collect(),
@@ -879,31 +952,59 @@ mod tests {
             assert_eq!(matches!(ranks, Ranks::Range { .. }), ids[0] == 100);
             let mut records = Records::new(ranks);
             let slots = records.slots.as_ptr() as usize;
-            let mut part = Tally {
-                completed: vec![
-                    [9, 1, 4].map(|i| outcome(ids[i])).into(),
-                    [6, 0, 8, 2].map(|i| outcome(ids[i])).into(),
-                ],
-                dropped: vec![
-                    vec![drop_record(ids[7]), drop_record(ids[3])],
-                    vec![drop_record(ids[5])],
-                ],
-                ..Tally::default()
-            };
-            records.place(&mut part);
-            assert!(part.completed.is_empty() && part.dropped.is_empty());
+            let cards = [([9, 1, 4], vec![7, 3]), ([6, 0, 8], vec![5, 2])];
+            for (completed, dropped) in cards {
+                let mut completed = completed.map(|i| outcome(ids[i])).to_vec();
+                let mut dropped = dropped.iter().map(|&i| drop_record(ids[i])).collect();
+                records.place(&mut completed, &mut dropped);
+                assert!(completed.is_empty() && dropped.is_empty());
+            }
             let (completed, dropped) = records.into_lists();
             let of = |idx: &[usize]| idx.iter().map(|&i| ids[i]).collect::<Vec<_>>();
             assert_eq!(
                 completed.iter().map(|o| o.id).collect::<Vec<_>>(),
-                of(&[0, 1, 2, 4, 6, 8, 9])
+                of(&[0, 1, 4, 6, 8, 9])
             );
             assert_eq!(
                 dropped.iter().map(|d| d.id).collect::<Vec<_>>(),
-                of(&[3, 5, 7])
+                of(&[2, 3, 5, 7])
             );
             assert_eq!(completed.as_ptr() as usize, slots, "compacted in place");
         }
+    }
+
+    #[test]
+    fn a_card_holds_at_most_one_batch_and_counts_what_it_files() {
+        // Two and a half batches of alternating kinds through one card:
+        // the card never holds a full batch after filing, every record
+        // reaches its slot, and the counts cover every record.
+        let n = 2 * RECORD_BATCH + RECORD_BATCH / 2;
+        let records = Mutex::new(Records::new(Ranks::Range { first: 0, len: n }));
+        let mut card = CardRecords::new(&records);
+        for id in 0..n as u64 {
+            if id % 2 == 0 {
+                card.file_completed(RequestOutcome {
+                    retries: 1,
+                    ..outcome(id)
+                });
+            } else {
+                card.file_dropped(drop_record(id));
+            }
+            let held = card.completed.len() + card.dropped.len();
+            assert!(held < RECORD_BATCH, "{held} records held after filing {id}");
+            assert_eq!(held, (id as usize + 1) % RECORD_BATCH);
+        }
+        card.flush();
+        assert!(card.completed.is_empty() && card.dropped.is_empty());
+        assert_eq!((card.filed, card.retries), (n, n.div_ceil(2)));
+        assert_eq!(
+            (card.completed_count, card.completed_tokens),
+            (n.div_ceil(2), 2 * n.div_ceil(2))
+        );
+        let (completed, dropped) = records.into_inner().unwrap().into_lists();
+        assert_eq!((completed.len(), dropped.len()), (n.div_ceil(2), n / 2));
+        assert!(completed.iter().all(|o| o.id % 2 == 0));
+        assert!(completed.windows(2).all(|w| w[0].id < w[1].id));
     }
 
     /// One box of the fold proptest: one card, tiny decoder, light load.
@@ -943,6 +1044,7 @@ mod tests {
             let mut requests = generate_requests(&cfg.traffic);
             requests.sort_by_key(|r| (r.arrival_us, r.id));
             let mut merged = Tally::default();
+            let records = Mutex::new(Records::new(Ranks::Range { first: 0, len: num_requests }));
             let mut parts = Vec::new();
             for b in 0..boxes {
                 let shard: Vec<_> = requests
@@ -951,11 +1053,10 @@ mod tests {
                     .filter(|(i, _)| i % boxes == b)
                     .map(|(_, r)| r.clone())
                     .collect();
-                let (part, ranks) = simulate_records(&cfg, shard.clone(), &policy).unwrap();
-                parts.push(part.finish(Records::new(ranks)));
-                merged.absorb(simulate_records(&cfg, shard, &policy).unwrap().0);
+                parts.push(simulate_trace_with(&cfg, shard.clone(), &policy).unwrap());
+                merged.absorb(simulate_records(&cfg, shard, &policy, &records).unwrap());
             }
-            let merged = merged.finish(Records::new(Ranks::Range { first: 0, len: num_requests }));
+            let merged = merged.finish(records.into_inner().unwrap());
 
             prop_assert_eq!(merged.devices, boxes);
             prop_assert_eq!(merged.offered, num_requests);

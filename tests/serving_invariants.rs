@@ -274,61 +274,83 @@ proptest! {
         prop_assert!(r.dropped.is_empty());
     }
 
-    /// Paged-KV block conservation: at every step of a random
-    /// admit/grow/release/drop interleaving, `free + allocated` equals the
-    /// pool's capacity, blocks never outlive their chains, and the byte
-    /// ledger stays within HBM.
+    /// Paged-KV block conservation over leases: at every step of a random
+    /// admit/restore/grow/release/drop interleaving, the free blocks plus
+    /// the blocks every live lease holds equal the pool's capacity, no
+    /// block outlives its lease, and the byte ledger stays within HBM. A
+    /// restore that runs the pool dry midway gives back what it took.
     #[test]
     fn block_pool_conserves_blocks_under_random_ops(
         capacity_blocks in 1u32..48,
         block_tokens in 1usize..9,
-        ops in proptest::collection::vec((0u8..4u8, 0usize..32), 1..200),
+        ops in proptest::collection::vec((0u8..5u8, 0usize..32), 1..200),
     ) {
-        use gaudi_serving::{KvAdmission, PagedKv};
+        use gaudi_serving::{KvAdmission, KvLease, PagedKv};
         let weight_bytes = 7u64;
         let bytes_per_token = 3u64;
         let mut mem = GaudiConfig::hls1().memory;
         mem.hbm_capacity_bytes =
             weight_bytes + bytes_per_token * block_tokens as u64 * u64::from(capacity_blocks);
         let mut kv = PagedKv::new(&mem, weight_bytes, bytes_per_token, block_tokens).unwrap();
-        let mut live: Vec<u64> = Vec::new();
-        let mut next_id = 0u64;
+        let mut live: Vec<KvLease> = Vec::new();
         for (op, x) in ops {
             match op {
                 0 => {
                     // Admit (prompt x): may legitimately fail on a dry pool.
-                    if kv.try_admit(next_id, x, 8).is_ok() {
-                        live.push(next_id);
+                    if let Ok(lease) = kv.try_admit(x, 8) {
+                        live.push(lease);
                     }
-                    next_id += 1;
                 }
                 1 if !live.is_empty() => {
-                    // Grow one live chain by a token; dry pools refuse.
-                    let id = live[x % live.len()];
-                    let _ = kv.grow(id);
+                    // Grow one live lease by a token; dry pools refuse and
+                    // leave it as it was.
+                    let n = live.len();
+                    let lease = &mut live[x % n];
+                    let before = (lease.tokens(), lease.held());
+                    if kv.grow(lease).is_err() {
+                        prop_assert_eq!((lease.tokens(), lease.held()), before);
+                        prop_assert_eq!(kv.free_blocks(), 0);
+                    }
                 }
                 2 | 3 if !live.is_empty() => {
                     // Release on completion (2) or drop mid-flight (3).
-                    let id = live.swap_remove(x % live.len());
-                    kv.release(id).unwrap();
+                    let n = live.len();
+                    kv.release(live.swap_remove(x % n));
+                }
+                4 => {
+                    // Restore prompt x at x generated tokens: all or
+                    // nothing, whatever the pool has left.
+                    let (free, allocated) = (kv.free_blocks(), kv.allocated());
+                    match kv.try_restore(x, x + 2, x + 1) {
+                        Ok(lease) => {
+                            prop_assert_eq!(lease.tokens(), 2 * x + 1);
+                            live.push(lease);
+                        }
+                        Err(_) => {
+                            prop_assert_eq!(kv.free_blocks(), free, "a failed restore rolls back");
+                            prop_assert_eq!(kv.allocated(), allocated);
+                        }
+                    }
                 }
                 _ => {}
             }
-            let pool = kv.pool();
+            let held: usize = live.iter().map(KvLease::held).sum();
             prop_assert_eq!(
-                pool.free_blocks() + pool.allocated_blocks(),
-                pool.capacity_blocks(),
+                kv.free_blocks() + held,
+                kv.capacity_blocks(),
                 "block conservation violated");
             prop_assert!(kv.allocated() <= kv.capacity());
+            prop_assert!(kv.peak() <= kv.capacity());
             if live.is_empty() {
-                prop_assert_eq!(pool.allocated_blocks(), 0,
-                    "blocks must not outlive their chains");
+                prop_assert_eq!(kv.free_blocks(), kv.capacity_blocks(),
+                    "blocks must not outlive their leases");
+                prop_assert_eq!(kv.allocated(), weight_bytes);
             }
         }
-        for id in live.drain(..) {
-            kv.release(id).unwrap();
+        for lease in live.drain(..) {
+            kv.release(lease);
         }
-        prop_assert_eq!(kv.pool().allocated_blocks(), 0);
+        prop_assert_eq!(kv.free_blocks(), kv.capacity_blocks());
         prop_assert_eq!(kv.allocated(), weight_bytes);
     }
 
@@ -473,48 +495,92 @@ proptest! {
         prop_assert!(reports[2].1.timed_out() > 0, "the burst tail must time out");
         prop_assert!(reports[7].1.timed_out() > 0, "the cluster burst tail must time out");
         for (name, r, offered) in &reports {
-            let completed: Vec<u64> = r.completed.iter().map(|o| o.id).collect();
-            let dropped: Vec<u64> = r.dropped.iter().map(|d| d.id).collect();
-            prop_assert!(
-                completed.windows(2).all(|w| w[0] < w[1]),
-                "{}: completed ids {:?}",
-                name,
-                completed
-            );
-            prop_assert!(
-                dropped.windows(2).all(|w| w[0] < w[1]),
-                "{}: dropped ids {:?}",
-                name,
-                dropped
-            );
-            let mut records = [completed, dropped].concat();
-            records.sort_unstable();
-            let mut offered = offered.to_vec();
-            offered.sort_unstable();
-            prop_assert_eq!(records, offered, "{}: records are not the offered stream", name);
-            prop_assert!(!r.completed.is_empty(), "{}: nothing completed", name);
-            let ttft = oracle(r.completed.iter().map(|o| o.ttft_ms));
-            let tpot = oracle(r.completed.iter().flat_map(|o| {
-                o.token_times_ms.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>()
-            }));
-            let queue = oracle(r.completed.iter().map(|o| o.queue_ms));
-            let timed_out = oracle(
-                r.dropped
-                    .iter()
-                    .filter(|d| d.kind == DropKind::TimedOut)
-                    .map(|d| d.at_ms - d.arrival_ms),
-            );
-            prop_assert_eq!(bits(&r.ttft_ms), bits(&ttft), "{}: ttft", name);
-            prop_assert_eq!(bits(&r.tpot_ms), bits(&tpot), "{}: tpot", name);
-            prop_assert_eq!(bits(&r.queue_ms), bits(&queue), "{}: queue", name);
-            prop_assert_eq!(
-                bits(&r.timed_out_latency_ms),
-                bits(&timed_out),
-                "{}: timed out",
-                name
-            );
+            records_and_percentiles_are_the_reports_own(name, r, offered)?;
         }
     }
+}
+
+/// One card whose stream is longer than two of the batches a card
+/// places its records in, with a TTFT deadline so both kinds of record
+/// flow: every record still reaches its slot once, in id order, and the
+/// percentiles come from the placed records.
+#[test]
+fn a_card_that_flushes_several_batches_keeps_every_record() {
+    let mut cfg = config(11, 2, 10_000, 4, 500);
+    cfg.robustness = RobustnessConfig::default().ttft_deadline(20.0);
+    let r = simulate(&cfg).unwrap();
+    assert!(
+        r.completed.len() > 4096 && r.timed_out() > 0,
+        "{}",
+        r.render()
+    );
+    let stream: Vec<u64> = (0..10_000).collect();
+    records_and_percentiles_are_the_reports_own("one card, 10k requests", &r, &stream).unwrap();
+}
+
+/// `r`'s records are its `offered` stream, each request once, both lists
+/// in strictly ascending id order, and every latency summary equals the
+/// sorting oracle over those records.
+fn records_and_percentiles_are_the_reports_own(
+    name: &str,
+    r: &gaudi_serving::ServingReport,
+    offered: &[u64],
+) -> Result<(), String> {
+    let completed: Vec<u64> = r.completed.iter().map(|o| o.id).collect();
+    let dropped: Vec<u64> = r.dropped.iter().map(|d| d.id).collect();
+    prop_assert!(
+        completed.windows(2).all(|w| w[0] < w[1]),
+        "{}: completed ids {:?}",
+        name,
+        completed
+    );
+    prop_assert!(
+        dropped.windows(2).all(|w| w[0] < w[1]),
+        "{}: dropped ids {:?}",
+        name,
+        dropped
+    );
+    let mut records = [completed, dropped].concat();
+    records.sort_unstable();
+    let mut offered = offered.to_vec();
+    offered.sort_unstable();
+    prop_assert_eq!(
+        records,
+        offered,
+        "{}: records are not the offered stream",
+        name
+    );
+    prop_assert_eq!(
+        r.offered,
+        r.completed.len() + r.dropped.len(),
+        "{}: offered",
+        name
+    );
+    prop_assert!(!r.completed.is_empty(), "{}: nothing completed", name);
+    let ttft = oracle(r.completed.iter().map(|o| o.ttft_ms));
+    let tpot = oracle(r.completed.iter().flat_map(|o| {
+        o.token_times_ms
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect::<Vec<_>>()
+    }));
+    let queue = oracle(r.completed.iter().map(|o| o.queue_ms));
+    let timed_out = oracle(
+        r.dropped
+            .iter()
+            .filter(|d| d.kind == DropKind::TimedOut)
+            .map(|d| d.at_ms - d.arrival_ms),
+    );
+    prop_assert_eq!(bits(&r.ttft_ms), bits(&ttft), "{}: ttft", name);
+    prop_assert_eq!(bits(&r.tpot_ms), bits(&tpot), "{}: tpot", name);
+    prop_assert_eq!(bits(&r.queue_ms), bits(&queue), "{}: queue", name);
+    prop_assert_eq!(
+        bits(&r.timed_out_latency_ms),
+        bits(&timed_out),
+        "{}: timed out",
+        name
+    );
+    Ok(())
 }
 
 /// The reference every latency summary must match bit for bit: sort with
