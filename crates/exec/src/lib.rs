@@ -40,9 +40,12 @@
 //! Thread count comes from [`ExecPool::new`], or for the shared
 //! [`ExecPool::global`] pool from the `GAUDI_EXEC_THREADS` environment
 //! variable (defaulting to [`std::thread::available_parallelism`]).
-//! `GAUDI_EXEC_THREADS=1` forces every consumer of the global pool down
-//! the inline serial path — the lever CI uses to diff parallel runs
-//! against serial ones.
+//! The pool is the simulator's only source of threads — the tensor
+//! kernels (matmul, reductions, element-wise maps) run on the calling
+//! thread — so `GAUDI_EXEC_THREADS=1` runs a whole simulation on one
+//! thread, as simbench's reps do. [`ExecPool::serial`] is the reference
+//! that `sweeps`' second pass and `tests/exec_determinism.rs` compare
+//! parallel runs against.
 
 use std::any::Any;
 use std::collections::VecDeque;

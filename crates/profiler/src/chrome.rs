@@ -80,8 +80,9 @@ pub fn lane_of(trace: &Trace, engine: EngineId) -> Option<usize> {
     trace.engines().iter().position(|&x| x == engine)
 }
 
-/// Minimal JSON string escaping.
-fn json_string(s: &str) -> String {
+/// `s` as a JSON string literal: quoted, with `"`, `\` and every control
+/// character escaped.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

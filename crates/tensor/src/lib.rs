@@ -23,7 +23,6 @@
 pub mod dtype;
 pub mod error;
 pub mod ops;
-pub mod parallel;
 pub mod rng;
 pub mod shape;
 pub mod tensor;

@@ -4,47 +4,33 @@
 //! cluster (Table 1 of the paper) — even `scalar * tensor`.
 
 use crate::error::Result;
-use crate::parallel::par_chunks_mut;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Apply a binary operation with broadcasting.
-pub fn binary_op(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
+pub fn binary_op(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
     let out_shape = Shape::broadcast(a.shape(), b.shape())?;
+    let (ad, bd) = (a.data(), b.data());
     if *a.shape() == out_shape && *b.shape() == out_shape {
         // Fast path: identical shapes, contiguous zip.
-        let mut out = vec![0.0f32; out_shape.numel()];
-        let (ad, bd) = (a.data(), b.data());
-        par_chunks_mut(&mut out, 1024, |start, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                let idx = start + i;
-                *v = f(ad[idx], bd[idx]);
-            }
-        });
+        let out = ad.iter().zip(bd).map(|(&x, &y)| f(x, y)).collect();
         return Tensor::from_vec(out_shape.dims(), out);
     }
-    let mut out = vec![0.0f32; out_shape.numel()];
-    let (ad, bd) = (a.data(), b.data());
     let (ashape, bshape) = (*a.shape(), *b.shape());
-    par_chunks_mut(&mut out, 1024, |start, chunk| {
-        for (i, v) in chunk.iter_mut().enumerate() {
-            let coords = out_shape.unravel(start + i);
+    let out = (0..out_shape.numel())
+        .map(|i| {
+            let coords = out_shape.unravel(i);
             let ai = out_shape.broadcast_source_index(&ashape, &coords);
             let bi = out_shape.broadcast_source_index(&bshape, &coords);
-            *v = f(ad[ai], bd[bi]);
-        }
-    });
+            f(ad[ai], bd[bi])
+        })
+        .collect();
     Tensor::from_vec(out_shape.dims(), out)
 }
 
 /// Apply a unary operation element-wise.
-pub fn unary_op(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-    let mut out = a.data().to_vec();
-    par_chunks_mut(&mut out, 1024, |_, chunk| {
-        for v in chunk {
-            *v = f(*v);
-        }
-    });
+pub fn unary_op(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    let out = a.data().iter().map(|&v| f(v)).collect();
     Tensor::from_vec(a.dims(), out).expect("same shape")
 }
 
@@ -181,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn large_tensor_parallel_path_correct() {
+    fn large_tensor_elementwise_is_correct() {
         let n = 1 << 17;
         let a = Tensor::arange(n);
         let b = Tensor::full(&[n], 2.0).unwrap();

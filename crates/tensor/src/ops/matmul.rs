@@ -6,7 +6,6 @@
 //! builders express `Q Kᵀ` over `(batch, heads)`.
 
 use crate::error::{Result, TensorError};
-use crate::parallel::{par_for, DisjointSlice};
 use crate::tensor::Tensor;
 
 /// Batched matrix product `a @ b`.
@@ -67,26 +66,14 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let ad = a.data();
     let bd = b.data();
 
-    // Parallelize over (batch, row-block) work items.
-    const ROW_BLOCK: usize = 32;
-    let blocks_per_mat = m.div_ceil(ROW_BLOCK);
-    let total = batch * blocks_per_mat;
-
-    let shared = DisjointSlice::new(&mut out);
-
-    par_for(total, m * n * k / 64, |item| {
-        let bi = item / blocks_per_mat;
-        let blk = item % blocks_per_mat;
-        let row0 = blk * ROW_BLOCK;
-        let row1 = (row0 + ROW_BLOCK).min(m);
+    for bi in 0..batch {
         let a_off = if ab == 1 { 0 } else { bi * m * k };
         let b_off = if bb == 1 { 0 } else { bi * k * n };
         let amat = &ad[a_off..a_off + m * k];
         let bmat = &bd[b_off..b_off + k * n];
-        // SAFETY: rows [row0, row1) of batch `bi` are written only by this item.
-        let omat = unsafe { shared.range(bi * m * n + row0 * n..bi * m * n + row1 * n) };
-        for i in row0..row1 {
-            let orow = &mut omat[(i - row0) * n..(i - row0 + 1) * n];
+        let omat = &mut out[bi * m * n..(bi + 1) * m * n];
+        for i in 0..m {
+            let orow = &mut omat[i * n..(i + 1) * n];
             // ikj loop order: stream through b rows, accumulate into orow.
             for (kk, &aval) in amat[i * k..(i + 1) * k].iter().enumerate() {
                 if aval == 0.0 {
@@ -98,7 +85,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
                 }
             }
         }
-    });
+    }
 
     Tensor::from_vec(&out_dims, out)
 }
@@ -114,8 +101,8 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     matmul(a, b)
 }
 
-/// Reference (naive, sequential) matmul used by tests to validate the
-/// parallel kernel.
+/// Reference (naive, dot-product order) matmul used by tests to validate
+/// [`matmul`].
 pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (ab, m, k) = a
         .shape()
@@ -227,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn larger_parallel_matmul_matches_reference() {
+    fn larger_matmul_matches_reference() {
         let mut rng = SeededRng::new(4);
         let a = Tensor::randn(&[2, 130, 40], 0.5, &mut rng).unwrap();
         let b = Tensor::randn(&[2, 40, 70], 0.5, &mut rng).unwrap();

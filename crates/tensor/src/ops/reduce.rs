@@ -6,21 +6,19 @@
 //! this module provides their exact numerics.
 
 use crate::error::{Result, TensorError};
-use crate::parallel::{par_for, DisjointSlice};
 use crate::tensor::Tensor;
 
-fn rowwise(a: &Tensor, out_cols: usize, f: impl Fn(&[f32], &mut [f32]) + Sync) -> Vec<f32> {
+fn rowwise(a: &Tensor, out_cols: usize, f: impl Fn(&[f32], &mut [f32])) -> Vec<f32> {
     let d = a.shape().last_dim();
     let rows = a.shape().rows();
     let mut out = vec![0.0f32; rows * out_cols];
     let data = a.data();
-    let shared = DisjointSlice::new(&mut out);
-    par_for(rows, d, |r| {
-        let row = &data[r * d..(r + 1) * d];
-        // SAFETY: row r writes only out[r*out_cols .. (r+1)*out_cols].
-        let orow = unsafe { shared.range(r * out_cols..(r + 1) * out_cols) };
-        f(row, orow);
-    });
+    for r in 0..rows {
+        f(
+            &data[r * d..(r + 1) * d],
+            &mut out[r * out_cols..(r + 1) * out_cols],
+        );
+    }
     out
 }
 

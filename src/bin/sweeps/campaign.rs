@@ -30,13 +30,15 @@
 //! 5. the kill, restart, checkpoint, restore and flap lanes show up in the
 //!    Chrome trace.
 //!
-//! Artifact: `results/CAMPAIGN_10.json`.
+//! Tables (`results/campaign.json`): `fleet`, the fleet shape and the
+//! checkpoint pricing; `cells`, the two fault-free baselines (0 events)
+//! then one row per event count, campaign and checkpoint setting.
 
-use crate::cells::{report_digest, run_cells};
+use crate::cells::{report_values, run_cells, REPORT_COLUMNS};
+use crate::table::{col, Table, Value};
 use crate::Outcome;
 use gaudi_exec::ExecPool;
 use gaudi_hw::{DeviceId, Topology};
-use gaudi_profiler::report::TextTable;
 use gaudi_serving::{
     FaultCampaign, FaultPlan, PlanCache, RobustnessConfig, ServingConfig, ServingReport,
 };
@@ -95,17 +97,6 @@ fn down_budget_ms(plan: &FaultPlan) -> f64 {
         .sum()
 }
 
-/// [`report_digest`] extended with the checkpoint/restore counters.
-fn recovery_digest(r: &ServingReport) -> String {
-    format!(
-        "{}|{}|{:.6}|{}",
-        report_digest(r),
-        r.checkpoint_bytes,
-        r.restore_ms,
-        r.recovered_tokens
-    )
-}
-
 /// One traced cell per campaign flavor: the fault, checkpoint, and
 /// restore lanes must be visible in the Chrome trace.
 fn trace_lanes(
@@ -144,13 +135,10 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     let mut out = String::new();
     outln!(
         out,
-        "Extension: correlated fault campaigns x priced KV checkpointing\n"
-    );
-    outln!(
-        out,
-        "{} requests at {} req/s (Poisson, Zipf lengths, seed {}), paper §3.4 GPT,\n\
-         {BOXES} boxes x {CARDS_PER_BOX} cards; rack campaigns take a whole box down per\n\
-         event, independent controls scatter the identical down budget.\n",
+        "Correlated fault campaigns x priced KV checkpointing: {} requests at {} req/s\n\
+         (Poisson, Zipf lengths, seed {}), paper §3.4 GPT, {BOXES} boxes x {CARDS_PER_BOX} cards;\n\
+         rack campaigns take a whole box down per event, independent controls\n\
+         scatter the identical down budget.\n",
         cfg.traffic.num_requests,
         cfg.traffic.arrival_rate_per_s,
         cfg.traffic.seed
@@ -210,70 +198,51 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         .collect();
     let reports = run_cells(pool, cache, &cfgs);
 
-    let mut digests = vec![recovery_digest(&clean_off), recovery_digest(&clean_on)];
-    let mut t = TextTable::new(&[
-        "Events",
-        "Campaign",
-        "Ckpt",
-        "Budget (ms)",
-        "Completed",
-        "Restarts",
-        "Requeued tok",
-        "Recovered tok",
-        "Goodput (tok/s)",
-        "Service avail",
-    ]);
-    for (ckpt_on, r) in [("off", &clean_off), ("on", &clean_on)] {
-        t.row(&[
-            "0".into(),
-            "—".into(),
-            ckpt_on.into(),
-            "0.0".into(),
-            r.completed.len().to_string(),
-            "0".into(),
-            "0".into(),
-            "0".into(),
-            format!("{:.0}", r.goodput_tokens_per_s),
-            format!("{:.3}", avail(r)),
-        ]);
-    }
-
-    let mut json_rows: Vec<String> = Vec::new();
-    for ((events, campaign, on, plan), r) in specs.iter().zip(&reports) {
-        assert_eq!(
-            r.completed.len(),
-            cfg.traffic.num_requests,
-            "{events} {campaign} events (checkpoint {on}): requests were dropped"
+    let mut t = Table::new(
+        "cells",
+        [
+            col("events", "", 0),
+            col("campaign", "", 0),
+            col("checkpoint", "", 0),
+            col("budget", "ms", 1),
+            col("restarts", "", 0),
+            col("recovered", "tok", 0),
+            col("checkpoint_bytes", "bytes", 0),
+            col("restore", "ms", 3),
+            col("service_avail", "frac", 3),
+        ]
+        .into_iter()
+        .chain(REPORT_COLUMNS),
+    );
+    let clean = [(false, &clean_off), (true, &clean_on)].map(|(on, r)| (0, "none", on, 0.0, r));
+    let faulted = specs
+        .iter()
+        .zip(&reports)
+        .map(|((events, campaign, on, plan), r)| {
+            assert_eq!(
+                r.completed.len(),
+                cfg.traffic.num_requests,
+                "{events} {campaign} events (checkpoint {on}): requests were dropped"
+            );
+            (*events, *campaign, *on, down_budget_ms(plan), r)
+        });
+    for (events, campaign, on, budget, r) in clean.into_iter().chain(faulted) {
+        t.row(
+            [
+                Value::from(events),
+                campaign.into(),
+                on.into(),
+                budget.into(),
+                r.restarts.into(),
+                r.recovered_tokens.into(),
+                r.checkpoint_bytes.into(),
+                r.restore_ms.into(),
+                avail(r).into(),
+            ]
+            .into_iter()
+            .chain(report_values(r)),
         );
-        digests.push(recovery_digest(r));
-        let budget = down_budget_ms(plan);
-        t.row(&[
-            events.to_string(),
-            (*campaign).into(),
-            if *on { "on" } else { "off" }.into(),
-            format!("{budget:.1}"),
-            r.completed.len().to_string(),
-            r.restarts.to_string(),
-            r.requeued_tokens.to_string(),
-            r.recovered_tokens.to_string(),
-            format!("{:.0}", r.goodput_tokens_per_s),
-            format!("{:.3}", avail(r)),
-        ]);
-        json_rows.push(format!(
-            "    {{\"events\": {events}, \"campaign\": \"{campaign}\", \"checkpoint\": {on}, \
-             \"budget_ms\": {budget:.3}, \"restarts\": {}, \"requeued_tokens\": {}, \
-             \"recovered_tokens\": {}, \"checkpoint_bytes\": {}, \"restore_ms\": {:.6}, \
-             \"goodput_tok_s\": {:.6}, \"service_availability\": {:.6}}}",
-            r.restarts,
-            r.requeued_tokens,
-            r.recovered_tokens,
-            r.checkpoint_bytes,
-            r.restore_ms,
-            r.goodput_tokens_per_s,
-            avail(r),
-        ));
     }
-    outln!(out, "{}", t.render());
 
     // Rack-correlated campaigns cost strictly more service availability
     // than the same down budget spread independently (compared
@@ -291,7 +260,7 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     let indep_off = curve("independent");
     outln!(
         out,
-        "\nmean service availability (checkpoint off) — rack: {:.4}, independent: {:.4}",
+        "mean service availability (checkpoint off) — rack: {:.4}, independent: {:.4}",
         rack_off,
         indep_off
     );
@@ -346,20 +315,24 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         "fault, checkpoint, and restore lanes present in the Chrome trace: true"
     );
 
+    let mut fleet = Table::new(
+        "fleet",
+        [
+            col("boxes", "", 0),
+            col("cards_per_box", "", 0),
+            col("checkpoint_interval", "ms", 3),
+            col("dma_bandwidth", "bytes/s", 0),
+        ],
+    );
+    fleet.row([
+        BOXES.into(),
+        CARDS_PER_BOX.into(),
+        interval_ms.into(),
+        DMA_BYTES_PER_S.into(),
+    ]);
     Outcome {
+        tables: vec![fleet, t],
         text: out,
-        digest: digests.join("\n"),
-        artifacts: vec![format!(
-            "{{\n  \"sweep\": \"PR-10 correlated fault campaigns + KV checkpointing\",\n  \
-             \"boxes\": {BOXES},\n  \"cards_per_box\": {CARDS_PER_BOX},\n  \
-             \"clean_goodput_tok_s\": {:.6},\n  \"clean_checkpointed_goodput_tok_s\": {:.6},\n  \
-             \"checkpoint_interval_ms\": {:.6},\n  \"dma_bytes_per_s\": {:.1},\n  \
-             \"cells\": [\n{}\n  ]\n}}\n",
-            clean_goodput,
-            clean_on.goodput_tokens_per_s,
-            interval_ms,
-            DMA_BYTES_PER_S,
-            json_rows.join(",\n"),
-        )],
+        artifacts: vec![],
     }
 }

@@ -1,47 +1,61 @@
 //! Plumbing the serving experiments share: run a batch of sweep cells on a
-//! pool against a shared plan cache, and digest reports for the two-pass
-//! comparison in `main`.
+//! pool against a shared plan cache, and lay a report out as table cells.
 
+use crate::table::{col, Column, Value};
 use gaudi_exec::ExecPool;
 use gaudi_serving::{ExecPolicy, PlanCache, PlanSharing, ServingConfig, ServingReport};
 use std::sync::Arc;
 
-/// Everything a determinism check needs to compare, rendered to exact
-/// text: latency tails, goodput, completion/outcome/retry/availability
-/// counters, and the queue-pressure gauges.
-pub fn report_digest(r: &ServingReport) -> String {
-    format!(
-        "{:.6}|{:.6}|{:.6}|{:.6}|{:.6}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:.6}|{:.6}|{}|{}|{}|{:.6}",
-        r.makespan_ms,
-        r.goodput_tokens_per_s,
-        r.throughput_tokens_per_s,
-        r.ttft_ms.p99,
-        r.tpot_ms.p99,
-        r.completed.len(),
-        r.offered,
-        r.shed(),
-        r.timed_out(),
-        r.failed(),
-        r.max_queue_depth,
-        r.peak_queued_tokens,
-        r.retries,
-        r.requeued_tokens,
-        r.availability(),
-        r.kv_block_utilization,
-        r.recipe_compiles,
-        r.preemptions,
-        r.peak_running,
-        r.padding_waste()
-    )
-}
+/// The report fields every serving experiment's tables carry, after their
+/// own columns: latency tails, goodput, completion, outcome, retry and
+/// availability counters, and the queue-pressure and KV gauges.
+pub const REPORT_COLUMNS: [Column; 20] = [
+    col("makespan", "ms", 1),
+    col("goodput", "tok/s", 0),
+    col("throughput", "tok/s", 0),
+    col("ttft_p99", "ms", 2),
+    col("tpot_p99", "ms", 2),
+    col("completed", "", 0),
+    col("offered", "", 0),
+    col("shed", "", 0),
+    col("timed_out", "", 0),
+    col("failed", "", 0),
+    col("max_queue_depth", "", 0),
+    col("peak_queued", "tok", 0),
+    col("retries", "", 0),
+    col("requeued", "tok", 0),
+    col("availability", "frac", 3),
+    col("kv_block_util", "frac", 3),
+    col("recipe_compiles", "", 0),
+    col("preemptions", "", 0),
+    col("peak_running", "", 0),
+    col("padding_waste", "frac", 3),
+];
 
-/// [`report_digest`] of each report, one line per report.
-pub fn digest_all<'a>(reports: impl IntoIterator<Item = &'a ServingReport>) -> String {
-    reports
-        .into_iter()
-        .map(report_digest)
-        .collect::<Vec<_>>()
-        .join("\n")
+/// `r`'s cells under [`REPORT_COLUMNS`].
+pub fn report_values(r: &ServingReport) -> [Value; 20] {
+    [
+        r.makespan_ms.into(),
+        r.goodput_tokens_per_s.into(),
+        r.throughput_tokens_per_s.into(),
+        r.ttft_ms.p99.into(),
+        r.tpot_ms.p99.into(),
+        r.completed.len().into(),
+        r.offered.into(),
+        r.shed().into(),
+        r.timed_out().into(),
+        r.failed().into(),
+        r.max_queue_depth.into(),
+        r.peak_queued_tokens.into(),
+        r.retries.into(),
+        r.requeued_tokens.into(),
+        r.availability().into(),
+        r.kv_block_utilization.into(),
+        r.recipe_compiles.into(),
+        r.preemptions.into(),
+        r.peak_running.into(),
+        r.padding_waste().into(),
+    ]
 }
 
 /// Run one sweep cell per config on `pool`, memoizing compiled phase plans
@@ -101,11 +115,13 @@ mod tests {
             .collect();
         let cache = Arc::new(PlanCache::new());
         let pool = ExecPool::new(3);
-        let parallel = run_cells(&pool, &cache, &cells);
-        for (cfg, report) in cells.iter().zip(&parallel) {
+        let pooled = run_cells(&pool, &cache, &cells);
+        for (cfg, report) in cells.iter().zip(&pooled) {
             let serial_pool = ExecPolicy::default().with_pool(ExecPool::serial());
             let serial = gaudi_serving::simulate_with(cfg, &serial_pool).unwrap();
-            assert_eq!(report_digest(report), report_digest(&serial));
+            // `{:?}` prints every float at round-trip precision: equal
+            // text is equal bits, field by field and record by record.
+            assert_eq!(format!("{report:?}"), format!("{serial:?}"));
         }
         assert!(cache.stats().entries > 0, "cells must memoize their plans");
     }

@@ -23,12 +23,15 @@
 //! oversubscription; and the headline cell's size and wall-clock budget,
 //! checked on both passes.
 //!
-//! Artifact: `results/CLUSTER_7.json`.
+//! Tables (`results/cluster.json`): `cells`, one row per cell with its
+//! routing telemetry; `boxes`, each cell's per-box request and token
+//! split. The headline wall-clock time is printed, never written: it is
+//! the one number the two passes need not agree on.
 
-use crate::cells::report_digest;
+use crate::cells::{report_values, REPORT_COLUMNS};
+use crate::table::{col, Table, Value};
 use crate::Outcome;
 use gaudi_exec::ExecPool;
-use gaudi_profiler::report::TextTable;
 use gaudi_serving::{
     simulate_cluster_with, ClusterConfig, ClusterReport, ExecPolicy, PlanCache, PlanSharing,
     RouterPolicy, ServingConfig, TrafficConfig,
@@ -75,55 +78,6 @@ fn config((boxes, cards_per_box, num_requests): (usize, usize, usize)) -> Cluste
     ClusterConfig::new(base, boxes, cards_per_box)
 }
 
-/// [`report_digest`] extended with the routing telemetry a cluster run
-/// adds on top of its merged report: fleet shape, router, cross-box
-/// traffic, and the per-box request/token split.
-fn cluster_digest(c: &ClusterReport) -> String {
-    let per_box = c
-        .per_box
-        .iter()
-        .map(|b| {
-            format!(
-                "{}:{}:{}:{}",
-                b.box_id, b.offered, b.completed, b.routed_tokens
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{}|{}x{}|{}|{}|{:.6}|{:.6}|[{per_box}]",
-        report_digest(&c.report),
-        c.boxes,
-        c.cards_per_box,
-        c.router.name(),
-        c.cross_box_requests,
-        c.cross_box_delay_ms,
-        c.imbalance(),
-    )
-}
-
-fn cell_json(label: &str, c: &ClusterReport) -> String {
-    format!(
-        "    {{\"cell\": \"{label}\", \"boxes\": {}, \"cards_per_box\": {}, \
-         \"devices\": {}, \"router\": \"{}\", \"offered\": {}, \"completed\": {}, \
-         \"goodput_tok_s\": {:.6}, \"makespan_ms\": {:.6}, \"ttft_p99_ms\": {:.6}, \
-         \"cross_box_requests\": {}, \"cross_box_delay_ms\": {:.6}, \
-         \"imbalance\": {:.6}}}",
-        c.boxes,
-        c.cards_per_box,
-        c.boxes * c.cards_per_box,
-        c.router.name(),
-        c.report.offered,
-        c.report.completed.len(),
-        c.report.goodput_tokens_per_s,
-        c.report.makespan_ms,
-        c.report.ttft_ms.p99,
-        c.cross_box_requests,
-        c.cross_box_delay_ms,
-        c.imbalance(),
-    )
-}
-
 fn conservation(label: &str, c: &ClusterReport, expected: usize) {
     assert_eq!(c.report.offered, expected, "{label}: offered mismatch");
     assert_eq!(
@@ -145,19 +99,7 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     };
     let simulate =
         |cfg: &ClusterConfig| simulate_cluster_with(cfg, &policy).expect("cluster cell simulates");
-    let mut out = String::new();
-    outln!(
-        out,
-        "Extension: cluster-scale serving — router x switch tier x fleet size\n"
-    );
     let (hb, hc, hn) = HEADLINE;
-    outln!(
-        out,
-        "headline: {hn} requests at {RATE:.0} req/s across {} cards \
-         ({hb} boxes x {hc}), switch oversubscription {OVERSUB}x\n",
-        hb * hc,
-    );
-
     let t0 = Instant::now();
     let headline = simulate(&config(HEADLINE).oversubscription(OVERSUB));
     let headline_wall_s = t0.elapsed().as_secs_f64();
@@ -179,44 +121,85 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     let thin = simulate(&config(OVERSUB_PAIR).oversubscription(1.0));
     let fat = simulate(&config(OVERSUB_PAIR).oversubscription(16.0));
 
-    let mut t = TextTable::new(&[
-        "Cell",
-        "Boxes",
-        "Cards",
-        "Router",
-        "Offered",
-        "Completed",
-        "Goodput (tok/s)",
-        "Makespan (ms)",
-        "TTFT p99 (ms)",
-        "Cross-box",
-        "Imbalance",
-    ]);
-    let mut row = |label: &str, c: &ClusterReport| {
-        t.row(&[
-            label.into(),
-            c.boxes.to_string(),
-            (c.boxes * c.cards_per_box).to_string(),
-            c.router.name().into(),
-            c.report.offered.to_string(),
-            c.report.completed.len().to_string(),
-            format!("{:.0}", c.report.goodput_tokens_per_s),
-            format!("{:.1}", c.report.makespan_ms),
-            format!("{:.2}", c.report.ttft_ms.p99),
-            format!("{:.1}%", 100.0 * c.cross_box_fraction()),
-            format!("{:.3}", c.imbalance()),
-        ]);
-    };
-    row("headline", &headline);
-    for c in &scale {
-        row("scale", c);
+    // Every cell as `(label, switch oversubscription, report)`.
+    let cells: Vec<(String, f64, &ClusterReport)> =
+        std::iter::once(("headline".into(), OVERSUB, &headline))
+            .chain(
+                scale
+                    .iter()
+                    .map(|c| (format!("scale_{}", c.boxes * c.cards_per_box), OVERSUB, c)),
+            )
+            .chain(
+                routers
+                    .iter()
+                    .map(|(r, c)| (format!("router_{}", r.name()), OVERSUB, c)),
+            )
+            .chain([
+                ("oversub_1x".into(), 1.0, &thin),
+                ("oversub_16x".into(), 16.0, &fat),
+            ])
+            .collect();
+    let mut t = Table::new(
+        "cells",
+        [
+            col("cell", "", 0),
+            col("boxes", "", 0),
+            col("cards_per_box", "", 0),
+            col("router", "", 0),
+            col("oversubscription", "x", 0),
+            col("cross_box_requests", "", 0),
+            col("cross_box_frac", "frac", 3),
+            col("cross_box_delay", "ms", 3),
+            col("imbalance", "x", 3),
+        ]
+        .into_iter()
+        .chain(REPORT_COLUMNS),
+    );
+    let mut boxes = Table::new(
+        "boxes",
+        [
+            col("cell", "", 0),
+            col("box", "", 0),
+            col("offered", "", 0),
+            col("completed", "", 0),
+            col("routed_tokens", "tok", 0),
+        ],
+    );
+    for (label, oversub, c) in &cells {
+        t.row(
+            [
+                Value::from(label.as_str()),
+                c.boxes.into(),
+                c.cards_per_box.into(),
+                c.router.name().into(),
+                (*oversub).into(),
+                c.cross_box_requests.into(),
+                c.cross_box_fraction().into(),
+                c.cross_box_delay_ms.into(),
+                c.imbalance().into(),
+            ]
+            .into_iter()
+            .chain(report_values(&c.report)),
+        );
+        for b in &c.per_box {
+            boxes.row([
+                Value::from(label.as_str()),
+                b.box_id.into(),
+                b.offered.into(),
+                b.completed.into(),
+                b.routed_tokens.into(),
+            ]);
+        }
     }
-    for (_, c) in &routers {
-        row("router", c);
-    }
-    row("oversub 1x", &thin);
-    row("oversub 16x", &fat);
-    outln!(out, "{}", t.render());
+
+    let mut out = String::new();
+    outln!(
+        out,
+        "Cluster-scale serving, router x switch tier x fleet size: a tiny decoder;\n\
+         headline {hn} requests at {RATE:.0} req/s across {} cards ({hb} boxes x {hc}),\n\
+         switch oversubscription {OVERSUB}x.\n",
+        hb * hc,
+    );
     outln!(
         out,
         "Reading: the router trades locality against balance — round-robin\n\
@@ -308,25 +291,9 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         "headline must finish in {WALL_BUDGET_S} s, took {headline_wall_s:.2} s"
     );
 
-    let cells = std::iter::once(("headline", &headline))
-        .chain(scale.iter().map(|c| ("scale", c)))
-        .chain(routers.iter().map(|(_, c)| ("router", c)))
-        .chain([("oversub_thin", &thin), ("oversub_fat", &fat)]);
-    let (digest, rows): (Vec<String>, Vec<String>) = cells
-        .map(|(label, c)| (cluster_digest(c), cell_json(label, c)))
-        .unzip();
-    let json = format!(
-        "{{\n  \"sweep\": \"cluster-scale serving, tiny decoder, {RATE:.0} req/s, \
-         {OVERSUB}x oversubscribed switch\",\n  \
-         \"headline\": {{\"requests\": {hn}, \"devices\": {}, \
-         \"wall_budget_s\": {WALL_BUDGET_S}}},\n  \"bit_identical\": true,\n  \
-         \"cells\": [\n{}\n  ]\n}}\n",
-        hb * hc,
-        rows.join(",\n"),
-    );
     Outcome {
+        tables: vec![t, boxes],
         text: out,
-        digest: digest.join("\n"),
-        artifacts: vec![json],
+        artifacts: vec![],
     }
 }

@@ -19,12 +19,15 @@
 //!
 //! Faults are part of the deterministic simulation, not noise on top of
 //! it: both passes of `sweeps` must agree on every cell.
+//!
+//! Tables (`results/fault.json`): `baselines`, the fault-free runs per
+//! replica count; `kills`, the faulted cells, the kill+restart cell last.
 
-use crate::cells::{digest_all, run_cells};
+use crate::cells::{report_values, run_cells, REPORT_COLUMNS};
+use crate::table::{col, Table, Value};
 use crate::Outcome;
 use gaudi_exec::ExecPool;
 use gaudi_hw::DeviceId;
-use gaudi_profiler::report::TextTable;
 use gaudi_serving::{FaultPlan, PlanCache, ServingConfig, TrafficConfig};
 use std::sync::Arc;
 
@@ -57,13 +60,10 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     let cfg = config();
     outln!(
         out,
-        "Extension: fault injection with graceful degradation\n"
-    );
-    outln!(
-        out,
-        "{} requests at {} req/s (Poisson, Zipf lengths, seed {}), paper §3.4 GPT,\n\
-         data-parallel replicas; each faulted cell kills the last card at a\n\
-         fraction of that replica count's fault-free makespan.\n",
+        "Fault injection with graceful degradation: {} requests at {} req/s\n\
+         (Poisson, Zipf lengths, seed {}), paper §3.4 GPT, data-parallel\n\
+         replicas; each faulted cell kills the last card at a fraction of that\n\
+         replica count's fault-free makespan.\n",
         cfg.traffic.num_requests,
         cfg.traffic.arrival_rate_per_s,
         cfg.traffic.seed
@@ -72,28 +72,12 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     // Fault-free baselines, 1..=4 replicas: one parallel wave.
     let baseline_cells: Vec<ServingConfig> = (1..=4).map(|d| cell(d, FaultPlan::none())).collect();
     let baselines = run_cells(pool, cache, &baseline_cells);
-
-    let mut t = TextTable::new(&[
-        "Replicas",
-        "Kill @ (frac)",
-        "Kill @ (ms)",
-        "Completed",
-        "Retries",
-        "Lost tokens",
-        "Availability",
-        "Goodput (tok/s)",
-    ]);
+    let mut clean = Table::new(
+        "baselines",
+        std::iter::once(col("replicas", "", 0)).chain(REPORT_COLUMNS),
+    );
     for (d, b) in baselines.iter().enumerate() {
-        t.row(&[
-            (d + 1).to_string(),
-            "—".into(),
-            "—".into(),
-            b.completed.len().to_string(),
-            "0".into(),
-            "0".into(),
-            "100.0%".into(),
-            format!("{:.0}", b.goodput_tokens_per_s),
-        ]);
+        clean.row(std::iter::once(Value::from(d + 1)).chain(report_values(b)));
     }
 
     // Faulted cells derive their kill times from the baseline makespans,
@@ -116,6 +100,17 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         .collect();
     let faulted = run_cells(pool, cache, &faulted_cfgs);
 
+    let mut kills = Table::new(
+        "kills",
+        [
+            col("replicas", "", 0),
+            col("kill_frac", "", 2),
+            col("kill_at", "ms", 1),
+            col("restart", "", 0),
+        ]
+        .into_iter()
+        .chain(REPORT_COLUMNS),
+    );
     let mut mid_kill_4 = None;
     for (&(devices, frac, kill_ms), r) in faulted_cells.iter().zip(&faulted) {
         assert_eq!(
@@ -124,16 +119,11 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
             "{devices} replicas, kill at {kill_ms:.1} ms: requests were dropped"
         );
         assert_eq!(r.failed_replicas, 1);
-        t.row(&[
-            devices.to_string(),
-            format!("{frac:.2}"),
-            format!("{kill_ms:.1}"),
-            r.completed.len().to_string(),
-            r.retries.to_string(),
-            r.requeued_tokens.to_string(),
-            format!("{:.1}%", r.availability() * 100.0),
-            format!("{:.0}", r.goodput_tokens_per_s),
-        ]);
+        kills.row(
+            [devices.into(), frac.into(), kill_ms.into(), false.into()]
+                .into_iter()
+                .chain(report_values(r)),
+        );
         if devices == 4 && frac == 0.5 {
             mid_kill_4 = Some(r);
         }
@@ -160,17 +150,16 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         "a restarting replica must not drop requests"
     );
     assert_eq!(restart_4.restarts, 1);
-    t.row(&[
-        "4 (restart)".into(),
-        "0.50".into(),
-        format!("{:.1}", clean_4 * 0.5),
-        restart_4.completed.len().to_string(),
-        restart_4.retries.to_string(),
-        restart_4.requeued_tokens.to_string(),
-        format!("{:.1}%", restart_4.availability() * 100.0),
-        format!("{:.0}", restart_4.goodput_tokens_per_s),
-    ]);
-    outln!(out, "{}", t.render());
+    kills.row(
+        [
+            4usize.into(),
+            0.5.into(),
+            (clean_4 * 0.5).into(),
+            true.into(),
+        ]
+        .into_iter()
+        .chain(report_values(&restart_4)),
+    );
 
     let g3 = baselines[2].goodput_tokens_per_s;
     let g4 = baselines[3].goodput_tokens_per_s;
@@ -216,8 +205,8 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     );
 
     Outcome {
+        tables: vec![clean, kills],
         text: out,
-        digest: digest_all(baselines.iter().chain(&faulted).chain([&restart_4])),
         artifacts: vec![],
     }
 }

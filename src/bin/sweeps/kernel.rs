@@ -29,8 +29,12 @@
 //!    bit-identical outputs under full numerics (the fused node is
 //!    *defined* as the composition of the unfused reference ops).
 //!
-//! Artifact: `results/KERNEL_9.json`.
+//! Tables (`results/kernel.json`): `cells`, one row per layer workload
+//! and serving phase, fused against unfused; `micro`, the TPC-VM cycle
+//! counts of gate 1; `checks`, the pattern-match counts of gate 2 and the
+//! numerics gap of gate 6.
 
+use crate::table::{col, Table, Value};
 use crate::Outcome;
 use gaudi_bench::experiments::layer_figs::{layer_experiment, paper_options, FAVOR_FEATURES};
 use gaudi_compiler::{fuse_attention, CompilerOptions};
@@ -40,7 +44,6 @@ use gaudi_hw::GaudiConfig;
 use gaudi_models::attention::AttentionKind;
 use gaudi_models::config::TransformerLayerConfig;
 use gaudi_models::{build_decode_step, build_prefill, LlmConfig};
-use gaudi_profiler::report::TextTable;
 use gaudi_runtime::{Feeds, NumericsMode, Runtime};
 use gaudi_serving::PlanCache;
 use gaudi_tensor::{SeededRng, Tensor};
@@ -232,30 +235,7 @@ fn micro() -> Micro {
     }
 }
 
-fn cell_json(kind: &str, c: &Cell) -> String {
-    format!(
-        "    {{\"kind\": \"{kind}\", \"workload\": \"{}\", \"unfused_ms\": {:.6}, \
-         \"fused_ms\": {:.6}, \"speedup\": {:.6}, \"mme_idle_unfused\": {:.6}, \
-         \"mme_idle_fused\": {:.6}, \"longest_mme_gap_unfused_ms\": {:.6}, \
-         \"longest_mme_gap_fused_ms\": {:.6}}}",
-        c.name,
-        c.unfused_ms,
-        c.fused_ms,
-        c.speedup(),
-        c.idle_unfused,
-        c.idle_fused,
-        c.gap_unfused_ms,
-        c.gap_fused_ms,
-    )
-}
-
 pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
-    let mut out = String::new();
-    outln!(
-        out,
-        "PR-9: fused-attention TPC/MME kernels vs the unfused pipeline\n"
-    );
-
     let layers = layer_cells(pool);
     let phases = phase_cells(pool);
     let micro = micro();
@@ -267,50 +247,76 @@ pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
     let (prefill, _) = build_prefill(&gpt, 1, 128).expect("GPT prefill builds");
     let stats = fuse_attention(&prefill).expect("pass runs").1;
 
-    let mut digest = String::new();
-    for c in layers.iter().chain(&phases) {
-        outln!(
-            digest,
-            "{}|{:.9}|{:.9}|{:.9}|{:.9}|{:.9}|{:.9}",
-            c.name,
-            c.unfused_ms,
-            c.fused_ms,
-            c.idle_unfused,
-            c.idle_fused,
-            c.gap_unfused_ms,
-            c.gap_fused_ms
-        );
+    let mut cells = Table::new(
+        "cells",
+        [
+            col("kind", "", 0),
+            col("workload", "", 0),
+            col("unfused", "ms", 3),
+            col("fused", "ms", 3),
+            col("speedup", "x", 2),
+            col("mme_idle_unfused", "frac", 2),
+            col("mme_idle_fused", "frac", 2),
+            col("longest_mme_gap_unfused", "ms", 3),
+            col("longest_mme_gap_fused", "ms", 3),
+        ],
+    );
+    let kinds = layers.iter().map(|c| ("layer", c));
+    for (kind, c) in kinds.chain(phases.iter().map(|c| ("phase", c))) {
+        cells.row([
+            Value::from(kind),
+            c.name.as_str().into(),
+            c.unfused_ms.into(),
+            c.fused_ms.into(),
+            c.speedup().into(),
+            c.idle_unfused.into(),
+            c.idle_fused.into(),
+            c.gap_unfused_ms.into(),
+            c.gap_fused_ms.into(),
+        ]);
     }
+    let mut micro_table = Table::new(
+        "micro",
+        [
+            col("fused_softmax_matmul", "cycles", 0),
+            col("unfused_softmax_matmul", "cycles", 0),
+            col("fused_attention", "cycles", 0),
+            col("score_hbm_saved", "bytes", 0),
+        ],
+    );
+    micro_table.row([
+        micro.fused_softmax_matmul_cycles.into(),
+        micro.unfused_softmax_matmul_cycles.into(),
+        micro.fused_attention_cycles.into(),
+        micro.score_hbm_bytes_saved.into(),
+    ]);
+    let mut checks = Table::new(
+        "checks",
+        [
+            col("pattern_matched_layers", "", 0),
+            col("pattern_ops_removed", "", 0),
+            col("numerics_max_abs_diff", "", 1),
+        ],
+    );
+    checks.row([
+        stats.attention.into(),
+        stats.ops_removed.into(),
+        numerics_gap.into(),
+    ]);
+
+    let mut out = String::new();
     outln!(
-        digest,
-        "micro|{:.3}|{:.3}|{:.3}|{}\nnumerics|{:.9}\npattern|{}|{}",
-        micro.fused_softmax_matmul_cycles,
-        micro.unfused_softmax_matmul_cycles,
-        micro.fused_attention_cycles,
-        micro.score_hbm_bytes_saved,
-        numerics_gap,
-        stats.attention,
-        stats.ops_removed
+        out,
+        "Fused-attention TPC/MME kernels against the unfused pipeline. The TPC-VM\n\
+         microbenchmark (micro) runs 64 query rows over a 1024-token context at d=64;\n\
+         fused attention keeps the S*S score matrix in VLM.\n"
     );
 
     // ---- Kernel microbenchmark (TPC cycle-counting VM) -----------------
     outln!(
         out,
-        "TPC-VM microbenchmark (64 query rows, 1024-token context, d=64):"
-    );
-    outln!(
-        out,
-        "  fused softmax+matmul: {:.0} cycles vs unfused pipeline {:.0} cycles ({:.2}x)",
-        micro.fused_softmax_matmul_cycles,
-        micro.unfused_softmax_matmul_cycles,
+        "fused softmax+matmul: {:.2}x fewer cycles than the unfused pipeline",
         micro.unfused_softmax_matmul_cycles / micro.fused_softmax_matmul_cycles
-    );
-    outln!(
-        out,
-        "  fused attention: {:.0} cycles, S*S score matrix stays in VLM \
-         ({} HBM bytes never moved)\n",
-        micro.fused_attention_cycles,
-        micro.score_hbm_bytes_saved
     );
     assert!(
         micro.fused_softmax_matmul_cycles < micro.unfused_softmax_matmul_cycles,
@@ -330,28 +336,6 @@ pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
         "the prefill graph must contain the canonical attention pattern"
     );
 
-    // ---- Fig. 4–6 layers and GPT phases --------------------------------
-    let mut t = TextTable::new(&[
-        "Workload",
-        "Unfused (ms)",
-        "Fused (ms)",
-        "Speedup",
-        "MME idle",
-        "MME idle fused",
-        "Longest gap (ms)",
-    ]);
-    for c in layers.iter().chain(&phases) {
-        t.row(&[
-            c.name.clone(),
-            format!("{:.3}", c.unfused_ms),
-            format!("{:.3}", c.fused_ms),
-            format!("{:.2}x", c.speedup()),
-            format!("{:.0}%", c.idle_unfused * 100.0),
-            format!("{:.0}%", c.idle_fused * 100.0),
-            format!("{:.3} -> {:.3}", c.gap_unfused_ms, c.gap_fused_ms),
-        ]);
-    }
-    outln!(out, "{}", t.render());
     outln!(
         out,
         "Reading: the fused kernel folds the softmax into the MME-anchored\n\
@@ -436,34 +420,9 @@ pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
         "fused attention must be bit-exact against the unfused reference"
     );
 
-    let rows: Vec<String> = layers
-        .iter()
-        .map(|c| cell_json("layer", c))
-        .chain(phases.iter().map(|c| cell_json("phase", c)))
-        .collect();
-    let json = format!(
-        "{{\n  \"sweep\": \"fused-attention kernels, Fig. 4-6 layers + GPT serving \
-         phases, fused vs unfused\",\n  \
-         \"fused_attention\": true,\n  \
-         \"pattern_matched_layers\": {},\n  \"pattern_ops_removed\": {},\n  \
-         \"fused_softmax_matmul_cycles\": {:.3},\n  \
-         \"unfused_softmax_matmul_cycles\": {:.3},\n  \
-         \"fused_attention_cycles\": {:.3},\n  \
-         \"score_hbm_bytes_saved\": {},\n  \
-         \"numerics_max_abs_diff\": {:.1},\n  \"bit_identical\": true,\n  \
-         \"cells\": [\n{}\n  ]\n}}\n",
-        stats.attention,
-        stats.ops_removed,
-        micro.fused_softmax_matmul_cycles,
-        micro.unfused_softmax_matmul_cycles,
-        micro.fused_attention_cycles,
-        micro.score_hbm_bytes_saved,
-        numerics_gap,
-        rows.join(",\n"),
-    );
     Outcome {
+        tables: vec![cells, micro_table, checks],
         text: out,
-        digest,
-        artifacts: vec![json],
+        artifacts: vec![],
     }
 }

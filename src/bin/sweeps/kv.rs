@@ -19,13 +19,16 @@
 //!    for** — the faulted run restarts once and its compile count strictly
 //!    exceeds the clean run's.
 //!
-//! Artifact: `results/KV_6.json`.
+//! Tables (`results/kv.json`): `cells`, one row per admission, block size
+//! and batch bucket (block 0 is contiguous); `restart`, the clean and
+//! restarted runs of gate 3; `summary`, gate 2's best block and goodput
+//! ratio.
 
-use crate::cells::{digest_all, run_cells};
+use crate::cells::{report_values, run_cells, REPORT_COLUMNS};
+use crate::table::{col, Table, Value};
 use crate::Outcome;
 use gaudi_exec::ExecPool;
 use gaudi_hw::DeviceId;
-use gaudi_profiler::report::TextTable;
 use gaudi_serving::{
     FaultPlan, KvAdmissionConfig, PlanCache, RecipeConfig, ServingConfig, ServingReport,
     TrafficConfig,
@@ -80,36 +83,7 @@ fn paged_cell(block_tokens: usize, batch_bucket: usize) -> ServingConfig {
         .build()
 }
 
-fn cell_json(label: &str, block: usize, bucket: usize, r: &ServingReport) -> String {
-    format!(
-        "    {{\"admission\": \"{label}\", \"block_tokens\": {block}, \
-         \"batch_bucket\": {bucket}, \"goodput_tok_s\": {:.6}, \
-         \"peak_running\": {}, \"kv_block_utilization\": {:.6}, \
-         \"padding_waste\": {:.6}, \"recipe_compiles\": {}, \
-         \"preemptions\": {}, \"ttft_p99_ms\": {:.6}, \"completed\": {}}}",
-        r.goodput_tokens_per_s,
-        r.peak_running,
-        r.kv_block_utilization,
-        r.padding_waste(),
-        r.recipe_compiles,
-        r.preemptions,
-        r.ttft_ms.p99,
-        r.completed.len(),
-    )
-}
-
 pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
-    let mut out = String::new();
-    outln!(
-        out,
-        "Extension: KV admission — paged blocks vs contiguous reservation at equal HBM\n"
-    );
-    outln!(
-        out,
-        "saturating burst, 80 requests, KV budget {HBM_TOKENS} tokens past the weights, \
-         recipe warmup 5 ms/shape\n"
-    );
-
     // `(block_tokens, batch_bucket)` per cell, block-major; block 0 is the
     // contiguous baseline.
     let grid: Vec<(usize, usize)> = [0]
@@ -147,39 +121,44 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         .pop()
         .expect("faulted restart cell ran");
 
-    let digest = digest_all(reports.iter().chain([&clean, &faulted]));
-
-    let mut t = TextTable::new(&[
-        "Admission",
-        "Block",
-        "Bucket",
-        "Peak running",
-        "Goodput (tok/s)",
-        "KV util",
-        "Padding",
-        "Recipes",
-        "Preempt",
-        "TTFT p99 (ms)",
-    ]);
+    let mut t = Table::new(
+        "cells",
+        [
+            col("admission", "", 0),
+            col("block", "tok", 0),
+            col("batch_bucket", "", 0),
+        ]
+        .into_iter()
+        .chain(REPORT_COLUMNS),
+    );
     for (&(block, bucket), r) in cell_reports() {
-        t.row(&[
-            admission(block).into(),
-            if block == 0 {
-                "-".into()
-            } else {
-                block.to_string()
-            },
-            bucket.to_string(),
-            r.peak_running.to_string(),
-            format!("{:.0}", r.goodput_tokens_per_s),
-            format!("{:.0}%", r.kv_block_utilization * 100.0),
-            format!("{:.1}%", r.padding_waste() * 100.0),
-            r.recipe_compiles.to_string(),
-            r.preemptions.to_string(),
-            format!("{:.0}", r.ttft_ms.p99),
-        ]);
+        t.row(
+            [Value::from(admission(block)), block.into(), bucket.into()]
+                .into_iter()
+                .chain(report_values(r)),
+        );
     }
-    outln!(out, "{}", t.render());
+    let mut restart = Table::new(
+        "restart",
+        [col("cell", "", 0), col("restarts", "", 0)]
+            .into_iter()
+            .chain(REPORT_COLUMNS),
+    );
+    for (cell, r) in [("clean", &clean), ("restart", &faulted)] {
+        restart.row(
+            [Value::from(cell), r.restarts.into()]
+                .into_iter()
+                .chain(report_values(r)),
+        );
+    }
+
+    let mut out = String::new();
+    outln!(
+        out,
+        "KV admission, paged blocks vs contiguous reservation at equal HBM: paper GPT,\n\
+         saturating 80-request burst, KV budget {HBM_TOKENS} tokens past the weights,\n\
+         recipe warmup 5 ms/shape.\n"
+    );
     outln!(
         out,
         "Reading: contiguous admission reserves every request's worst-case\n\
@@ -252,26 +231,14 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         clean.recipe_compiles
     );
 
-    let rows: Vec<String> = cell_reports()
-        .map(|(&(block, bucket), r)| cell_json(admission(block), block, bucket, r))
-        .collect();
-    let json = format!(
-        "{{\n  \"sweep\": \"kv admission, paper GPT, saturating burst, \
-         {HBM_TOKENS}-token KV budget\",\n  \"best_block_tokens\": {best_block},\n  \
-         \"goodput_ratio_at_saturation\": {goodput_ratio:.6},\n  \
-         \"peak_running_contiguous\": {},\n  \"peak_running_paged\": {},\n  \
-         \"restart\": {{\"clean_compiles\": {}, \"faulted_compiles\": {}, \
-         \"restarts\": {}}},\n  \"bit_identical\": true,\n  \"cells\": [\n{}\n  ]\n}}\n",
-        base.peak_running,
-        best_paged.peak_running,
-        clean.recipe_compiles,
-        faulted.recipe_compiles,
-        faulted.restarts,
-        rows.join(",\n"),
+    let mut summary = Table::new(
+        "summary",
+        [col("best_block", "tok", 0), col("goodput_ratio", "x", 3)],
     );
+    summary.row([best_block.into(), goodput_ratio.into()]);
     Outcome {
+        tables: vec![t, restart, summary],
         text: out,
-        digest,
-        artifacts: vec![json],
+        artifacts: vec![],
     }
 }

@@ -3,15 +3,16 @@
 //!
 //! Each experiment is one module with a `run` function that sweeps its
 //! cells, asserts its gates (listed in the module's doc) and returns an
-//! [`Outcome`]: the tables and gate lines to print, a digest of every
-//! number it measured, and the bytes of each `results/` artifact it names.
-//! `main` runs each experiment twice — first on the global
-//! pool (sized by `GAUDI_EXEC_THREADS`) with a cold plan cache, then on the
-//! serial pool with the cache the first pass warmed — and requires both
-//! passes to produce the same digest and the same artifact bytes: thread
-//! count and plan memoization must be invisible in every result. Only then
-//! are the artifacts written. A failed gate or a disagreement between the
-//! passes exits non-zero and names the experiment.
+//! [`Outcome`]: its result [`Table`]s, the reading and gate lines to print
+//! under them, and the bytes of any other `results/` file it names.
+//! `main` runs each experiment twice — first on the global pool (sized by
+//! `GAUDI_EXEC_THREADS`) with a cold plan cache, then on the serial pool
+//! with the cache the first pass warmed — and requires both passes to
+//! produce the same bytes for every file: the exact JSON of the tables
+//! (`results/<experiment>.json`) and each named file. Thread count and plan
+//! memoization must be invisible in every result. Only then are the files
+//! written. A failed gate or a disagreement between the passes exits
+//! non-zero and names the experiment.
 //!
 //! ```sh
 //! cargo run --release --bin sweeps
@@ -39,6 +40,7 @@ mod overload;
 mod paper;
 mod scaling;
 mod serving;
+mod table;
 
 use gaudi_exec::ExecPool;
 use gaudi_serving::PlanCache;
@@ -46,21 +48,25 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use table::Table;
 
 /// One registered experiment.
 struct Experiment {
     name: &'static str,
-    /// Files under `results/` the experiment's artifacts are written to.
+    /// Files under `results/` the experiment's artifacts are written to,
+    /// besides the JSON of its tables.
     artifacts: &'static [&'static str],
     run: fn(&ExecPool, &Arc<PlanCache>) -> Outcome,
 }
 
 /// What one pass of an experiment produced.
+#[derive(Default)]
 struct Outcome {
-    /// Tables and gate lines, printed once from the first pass.
+    /// Every measured number, printed and written to
+    /// `results/<experiment>.json` when there is at least one table.
+    tables: Vec<Table>,
+    /// Reading and gate lines, printed under the tables.
     text: String,
-    /// Every measured number, exact enough that any change shows.
-    digest: String,
     /// Artifact bytes, one per file the experiment names, in order.
     artifacts: Vec<String>,
 }
@@ -88,39 +94,51 @@ const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "overload",
-        artifacts: &["OVERLOAD_5.json"],
+        artifacts: &[],
         run: overload::run,
     },
     Experiment {
         name: "kv",
-        artifacts: &["KV_6.json"],
+        artifacts: &[],
         run: kv::run,
     },
     Experiment {
         name: "cluster",
-        artifacts: &["CLUSTER_7.json"],
+        artifacts: &[],
         run: cluster::run,
     },
     Experiment {
         name: "mem",
-        artifacts: &["MEM_8.json"],
+        artifacts: &[],
         run: mem::run,
     },
     Experiment {
         name: "kernel",
-        artifacts: &["KERNEL_9.json"],
+        artifacts: &[],
         run: kernel::run,
     },
     Experiment {
         name: "campaign",
-        artifacts: &["CAMPAIGN_10.json"],
+        artifacts: &[],
         run: campaign::run,
     },
 ];
 
+/// The files an outcome writes under `results/`, as `(file, bytes)`: each
+/// named artifact, then the JSON of its tables if it has any.
+fn files(e: &Experiment, out: &Outcome) -> Vec<(String, String)> {
+    let named = e.artifacts.iter().map(|f| f.to_string());
+    let mut files: Vec<_> = named.zip(out.artifacts.iter().cloned()).collect();
+    if !out.tables.is_empty() {
+        files.push((format!("{}.json", e.name), table::json(e.name, &out.tables)));
+    }
+    files
+}
+
 /// Run `e` on the global pool with a cold plan cache, then on the serial
-/// pool with the warm one, and return the first pass if the two agree.
-fn reproduce(e: &Experiment) -> Result<Outcome, String> {
+/// pool with the warm one, and return the first pass and its files if the
+/// two agree.
+fn reproduce(e: &Experiment) -> Result<(Outcome, Vec<(String, String)>), String> {
     let cache = Arc::new(PlanCache::new());
     let pass = |pool: &ExecPool| {
         catch_unwind(AssertUnwindSafe(|| (e.run)(pool, &cache)))
@@ -128,12 +146,6 @@ fn reproduce(e: &Experiment) -> Result<Outcome, String> {
     };
     let first = pass(ExecPool::global())?;
     let second = pass(&ExecPool::serial())?;
-    if first.digest != second.digest {
-        return Err(format!(
-            "experiment '{}': the serial warm-cache pass changed the digest",
-            e.name
-        ));
-    }
     if [&first, &second]
         .iter()
         .any(|pass| pass.artifacts.len() != e.artifacts.len())
@@ -143,28 +155,36 @@ fn reproduce(e: &Experiment) -> Result<Outcome, String> {
             e.name
         ));
     }
-    let passes = first.artifacts.iter().zip(&second.artifacts);
-    if let Some((file, _)) = e.artifacts.iter().zip(passes).find(|(_, (a, b))| a != b) {
+    let (ours, theirs) = (files(e, &first), files(e, &second));
+    if ours != theirs {
+        let file = ours
+            .iter()
+            .zip(&theirs)
+            .find(|(a, b)| a != b)
+            .map_or(format!("{}.json", e.name), |((file, _), _)| file.clone());
         return Err(format!(
             "experiment '{}': the serial warm-cache pass changed the artifact bytes of {file}",
             e.name
         ));
     }
-    Ok(first)
+    Ok((first, ours))
 }
 
-/// Reproduce every experiment in order, printing each one's text and
-/// writing its artifacts into `results`; stop at the first failure.
+/// Reproduce every experiment in order, printing each one's tables and
+/// text and writing its files into `results`; stop at the first failure.
 fn drive(experiments: &[Experiment], results: &Path) -> Result<(), String> {
     for e in experiments {
         println!("==> {}\n", e.name);
-        let out = reproduce(e)?;
+        let (out, files) = reproduce(e)?;
+        for t in &out.tables {
+            println!("[{}]\n{}", t.name(), t.text());
+        }
         print!("{}", out.text);
         println!(
             "\n{}: reproduced on the serial pool with a warm plan cache",
             e.name
         );
-        for (file, bytes) in e.artifacts.iter().zip(out.artifacts) {
+        for (file, bytes) in files {
             let path = results.join(file);
             std::fs::create_dir_all(results)
                 .and_then(|()| std::fs::write(&path, bytes))
@@ -191,13 +211,20 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use table::{col, Value};
 
-    fn outcome(digest: &str, artifacts: Vec<String>) -> Outcome {
+    fn outcome(artifacts: Vec<String>) -> Outcome {
         Outcome {
-            text: String::new(),
-            digest: digest.into(),
             artifacts,
+            ..Outcome::default()
         }
+    }
+
+    /// A one-cell table holding `x`.
+    fn one_float(x: f64) -> Table {
+        let mut t = Table::new("cells", [col("x", "ms", 3)]);
+        t.row([Value::from(x)]);
+        t
     }
 
     fn fake(
@@ -218,16 +245,25 @@ mod tests {
     }
 
     #[test]
-    fn a_digest_that_differs_between_passes_fails_naming_the_experiment() {
+    fn a_table_value_one_ulp_apart_between_passes_fails_and_writes_no_file() {
         static CALLS: AtomicUsize = AtomicUsize::new(0);
-        let e = fake("counts-calls", &[], |_, _| {
-            outcome(&CALLS.fetch_add(1, Ordering::Relaxed).to_string(), vec![])
+        let e = fake("ulp-drift", &["STEADY.md"], |_, _| {
+            let n = CALLS.fetch_add(1, Ordering::Relaxed) as u64;
+            Outcome {
+                tables: vec![one_float(f64::from_bits(0.1f64.to_bits() + n))],
+                artifacts: vec!["# steady\n".into()],
+                ..Outcome::default()
+            }
         });
-        let err = drive(&[e], &scratch("digest")).unwrap_err();
+        let dir = scratch("ulp");
+        let err = drive(&[e], &dir).unwrap_err();
         assert!(
-            err.contains("'counts-calls'") && err.contains("digest"),
+            err.contains("'ulp-drift'") && err.contains("ulp-drift.json"),
             "{err}"
         );
+        for file in ["STEADY.md", "ulp-drift.json"] {
+            assert!(!dir.join(file).exists(), "{file} written despite the drift");
+        }
     }
 
     #[test]
@@ -235,7 +271,7 @@ mod tests {
         static CALLS: AtomicUsize = AtomicUsize::new(0);
         let e = fake("drifting-json", &["DRIFT.json"], |_, _| {
             let n = CALLS.fetch_add(1, Ordering::Relaxed);
-            outcome("same", vec![format!("{{\"pass\": {n}}}\n")])
+            outcome(vec![format!("[{n}]\n")])
         });
         let dir = scratch("artifact");
         let err = drive(&[e], &dir).unwrap_err();
@@ -257,7 +293,7 @@ mod tests {
             &["STEADY.md", "DRIFT.trace.json"],
             |_, _| {
                 let n = CALLS.fetch_add(1, Ordering::Relaxed);
-                outcome("same", vec!["# steady\n".into(), format!("[{n}]\n")])
+                outcome(vec!["# steady\n".into(), format!("[{n}]\n")])
             },
         );
         let dir = scratch("second-artifact");
@@ -280,14 +316,18 @@ mod tests {
 
     #[test]
     fn agreeing_passes_write_the_artifact() {
-        let e = fake("steady", &["STEADY.json"], |_, _| {
-            outcome("same", vec!["{}\n".into()])
+        let e = fake("steady", &["STEADY.md"], |_, _| Outcome {
+            tables: vec![one_float(0.1)],
+            artifacts: vec!["# steady\n".into()],
+            ..Outcome::default()
         });
         let dir = scratch("steady");
         drive(&[e], &dir).expect("identical passes succeed");
+        let read = |file| std::fs::read_to_string(dir.join(file)).unwrap();
+        assert_eq!(read("STEADY.md"), "# steady\n");
         assert_eq!(
-            std::fs::read_to_string(dir.join("STEADY.json")).unwrap(),
-            "{}\n"
+            read("steady.json"),
+            table::json("steady", &[one_float(0.1)])
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -296,7 +336,13 @@ mod tests {
     fn registry_names_and_artifact_files_are_unique() {
         let names: BTreeSet<_> = REGISTRY.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), REGISTRY.len(), "duplicate experiment name");
-        let files: Vec<_> = REGISTRY.iter().flat_map(|e| e.artifacts).collect();
+        let files: Vec<String> = REGISTRY
+            .iter()
+            .flat_map(|e| {
+                let named = e.artifacts.iter().map(|f| f.to_string());
+                named.chain([format!("{}.json", e.name)])
+            })
+            .collect();
         let unique: BTreeSet<_> = files.iter().collect();
         assert_eq!(unique.len(), files.len(), "two artifacts share a file");
     }

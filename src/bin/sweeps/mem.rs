@@ -22,18 +22,20 @@
 //! 4. **goodput at saturation is >= 1.0x unplanned** — reclaiming memory
 //!    must never cost throughput.
 //!
-//! Artifact: `results/MEM_8.json`.
+//! Tables (`results/mem.json`): `plans`, one row per planned graph;
+//! `reserve`, the admission reserve under both budgets and the KV tokens
+//! it reclaims; `cells`, one row per budget; `summary`, gate 4's goodput
+//! ratio.
 
-use crate::cells::{digest_all, run_cells};
+use crate::cells::{report_values, run_cells, REPORT_COLUMNS};
+use crate::table::{col, Table, Value};
 use crate::Outcome;
 use gaudi_compiler::{plan_memory, MemoryPlan};
 use gaudi_exec::ExecPool;
 use gaudi_graph::Graph;
 use gaudi_models::{build_decode_step, build_prefill, BertConfig, LlmConfig};
-use gaudi_profiler::report::TextTable;
 use gaudi_serving::{
     activation_estimate, ActivationBudget, KvAdmissionConfig, PlanCache, ServingConfig,
-    ServingReport,
 };
 use std::sync::Arc;
 
@@ -94,71 +96,41 @@ fn planner_graphs() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-fn mib(bytes: u64) -> f64 {
-    bytes as f64 / (1u64 << 20) as f64
-}
-
-fn plan_json(label: &str, plan: &MemoryPlan) -> String {
-    format!(
-        "    {{\"graph\": \"{label}\", \"naive_bytes\": {}, \"peak_bytes\": {}, \
-         \"arena_bytes\": {}, \"inplaced\": {}, \"reuse_factor\": {:.6}}}",
-        plan.naive_bytes,
-        plan.peak_bytes,
-        plan.arena_bytes,
-        plan.inplaced,
-        plan.reuse_factor(),
-    )
-}
-
-fn cell_json(budget: ActivationBudget, r: &ServingReport) -> String {
-    format!(
-        "    {{\"budget\": \"{}\", \"goodput_tok_s\": {:.6}, \"peak_running\": {}, \
-         \"kv_block_utilization\": {:.6}, \"preemptions\": {}, \
-         \"ttft_p99_ms\": {:.6}, \"completed\": {}}}",
-        budget_name(budget),
-        r.goodput_tokens_per_s,
-        r.peak_running,
-        r.kv_block_utilization,
-        r.preemptions,
-        r.ttft_ms.p99,
-        r.completed.len(),
-    )
-}
-
 pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
-    let mut out = String::new();
-    outln!(
-        out,
-        "Extension: static HBM memory planning — packed arenas feeding KV admission\n"
-    );
-
     // ---- Planner table -------------------------------------------------
     let plans: Vec<(&str, MemoryPlan)> = planner_graphs()
         .iter()
         .map(|(label, g)| (*label, plan_memory(g)))
         .collect();
-    let mut t = TextTable::new(&[
-        "Graph",
-        "Naive (MiB)",
-        "Peak (MiB)",
-        "Arena (MiB)",
-        "In-placed",
-        "Reuse",
-    ]);
+    let mut t = Table::new(
+        "plans",
+        [
+            col("graph", "", 0),
+            col("naive", "bytes", 0),
+            col("peak", "bytes", 0),
+            col("arena", "bytes", 0),
+            col("inplaced", "", 0),
+            col("reuse", "x", 2),
+        ],
+    );
     for (label, plan) in &plans {
-        t.row(&[
-            (*label).into(),
-            format!("{:.2}", mib(plan.naive_bytes)),
-            format!("{:.2}", mib(plan.peak_bytes)),
-            format!("{:.2}", mib(plan.arena_bytes)),
-            plan.inplaced.to_string(),
-            format!("{:.2}x", plan.reuse_factor()),
+        t.row([
+            Value::from(*label),
+            plan.naive_bytes.into(),
+            plan.peak_bytes.into(),
+            plan.arena_bytes.into(),
+            plan.inplaced.into(),
+            plan.reuse_factor().into(),
         ]);
     }
-    outln!(out, "{}", t.render());
+    let mut out = String::new();
     outln!(
         out,
-        "Reading: the naive column is what a planner-less budget reserves\n\
+        "Static HBM memory planning, packed arenas feeding KV admission.\n"
+    );
+    outln!(
+        out,
+        "Reading (plans): the naive column is what a planner-less budget reserves\n\
          (every activation tensor, no reuse); the arena column is the packed\n\
          extent after lifetime analysis and in-placing — the number admission\n\
          charges under the Planned budget.\n"
@@ -186,38 +158,32 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         .kv_admission
         .kv_bytes_per_token(&probe.model, probe.kv_dtype);
     let reclaimed_tokens = (naive_bytes - planned_bytes) / per_tok;
-    outln!(
-        out,
-        "admission reserve: planned {:.2} MiB vs naive {:.2} MiB -> {reclaimed_tokens} \
-         KV tokens reclaimed at equal HBM\n",
-        mib(planned_bytes),
-        mib(naive_bytes)
+    let mut reserve = Table::new(
+        "reserve",
+        [
+            col("planned", "bytes", 0),
+            col("naive", "bytes", 0),
+            col("reclaimed", "tok", 0),
+        ],
     );
+    reserve.row([
+        planned_bytes.into(),
+        naive_bytes.into(),
+        reclaimed_tokens.into(),
+    ]);
 
     let cells: Vec<_> = BUDGETS.iter().map(|&b| config(b, HBM_TOKENS)).collect();
     let reports = run_cells(pool, cache, &cells);
-    let mut t = TextTable::new(&[
-        "Budget",
-        "Peak running",
-        "Goodput (tok/s)",
-        "KV util",
-        "Preempt",
-        "TTFT p99 (ms)",
-    ]);
+    let mut budgets = Table::new(
+        "cells",
+        std::iter::once(col("budget", "", 0)).chain(REPORT_COLUMNS),
+    );
     for (&budget, r) in BUDGETS.iter().zip(&reports) {
-        t.row(&[
-            budget_name(budget).into(),
-            r.peak_running.to_string(),
-            format!("{:.0}", r.goodput_tokens_per_s),
-            format!("{:.0}%", r.kv_block_utilization * 100.0),
-            r.preemptions.to_string(),
-            format!("{:.0}", r.ttft_ms.p99),
-        ]);
+        budgets.row(std::iter::once(Value::from(budget_name(budget))).chain(report_values(r)));
     }
-    outln!(out, "{}", t.render());
     outln!(
         out,
-        "Reading: all three cells run on the *same* device capacity. The\n\
+        "Reading (cells): all three cells run on the *same* device capacity. The\n\
          unplanned budget holds back the naive activation sum, starving the\n\
          block pool; the planned budget holds back only the packed arena and\n\
          turns the difference into concurrent sequences.\n"
@@ -261,32 +227,11 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         "planning must not lose goodput at equal HBM, got {goodput_ratio:.3}x"
     );
 
-    let plan_rows: Vec<String> = plans
-        .iter()
-        .map(|(label, plan)| plan_json(label, plan))
-        .collect();
-    let cell_rows: Vec<String> = BUDGETS
-        .iter()
-        .zip(&reports)
-        .map(|(&b, r)| cell_json(b, r))
-        .collect();
-    let json = format!(
-        "{{\n  \"sweep\": \"activation budgets, paper GPT, saturating burst, \
-         {HBM_TOKENS}-token KV budget past weights + naive activation\",\n  \
-         \"planned_reserve_bytes\": {planned_bytes},\n  \
-         \"naive_reserve_bytes\": {naive_bytes},\n  \
-         \"reclaimed_kv_tokens\": {reclaimed_tokens},\n  \
-         \"peak_running_unplanned\": {},\n  \"peak_running_planned\": {},\n  \
-         \"goodput_ratio_at_saturation\": {goodput_ratio:.6},\n  \
-         \"bit_identical\": true,\n  \"plans\": [\n{}\n  ],\n  \"cells\": [\n{}\n  ]\n}}\n",
-        unplanned.peak_running,
-        planned.peak_running,
-        plan_rows.join(",\n"),
-        cell_rows.join(",\n"),
-    );
+    let mut summary = Table::new("summary", [col("goodput_ratio", "x", 3)]);
+    summary.row([goodput_ratio.into()]);
     Outcome {
+        tables: vec![t, reserve, budgets, summary],
         text: out,
-        digest: digest_all(&reports),
-        artifacts: vec![json],
+        artifacts: vec![],
     }
 }

@@ -19,12 +19,14 @@
 //!    beyond the bounded policy's cap, which the protected cells never
 //!    exceed.
 //!
-//! Artifact: `results/OVERLOAD_5.json`.
+//! Tables (`results/overload.json`): `summary`, the saturation probe, the
+//! protected policy and the gate-1 goodput fraction; `cells`, one row per
+//! load and policy.
 
-use crate::cells::{digest_all, run_cells};
+use crate::cells::{report_values, run_cells, REPORT_COLUMNS};
+use crate::table::{col, Table, Value};
 use crate::Outcome;
 use gaudi_exec::ExecPool;
-use gaudi_profiler::report::TextTable;
 use gaudi_serving::{PlanCache, RobustnessConfig, ServingConfig, ServingReport, TrafficConfig};
 use std::sync::Arc;
 
@@ -51,12 +53,6 @@ fn config(rate: f64) -> ServingConfig {
 }
 
 pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
-    let mut out = String::new();
-    outln!(
-        out,
-        "Extension: overload protection across the saturation point\n"
-    );
-
     // Saturation probe: an instantaneous burst makes the makespan pure
     // service time, so requests/makespan is the engine's capacity.
     let burst = run_cells(pool, cache, &[config(1e9)])
@@ -89,42 +85,33 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         .chunks_exact(2)
         .map(|pair| (&pair[0], &pair[1]))
         .unzip();
-    let digest = digest_all(shed.iter().chain(&noshed).copied());
 
+    let mut t = Table::new(
+        "cells",
+        [col("load", "x sat", 2), col("policy", "", 0)]
+            .into_iter()
+            .chain(REPORT_COLUMNS),
+    );
+    for (i, &m) in MULTIPLIERS.iter().enumerate() {
+        for (name, r) in [("shed", shed[i]), ("unlimited", noshed[i])] {
+            t.row(
+                [Value::from(m), name.into()]
+                    .into_iter()
+                    .chain(report_values(r)),
+            );
+        }
+    }
+
+    let mut out = String::new();
     outln!(
         out,
-        "saturation rate: {:.0} req/s; unloaded TTFT p99: {:.2} ms; \
-         protected policy: queue depth {QUEUE_DEPTH}, TTFT deadline {:.2} ms\n",
+        "Overload protection across the saturation point: paper GPT, 1 replica,\n\
+         120-request bursts; saturation rate {:.0} req/s, unloaded TTFT p99 {:.2} ms;\n\
+         protected policy: queue depth {QUEUE_DEPTH}, TTFT deadline {:.2} ms.\n",
         saturation_rate,
         unloaded_ttft_p99,
         ttft_deadline
     );
-
-    let mut t = TextTable::new(&[
-        "Load (x sat)",
-        "Policy",
-        "Completed",
-        "Shed",
-        "Timed out",
-        "TTFT p99 (ms)",
-        "Peak queue",
-        "Goodput (tok/s)",
-    ]);
-    for (i, &m) in MULTIPLIERS.iter().enumerate() {
-        for (name, r) in [("shed", shed[i]), ("unlimited", noshed[i])] {
-            t.row(&[
-                format!("{m:.2}"),
-                name.into(),
-                r.completed.len().to_string(),
-                r.shed().to_string(),
-                r.timed_out().to_string(),
-                format!("{:.2}", r.ttft_ms.p99),
-                r.max_queue_depth.to_string(),
-                format!("{:.0}", r.goodput_tokens_per_s),
-            ]);
-        }
-    }
-    outln!(out, "{}", t.render());
     outln!(
         out,
         "Reading: past saturation the unlimited policy keeps 'succeeding'\n\
@@ -203,38 +190,26 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         "unprotected peak queue depth grows past saturation: {depths:?}"
     );
 
-    let mut rows = String::new();
-    for (i, &m) in MULTIPLIERS.iter().enumerate() {
-        let (a, b) = (shed[i], noshed[i]);
-        rows.push_str(&format!(
-            "    {{\"load_multiplier\": {m}, \"shed\": {{\"completed\": {}, \"shed\": {}, \
-             \"timed_out\": {}, \"ttft_p99_ms\": {:.6}, \"peak_queue\": {}, \
-             \"goodput_tok_s\": {:.6}}}, \"unlimited\": {{\"completed\": {}, \
-             \"ttft_p99_ms\": {:.6}, \"peak_queue\": {}, \"goodput_tok_s\": {:.6}}}}}{}\n",
-            a.completed.len(),
-            a.shed(),
-            a.timed_out(),
-            a.ttft_ms.p99,
-            a.max_queue_depth,
-            a.goodput_tokens_per_s,
-            b.completed.len(),
-            b.ttft_ms.p99,
-            b.max_queue_depth,
-            b.goodput_tokens_per_s,
-            if i + 1 < MULTIPLIERS.len() { "," } else { "" },
-        ));
-    }
-    let json = format!(
-        "{{\n  \"sweep\": \"overload, paper GPT, 1 replica\",\n  \
-         \"saturation_rate_req_s\": {:.6},\n  \"unloaded_ttft_p99_ms\": {:.6},\n  \
-         \"ttft_deadline_ms\": {:.6},\n  \"queue_depth\": {QUEUE_DEPTH},\n  \
-         \"goodput_at_2x_frac_of_peak\": {:.6},\n  \"bit_identical\": true,\n  \
-         \"cells\": [\n{rows}  ]\n}}\n",
-        saturation_rate, unloaded_ttft_p99, ttft_deadline, goodput_frac,
+    let mut summary = Table::new(
+        "summary",
+        [
+            col("saturation_rate", "req/s", 0),
+            col("unloaded_ttft_p99", "ms", 2),
+            col("ttft_deadline", "ms", 2),
+            col("queue_depth", "", 0),
+            col("goodput_2x_of_peak", "frac", 3),
+        ],
     );
+    summary.row([
+        saturation_rate.into(),
+        unloaded_ttft_p99.into(),
+        ttft_deadline.into(),
+        QUEUE_DEPTH.into(),
+        goodput_frac.into(),
+    ]);
     Outcome {
+        tables: vec![summary, t],
         text: out,
-        digest,
-        artifacts: vec![json],
+        artifacts: vec![],
     }
 }

@@ -17,7 +17,11 @@
 //! Gate: 4-card strong scaling must at least break even with single-card
 //! prefill (speedup >= 1.0x). The per-device-count partition+compile work
 //! fans out over the pool; results come back in input order.
+//!
+//! Tables (`results/scaling.json`): `strong`, `decode` and `weak`, one row
+//! per card count.
 
+use crate::table::{col, Column, Table, Value};
 use crate::Outcome;
 use gaudi_compiler::{
     partition, CompilerOptions, GraphCompiler, MultiDevicePlan, Parallelism, PartitionSpec,
@@ -27,7 +31,6 @@ use gaudi_graph::Graph;
 use gaudi_hw::{DeviceId, EngineId, GaudiConfig, Topology};
 use gaudi_models::decode::{build_decode_step, build_prefill};
 use gaudi_models::LlmConfig;
-use gaudi_profiler::report::TextTable;
 use gaudi_serving::PlanCache;
 use std::sync::Arc;
 
@@ -62,60 +65,46 @@ fn mean_mme_util(p: &MultiDevicePlan) -> f64 {
         / n as f64
 }
 
-/// A tensor-parallel table: per card count, the time in `time_col` at
-/// `decimals` places, the speedup over one card, the mean MME utilization
-/// and the collective share.
-fn tp_table(time_col: &str, decimals: usize, plans: &[MultiDevicePlan]) -> String {
-    let mut t = TextTable::new(&[
-        "Cards",
-        time_col,
-        "Speedup",
-        "Mean MME util/card",
-        "Collective share",
-    ]);
+/// A scaling table: per card count, the makespan, the speedup over one
+/// card (named by `gain`), the mean MME utilization and the collective
+/// share.
+fn scaling_table(name: &'static str, gain: Column, plans: &[MultiDevicePlan]) -> Table {
+    let mut t = Table::new(
+        name,
+        [
+            col("cards", "", 0),
+            col("makespan", "ms", 3),
+            gain,
+            col("mean_mme_util", "frac", 3),
+            col("collective_share", "frac", 3),
+        ],
+    );
     let base = plans[0].makespan_ms();
     for (&p, plan) in COUNTS.iter().zip(plans) {
-        t.row(&[
-            p.to_string(),
-            format!("{:.*}", decimals, plan.makespan_ms()),
-            format!("{:.2}x", base / plan.makespan_ms()),
-            format!("{:.1}%", mean_mme_util(plan) * 100.0),
-            format!("{:.1}%", plan.collective_share() * 100.0),
+        t.row([
+            Value::from(p),
+            plan.makespan_ms().into(),
+            (base / plan.makespan_ms()).into(),
+            mean_mme_util(plan).into(),
+            plan.collective_share().into(),
         ]);
     }
-    t.render()
+    t
 }
 
 pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
     let cfg = model();
-    let mut out = String::new();
-    let mut digest = String::new();
-
-    outln!(
-        out,
-        "Multi-card scaling on the simulated HLS-1 box (GPT \u{a7}3.4 config, vocab 50304)\n\
-         Ring collectives over the RoCE topology model; devices: {:?}\n",
-        COUNTS
-    );
+    let speedup = col("speedup", "x", 2);
 
     // --- 1. strong scaling: tensor-parallel prefill -----------------------
     let (prefill, _) = build_prefill(&cfg, cfg.batch, 512).expect("prefill builds");
     let strong_plans = pool.par_map(&COUNTS, |_, &p| plan(&prefill, Parallelism::tensor(p)));
-    outln!(
-        out,
-        "Strong scaling: tensor-parallel GPT prefill (batch 8 x 512 tokens)\n"
-    );
-    outln!(out, "{}", tp_table("Makespan (ms)", 2, &strong_plans));
+    let strong = scaling_table("strong", speedup, &strong_plans);
 
     // --- 2. decode: the launch-overhead floor resists sharding ------------
     let (decode, _) = build_decode_step(&cfg, cfg.batch, cfg.seq_len).expect("decode builds");
     let dec_plans = pool.par_map(&COUNTS, |_, &p| plan(&decode, Parallelism::tensor(p)));
-    outln!(
-        out,
-        "Decode step: tensor-parallel, batch 8 at context {} (GEMVs at the MME launch floor)\n",
-        cfg.seq_len
-    );
-    outln!(out, "{}", tp_table("Step (ms)", 3, &dec_plans));
+    let decode = scaling_table("decode", speedup, &dec_plans);
 
     // --- 3. weak scaling: data-parallel prefill ---------------------------
     let per_card_batch = 4;
@@ -123,29 +112,19 @@ pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
         let (g, _) = build_prefill(&cfg, per_card_batch * p, 512).expect("prefill builds");
         plan(&g, Parallelism::data(p))
     });
-    let mut weak = TextTable::new(&[
-        "Cards",
-        "Global batch",
-        "Makespan (ms)",
-        "Weak efficiency",
-        "Collective share",
-    ]);
-    let weak_base = weak_plans[0].makespan_ms();
-    for (&p, plan) in COUNTS.iter().zip(&weak_plans) {
-        weak.row(&[
-            p.to_string(),
-            (per_card_batch * p).to_string(),
-            format!("{:.2}", plan.makespan_ms()),
-            format!("{:.1}%", weak_base / plan.makespan_ms() * 100.0),
-            format!("{:.1}%", plan.collective_share() * 100.0),
-        ]);
-    }
+    let weak = scaling_table("weak", col("weak_efficiency", "frac", 3), &weak_plans);
+
+    let mut out = String::new();
     outln!(
         out,
-        "Weak scaling: data-parallel prefill, {per_card_batch} prompts/card x 512 tokens\n"
+        "Multi-card scaling on the simulated HLS-1 box (GPT \u{a7}3.4 config, vocab 50304),\n\
+         ring collectives over the RoCE topology model; devices: {:?}\n\
+         strong: tensor-parallel GPT prefill, batch 8 x 512 tokens;\n\
+         decode: tensor-parallel decode step, batch 8 at context {} (GEMVs at the MME launch floor);\n\
+         weak: data-parallel prefill, {per_card_batch} prompts/card x 512 tokens.\n",
+        COUNTS,
+        cfg.seq_len
     );
-    outln!(out, "{}", weak.render());
-
     outln!(
         out,
         "Reading: prefill's large GEMMs shard profitably, decode's GEMVs are\n\
@@ -154,16 +133,6 @@ pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
          because inference all-reduces nothing. Link parameters are\n\
          RoCE-plausible defaults, not paper measurements.\n"
     );
-
-    for plan in strong_plans.iter().chain(&dec_plans).chain(&weak_plans) {
-        outln!(
-            digest,
-            "{:?}|{:?}|{:?}",
-            plan.makespan_ms(),
-            mean_mme_util(plan),
-            plan.collective_share()
-        );
-    }
 
     // Gate: strong scaling at 4 cards must at least break even.
     let idx = COUNTS.iter().position(|&p| p == 4).expect("4 cards swept");
@@ -183,8 +152,8 @@ pub fn run(pool: &ExecPool, _: &Arc<PlanCache>) -> Outcome {
     );
 
     Outcome {
+        tables: vec![strong, decode, weak],
         text: out,
-        digest,
         artifacts: vec![],
     }
 }

@@ -10,11 +10,13 @@
 //! comparison in `main` pins all 18 reports bit-identical across thread
 //! counts and a warm plan cache. Shedding and paged admission are gated by
 //! the `overload` and `kv` experiments.
+//!
+//! Table (`results/serving.json`): `grid`, one row per cell.
 
-use crate::cells::{digest_all, run_cells};
+use crate::cells::{report_values, run_cells, REPORT_COLUMNS};
+use crate::table::{col, Table, Value};
 use crate::Outcome;
 use gaudi_exec::ExecPool;
-use gaudi_profiler::report::TextTable;
 use gaudi_serving::{PlanCache, ServingConfig, TrafficConfig};
 use std::sync::Arc;
 
@@ -51,69 +53,58 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
         .collect();
     let reports = run_cells(pool, cache, &cells);
 
+    let mut grid = Table::new(
+        "grid",
+        [
+            col("devices", "", 0),
+            col("rate", "req/s", 0),
+            col("max_batch", "", 0),
+            col("ttft_p50", "ms", 0),
+            col("ttft_p95", "ms", 0),
+            col("tpot_p50", "ms", 1),
+            col("mme_util", "frac", 2),
+            col("tpc_util", "frac", 2),
+            col("kv_stalls", "", 0),
+            col("graphs", "", 0),
+        ]
+        .into_iter()
+        .chain(REPORT_COLUMNS),
+    );
+    for (cfg, r) in cells.iter().zip(&reports) {
+        grid.row(
+            [
+                Value::from(cfg.devices),
+                cfg.traffic.arrival_rate_per_s.into(),
+                cfg.max_batch.into(),
+                r.ttft_ms.p50.into(),
+                r.ttft_ms.p95.into(),
+                r.tpot_ms.p50.into(),
+                r.mme_utilization.into(),
+                r.tpc_utilization.into(),
+                r.backpressure_stalls.into(),
+                r.compiled_graphs.into(),
+            ]
+            .into_iter()
+            .chain(report_values(r)),
+        );
+    }
+
     let mut out = String::new();
+    outln!(
+        out,
+        "Online serving of a GPT-2-XL-class model on 1 and 2 HLS-1 cards (data-parallel):\n\
+         60 requests/cell, Poisson arrivals, Zipf lengths (prompt 16-512, output 8-128), seed 42\n"
+    );
+    outln!(
+        out,
+        "Reading: at low rates TTFT is prefill-bound and batch size is\n\
+         irrelevant; as load grows, max batch 1 queues catastrophically while\n\
+         continuous batching amortizes the decode GEMV launch overhead that\n\
+         Table 2 pins on small matmuls, multiplying goodput at a modest\n\
+         per-token latency cost.\n"
+    );
     let per_grid = RATES.len() * BATCHES.len();
-    let grids = cells.chunks(per_grid).zip(reports.chunks(per_grid));
-    for (&devices, (cells, reports)) in DEVICES.iter().zip(grids) {
-        outln!(
-            out,
-            "Extension: simulated online serving, GPT-2-XL-class model on {} HLS-1 card{}\n",
-            devices,
-            if devices == 1 {
-                ""
-            } else {
-                "s (data-parallel)"
-            }
-        );
-        outln!(
-            out,
-            "60 requests/cell, Poisson arrivals, Zipf lengths (prompt 16-512, output 8-128), seed 42\n"
-        );
-
-        let mut t = TextTable::new(&[
-            "Rate (req/s)",
-            "Max batch",
-            "TTFT p50/p95/p99 (ms)",
-            "TPOT p50 (ms)",
-            "Goodput (tok/s)",
-            "MME/TPC util",
-            "KV stalls",
-            "Peak queue",
-            "Shed/expired",
-            "Graphs",
-        ]);
-        for (cfg, r) in cells.iter().zip(reports) {
-            t.row(&[
-                format!("{:.0}", cfg.traffic.arrival_rate_per_s),
-                cfg.max_batch.to_string(),
-                format!(
-                    "{:.0}/{:.0}/{:.0}",
-                    r.ttft_ms.p50, r.ttft_ms.p95, r.ttft_ms.p99
-                ),
-                format!("{:.1}", r.tpot_ms.p50),
-                format!("{:.0}", r.goodput_tokens_per_s),
-                format!(
-                    "{:.0}%/{:.0}%",
-                    r.mme_utilization * 100.0,
-                    r.tpc_utilization * 100.0
-                ),
-                r.backpressure_stalls.to_string(),
-                r.max_queue_depth.to_string(),
-                format!("{}/{}", r.shed(), r.timed_out()),
-                r.compiled_graphs.to_string(),
-            ]);
-        }
-        outln!(out, "{}", t.render());
-
-        outln!(
-            out,
-            "Reading: at low rates TTFT is prefill-bound and batch size is\n\
-             irrelevant; as load grows, max batch 1 queues catastrophically while\n\
-             continuous batching amortizes the decode GEMV launch overhead that\n\
-             Table 2 pins on small matmuls, multiplying goodput at a modest\n\
-             per-token latency cost.\n"
-        );
-
+    for (&devices, reports) in DEVICES.iter().zip(reports.chunks(per_grid)) {
         let busiest = reports.last().expect("sweep has cells");
         outln!(
             out,
@@ -124,8 +115,8 @@ pub fn run(pool: &ExecPool, cache: &Arc<PlanCache>) -> Outcome {
     }
 
     Outcome {
+        tables: vec![grid],
         text: out,
-        digest: digest_all(&reports),
         artifacts: vec![],
     }
 }
