@@ -4,7 +4,7 @@
 use crate::experiments::layer_figs::{
     layer_experiment, paper_options, LayerFigure, FAVOR_FEATURES,
 };
-use gaudi_compiler::{ExecutionPlan, GraphCompiler, SchedulerKind};
+use gaudi_compiler::{CompilerOptions, ExecutionPlan, GraphCompiler, SchedulerKind};
 use gaudi_graph::{EinsumSpec, Graph};
 use gaudi_hw::roce::RoceModel;
 use gaudi_hw::GaudiConfig;
@@ -22,10 +22,10 @@ pub fn scheduler_ablation() -> TensorResult<(LayerFigure, LayerFigure)> {
     let overlap = layer_experiment(
         "ablation-performer-overlap",
         &cfg,
-        paper_options()
-            .to_builder()
-            .scheduler(SchedulerKind::Overlap)
-            .build(),
+        CompilerOptions {
+            scheduler: SchedulerKind::Overlap,
+            ..paper_options()
+        },
     )?;
     Ok((inorder, overlap))
 }
@@ -65,7 +65,10 @@ fn einsum_plans() -> TensorResult<[(Graph, ExecutionPlan); 2]> {
     g.mark_output(o);
 
     let plan = |lower: bool| {
-        let opts = paper_options().to_builder().lower_einsum(lower).build();
+        let opts = CompilerOptions {
+            lower_einsum: lower,
+            ..paper_options()
+        };
         let compiler = GraphCompiler::new(GaudiConfig::hls1(), opts);
         compiler.compile(&g).expect("valid graph")
     };
@@ -83,7 +86,10 @@ pub fn fusion_ablation() -> TensorResult<(LayerFigure, LayerFigure)> {
     let fused = layer_experiment(
         "ablation-fusion-on",
         &cfg,
-        paper_options().to_builder().fuse_elementwise(true).build(),
+        CompilerOptions {
+            fuse_elementwise: true,
+            ..paper_options()
+        },
     )?;
     Ok((unfused, fused))
 }

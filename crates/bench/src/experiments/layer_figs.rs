@@ -77,7 +77,10 @@ pub fn layer_experiment(
 /// ablation arm changes one knob from here. The fused-vs-unfused ablation
 /// lives in the `kernel` experiment of the `sweeps` binary.
 pub fn paper_options() -> CompilerOptions {
-    CompilerOptions::builder().fuse_attention(false).build()
+    CompilerOptions {
+        fuse_attention: false,
+        ..CompilerOptions::default()
+    }
 }
 
 /// Figure 4: softmax attention.

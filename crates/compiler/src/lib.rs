@@ -40,19 +40,27 @@ pub use dce::eliminate_dead_code;
 pub use fusion::{fuse_elementwise, FusionStats};
 pub use lowering::lower_einsum;
 pub use mapping::{engine_for, table1, Table1Row};
-pub use memplan::{plan_memory, plan_memory_with, MemPlanOptions, MemoryPlan, TensorInterval};
+pub use memplan::{plan_memory, MemoryPlan, TensorInterval};
 pub use multi::MultiDevicePlan;
 pub use partition::{partition, Parallelism, PartitionSpec, PartitionedGraph, ShardInfo};
 pub use schedule::{ExecutionPlan, GraphCompiler, PlannedOp, SchedulerKind, StepLabel};
 
 /// Compiler configuration knobs (the ablation axes of DESIGN.md §6).
 ///
-/// The struct is `#[non_exhaustive]`: construct it with
-/// [`CompilerOptions::builder`] (or the `default()`/`idealized()` presets)
-/// so future knobs — e.g. serving's decode-graph caching — are not
-/// breaking changes. Fields stay `pub` for reading.
+/// Set one knob with struct-update syntax:
+///
+/// ```
+/// use gaudi_compiler::{CompilerOptions, SchedulerKind};
+/// let opts = CompilerOptions {
+///     scheduler: SchedulerKind::Overlap,
+///     ..CompilerOptions::default()
+/// };
+/// assert!(opts.fuse_attention);
+/// ```
+///
+/// Every plan models engine-to-engine DMA and the one-time GLU
+/// recompilation stall (§3.3, Figure 7); neither is a knob.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct CompilerOptions {
     /// Scheduling policy.
     pub scheduler: SchedulerKind,
@@ -60,11 +68,6 @@ pub struct CompilerOptions {
     /// the fused op falls back to a TPC matmul kernel — the "bad mapping"
     /// the paper warns about.
     pub lower_einsum: bool,
-    /// Charge the one-time Graph-Compiler recompilation stall the first time
-    /// an op without a pre-compiled recipe (GLU) executes (§3.3, Figure 7).
-    pub glu_recompile_stall: bool,
-    /// Model engine-to-engine tensor movement on the DMA lane.
-    pub model_dma: bool,
     /// Fuse chains of unary element-wise ops into single TPC launches,
     /// eliminating intermediate global-memory round trips (Insight #1's
     /// "good mapping and schedule" — see `fusion`).
@@ -90,104 +93,10 @@ impl Default for CompilerOptions {
         CompilerOptions {
             scheduler: SchedulerKind::InOrder,
             lower_einsum: false,
-            glu_recompile_stall: true,
-            model_dma: true,
             fuse_elementwise: false,
             dce: true,
             fuse_attention: true,
         }
-    }
-}
-
-impl CompilerOptions {
-    /// The idealized configuration the paper's insights advocate.
-    pub fn idealized() -> Self {
-        CompilerOptions {
-            scheduler: SchedulerKind::Overlap,
-            lower_einsum: true,
-            glu_recompile_stall: false,
-            model_dma: true,
-            fuse_elementwise: true,
-            dce: true,
-            fuse_attention: true,
-        }
-    }
-
-    /// Start a builder from the SynapseAI-like defaults.
-    pub fn builder() -> CompilerOptionsBuilder {
-        CompilerOptionsBuilder {
-            opts: CompilerOptions::default(),
-        }
-    }
-
-    /// Turn this configuration back into a builder to tweak single knobs.
-    pub fn to_builder(&self) -> CompilerOptionsBuilder {
-        CompilerOptionsBuilder { opts: self.clone() }
-    }
-}
-
-/// Builder for [`CompilerOptions`] — the only way to construct non-preset
-/// options outside this crate now that the struct is `#[non_exhaustive]`.
-///
-/// ```
-/// use gaudi_compiler::{CompilerOptions, SchedulerKind};
-/// let opts = CompilerOptions::builder()
-///     .scheduler(SchedulerKind::Overlap)
-///     .fuse_elementwise(true)
-///     .build();
-/// assert_eq!(opts.scheduler, SchedulerKind::Overlap);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CompilerOptionsBuilder {
-    opts: CompilerOptions,
-}
-
-impl CompilerOptionsBuilder {
-    /// Select the scheduling policy.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.opts.scheduler = kind;
-        self
-    }
-
-    /// Toggle einsum-to-matmul lowering.
-    pub fn lower_einsum(mut self, on: bool) -> Self {
-        self.opts.lower_einsum = on;
-        self
-    }
-
-    /// Toggle the GLU recompilation stall.
-    pub fn glu_recompile_stall(mut self, on: bool) -> Self {
-        self.opts.glu_recompile_stall = on;
-        self
-    }
-
-    /// Toggle DMA transfer modelling.
-    pub fn model_dma(mut self, on: bool) -> Self {
-        self.opts.model_dma = on;
-        self
-    }
-
-    /// Toggle element-wise fusion.
-    pub fn fuse_elementwise(mut self, on: bool) -> Self {
-        self.opts.fuse_elementwise = on;
-        self
-    }
-
-    /// Toggle dead-code elimination.
-    pub fn dce(mut self, on: bool) -> Self {
-        self.opts.dce = on;
-        self
-    }
-
-    /// Toggle the fused-attention pattern-match pass.
-    pub fn fuse_attention(mut self, on: bool) -> Self {
-        self.opts.fuse_attention = on;
-        self
-    }
-
-    /// Finish, yielding the configured options.
-    pub fn build(self) -> CompilerOptions {
-        self.opts
     }
 }
 
@@ -200,14 +109,6 @@ mod tests {
         let o = CompilerOptions::default();
         assert_eq!(o.scheduler, SchedulerKind::InOrder);
         assert!(!o.lower_einsum);
-        assert!(o.glu_recompile_stall);
-    }
-
-    #[test]
-    fn idealized_options_flip_the_knobs() {
-        let o = CompilerOptions::idealized();
-        assert_eq!(o.scheduler, SchedulerKind::Overlap);
-        assert!(o.lower_einsum);
-        assert!(!o.glu_recompile_stall);
+        assert!(!o.fuse_elementwise);
     }
 }

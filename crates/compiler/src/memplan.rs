@@ -34,19 +34,6 @@
 
 use gaudi_graph::{Graph, NodeId, OpKind};
 
-/// Planning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct MemPlanOptions {
-    /// Let an elementwise consumer overwrite an operand that dies at it.
-    pub inplace: bool,
-}
-
-impl Default for MemPlanOptions {
-    fn default() -> Self {
-        MemPlanOptions { inplace: true }
-    }
-}
-
 /// One planned tensor: the closed lifetime interval `[start, end]` (in
 /// issue steps) of the value a node defines, and where its bytes live in
 /// the activation arena.
@@ -158,15 +145,10 @@ pub fn fused_scratch_bytes(g: &Graph, node: &gaudi_graph::Node) -> u64 {
     }
 }
 
-/// Plan `g` with default options (in-placing on).
-pub fn plan_memory(g: &Graph) -> MemoryPlan {
-    plan_memory_with(g, MemPlanOptions::default())
-}
-
 /// Plan the activation memory of a scheduled graph: lifetimes, in-placing,
 /// and best-fit arena offsets. Parameters are excluded — they are resident
 /// weights, budgeted separately by the serving stack.
-pub fn plan_memory_with(g: &Graph, opts: MemPlanOptions) -> MemoryPlan {
+pub fn plan_memory(g: &Graph) -> MemoryPlan {
     let steps = g.len();
     if steps == 0 {
         return MemoryPlan::default();
@@ -237,7 +219,7 @@ pub fn plan_memory_with(g: &Graph, opts: MemPlanOptions) -> MemoryPlan {
         let iv = intervals[idx];
         let node = g.node(iv.node);
         let mut adopted = None;
-        if opts.inplace && is_elementwise(&node.kind) {
+        if is_elementwise(&node.kind) {
             for &input in &node.inputs {
                 let Some(&Some(src)) = planned.get(input.index()) else {
                     continue;
@@ -386,18 +368,6 @@ mod tests {
         assert_eq!(plan.arena_bytes, bytes);
         // All four tensors share buffer 0 at offset 0.
         assert!(plan.intervals.iter().all(|iv| iv.buffer == 0));
-    }
-
-    #[test]
-    fn inplacing_off_keeps_distinct_buffers() {
-        let plan = plan_memory_with(&chain(), MemPlanOptions { inplace: false });
-        let bytes = 64 * 64 * 4u64;
-        assert_eq!(plan.inplaced, 0);
-        // Operand + result live together during each step…
-        assert_eq!(plan.peak_bytes, 2 * bytes);
-        // …and dead slots are still recycled by the packer.
-        assert_eq!(plan.arena_bytes, 2 * bytes);
-        assert!(plan.arena_bytes < plan.naive_bytes);
     }
 
     #[test]

@@ -268,38 +268,33 @@ impl GraphCompiler {
             }
 
             // Engine-to-engine transfers ride the DMA lane.
-            if self.opts.model_dma {
-                let bit = lane_bit(cost.engine);
-                for &input in &node.inputs {
-                    let src = node_engine[input.index()];
-                    if src.is_compute() && src != cost.engine && shipped[input.index()] & bit == 0 {
-                        shipped[input.index()] |= bit;
-                        let bytes =
-                            g.shape(input).numel() as u64 * g.storage_dtype.size_of() as u64;
-                        let dur = dma.transfer_time_ns(bytes);
-                        let ready = node_end[input.index()];
-                        let (s, e) = timeline.reserve(EngineId::Dma(0), ready, dur);
-                        steps.push(PlannedOp {
-                            node: None,
-                            label: StepLabel::Dma(input),
-                            category: "dma",
-                            device: DeviceId(0),
-                            engine: EngineId::Dma(0),
-                            start_ns: s,
-                            dur_ns: dur,
-                            flops: 0.0,
-                            bytes,
-                        });
-                        deps_end = deps_end.max(e);
-                    }
+            let bit = lane_bit(cost.engine);
+            for &input in &node.inputs {
+                let src = node_engine[input.index()];
+                if src.is_compute() && src != cost.engine && shipped[input.index()] & bit == 0 {
+                    shipped[input.index()] |= bit;
+                    let bytes = g.shape(input).numel() as u64 * g.storage_dtype.size_of() as u64;
+                    let dur = dma.transfer_time_ns(bytes);
+                    let ready = node_end[input.index()];
+                    let (s, e) = timeline.reserve(EngineId::Dma(0), ready, dur);
+                    steps.push(PlannedOp {
+                        node: None,
+                        label: StepLabel::Dma(input),
+                        category: "dma",
+                        device: DeviceId(0),
+                        engine: EngineId::Dma(0),
+                        start_ns: s,
+                        dur_ns: dur,
+                        flops: 0.0,
+                        bytes,
+                    });
+                    deps_end = deps_end.max(e);
                 }
             }
 
-            // One-time Graph-Compiler recompilation for recipe-less ops (GLU).
-            if self.opts.glu_recompile_stall
-                && !glu_compiled
-                && matches!(node.kind, OpKind::Activation(Activation::Glu))
-            {
+            // One-time Graph-Compiler recompilation for recipe-less ops (GLU,
+            // §3.3 and Figure 7).
+            if !glu_compiled && matches!(node.kind, OpKind::Activation(Activation::Glu)) {
                 glu_compiled = true;
                 let stall = self.cfg.recompile_stall_ns;
                 let (s, e) = timeline.reserve(EngineId::Host, deps_end, stall);
@@ -472,17 +467,6 @@ mod tests {
         g.mark_output(s);
         let (_, plan) = GraphCompiler::synapse_like().compile(&g).unwrap();
         assert!(plan.steps.iter().any(|st| st.category == "dma"));
-        // With DMA modelling off, no transfer events appear.
-        let c = GraphCompiler::new(
-            GaudiConfig::hls1(),
-            CompilerOptions {
-                model_dma: false,
-                ..Default::default()
-            },
-        );
-        let (_, plan2) = c.compile(&g).unwrap();
-        assert!(plan2.steps.iter().all(|st| st.category != "dma"));
-        assert!(plan2.makespan_ns <= plan.makespan_ns);
     }
 
     #[test]

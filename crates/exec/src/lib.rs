@@ -142,11 +142,6 @@ impl ExecPool {
         }
     }
 
-    /// Whether `par_map` runs inline on the calling thread.
-    pub fn is_serial(&self) -> bool {
-        self.shared.is_none()
-    }
-
     /// Map `f` over `0..n` in parallel, returning results **in index
     /// order**. `f` must be a pure function of its index for the ordering
     /// guarantee to mean determinism — which is true of everything this
@@ -531,7 +526,7 @@ mod tests {
     #[test]
     fn serial_pool_runs_inline_without_threads() {
         let pool = ExecPool::serial();
-        assert!(pool.is_serial());
+        assert!(pool.shared.is_none());
         assert_eq!(pool.concurrency(), 1);
         // Non-Send closures state would fail to compile; runtime check: a
         // thread-local-ish marker survives because everything is inline.

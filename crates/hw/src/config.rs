@@ -156,12 +156,6 @@ impl GaudiConfig {
     pub fn tpc_f32_lanes(&self) -> usize {
         self.tpc.simd_width_bits / 32
     }
-
-    /// Aggregate TPC cluster element throughput for 1-cycle f32 vector ops,
-    /// in elements per nanosecond.
-    pub fn tpc_elems_per_ns(&self) -> f64 {
-        (self.tpc.num_cores * self.tpc_f32_lanes()) as f64 * self.tpc.clock_ghz
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +177,8 @@ mod tests {
     fn tpc_cluster_rate() {
         let c = GaudiConfig::hls1();
         // 8 cores * 64 lanes * 1.35 GHz = 691.2 elements/ns
-        assert!((c.tpc_elems_per_ns() - 691.2).abs() < 1e-6);
+        let elems_per_ns = (c.tpc.num_cores * c.tpc_f32_lanes()) as f64 * c.tpc.clock_ghz;
+        assert!((elems_per_ns - 691.2).abs() < 1e-6);
     }
 
     #[test]

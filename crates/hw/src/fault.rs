@@ -2,9 +2,8 @@
 //!
 //! The paper characterizes Gaudi in steady state; a production box does not
 //! stay there. A [`FaultPlan`] is a *schedule* of hardware misbehavior —
-//! whole-card failures at known times, RoCE links running below nominal
-//! bandwidth, and transient slowdown windows (thermal throttling, noisy
-//! neighbors) — that the serving and runtime layers consume to model
+//! whole-card failures at known times and RoCE links running below nominal
+//! bandwidth — that the serving and runtime layers consume to model
 //! graceful degradation.
 //!
 //! Plans are plain data: building one never touches a clock or an OS RNG,
@@ -28,9 +27,6 @@
 //!   the bottleneck factor (see [`crate::Topology::bottleneck_factor`]).
 //!   A degradation with a `window` is a *flap*: the edge is degraded only
 //!   inside `[start_ms, end_ms)` and nominal outside it.
-//! * **Slowdown window** ([`Slowdown`]): compute phases starting inside
-//!   `[start_ms, end_ms)` take `factor` × their nominal time, on one card
-//!   or box-wide.
 //!
 //! [`FaultPlan::validate`] rejects contradictory schedules — a second kill
 //! of a device inside an earlier kill's down window (or after a permanent
@@ -68,19 +64,6 @@ pub struct LinkDegradation {
     pub window: Option<(f64, f64)>,
 }
 
-/// A transient window in which compute runs slower than nominal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Slowdown {
-    /// The throttled card, or `None` for a box-wide event.
-    pub device: Option<DeviceId>,
-    /// Window start, simulated ms (inclusive).
-    pub start_ms: f64,
-    /// Window end, simulated ms (exclusive).
-    pub end_ms: f64,
-    /// Wall-time multiplier for phases starting inside the window (≥ 1).
-    pub factor: f64,
-}
-
 /// A malformed fault plan, rejected before any simulation runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultError {
@@ -104,15 +87,6 @@ pub enum FaultError {
         a: DeviceId,
         /// The other endpoint.
         b: DeviceId,
-        /// The offending factor.
-        factor: f64,
-    },
-    /// A slowdown window is empty, reversed, or its factor is below 1.
-    BadSlowdown {
-        /// Window start, ms.
-        start_ms: f64,
-        /// Window end, ms.
-        end_ms: f64,
         /// The offending factor.
         factor: f64,
     },
@@ -183,15 +157,6 @@ impl std::fmt::Display for FaultError {
                     "link {a}-{b} degradation factor {factor} must be in (0, 1]"
                 )
             }
-            FaultError::BadSlowdown {
-                start_ms,
-                end_ms,
-                factor,
-            } => write!(
-                f,
-                "slowdown window [{start_ms}, {end_ms}) ms with factor {factor} \
-                 must be non-empty with factor >= 1"
-            ),
             FaultError::BadRestart {
                 device,
                 at_ms,
@@ -245,8 +210,6 @@ pub struct FaultPlan {
     /// Degraded inter-card links (permanent or windowed flaps; windows on
     /// the same edge must not overlap).
     pub link_degradations: Vec<LinkDegradation>,
-    /// Transient compute-slowdown windows.
-    pub slowdowns: Vec<Slowdown>,
 }
 
 impl FaultPlan {
@@ -257,9 +220,7 @@ impl FaultPlan {
 
     /// True when the plan injects no faults at all.
     pub fn is_empty(&self) -> bool {
-        self.card_failures.is_empty()
-            && self.link_degradations.is_empty()
-            && self.slowdowns.is_empty()
+        self.card_failures.is_empty() && self.link_degradations.is_empty()
     }
 
     /// Add a permanent whole-card failure: `device` dies at `at_ms`.
@@ -313,29 +274,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add a box-wide slowdown window: phases starting in
-    /// `[start_ms, end_ms)` take `factor` × their nominal time.
-    pub fn slow(self, start_ms: f64, end_ms: f64, factor: f64) -> Self {
-        self.slow_device(None, start_ms, end_ms, factor)
-    }
-
-    /// Add a slowdown window for one card (or box-wide with `None`).
-    pub fn slow_device(
-        mut self,
-        device: Option<DeviceId>,
-        start_ms: f64,
-        end_ms: f64,
-        factor: f64,
-    ) -> Self {
-        self.slowdowns.push(Slowdown {
-            device,
-            start_ms,
-            end_ms,
-            factor,
-        });
-        self
-    }
-
     /// The up/down transition schedule of `device`, sorted by time: each
     /// kill contributes `(at_ms, false)`, and a transient kill additionally
     /// contributes `(at_ms + restart_after_ms, true)` for the restart.
@@ -350,18 +288,6 @@ impl FaultPlan {
         }
         out.sort_by(|x, y| x.partial_cmp(y).expect("failure times are finite"));
         out
-    }
-
-    /// Combined slowdown multiplier for a phase starting at `t_ms` on
-    /// `device`: the product of every active window that targets the
-    /// device or the whole box. `1.0` when nothing is active.
-    pub fn slowdown_factor(&self, device: DeviceId, t_ms: f64) -> f64 {
-        self.slowdowns
-            .iter()
-            .filter(|s| s.device.is_none_or(|d| d == device))
-            .filter(|s| s.start_ms <= t_ms && t_ms < s.end_ms)
-            .map(|s| s.factor)
-            .product()
     }
 
     /// Reject plans that reference missing devices, carry malformed times
@@ -462,24 +388,6 @@ impl FaultPlan {
                 if overlap {
                     return Err(FaultError::OverlappingLinkDegradations { a: l.a, b: l.b });
                 }
-            }
-        }
-        for s in &self.slowdowns {
-            if let Some(d) = s.device {
-                check_dev(d)?;
-            }
-            if !s.factor.is_finite()
-                || s.factor < 1.0
-                || !s.start_ms.is_finite()
-                || !s.end_ms.is_finite()
-                || s.start_ms < 0.0
-                || s.end_ms <= s.start_ms
-            {
-                return Err(FaultError::BadSlowdown {
-                    start_ms: s.start_ms,
-                    end_ms: s.end_ms,
-                    factor: s.factor,
-                });
             }
         }
         Ok(())
@@ -722,7 +630,7 @@ mod tests {
     fn empty_plan_is_inert() {
         let p = FaultPlan::none();
         assert!(p.is_empty());
-        assert_eq!(p.slowdown_factor(DeviceId(0), 10.0), 1.0);
+        assert!(p.transitions(DeviceId(0)).is_empty());
         assert!(p.validate(1).is_ok());
     }
 
@@ -731,15 +639,10 @@ mod tests {
         let p = FaultPlan::none()
             .kill_for(DeviceId(2), 30.0, 10.0)
             .kill(DeviceId(2), 50.0)
-            .degrade_link(DeviceId(0), DeviceId(1), 0.5)
-            .slow(10.0, 20.0, 2.0)
-            .slow_device(Some(DeviceId(1)), 15.0, 25.0, 3.0);
-        // At t=15 on device 1: both the box-wide 2x and the local 3x apply.
-        assert_eq!(p.slowdown_factor(DeviceId(1), 15.0), 6.0);
-        // Device 0 only sees the box-wide window.
-        assert_eq!(p.slowdown_factor(DeviceId(0), 15.0), 2.0);
-        // Window ends are exclusive.
-        assert_eq!(p.slowdown_factor(DeviceId(0), 20.0), 1.0);
+            .degrade_link(DeviceId(0), DeviceId(1), 0.5);
+        assert!(!p.is_empty());
+        assert_eq!(p.card_failures.len(), 2);
+        assert_eq!(p.link_degradations.len(), 1);
         assert!(p.validate(4).is_ok());
     }
 
@@ -846,16 +749,6 @@ mod tests {
             zero_factor.validate(2),
             Err(FaultError::BadLinkFactor { .. })
         ));
-        let bad_window = FaultPlan::none().slow(10.0, 10.0, 2.0);
-        assert!(matches!(
-            bad_window.validate(1),
-            Err(FaultError::BadSlowdown { .. })
-        ));
-        let speedup = FaultPlan::none().slow(0.0, 1.0, 0.5);
-        assert!(matches!(
-            speedup.validate(1),
-            Err(FaultError::BadSlowdown { .. })
-        ));
         // Zero- and negative-duration windows are rejected for every fault
         // kind, each with its own descriptive variant.
         let zero_down = FaultPlan::none().kill_for(DeviceId(0), 10.0, 0.0);
@@ -873,12 +766,7 @@ mod tests {
             neg_flap.validate(2),
             Err(FaultError::BadLinkWindow { .. })
         ));
-        let neg_slow = FaultPlan::none().slow_device(Some(DeviceId(0)), 10.0, 5.0, 2.0);
-        assert!(matches!(
-            neg_slow.validate(1),
-            Err(FaultError::BadSlowdown { .. })
-        ));
-        for plan in [zero_down, neg_down, neg_flap, neg_slow] {
+        for plan in [zero_down, neg_down, neg_flap] {
             assert!(!plan.validate(2).unwrap_err().to_string().is_empty());
         }
     }

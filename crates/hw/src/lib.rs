@@ -30,15 +30,10 @@ pub mod tpc_cost;
 
 pub use config::GaudiConfig;
 pub use engine::EngineId;
-pub use fault::{CardFailure, FaultCampaign, FaultError, FaultPlan, LinkDegradation, Slowdown};
+pub use fault::{CardFailure, FaultCampaign, FaultError, FaultPlan, LinkDegradation};
 pub use mme::MmeModel;
 pub use topology::{DeviceId, Link, SwitchTier, Topology};
 pub use tpc_cost::{TpcCostModel, TpcOpClass};
-
-/// Convert nanoseconds to milliseconds.
-pub fn ns_to_ms(ns: f64) -> f64 {
-    ns / 1.0e6
-}
 
 /// TFLOPS achieved for `flops` floating-point operations in `ns` nanoseconds.
 pub fn tflops(flops: f64, ns: f64) -> f64 {
@@ -55,7 +50,6 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        assert_eq!(ns_to_ms(2_000_000.0), 2.0);
         // 1e12 flops in 1e6 ns = 1e6 flops/ns = 1e6 GFLOP/s = 1000 TFLOPS.
         assert_eq!(tflops(1.0e12, 1.0e6), 1000.0);
         assert_eq!(tflops(1.0e12, 0.0), 0.0);

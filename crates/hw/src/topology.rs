@@ -234,11 +234,6 @@ impl Topology {
         self.link.bandwidth_bytes_per_ns * self.bottleneck_factor()
     }
 
-    /// All device ids in the box, in order.
-    pub fn device_ids(&self) -> Vec<DeviceId> {
-        (0..self.devices).map(DeviceId).collect()
-    }
-
     /// Number of boxes the cards occupy (`ceil(devices / cards_per_box)`;
     /// 1 for every flat topology).
     pub fn boxes(&self) -> usize {
@@ -474,14 +469,6 @@ mod tests {
         assert_eq!(
             degraded.allreduce_time_ns(bytes),
             clean.allreduce_time_ns(bytes)
-        );
-    }
-
-    #[test]
-    fn device_ids_enumerate_in_order() {
-        assert_eq!(
-            box4().device_ids(),
-            vec![DeviceId(0), DeviceId(1), DeviceId(2), DeviceId(3)]
         );
     }
 

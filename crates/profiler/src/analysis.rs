@@ -34,13 +34,6 @@ pub struct EngineStats {
     pub events: usize,
 }
 
-impl EngineStats {
-    /// Total idle time within the trace span.
-    pub fn idle_ns(&self, span_ns: f64) -> f64 {
-        (span_ns - self.busy_ns).max(0.0)
-    }
-}
-
 /// Aggregated analysis of a trace.
 #[derive(Debug, Clone)]
 pub struct TraceAnalysis {
@@ -194,7 +187,7 @@ mod tests {
         assert!((mme.utilization - 0.5).abs() < 1e-9);
         assert_eq!(mme.gaps.len(), 1);
         assert_eq!(mme.gaps[0].dur_ns, 20.0);
-        assert_eq!(mme.idle_ns(a.span_ns), 20.0);
+        assert_eq!(a.span_ns - mme.busy_ns, 20.0);
     }
 
     #[test]

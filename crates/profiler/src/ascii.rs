@@ -59,26 +59,6 @@ fn time_axis(span_ns: f64, width: usize) -> String {
     }
 }
 
-/// Render the trace with one line per event (useful for small graphs).
-pub fn render_event_list(trace: &Trace, max_events: usize) -> String {
-    let mut evs: Vec<_> = trace.events().to_vec();
-    evs.sort_by(|a, b| a.start_ns.total_cmp(&b.start_ns));
-    let mut out = String::new();
-    for e in evs.iter().take(max_events) {
-        out.push_str(&format!(
-            "{:>10.3} ms  {:>5}  {:<24} {:>10.3} ms\n",
-            e.start_ns / 1e6,
-            e.engine.label(),
-            e.name,
-            e.dur_ns / 1e6
-        ));
-    }
-    if evs.len() > max_events {
-        out.push_str(&format!("... ({} more events)\n", evs.len() - max_events));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,14 +103,5 @@ mod tests {
     fn empty_trace_renders_empty() {
         assert!(render_timeline(&Trace::new(), 20).is_empty());
         assert!(render_timeline(&trace(), 0).is_empty());
-    }
-
-    #[test]
-    fn event_list_truncates() {
-        let s = render_event_list(&trace(), 1);
-        assert!(s.contains("more events"));
-        let full = render_event_list(&trace(), 10);
-        assert!(!full.contains("more events"));
-        assert!(full.contains("MME"));
     }
 }

@@ -6,7 +6,6 @@
 //! hand-rolled (the approved dependency list has no JSON crate).
 
 use crate::trace::Trace;
-use gaudi_hw::EngineId;
 
 /// Render a trace as a Chrome trace-event JSON string.
 ///
@@ -75,11 +74,6 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     out
 }
 
-/// Lane index for an engine (stable across exports of the same trace).
-pub fn lane_of(trace: &Trace, engine: EngineId) -> Option<usize> {
-    trace.engines().iter().position(|&x| x == engine)
-}
-
 /// `s` as a JSON string literal: quoted, with `"`, `\` and every control
 /// character escaped.
 pub fn json_string(s: &str) -> String {
@@ -104,6 +98,7 @@ pub fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::trace::TraceEvent;
+    use gaudi_hw::EngineId;
 
     fn sample() -> Trace {
         let mut t = Trace::new();
@@ -175,10 +170,12 @@ mod tests {
 
     #[test]
     fn lane_assignment_is_stable() {
+        // An event's `tid` is its engine's position in `Trace::engines`.
         let t = sample();
-        assert_eq!(lane_of(&t, EngineId::Mme), Some(0));
-        assert_eq!(lane_of(&t, EngineId::TpcCluster), Some(1));
-        assert_eq!(lane_of(&t, EngineId::Host), None);
+        let lane_of = |engine| t.engines().iter().position(|&x| x == engine);
+        assert_eq!(lane_of(EngineId::Mme), Some(0));
+        assert_eq!(lane_of(EngineId::TpcCluster), Some(1));
+        assert_eq!(lane_of(EngineId::Host), None);
     }
 
     #[test]

@@ -306,6 +306,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gaudi_compiler::SchedulerKind;
     use gaudi_graph::Activation;
     use gaudi_hw::EngineId;
     use gaudi_profiler::TraceAnalysis;
@@ -429,7 +430,15 @@ mod tests {
     fn overlap_runtime_is_no_slower() {
         let g = tiny_attention();
         let inorder = Runtime::hls1();
-        let overlap = Runtime::new(GaudiConfig::hls1(), CompilerOptions::idealized());
+        let overlap = Runtime::new(
+            GaudiConfig::hls1(),
+            CompilerOptions {
+                scheduler: SchedulerKind::Overlap,
+                lower_einsum: true,
+                fuse_elementwise: true,
+                ..CompilerOptions::default()
+            },
+        );
         let t1 = inorder
             .run(&g, &Feeds::auto(0), NumericsMode::ShapeOnly)
             .unwrap()
@@ -457,7 +466,10 @@ mod tests {
         let run = |fuse: bool| {
             let rt = Runtime::new(
                 GaudiConfig::hls1(),
-                CompilerOptions::builder().fuse_elementwise(fuse).build(),
+                CompilerOptions {
+                    fuse_elementwise: fuse,
+                    ..CompilerOptions::default()
+                },
             );
             let feeds = Feeds::auto(0).with_input("x", input.clone());
             rt.run(&g, &feeds, NumericsMode::Full).unwrap()

@@ -63,19 +63,6 @@ pub struct PhaseCost {
 }
 
 impl PhaseCost {
-    /// The same phase stretched by a slowdown `factor` (≥ 1): wall time
-    /// and every engine-busy term scale together, so a throttled phase
-    /// reports the same utilization doing the same work more slowly.
-    pub fn scaled(self, factor: f64) -> Self {
-        PhaseCost {
-            ms: self.ms * factor,
-            mme_busy_ns: self.mme_busy_ns * factor,
-            tpc_busy_ns: self.tpc_busy_ns * factor,
-            dma_busy_ns: self.dma_busy_ns * factor,
-            nic_busy_ns: self.nic_busy_ns * factor,
-        }
-    }
-
     fn from_plan(plan: &ExecutionPlan) -> Self {
         let mut cost = PhaseCost {
             ms: plan.makespan_ns / 1e6,

@@ -8,7 +8,7 @@
 //!    step become schedulable (and visible to `max_queue_depth`) at the
 //!    phase boundary, not a full iteration later. Ingestion is where the
 //!    [`RobustnessConfig`] sheds: an arrival that would push the queue
-//!    past its depth or token bound terminates as rejected, and a queued
+//!    past its depth bound terminates as rejected, and a queued
 //!    request whose TTFT or end-to-end deadline has already lapsed
 //!    terminates as timed-out before wasting a prefill;
 //! 2. at every step boundary, admit queued requests while the decode
@@ -73,9 +73,8 @@
 //! a **cold recipe table** (its compiled phase plans are fetched again on
 //! demand, and with warmup enabled every shape pays its compile latency
 //! again), and the recovered replica immediately rejoins the round-robin
-//! dispatch pool. Slowdown windows stretch the phases that start inside
-//! them. Everything stays a pure function of the configuration: same
-//! seed, same plan, bit-identical report.
+//! dispatch pool. Everything stays a pure function of the configuration:
+//! same seed, same plan, bit-identical report.
 
 use crate::calendar::EventCalendar;
 use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeConfig};
@@ -129,8 +128,8 @@ pub struct ServingConfig {
     /// request stream.
     pub devices: usize,
     /// Deterministic fault schedule: card failures (with optional restart
-    /// windows), degraded links, and slowdown windows. [`FaultPlan::none`]
-    /// (the default) is steady state.
+    /// windows) and degraded links. [`FaultPlan::none`] (the default) is
+    /// steady state.
     pub faults: FaultPlan,
     /// Overload protection: admission bounds, SLO deadlines, retry budget,
     /// and backoff. The default ([`RobustnessConfig::unlimited`]) never
@@ -372,12 +371,6 @@ impl ExecPolicy {
             plans: PlanSharing::Shared(cache),
         }
     }
-
-    /// The same policy with `pool` swapped in.
-    pub fn with_pool(mut self, pool: ExecPool) -> Self {
-        self.pool = pool;
-        self
-    }
 }
 
 /// A request currently holding a decode slot, with everything the replica
@@ -444,7 +437,6 @@ impl Active {
 /// replica to quiescence below the next fault or dispatch event.
 struct Replica<'a> {
     cfg: &'a ServingConfig,
-    device: DeviceId,
     /// The replica's recipe table; replaced cold on restart.
     cost: CostModel,
     kv: Box<dyn KvAdmission>,
@@ -479,7 +471,6 @@ struct Replica<'a> {
 impl<'a> Replica<'a> {
     fn new(
         cfg: &'a ServingConfig,
-        device: DeviceId,
         cost: CostModel,
         activation_reserve: u64,
         records: &'a Mutex<Records>,
@@ -503,7 +494,6 @@ impl<'a> Replica<'a> {
             .map_or(f64::INFINITY, |c| c.interval_ms);
         Ok(Replica {
             cfg,
-            device,
             cost,
             kv,
             pending: VecDeque::new(),
@@ -587,16 +577,11 @@ impl<'a> Replica<'a> {
             .pending
             .pop_front_if(|j| j.submitted_ms() <= self.clock_ms)
         {
-            let tokens = job.req.total_tokens();
-            let full = rb.max_queue_depth.is_some_and(|d| self.waiting.len() >= d)
-                || rb
-                    .max_queued_tokens
-                    .is_some_and(|t| self.waiting_tokens + tokens > t);
-            if full {
+            if rb.max_queue_depth.is_some_and(|d| self.waiting.len() >= d) {
                 let at = self.clock_ms;
                 self.drop_job(job, DropKind::Rejected, at, 0);
             } else {
-                self.waiting_tokens += tokens;
+                self.waiting_tokens += job.req.total_tokens();
                 self.waiting.push_back(job);
             }
         }
@@ -807,22 +792,19 @@ impl<'a> Replica<'a> {
         Ok(true)
     }
 
-    /// Price admitting `job` at the clock, stretched by any slowdown window
-    /// it starts in, as `(cost, peeked warmup)`.
+    /// Price admitting `job` at the clock as `(cost, peeked warmup)`.
     /// A restore copies the whole checkpointed chain — prompt KV plus the
     /// snapshotted decode tokens — back from host: a copy, not a compiled
     /// graph, so it has no warmup, and the cold-cache recompiles still
     /// land on the first prefill/decode shapes. A prefill's recipe warmup
     /// is *peeked*, not charged: a dropped request must not warm the table.
     fn price_admission(&mut self, job: &Job) -> Result<(PhaseCost, f64), ServingError> {
-        let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
         let (prompt, snap) = (job.req.prompt_len, job.checkpointed_tokens);
         if snap > 0 {
-            return Ok((self.kv_copy(prompt + snap).1.scaled(factor), 0.0));
+            return Ok((self.kv_copy(prompt + snap).1, 0.0));
         }
         let shape = self.cost.shape(Phase::Prefill, 1, prompt);
-        let c = self.cost.compiled(shape)?.scaled(factor);
-        Ok((c, self.cost.warmup_ms(shape)))
+        Ok((self.cost.compiled(shape)?, self.cost.warmup_ms(shape)))
     }
 
     /// One decode step advances every running request by one token;
@@ -838,8 +820,7 @@ impl<'a> Replica<'a> {
         // buckets mean fewer distinct recipes but more dead slots per step.
         let max_ctx = self.running.iter().map(|a| a.ctx).max().unwrap_or(1);
         let shape = self.cost.shape(Phase::Decode, self.running.len(), max_ctx);
-        let factor = self.cfg.faults.slowdown_factor(self.device, self.clock_ms);
-        let mut c = self.cost.compiled(shape)?.scaled(factor);
+        let mut c = self.cost.compiled(shape)?;
         c.ms += self.cost.warm(shape);
         let live: usize = self.running.iter().map(|a| a.ctx).sum();
         self.report.scheduled_tokens += shape.slots();
@@ -1117,7 +1098,7 @@ pub(crate) fn check_config(cfg: &ServingConfig) -> Result<(), ServingError> {
         .validate()
         .map_err(ServingError::InvalidConfig)?;
     cfg.kv_admission
-        .validate()
+        .validate(&cfg.model, cfg.kv_dtype)
         .map_err(ServingError::InvalidConfig)
 }
 
@@ -1218,9 +1199,8 @@ pub(crate) fn simulate_records(
         let shards: Vec<Mutex<VecDeque<Job>>> = shards.into_iter().map(Mutex::new).collect();
         policy
             .pool
-            .try_par_map(&shards, |d, shard| -> Result<_, ServingError> {
-                let mut replica =
-                    Replica::new(cfg, DeviceId(d), make_cost(), activation_reserve, records)?;
+            .try_par_map(&shards, |_, shard| -> Result<_, ServingError> {
+                let mut replica = Replica::new(cfg, make_cost(), activation_reserve, records)?;
                 replica.pending = take(shard);
                 while replica.step(f64::INFINITY)? {}
                 Ok(replica.finalize())
@@ -1235,24 +1215,24 @@ pub(crate) fn simulate_records(
     for part in parts {
         tally.absorb(part);
     }
-    // Fault-lane observability: overlay the plan's kill/restart/flap/
-    // slowdown windows as device-tagged trace lanes, so a Chrome-trace
+    // Fault-lane observability: overlay the plan's kill/restart/flap
+    // windows as device-tagged trace lanes, so a Chrome-trace
     // export shows *why* a card's serving lanes go quiet. Appended after
     // the replicas are absorbed (absorbing re-tags their events by
     // device) so the lanes keep their own device tags.
     if cfg.record_trace && !cfg.faults.is_empty() {
         let r = &mut tally.report;
-        record_fault_lanes(&mut r.trace, &cfg.faults, cfg.devices, r.makespan_ms);
+        record_fault_lanes(&mut r.trace, &cfg.faults, r.makespan_ms);
     }
     Ok(tally)
 }
 
 /// Append one trace lane per fault window, tagged with the device it hits:
 /// `kill` (down window, with a zero-width `restart` marker for transient
-/// kills), `flap`/`degrade` on both endpoints of a degraded link, and
-/// `slowdown` per throttled card. Open-ended windows (permanent kills and
-/// degradations) extend to the report's makespan.
-fn record_fault_lanes(trace: &mut Trace, faults: &FaultPlan, devices: usize, makespan_ms: f64) {
+/// kills) and `flap`/`degrade` on both endpoints of a degraded link.
+/// Open-ended windows (permanent kills and degradations) extend to the
+/// report's makespan.
+fn record_fault_lanes(trace: &mut Trace, faults: &FaultPlan, makespan_ms: f64) {
     let event = |name: &'static str, engine: EngineId, s_ms: f64, e_ms: f64| {
         TraceEvent::basic(
             name,
@@ -1282,15 +1262,6 @@ fn record_fault_lanes(trace: &mut Trace, faults: &FaultPlan, devices: usize, mak
             trace.push(event(name, EngineId::Nic, s, e).on_device(d));
         }
     }
-    for s in &faults.slowdowns {
-        let targets: Vec<DeviceId> = match s.device {
-            Some(d) => vec![d],
-            None => (0..devices).map(DeviceId).collect(),
-        };
-        for d in targets {
-            trace.push(event("slowdown", EngineId::Host, s.start_ms, s.end_ms).on_device(d));
-        }
-    }
 }
 
 /// Event-driven multi-replica simulation under a fault plan with kills.
@@ -1311,7 +1282,7 @@ fn simulate_box(
     records: &Mutex<Records>,
 ) -> Result<Vec<Tally>, ServingError> {
     let mut replicas: Vec<Replica> = (0..cfg.devices)
-        .map(|d| Replica::new(cfg, DeviceId(d), make_cost(), activation_reserve, records))
+        .map(|_| Replica::new(cfg, make_cost(), activation_reserve, records))
         .collect::<Result<_, _>>()?;
 
     // Kill/restart transitions, time-ordered; a restart at the same
@@ -1697,7 +1668,7 @@ mod tests {
             .ttft_deadline(15.0)
             .checkpoint(2.0, 64e9);
         let records = slots(cfg.traffic.num_requests);
-        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0, &records).unwrap();
+        let mut r = Replica::new(&cfg, CostModel::new(&cfg), 0, &records).unwrap();
         let reqs = generate_requests(&cfg.traffic);
         let limits: Vec<f64> = reqs
             .iter()
@@ -1725,7 +1696,7 @@ mod tests {
 
         // A dispatched job due exactly at the clock is still ingested at
         // the limit, so the replica may not be skipped.
-        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0, &records).unwrap();
+        let mut r = Replica::new(&cfg, CostModel::new(&cfg), 0, &records).unwrap();
         r.clock_ms = 5.0;
         r.enqueue(Job::fresh(Request {
             id: 0,
@@ -1739,15 +1710,13 @@ mod tests {
     }
 
     #[test]
-    fn a_snapshot_restore_is_a_slowed_dma_copy_that_the_ttft_deadline_can_drop() {
+    fn a_snapshot_restore_is_a_dma_copy_that_the_ttft_deadline_can_drop() {
         // A checkpointed orphan re-admits by copying its prompt plus its k
-        // snapshotted tokens back from host, stretched by the slowdown
-        // window it starts in: no prefill, no recipe, and it resumes
-        // mid-decode. It waited 1.5 ms on a replica at clock 2.
-        let (prompt, k, factor, dma) = (24, 5, 3.0, 1e9);
+        // snapshotted tokens back from host: no prefill, no recipe, and it
+        // resumes mid-decode. It waited 1.5 ms on a replica at clock 2.
+        let (prompt, k, dma) = (24, 5, 1e9);
         let mut cfg = tiny_config();
         cfg.robustness = RobustnessConfig::default().checkpoint(1e9, dma);
-        cfg.faults = FaultPlan::none().slow(0.0, 1e9, factor);
         let orphan = Job {
             submitted_us: 2_000,
             retries: 1,
@@ -1762,13 +1731,13 @@ mod tests {
         let per_tok = cfg
             .kv_admission
             .kv_bytes_per_token(&cfg.model, cfg.kv_dtype);
-        let restore_ms = ((prompt + k) as u64 * per_tok) as f64 / dma * 1e3 * factor;
+        let restore_ms = ((prompt + k) as u64 * per_tok) as f64 / dma * 1e3;
         fn replica<'a>(
             cfg: &'a ServingConfig,
             orphan: &Job,
             records: &'a Mutex<Records>,
         ) -> Replica<'a> {
-            let mut r = Replica::new(cfg, DeviceId(0), CostModel::new(cfg), 0, records).unwrap();
+            let mut r = Replica::new(cfg, CostModel::new(cfg), 0, records).unwrap();
             r.clock_ms = 2.0;
             r.enqueue(orphan.clone());
             r
@@ -1777,7 +1746,7 @@ mod tests {
         let records = slots(1);
         let mut r = replica(&cfg, &orphan, &records);
         assert!(r.step(f64::INFINITY).unwrap());
-        assert_eq!(r.clock_ms, 2.0 + restore_ms, "one slowed DMA copy");
+        assert_eq!(r.clock_ms, 2.0 + restore_ms, "one DMA copy");
         let a = &r.running[0];
         assert_eq!((a.ctx, a.generated), (prompt + k, k));
         assert_eq!(a.snapshot, k, "the runner holds the snapshot it resumed");
@@ -1824,7 +1793,7 @@ mod tests {
         cfg.robustness = RobustnessConfig::default().ttft_deadline(20.0);
         assert!(phase_ms(&cfg, Phase::Prefill, 1, 8) < 20.0);
         let records = slots(1);
-        let mut r = Replica::new(&cfg, DeviceId(0), CostModel::new(&cfg), 0, &records).unwrap();
+        let mut r = Replica::new(&cfg, CostModel::new(&cfg), 0, &records).unwrap();
         r.enqueue(Job::fresh(Request {
             id: 0,
             arrival_us: 0,
@@ -2115,28 +2084,6 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_window_stretches_the_run_deterministically() {
-        // Saturate arrivals so the makespan is compute-bound; a throttle on
-        // an idle, arrival-dominated run would hide in the slack.
-        let mut base_cfg = tiny_config();
-        base_cfg.traffic.arrival_rate_per_s = 1e6;
-        let baseline = simulate(&base_cfg).unwrap();
-        let mut cfg = base_cfg;
-        cfg.faults = FaultPlan::none().slow(0.0, 1e9, 2.0);
-        let slowed = simulate(&cfg).unwrap();
-        assert!(
-            slowed.makespan_ms > baseline.makespan_ms * 1.5,
-            "a 2x box-wide throttle must visibly stretch the makespan \
-             ({} vs {})",
-            slowed.makespan_ms,
-            baseline.makespan_ms
-        );
-        assert_eq!(slowed.completed.len(), 30);
-        let again = simulate(&cfg).unwrap();
-        assert_eq!(slowed.makespan_ms, again.makespan_ms);
-    }
-
-    #[test]
     fn shedding_bounds_the_queue_and_conserves_requests() {
         // A ~30-request burst against a 4-deep admission queue: the
         // overflow is shed, the queue gauge respects the bound, and
@@ -2163,17 +2110,6 @@ mod tests {
         assert_eq!(ru.completed.len(), 30);
         assert!(ru.max_queue_depth > 4);
         assert!(ru.peak_queued_tokens > r.peak_queued_tokens);
-    }
-
-    #[test]
-    fn queued_token_bound_sheds_like_the_depth_bound() {
-        let mut cfg = tiny_config();
-        cfg.traffic.arrival_rate_per_s = 1e6;
-        cfg.robustness = RobustnessConfig::default().queued_tokens(100);
-        let r = simulate(&cfg).unwrap();
-        assert!(r.shed() > 0);
-        assert!(r.peak_queued_tokens <= 100);
-        assert_eq!(r.completed.len() + r.dropped.len(), 30);
     }
 
     #[test]
@@ -2762,12 +2698,30 @@ mod tests {
 
     #[test]
     fn malformed_kv_and_recipe_configs_are_rejected() {
-        let mut cfg = tiny_config();
-        cfg.kv_admission = KvAdmissionConfig::Paged { block_tokens: 0 };
-        assert!(matches!(
-            simulate(&cfg),
-            Err(ServingError::InvalidConfig(_))
-        ));
+        // An empty block, KV rows of zero bytes, and a block whose byte
+        // size wraps u64 (2^56 tokens of this model's 256 B rows).
+        let mut empty_block = tiny_config();
+        empty_block.kv_admission = KvAdmissionConfig::Paged { block_tokens: 0 };
+        let mut no_layers = tiny_config();
+        no_layers.model.layers = 0;
+        let mut no_head_dim = tiny_config();
+        no_head_dim.model.head_dim = 0;
+        let mut huge_block = tiny_config();
+        huge_block.kv_admission = KvAdmissionConfig::Paged {
+            block_tokens: 1 << 56,
+        };
+        assert_eq!(
+            huge_block
+                .kv_admission
+                .kv_bytes_per_token(&huge_block.model, huge_block.kv_dtype),
+            256
+        );
+        for cfg in [empty_block, no_layers, no_head_dim, huge_block] {
+            assert!(matches!(
+                simulate(&cfg),
+                Err(ServingError::InvalidConfig(_))
+            ));
+        }
         let mut cfg = tiny_config();
         cfg.recipes.batch_bucket = 0;
         assert!(matches!(

@@ -109,14 +109,30 @@ impl KvAdmissionConfig {
         (embed + model.layers as u64 * per_layer + 2 * d) * dtype.size_of() as u64
     }
 
-    /// Reject malformed strategies before a simulation starts.
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
+    /// Reject malformed strategies for `model` before a simulation starts:
+    /// KV rows of zero bytes (a model with no layers, heads or head
+    /// dimension), an empty paged block, or a block whose byte size does
+    /// not fit in `u64`.
+    pub fn validate(&self, model: &LlmConfig, dtype: DType) -> Result<(), String> {
+        let row = self.kv_bytes_per_token(model, dtype);
+        if row == 0 {
+            return Err(
+                "KV rows are 0 bytes: layers, heads and head_dim must be at least 1".into(),
+            );
+        }
+        match *self {
             KvAdmissionConfig::Contiguous => Ok(()),
             KvAdmissionConfig::Paged { block_tokens: 0 } => {
                 Err("paged KV blocks must hold at least 1 token".into())
             }
-            KvAdmissionConfig::Paged { .. } => Ok(()),
+            KvAdmissionConfig::Paged { block_tokens } => {
+                match (block_tokens as u64).checked_mul(row) {
+                    Some(_) => Ok(()),
+                    None => Err(format!(
+                        "a paged KV block of {block_tokens} tokens of {row} B overflows u64"
+                    )),
+                }
+            }
         }
     }
 
@@ -491,10 +507,13 @@ mod tests {
 
     #[test]
     fn paged_config_validates_block_size() {
+        let (model, dtype) = (LlmConfig::tiny(97), DType::F32);
         assert!(KvAdmissionConfig::Paged { block_tokens: 0 }
-            .validate()
+            .validate(&model, dtype)
             .is_err());
-        assert!(KvAdmissionConfig::paged().validate().is_ok());
-        assert!(KvAdmissionConfig::Contiguous.validate().is_ok());
+        assert!(KvAdmissionConfig::paged().validate(&model, dtype).is_ok());
+        assert!(KvAdmissionConfig::Contiguous
+            .validate(&model, dtype)
+            .is_ok());
     }
 }

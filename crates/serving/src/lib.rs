@@ -45,7 +45,7 @@
 //! is a pure function of its inputs (integer-microsecond arrival times, no
 //! wall clock anywhere) — and that stays true under fault injection: a
 //! [`FaultPlan`] in the config kills cards (permanently or with a restart
-//! window), degrades links, and throttles phases deterministically, while
+//! window) and degrades links deterministically, while
 //! the scheduler re-dispatches the dead replica's work with exponential
 //! backoff and readmits recovered replicas into the pool ([`fault`]).
 //!

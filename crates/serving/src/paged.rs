@@ -63,7 +63,9 @@ impl PagedKv {
         if weight_bytes > capacity_bytes {
             return Err(OutOfMemory::new(weight_bytes, capacity_bytes));
         }
-        let block_bytes = block_tokens as u64 * bytes_per_token;
+        let block_bytes = (block_tokens as u64)
+            .checked_mul(bytes_per_token)
+            .expect("a KV block's byte size must fit in u64");
         let capacity_blocks = ((capacity_bytes - weight_bytes) / block_bytes).min(u32::MAX as u64);
         Ok(PagedKv {
             free_blocks: capacity_blocks as usize,

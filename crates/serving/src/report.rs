@@ -143,8 +143,8 @@ pub struct RequestOutcome {
 /// Why a request terminated without (fully SLO-compliant) completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropKind {
-    /// Shed at admission: the queue was at its depth or token bound when
-    /// the request arrived (overload protection, never a silent drop).
+    /// Shed at admission: the queue was at its depth bound when the
+    /// request arrived (overload protection, never a silent drop).
     Rejected,
     /// An SLO deadline expired: either while queued (TTFT could no longer
     /// be met) or at completion (the finished request missed its deadline,
@@ -317,7 +317,7 @@ impl ServingReport {
         }
     }
 
-    /// Requests shed at admission (queue depth or token bound hit).
+    /// Requests shed at admission (queue depth bound hit).
     pub fn shed(&self) -> usize {
         self.dropped
             .iter()

@@ -6,8 +6,8 @@
 //! except latency tails. A [`RobustnessConfig`] makes overload explicit:
 //!
 //! * **bounded admission queue** — arrivals that would push the queue past
-//!   `max_queue_depth` requests or `max_queued_tokens` tokens are *shed*
-//!   (terminated as [`Rejected`]) instead of queued;
+//!   `max_queue_depth` requests are *shed* (terminated as [`Rejected`])
+//!   instead of queued;
 //! * **SLO deadlines** — a request whose first token cannot be produced
 //!   within `ttft_deadline_ms` of arrival, or whose completion would
 //!   exceed `deadline_ms`, is terminated as [`TimedOut`]; its tokens count
@@ -63,9 +63,6 @@ pub struct CheckpointPolicy {
 pub struct RobustnessConfig {
     /// Shed arrivals once this many requests are queued (`None`: no bound).
     pub max_queue_depth: Option<usize>,
-    /// Shed arrivals once the queued requests' worst-case token footprints
-    /// sum past this bound (`None`: no bound).
-    pub max_queued_tokens: Option<usize>,
     /// Time-to-first-token SLO, ms from the request's original arrival
     /// (`None`: no TTFT deadline). Checked while queued and again at
     /// admission with the prefill priced but not yet run, so a request
@@ -85,12 +82,6 @@ pub struct RobustnessConfig {
     pub backoff_jitter: f64,
     /// Seed for the jitter stream (mixed with request id and attempt).
     pub backoff_seed: u64,
-    /// Demand that every offered request completes: a run in which this
-    /// policy shed, expired, or failed any request is treated as an
-    /// overload error by the session facade (`GaudiSession::serve`)
-    /// instead of a report with drops. The engine itself still records
-    /// the drops; the flag only changes how the run is surfaced.
-    pub require_completion: bool,
     /// Periodic KV-cache checkpointing to host (`None`: orphaned requests
     /// recompute from scratch on retry, the legacy behavior).
     pub checkpoint: Option<CheckpointPolicy>,
@@ -108,43 +99,19 @@ impl RobustnessConfig {
     pub fn unlimited() -> Self {
         RobustnessConfig {
             max_queue_depth: None,
-            max_queued_tokens: None,
             ttft_deadline_ms: None,
             deadline_ms: None,
             max_retries: u32::MAX,
             backoff_base_ms: 0.0,
             backoff_jitter: 0.0,
             backoff_seed: 0,
-            require_completion: false,
             checkpoint: None,
         }
-    }
-
-    /// Whether this configuration can ever shed, expire, or fail a request.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_queue_depth.is_none()
-            && self.max_queued_tokens.is_none()
-            && self.ttft_deadline_ms.is_none()
-            && self.deadline_ms.is_none()
-            && self.max_retries == u32::MAX
-    }
-
-    /// Demand that every offered request completes (see
-    /// [`require_completion`](Self::require_completion)).
-    pub fn guaranteed(mut self) -> Self {
-        self.require_completion = true;
-        self
     }
 
     /// Bound the admission queue to `depth` waiting requests.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.max_queue_depth = Some(depth);
-        self
-    }
-
-    /// Bound the admission queue to `tokens` queued worst-case tokens.
-    pub fn queued_tokens(mut self, tokens: usize) -> Self {
-        self.max_queued_tokens = Some(tokens);
         self
     }
 
@@ -173,12 +140,6 @@ impl RobustnessConfig {
             interval_ms,
             dma_bytes_per_s,
         });
-        self
-    }
-
-    /// Disable KV checkpointing (the default).
-    pub fn no_checkpoint(mut self) -> Self {
-        self.checkpoint = None;
         self
     }
 
@@ -232,9 +193,6 @@ impl RobustnessConfig {
         if let Some(0) = self.max_queue_depth {
             return Err("max_queue_depth of 0 would shed every arrival".into());
         }
-        if let Some(0) = self.max_queued_tokens {
-            return Err("max_queued_tokens of 0 would shed every arrival".into());
-        }
         if !self.backoff_base_ms.is_finite() || self.backoff_base_ms < 0.0 {
             return Err(format!(
                 "backoff_base_ms must be finite and >= 0, got {}",
@@ -272,7 +230,7 @@ mod tests {
     #[test]
     fn unlimited_is_the_default_and_validates() {
         let cfg = RobustnessConfig::default();
-        assert!(cfg.is_unlimited());
+        assert_eq!(cfg, RobustnessConfig::unlimited());
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.backoff_delay_ms(7, 1), 0.0, "no backoff by default");
     }
@@ -281,21 +239,15 @@ mod tests {
     fn builders_compose() {
         let cfg = RobustnessConfig::unlimited()
             .queue_depth(16)
-            .queued_tokens(4096)
             .ttft_deadline(50.0)
             .deadline(500.0)
             .retries(3)
-            .backoff(2.0, 0.5, 99)
-            .guaranteed();
-        assert!(!cfg.is_unlimited());
+            .backoff(2.0, 0.5, 99);
         assert_eq!(cfg.max_queue_depth, Some(16));
+        assert_eq!(cfg.ttft_deadline_ms, Some(50.0));
+        assert_eq!(cfg.deadline_ms, Some(500.0));
         assert_eq!(cfg.max_retries, 3);
-        assert!(cfg.require_completion);
         assert!(cfg.validate().is_ok());
-        assert!(
-            !RobustnessConfig::default().require_completion,
-            "completion guarantees are opt-in"
-        );
     }
 
     #[test]
@@ -341,10 +293,6 @@ mod tests {
             .validate()
             .is_err());
         assert!(RobustnessConfig::unlimited()
-            .queued_tokens(0)
-            .validate()
-            .is_err());
-        assert!(RobustnessConfig::unlimited()
             .backoff(1.0, 1.5, 0)
             .validate()
             .is_err());
@@ -365,11 +313,6 @@ mod tests {
             })
         );
         assert!(cfg.validate().is_ok());
-        assert!(
-            cfg.is_unlimited(),
-            "checkpointing never sheds or fails requests"
-        );
-        assert_eq!(cfg.no_checkpoint().checkpoint, None);
         assert!(RobustnessConfig::unlimited()
             .checkpoint(0.0, 64e9)
             .validate()

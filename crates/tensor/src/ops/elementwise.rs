@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn large_tensor_elementwise_is_correct() {
         let n = 1 << 17;
-        let a = Tensor::arange(n);
+        let a = Tensor::from_vec(&[n], (0..n).map(|i| i as f32).collect()).unwrap();
         let b = Tensor::full(&[n], 2.0).unwrap();
         let c = mul(&a, &b).unwrap();
         for i in (0..n).step_by(4097) {

@@ -56,11 +56,6 @@ pub fn mean_last_axis(a: &Tensor, keep_dim: bool) -> Result<Tensor> {
     Tensor::from_vec(&reduced_dims(a, keep_dim), out)
 }
 
-/// Sum of every element.
-pub fn sum_all(a: &Tensor) -> f32 {
-    a.data().iter().sum()
-}
-
 /// Numerically-stable softmax over the last axis: the three-pass
 /// max / exp-sum / normalize algorithm the TPC softmax kernel implements.
 pub fn softmax_last_axis(a: &Tensor) -> Result<Tensor> {
@@ -150,7 +145,7 @@ mod tests {
         let t = Tensor::from_vec(&[1, 3], vec![1000.0, 999.0, 998.0]).unwrap();
         let s = softmax_last_axis(&t).unwrap();
         assert!(s.all_finite());
-        assert!((sum_all(&s) - 1.0).abs() < 1e-5);
+        assert!((s.data().iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }
 
     #[test]
@@ -190,9 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_all_scales_linearly() {
+    fn sums_scale_linearly() {
         let t = Tensor::ones(&[10, 10]).unwrap();
-        assert_eq!(sum_all(&t), 100.0);
-        assert_eq!(sum_all(&scalar_mul(&t, 3.0)), 300.0);
+        assert_eq!(t.data().iter().sum::<f32>(), 100.0);
+        assert_eq!(scalar_mul(&t, 3.0).data().iter().sum::<f32>(), 300.0);
     }
 }

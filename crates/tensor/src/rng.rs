@@ -54,11 +54,6 @@ impl SeededRng {
         (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32
     }
 
-    /// Uniform sample in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f32, hi: f32) -> f32 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`.
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0) is empty");
@@ -130,15 +125,6 @@ mod tests {
         let var = sumsq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.05, "var={var}");
-    }
-
-    #[test]
-    fn uniform_range_respects_bounds() {
-        let mut rng = SeededRng::new(3);
-        for _ in 0..1000 {
-            let x = rng.uniform_range(-2.0, 5.0);
-            assert!((-2.0..5.0).contains(&x));
-        }
     }
 
     #[test]

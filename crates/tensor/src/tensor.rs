@@ -111,15 +111,6 @@ impl Tensor {
         }
     }
 
-    /// Tensor filled with `0, 1, 2, ...` (useful in tests).
-    pub fn arange(n: usize) -> Self {
-        Tensor {
-            shape: Shape::of(&[n.max(1)]),
-            dtype: DType::F32,
-            data: (0..n.max(1)).map(|i| i as f32).collect(),
-        }
-    }
-
     /// Shape accessor.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -138,11 +129,6 @@ impl Tensor {
     /// Storage dtype.
     pub fn dtype(&self) -> DType {
         self.dtype
-    }
-
-    /// Bytes this tensor occupies in the simulated memory system.
-    pub fn storage_bytes(&self) -> usize {
-        self.numel() * self.dtype.size_of()
     }
 
     /// Borrow the underlying buffer.
@@ -168,13 +154,6 @@ impl Tensor {
             dtype,
             data,
         }
-    }
-
-    /// Re-tag the dtype without changing values (affects only the memory
-    /// model's byte accounting).
-    pub fn with_dtype(mut self, dtype: DType) -> Tensor {
-        self.dtype = dtype;
-        self
     }
 
     /// Element access by multi-dimensional index.
@@ -287,7 +266,10 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(6).reshape(&[2, 3]).unwrap();
+        let t = Tensor::from_vec(&[6], (0..6).map(|i| i as f32).collect())
+            .unwrap()
+            .reshape(&[2, 3])
+            .unwrap();
         assert_eq!(t.at(&[1, 2]), 5.0);
         assert!(t.reshape(&[4]).is_err());
     }
@@ -320,9 +302,10 @@ mod tests {
 
     #[test]
     fn storage_bytes_follow_dtype() {
+        let storage_bytes = |t: &Tensor| t.numel() * t.dtype().size_of();
         let t = Tensor::zeros(&[10]).unwrap();
-        assert_eq!(t.storage_bytes(), 40);
-        assert_eq!(t.quantized(DType::BF16).storage_bytes(), 20);
+        assert_eq!(storage_bytes(&t), 40);
+        assert_eq!(storage_bytes(&t.quantized(DType::BF16)), 20);
     }
 
     #[test]
@@ -335,7 +318,7 @@ mod tests {
 
     #[test]
     fn ones_like_matches_shape_and_dtype() {
-        let t = Tensor::zeros(&[2, 5]).unwrap().with_dtype(DType::BF16);
+        let t = Tensor::zeros(&[2, 5]).unwrap().quantized(DType::BF16);
         let o = Tensor::ones_like(&t);
         assert_eq!(o.dims(), &[2, 5]);
         assert_eq!(o.dtype(), DType::BF16);

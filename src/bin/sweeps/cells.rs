@@ -117,7 +117,10 @@ mod tests {
         let pool = ExecPool::new(3);
         let pooled = run_cells(&pool, &cache, &cells);
         for (cfg, report) in cells.iter().zip(&pooled) {
-            let serial_pool = ExecPolicy::default().with_pool(ExecPool::serial());
+            let serial_pool = ExecPolicy {
+                pool: ExecPool::serial(),
+                ..ExecPolicy::default()
+            };
             let serial = gaudi_serving::simulate_with(cfg, &serial_pool).unwrap();
             // `{:?}` prints every float at round-trip precision: equal
             // text is equal bits, field by field and record by record.

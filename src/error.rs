@@ -28,15 +28,6 @@ pub enum GaudiError {
     /// The session's overload-protection policy is malformed (negative
     /// deadline, jitter outside `[0, 1]`, zero-size queue bound…).
     Robustness(String),
-    /// A [`serve`](crate::GaudiSession::serve) run whose robustness policy
-    /// demanded completion (`RobustnessConfig::guaranteed`) shed, expired,
-    /// or failed some of its requests instead of completing all of them.
-    Overloaded {
-        /// Requests that terminated as rejected, timed-out, or failed.
-        dropped: usize,
-        /// Total requests offered to the engine.
-        offered: usize,
-    },
     /// The session configuration is inconsistent (e.g. a parallelism plan
     /// needing more cards than the session has).
     Config(String),
@@ -52,10 +43,6 @@ impl std::fmt::Display for GaudiError {
             GaudiError::OutOfMemory(e) => write!(f, "out of device memory: {e}"),
             GaudiError::Fault(e) => write!(f, "invalid fault plan: {e}"),
             GaudiError::Robustness(msg) => write!(f, "invalid robustness policy: {msg}"),
-            GaudiError::Overloaded { dropped, offered } => write!(
-                f,
-                "service overloaded: {dropped} of {offered} requests shed, timed out, or failed"
-            ),
             GaudiError::Config(msg) => write!(f, "invalid session config: {msg}"),
         }
     }
@@ -71,7 +58,6 @@ impl std::error::Error for GaudiError {
             GaudiError::OutOfMemory(e) => Some(e),
             GaudiError::Fault(e) => Some(e),
             GaudiError::Robustness(_) => None,
-            GaudiError::Overloaded { .. } => None,
             GaudiError::Config(_) => None,
         }
     }

@@ -38,7 +38,10 @@ fn full_digest(r: &ServingReport) -> String {
 /// Everything inline on the caller, plans shared within the call: the
 /// reference every other policy must reproduce.
 fn serial() -> ExecPolicy {
-    ExecPolicy::default().with_pool(ExecPool::serial())
+    ExecPolicy {
+        pool: ExecPool::serial(),
+        ..ExecPolicy::default()
+    }
 }
 
 fn policies(cache: &Arc<PlanCache>) -> Vec<(&'static str, ExecPolicy)> {

@@ -255,7 +255,10 @@ fn fused_attention_off_is_bit_identical_to_the_seed() {
     // GOLDEN_* constants. With the pass disabled the whole serving stack —
     // cost model, recipe keys, dispatch — must reproduce the pre-fusion
     // (PR-8) reports bit-for-bit. This is the escape hatch's contract.
-    let off = CompilerOptions::builder().fuse_attention(false).build();
+    let off = CompilerOptions {
+        fuse_attention: false,
+        ..CompilerOptions::default()
+    };
 
     let mut cfg = base_config(1);
     cfg.opts = off.clone();

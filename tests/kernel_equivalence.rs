@@ -20,7 +20,10 @@ use proptest::prelude::*;
 /// return the worst absolute output difference (must be exactly 0.0).
 fn fused_vs_unfused(g: &Graph, feeds: &Feeds) -> f32 {
     let run = |fuse: bool| {
-        let opts = CompilerOptions::builder().fuse_attention(fuse).build();
+        let opts = CompilerOptions {
+            fuse_attention: fuse,
+            ..CompilerOptions::default()
+        };
         Runtime::new(GaudiConfig::hls1(), opts)
             .run(g, feeds, NumericsMode::Full)
             .unwrap()

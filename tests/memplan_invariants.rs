@@ -6,7 +6,7 @@
 //!
 //! [`HbmTracker`]: gaudi_hw::memory::HbmTracker
 
-use gaudi_compiler::{plan_memory, plan_memory_with, MemPlanOptions, MemoryPlan};
+use gaudi_compiler::{plan_memory, MemoryPlan};
 use gaudi_graph::{Graph, NodeId};
 use gaudi_hw::config::MemoryConfig;
 use gaudi_hw::memory::HbmTracker;
@@ -149,10 +149,7 @@ proptest! {
         fanin in proptest::collection::vec(any::<u8>(), 24),
     ) {
         let g = random_graph(&ops, &fanin);
-        for opts in [MemPlanOptions { inplace: true }, MemPlanOptions { inplace: false }] {
-            let plan = plan_memory_with(&g, opts);
-            check_plan(&g, &plan);
-        }
+        check_plan(&g, &plan_memory(&g));
     }
 }
 

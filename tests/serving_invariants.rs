@@ -519,8 +519,9 @@ fn a_card_that_flushes_several_batches_keeps_every_record() {
 }
 
 /// `r`'s records are its `offered` stream, each request once, both lists
-/// in strictly ascending id order, and every latency summary equals the
-/// sorting oracle over those records.
+/// in strictly ascending id order, every latency summary equals the
+/// sorting oracle over those records, and the goodput, throughput and
+/// retry count are recomputed from them.
 fn records_and_percentiles_are_the_reports_own(
     name: &str,
     r: &gaudi_serving::ServingReport,
@@ -580,6 +581,30 @@ fn records_and_percentiles_are_the_reports_own(
         "{}: timed out",
         name
     );
+    // Token rates over the makespan and the retry count, from the records.
+    prop_assert!(r.makespan_ms > 0.0, "{}: makespan", name);
+    let per_s = |tokens: usize| tokens as f64 / (r.makespan_ms / 1e3);
+    let good: usize = r.completed.iter().map(|o| o.output_len).sum();
+    let wasted: usize = r.dropped.iter().map(|d| d.tokens_generated).sum();
+    prop_assert_eq!(
+        r.goodput_tokens_per_s.to_bits(),
+        per_s(good).to_bits(),
+        "{}: goodput",
+        name
+    );
+    prop_assert_eq!(
+        r.throughput_tokens_per_s.to_bits(),
+        per_s(good + wasted).to_bits(),
+        "{}: throughput",
+        name
+    );
+    let retries: usize = r
+        .completed
+        .iter()
+        .map(|o| o.retries as usize)
+        .chain(r.dropped.iter().map(|d| d.retries as usize))
+        .sum();
+    prop_assert_eq!(r.retries, retries, "{}: retries", name);
     Ok(())
 }
 

@@ -105,7 +105,10 @@ fn same_plan(a: &ExecutionPlan, b: &ExecutionPlan) -> bool {
 fn compiler(kind: SchedulerKind) -> GraphCompiler {
     GraphCompiler::new(
         GaudiConfig::hls1(),
-        CompilerOptions::builder().scheduler(kind).build(),
+        CompilerOptions {
+            scheduler: kind,
+            ..CompilerOptions::default()
+        },
     )
 }
 
@@ -226,7 +229,10 @@ proptest! {
         let run = |kind: SchedulerKind| {
             let rt = Runtime::new(
                 GaudiConfig::hls1(),
-                CompilerOptions::builder().scheduler(kind).build(),
+                CompilerOptions {
+                    scheduler: kind,
+                    ..CompilerOptions::default()
+                },
             );
             let mut feeds = Feeds::auto(0);
             for (k, v) in &feeds_base {
