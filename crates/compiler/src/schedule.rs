@@ -160,13 +160,35 @@ impl GraphCompiler {
         self.compile_on(Cow::Borrowed(graph), Some(comm))
     }
 
+    /// Like [`compile`](Self::compile) on a graph handed over by value,
+    /// without collecting a plan: the scheduler hands each step to `sink`
+    /// in issue order as it places it, the same steps `compile`'s plan
+    /// lists, and the call returns the scheduled graph and the makespan,
+    /// ns. A caller that reads only totals keeps nothing sized by the plan,
+    /// and can build its next graph into the one returned.
+    pub fn compile_streamed(
+        &self,
+        graph: Graph,
+        sink: impl FnMut(PlannedOp),
+    ) -> Result<(Graph, f64), GraphError> {
+        let g = self.run_passes(Cow::Owned(graph))?;
+        let (_, makespan_ns) = self.schedule(&g, None, sink);
+        Ok((g.into_owned(), makespan_ns))
+    }
+
     fn compile_on(
         &self,
         graph: Cow<'_, Graph>,
         comm: Option<&Topology>,
     ) -> Result<(Graph, ExecutionPlan), GraphError> {
         let g = self.run_passes(graph)?;
-        let plan = self.schedule(&g, comm);
+        let mut steps = Vec::new();
+        let (node_end_ns, makespan_ns) = self.schedule(&g, comm, |step| steps.push(step));
+        let plan = ExecutionPlan {
+            steps,
+            node_end_ns,
+            makespan_ns,
+        };
         Ok((g.into_owned(), plan))
     }
 
@@ -209,10 +231,23 @@ impl GraphCompiler {
         }
     }
 
-    fn schedule(&self, g: &Graph, comm: Option<&Topology>) -> ExecutionPlan {
+    /// Place every node of `g` on the engine lanes, handing each step to
+    /// `sink` in issue order. Returns each node's completion time, ns
+    /// (indexed by [`NodeId::index`]), and the makespan: the latest step
+    /// end, folded in issue order.
+    fn schedule(
+        &self,
+        g: &Graph,
+        comm: Option<&Topology>,
+        mut sink: impl FnMut(PlannedOp),
+    ) -> (Vec<f64>, f64) {
         let dma = DmaModel::new(self.cfg.memory.clone());
         let mut timeline = Timeline::new();
-        let mut steps: Vec<PlannedOp> = Vec::new();
+        let mut makespan_ns = 0.0f64;
+        let mut emit = |step: PlannedOp| {
+            makespan_ns = makespan_ns.max(step.start_ns + step.dur_ns);
+            sink(step);
+        };
         // Per node: when it completes, which lane produced it, and the
         // lanes DMA already shipped it to (one `lane_bit` each).
         let mut node_end = vec![0.0f64; g.len()];
@@ -240,7 +275,7 @@ impl GraphCompiler {
                 }
                 if cost.time_ns > 0.0 {
                     let (start, end) = timeline.reserve(EngineId::Nic, deps_end, cost.time_ns);
-                    steps.push(PlannedOp {
+                    emit(PlannedOp {
                         node: Some(node.id),
                         label: StepLabel::Collective(node.id),
                         category: "collective",
@@ -277,7 +312,7 @@ impl GraphCompiler {
                     let dur = dma.transfer_time_ns(bytes);
                     let ready = node_end[input.index()];
                     let (s, e) = timeline.reserve(EngineId::Dma(0), ready, dur);
-                    steps.push(PlannedOp {
+                    emit(PlannedOp {
                         node: None,
                         label: StepLabel::Dma(input),
                         category: "dma",
@@ -298,7 +333,7 @@ impl GraphCompiler {
                 glu_compiled = true;
                 let stall = self.cfg.recompile_stall_ns;
                 let (s, e) = timeline.reserve(EngineId::Host, deps_end, stall);
-                steps.push(PlannedOp {
+                emit(PlannedOp {
                     node: None,
                     label: StepLabel::GluRecompile,
                     category: "stall",
@@ -323,7 +358,7 @@ impl GraphCompiler {
             }
 
             let (start, end) = timeline.reserve(cost.engine, earliest, cost.time_ns);
-            steps.push(PlannedOp {
+            emit(PlannedOp {
                 node: Some(node.id),
                 label: StepLabel::Op(node.id),
                 category: "op",
@@ -339,15 +374,7 @@ impl GraphCompiler {
             last_issue = Some((cost.engine, end));
         }
 
-        let makespan_ns = steps
-            .iter()
-            .map(|s| s.start_ns + s.dur_ns)
-            .fold(0.0, f64::max);
-        ExecutionPlan {
-            steps,
-            node_end_ns: node_end,
-            makespan_ns,
-        }
+        (node_end, makespan_ns)
     }
 }
 

@@ -222,6 +222,15 @@ impl Graph {
         Graph::default()
     }
 
+    /// Empty the graph back to [`Graph::new`]'s state, keeping the node and
+    /// output vectors' capacity: a graph rebuilt into a cleared one grows
+    /// neither vector up to the size it had.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.outputs.clear();
+        self.storage_dtype = DType::default();
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -1054,6 +1063,24 @@ mod tests {
         assert_eq!(*g.node(NodeId(2)).inputs, [NodeId(0), NodeId(1)]);
         assert_eq!(g.node(NodeId(2)).name, "sum");
         assert_eq!(g.outputs(), [NodeId(2), NodeId(1)]);
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn clear_leaves_a_new_graph_with_its_capacity() {
+        let mut g = Graph::new();
+        let x = g.input("x", &[4]).unwrap();
+        let y = g.exp(x).unwrap();
+        g.name_last("e");
+        g.mark_output(y);
+        g.storage_dtype = DType::BF16;
+        let capacity = g.nodes.capacity();
+        g.clear();
+        assert_eq!(format!("{g:?}"), format!("{:?}", Graph::new()));
+        assert_eq!(g.nodes.capacity(), capacity);
+        // A cleared graph builds like a fresh one.
+        let x = g.input("x", &[4]).unwrap();
+        assert_eq!(x, NodeId(0));
         g.validate().unwrap();
     }
 

@@ -57,10 +57,29 @@ pub fn build_prefill(
     batch: usize,
     prompt_len: usize,
 ) -> Result<(Graph, BuiltPrefill), GraphError> {
+    let mut g = Graph::new();
+    let built = build_prefill_into(cfg, batch, prompt_len, &mut g)?;
+    Ok((g, built))
+}
+
+/// [`build_prefill`] into `g`: it [clears](Graph::clear) `g` and builds the
+/// same graph there, so a caller that builds one phase after another into
+/// one graph reuses its node storage. On an error `g` holds a partial
+/// graph, or is untouched if the shape is empty.
+///
+/// # Errors
+///
+/// As [`build_prefill`].
+pub fn build_prefill_into(
+    cfg: &LlmConfig,
+    batch: usize,
+    prompt_len: usize,
+    g: &mut Graph,
+) -> Result<BuiltPrefill, GraphError> {
     if batch == 0 || prompt_len == 0 {
         return Err(TensorError::EmptyTensor.into());
     }
-    let mut g = Graph::new();
+    g.clear();
     g.storage_dtype = gaudi_tensor::DType::F32;
     let d = cfg.model_dim();
 
@@ -70,7 +89,7 @@ pub fn build_prefill(
     g.name_last("tok_embed");
     let pos_table = g.parameter("serve.pos_embed", &[prompt_len, d])?;
     let mut h = g.add(tok, pos_table)?;
-    h = layernorm(&mut g, h, "serve.embed_ln")?;
+    h = layernorm(g, h, "serve.embed_ln")?;
 
     let mask = g.input("causal_mask", &[prompt_len, prompt_len])?;
     let layer_cfg = crate::config::TransformerLayerConfig {
@@ -86,7 +105,7 @@ pub fn build_prefill(
     };
     for l in 0..cfg.layers {
         h = crate::transformer::transformer_layer(
-            &mut g,
+            g,
             h,
             &layer_cfg,
             &format!("serve.layer{l}"),
@@ -94,7 +113,7 @@ pub fn build_prefill(
         )?;
     }
     g.mark_output(h);
-    Ok((g, BuiltPrefill { ids, hidden: h }))
+    Ok(BuiltPrefill { ids, hidden: h })
 }
 
 /// Build one decode step: a `[batch, 1]` token batch attends to per-layer
@@ -109,10 +128,27 @@ pub fn build_decode_step(
     batch: usize,
     ctx_len: usize,
 ) -> Result<(Graph, BuiltDecodeStep), GraphError> {
+    let mut g = Graph::new();
+    let built = build_decode_step_into(cfg, batch, ctx_len, &mut g)?;
+    Ok((g, built))
+}
+
+/// [`build_decode_step`] into `g`, which it [clears](Graph::clear) first,
+/// as [`build_prefill_into`] does.
+///
+/// # Errors
+///
+/// As [`build_decode_step`].
+pub fn build_decode_step_into(
+    cfg: &LlmConfig,
+    batch: usize,
+    ctx_len: usize,
+    g: &mut Graph,
+) -> Result<BuiltDecodeStep, GraphError> {
     if batch == 0 || ctx_len == 0 {
         return Err(TensorError::EmptyTensor.into());
     }
-    let mut g = Graph::new();
+    g.clear();
     g.storage_dtype = gaudi_tensor::DType::F32;
     let d = cfg.model_dim();
 
@@ -123,17 +159,17 @@ pub fn build_decode_step(
     // One position's worth of positional embedding (gather stand-in).
     let pos = g.parameter("serve.pos_embed_step", &[1, d])?;
     let mut h = g.add(tok, pos)?;
-    h = layernorm(&mut g, h, "serve.embed_ln")?;
+    h = layernorm(g, h, "serve.embed_ln")?;
 
     for l in 0..cfg.layers {
         let name = format!("serve.layer{l}");
         // GEMV-shaped projections for the single current position.
-        let q = linear(&mut g, h, d, d, dotted(&name, "q_proj"))?;
-        let k = linear(&mut g, h, d, d, dotted(&name, "k_proj"))?;
-        let v = linear(&mut g, h, d, d, dotted(&name, "v_proj"))?;
-        let qh = split_heads(&mut g, q, cfg.heads, cfg.head_dim)?;
-        let kh = split_heads(&mut g, k, cfg.heads, cfg.head_dim)?;
-        let vh = split_heads(&mut g, v, cfg.heads, cfg.head_dim)?;
+        let q = linear(g, h, d, d, dotted(&name, "q_proj"))?;
+        let k = linear(g, h, d, d, dotted(&name, "k_proj"))?;
+        let v = linear(g, h, d, d, dotted(&name, "v_proj"))?;
+        let qh = split_heads(g, q, cfg.heads, cfg.head_dim)?;
+        let kh = split_heads(g, k, cfg.heads, cfg.head_dim)?;
+        let vh = split_heads(g, v, cfg.heads, cfg.head_dim)?;
         // The new K/V rows are written back to the cache.
         g.mark_output(kh);
         g.mark_output(vh);
@@ -142,14 +178,14 @@ pub fn build_decode_step(
         let cache = [batch, cfg.heads, ctx_len, cfg.head_dim];
         let k_cache = g.input(dotted(&name, "k_cache"), &cache)?;
         let v_cache = g.input(dotted(&name, "v_cache"), &cache)?;
-        let ctx = softmax_attention(&mut g, qh, k_cache, v_cache, None)?;
-        let merged = merge_heads(&mut g, ctx)?;
-        let attn_out = linear(&mut g, merged, d, d, dotted(&name, "out_proj"))?;
+        let ctx = softmax_attention(g, qh, k_cache, v_cache, None)?;
+        let merged = merge_heads(g, ctx)?;
+        let attn_out = linear(g, merged, d, d, dotted(&name, "out_proj"))?;
 
         let res1 = g.add(h, attn_out)?;
-        let ln1 = layernorm(&mut g, res1, dotted(&name, "ln1"))?;
+        let ln1 = layernorm(g, res1, dotted(&name, "ln1"))?;
         let f = ffn(
-            &mut g,
+            g,
             ln1,
             d,
             d * cfg.ffn_mult,
@@ -157,13 +193,13 @@ pub fn build_decode_step(
             &dotted(&name, "ffn"),
         )?;
         let res2 = g.add(ln1, f)?;
-        h = layernorm(&mut g, res2, dotted(&name, "ln2"))?;
+        h = layernorm(g, res2, dotted(&name, "ln2"))?;
     }
 
     // LM head over the single position: `[B, 1, d] × [d, V]`.
-    let logits = linear(&mut g, h, d, cfg.vocab, "serve.lm_head")?;
+    let logits = linear(g, h, d, cfg.vocab, "serve.lm_head")?;
     g.mark_output(logits);
-    Ok((g, BuiltDecodeStep { ids, logits }))
+    Ok(BuiltDecodeStep { ids, logits })
 }
 
 #[cfg(test)]
@@ -283,6 +319,30 @@ mod tests {
         ];
         let expected = [&embedding[..], &LAYER0_QKV, &LAYER0_TAIL].concat();
         assert_eq!(embedding_layer0_and_head(&g), expected);
+    }
+
+    #[test]
+    fn building_into_a_used_graph_matches_a_fresh_build() {
+        let cfg = tiny();
+        let text = |g: &Graph| format!("{g:?}");
+        let prefill = |g: &mut Graph, batch, len| {
+            let hidden = build_prefill_into(&cfg, batch, len, g).unwrap().hidden;
+            let (fresh, built) = build_prefill(&cfg, batch, len).unwrap();
+            assert_eq!((text(g), hidden), (text(&fresh), built.hidden));
+        };
+        let decode = |g: &mut Graph, batch, len| {
+            let logits = build_decode_step_into(&cfg, batch, len, g).unwrap().logits;
+            let (fresh, built) = build_decode_step(&cfg, batch, len).unwrap();
+            assert_eq!((text(g), logits), (text(&fresh), built.logits));
+        };
+        // A decode after a prefill, a smaller prefill after a larger
+        // decode, and a build after a failed one.
+        let mut g = Graph::new();
+        prefill(&mut g, 2, 32);
+        decode(&mut g, 4, 64);
+        prefill(&mut g, 1, 8);
+        assert!(build_decode_step_into(&cfg, 0, 8, &mut g).is_err());
+        decode(&mut g, 3, 16);
     }
 
     #[test]

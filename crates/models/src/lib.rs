@@ -26,7 +26,10 @@ pub mod transformer;
 pub use attention::AttentionKind;
 pub use bert::BertConfig;
 pub use config::{LlmConfig, TransformerLayerConfig};
-pub use decode::{build_decode_step, build_prefill, BuiltDecodeStep, BuiltPrefill};
+pub use decode::{
+    build_decode_step, build_decode_step_into, build_prefill, build_prefill_into, BuiltDecodeStep,
+    BuiltPrefill,
+};
 pub use gpt::GptConfig;
 pub use transformer::build_transformer_layer;
 

@@ -12,8 +12,11 @@
 //! recipe cache, and the reason phase shapes are bucketed at all
 //! ([`CostModel::shape`], the one place that buckets them). A memo entry
 //! is the [`PhaseCost`] alone, the only part of a compile the simulation
-//! reads: the phase graph is handed to the compiler by value and dropped
-//! with its plan, and no memory plan is made. Memoization is two-level:
+//! reads: every cold shape is built into the [`PlanCache`]'s one
+//! workspace graph, handed to the compiler by value and taken back, and
+//! the scheduler's steps are folded into the cost as it places them, so
+//! no plan is collected and no memory plan is made. Memoization is
+//! two-level:
 //!
 //! * each [`CostModel`] is one replica's recipe table: one entry per phase
 //!   [`Shape`] it has priced, holding the phase's cost and whether the
@@ -29,7 +32,8 @@
 //! The cache is safe to share between threads (the engine's replicas run
 //! on a [`gaudi_exec::ExecPool`]); a compile happens under the cache lock,
 //! so each shape is compiled exactly once no matter how many replicas race
-//! to it, and every caller reads the same cost, bit for bit.
+//! to it, and every caller reads the same cost, bit for bit. The lock also
+//! guards the workspace graph the cache lends each compile.
 //!
 //! The memory planner has one reader: the activation footprint that
 //! [`ActivationBudget`](crate::ActivationBudget) admission reserves. Its
@@ -39,10 +43,10 @@
 use crate::engine::ServingConfig;
 use crate::error::ServingError;
 use crate::idhash::IdMap;
-use gaudi_compiler::{ExecutionPlan, GraphCompiler};
+use gaudi_compiler::{GraphCompiler, PlannedOp};
 use gaudi_graph::Graph;
 use gaudi_hw::EngineId;
-use gaudi_models::decode::{build_decode_step, build_prefill};
+use gaudi_models::decode::{build_decode_step_into, build_prefill_into};
 use gaudi_models::LlmConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -63,21 +67,15 @@ pub struct PhaseCost {
 }
 
 impl PhaseCost {
-    fn from_plan(plan: &ExecutionPlan) -> Self {
-        let mut cost = PhaseCost {
-            ms: plan.makespan_ns / 1e6,
-            ..PhaseCost::default()
-        };
-        for step in &plan.steps {
-            match step.engine {
-                EngineId::Mme => cost.mme_busy_ns += step.dur_ns,
-                EngineId::TpcCluster => cost.tpc_busy_ns += step.dur_ns,
-                EngineId::Dma(_) => cost.dma_busy_ns += step.dur_ns,
-                EngineId::Nic => cost.nic_busy_ns += step.dur_ns,
-                EngineId::Host => {}
-            }
+    /// Add one scheduled step's duration to its engine's busy time.
+    fn charge(&mut self, step: &PlannedOp) {
+        match step.engine {
+            EngineId::Mme => self.mme_busy_ns += step.dur_ns,
+            EngineId::TpcCluster => self.tpc_busy_ns += step.dur_ns,
+            EngineId::Dma(_) => self.dma_busy_ns += step.dur_ns,
+            EngineId::Nic => self.nic_busy_ns += step.dur_ns,
+            EngineId::Host => {}
         }
-        cost
     }
 }
 
@@ -145,6 +143,10 @@ pub struct PlanCache {
 #[derive(Debug, Default)]
 struct PlanCacheInner {
     map: HashMap<PlanKey, PhaseCost>,
+    /// The graph every cold shape is built into, lent to one compile at a
+    /// time under the lock: its node storage outlives each build, so a
+    /// shape no larger than an earlier one allocates no node vector.
+    workspace: Graph,
     hits: u64,
     misses: u64,
 }
@@ -155,11 +157,13 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Fetch `key`, compiling (and memoizing) it on first sight.
+    /// Fetch `key`, compiling (and memoizing) it on first sight. `compile`
+    /// gets the cache's workspace graph to build the shape into, and must
+    /// leave a graph there for the next cold shape.
     pub fn get_or_compile(
         &self,
         key: PlanKey,
-        compile: impl FnOnce() -> Result<PhaseCost, ServingError>,
+        compile: impl FnOnce(&mut Graph) -> Result<PhaseCost, ServingError>,
     ) -> Result<PhaseCost, ServingError> {
         let mut inner = self.inner.lock().expect("plan cache lock");
         if let Some(&hit) = inner.map.get(&key) {
@@ -167,7 +171,7 @@ impl PlanCache {
             return Ok(hit);
         }
         // Compile under the lock: a cold shape is compiled exactly once.
-        let cost = compile()?;
+        let cost = compile(&mut inner.workspace)?;
         inner.misses += 1;
         inner.map.insert(key, cost);
         Ok(cost)
@@ -296,25 +300,35 @@ impl CostContext {
         }
     }
 
-    /// The phase graph of `shape`.
-    fn graph(&self, shape: Shape) -> Result<Graph, ServingError> {
+    /// Build the phase graph of `shape` into `g`, replacing what it held.
+    fn build(&self, shape: Shape, g: &mut Graph) -> Result<(), ServingError> {
         let Shape { phase, batch, len } = shape;
-        Ok(match phase {
-            Phase::Prefill => build_prefill(&self.model, batch, len)?.0,
-            Phase::Decode => build_decode_step(&self.model, batch, len)?.0,
-        })
+        match phase {
+            Phase::Prefill => build_prefill_into(&self.model, batch, len, g).map(drop)?,
+            Phase::Decode => build_decode_step_into(&self.model, batch, len, g).map(drop)?,
+        }
+        Ok(())
     }
 
-    /// Compile-or-fetch one phase shape's cost. A cold shape's graph is
-    /// handed to the compiler by value, so the passes rewrite it in place.
+    /// Compile-or-fetch one phase shape's cost. A cold shape is built into
+    /// the cache's workspace graph, handed to the compiler by value (the
+    /// passes rewrite it in place) and taken back. The scheduler's steps
+    /// are charged to the cost in issue order as it places them, the order
+    /// a collected plan lists them in, so no plan is collected.
     fn cost(&self, shape: Shape) -> Result<PhaseCost, ServingError> {
         let key = PlanKey {
             config: Arc::clone(&self.fingerprint),
             shape,
         };
-        self.cache.get_or_compile(key, || {
-            let (_, plan) = self.compiler.compile(self.graph(shape)?)?;
-            Ok(PhaseCost::from_plan(&plan))
+        self.cache.get_or_compile(key, |workspace| {
+            self.build(shape, workspace)?;
+            let mut cost = PhaseCost::default();
+            let (graph, makespan_ns) = self
+                .compiler
+                .compile_streamed(std::mem::take(workspace), |step| cost.charge(&step))?;
+            *workspace = graph;
+            cost.ms = makespan_ns / 1e6;
+            Ok(cost)
         })
     }
 }
@@ -383,7 +397,9 @@ impl CostModel {
     /// executes.
     pub(crate) fn activation_bytes(&self, shape: Shape) -> Result<(u64, u64), ServingError> {
         let ctx = &self.ctx;
-        let (_, _, mem) = ctx.compiler.compile_with_memplan(ctx.graph(shape)?)?;
+        let mut graph = Graph::new();
+        ctx.build(shape, &mut graph)?;
+        let (_, _, mem) = ctx.compiler.compile_with_memplan(graph)?;
         Ok((mem.arena_bytes, mem.naive_bytes))
     }
 
@@ -458,6 +474,72 @@ mod tests {
             c.nic_busy_ns,
         ]
         .map(f64::to_bits)
+    }
+
+    /// Every field of the cost of `shape` under `cfg` as a fresh compile of
+    /// a freshly built graph gives it, as bits: the plan's makespan, and
+    /// each engine's step durations summed in the plan's order.
+    fn fresh_bits(cfg: &ServingConfig, shape: Shape) -> [u64; 5] {
+        let Shape { phase, batch, len } = shape;
+        let graph = match phase {
+            Prefill => {
+                gaudi_models::build_prefill(&cfg.model, batch, len)
+                    .unwrap()
+                    .0
+            }
+            Decode => {
+                gaudi_models::build_decode_step(&cfg.model, batch, len)
+                    .unwrap()
+                    .0
+            }
+        };
+        let compiler = GraphCompiler::new(cfg.hw.clone(), cfg.opts.clone());
+        let (_, plan) = compiler.compile(graph).unwrap();
+        let mut busy = [0.0; 4];
+        for step in &plan.steps {
+            let lane = match step.engine {
+                EngineId::Mme => 0,
+                EngineId::TpcCluster => 1,
+                EngineId::Dma(_) => 2,
+                EngineId::Nic => 3,
+                EngineId::Host => continue,
+            };
+            busy[lane] += step.dur_ns;
+        }
+        let [mme_busy_ns, tpc_busy_ns, dma_busy_ns, nic_busy_ns] = busy;
+        bits(PhaseCost {
+            ms: plan.makespan_ns / 1e6,
+            mme_busy_ns,
+            tpc_busy_ns,
+            dma_busy_ns,
+            nic_busy_ns,
+        })
+    }
+
+    #[test]
+    fn costs_built_in_one_workspace_equal_fresh_compiles() {
+        // The paper GPT, so the DMA and host-stall lanes carry steps too.
+        let cfg = ServingConfig::builder().ctx_bucket(64).build();
+        let mut m = CostModel::new(&cfg);
+        // A large decode, then a small prefill into the graph it left.
+        for shape in [m.shape(Decode, 8, 1024), m.shape(Prefill, 1, 10)] {
+            assert_eq!(bits(m.compiled(shape).unwrap()), fresh_bits(&cfg, shape));
+        }
+        // A shape whose build fails leaves the workspace usable.
+        let empty = Shape {
+            phase: Prefill,
+            batch: 0,
+            len: 64,
+        };
+        assert!(m.compiled(empty).is_err());
+        for shape in [
+            m.shape(Prefill, 2, 300),
+            m.shape(Decode, 1, 64),
+            m.shape(Decode, 3, 512),
+            m.shape(Prefill, 1, 10),
+        ] {
+            assert_eq!(bits(m.compiled(shape).unwrap()), fresh_bits(&cfg, shape));
+        }
     }
 
     #[test]

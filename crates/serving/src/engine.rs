@@ -80,7 +80,9 @@ use crate::calendar::EventCalendar;
 use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeConfig};
 use crate::error::ServingError;
 use crate::fault::Job;
-use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig, KvLease};
+use crate::kv::{
+    kv_row_bytes, resident_weight_bytes, ActivationBudget, KvAdmission, KvAdmissionConfig, KvLease,
+};
 use crate::report::{
     CardRecords, CardTime, DropKind, DroppedRequest, Ranks, Records, RequestOutcome, ServingReport,
     Tally,
@@ -426,6 +428,91 @@ impl Active {
     }
 }
 
+/// A replica's FIFO admission queue, with the worst-case token footprint
+/// of its jobs and a lower bound on their earliest arrival. Every push
+/// lowers the bound to the job's arrival and a pop leaves it alone, so no
+/// queued job arrived before it, and [`expire`](Self::expire) tests it
+/// before it scans the queue.
+struct AdmissionQueue {
+    jobs: VecDeque<Job>,
+    /// Worst-case token footprint of `jobs`.
+    tokens: usize,
+    /// At most the earliest `arrival_us` in `jobs` (`u64::MAX` when empty
+    /// since the last reset).
+    oldest_us: u64,
+}
+
+impl AdmissionQueue {
+    fn new() -> Self {
+        AdmissionQueue {
+            jobs: VecDeque::new(),
+            tokens: 0,
+            oldest_us: u64::MAX,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
+    /// Count `job` in the total and the bound.
+    fn count(&mut self, job: &Job) {
+        self.tokens += job.req.total_tokens();
+        self.oldest_us = self.oldest_us.min(job.req.arrival_us);
+    }
+
+    fn push_back(&mut self, job: Job) {
+        self.count(&job);
+        self.jobs.push_back(job);
+    }
+
+    fn push_front(&mut self, job: Job) {
+        self.count(&job);
+        self.jobs.push_front(job);
+    }
+
+    fn pop_front(&mut self) -> Option<Job> {
+        let job = self.jobs.pop_front()?;
+        self.tokens -= job.req.total_tokens();
+        Some(job)
+    }
+
+    /// Empty the queue in order, resetting the total and the bound.
+    fn drain(&mut self) -> std::collections::vec_deque::Drain<'_, Job> {
+        self.tokens = 0;
+        self.oldest_us = u64::MAX;
+        self.jobs.drain(..)
+    }
+
+    /// Hand every job whose arrival, µs, `lapsed` holds for to `expired`,
+    /// in queue order, keeping the rest in order. `lapsed` must hold for
+    /// every arrival earlier than one it holds for: then no job lapses
+    /// unless the bound does, and only then is the queue scanned, the scan
+    /// resetting the bound to the exact earliest arrival it keeps.
+    fn expire(&mut self, lapsed: impl Fn(u64) -> bool, mut expired: impl FnMut(Job)) {
+        if !lapsed(self.oldest_us) {
+            return;
+        }
+        self.oldest_us = u64::MAX;
+        // One turn of the ring: each job is popped once and the kept ones
+        // go back in order, in the storage they came from.
+        for _ in 0..self.jobs.len() {
+            let job = self.jobs.pop_front().expect("one pop per queued job");
+            if lapsed(job.req.arrival_us) {
+                self.tokens -= job.req.total_tokens();
+                expired(job);
+            } else {
+                self.oldest_us = self.oldest_us.min(job.req.arrival_us);
+                self.jobs.push_back(job);
+            }
+        }
+    }
+}
+
 /// One data-parallel replica as an incremental state machine.
 ///
 /// [`Replica::step`] runs at most one timed phase and never *starts* a
@@ -443,9 +530,7 @@ struct Replica<'a> {
     /// Dispatched to this replica but not yet arrived, in submission order.
     pending: VecDeque<Job>,
     /// The FIFO admission queue.
-    waiting: VecDeque<Job>,
-    /// Worst-case token footprint of the admission queue.
-    waiting_tokens: usize,
+    waiting: AdmissionQueue,
     running: Vec<Active>,
     /// Terminal records on their way to the call's slots.
     records: CardRecords<'a>,
@@ -497,8 +582,7 @@ impl<'a> Replica<'a> {
             cost,
             kv,
             pending: VecDeque::new(),
-            waiting: VecDeque::new(),
-            waiting_tokens: 0,
+            waiting: AdmissionQueue::new(),
             running: Vec::new(),
             records: CardRecords::new(records),
             clock_ms: 0.0,
@@ -581,36 +665,28 @@ impl<'a> Replica<'a> {
                 let at = self.clock_ms;
                 self.drop_job(job, DropKind::Rejected, at, 0);
             } else {
-                self.waiting_tokens += job.req.total_tokens();
                 self.waiting.push_back(job);
             }
         }
         let r = &mut self.report;
         r.max_queue_depth = r.max_queue_depth.max(self.waiting.len());
-        r.peak_queued_tokens = r.peak_queued_tokens.max(self.waiting_tokens);
+        r.peak_queued_tokens = r.peak_queued_tokens.max(self.waiting.tokens);
 
         if rb.ttft_deadline_ms.is_none() && rb.deadline_ms.is_none() {
             return;
         }
         let clock = self.clock_ms;
-        let lapsed = |j: &Job| {
-            let waited = clock - j.req.arrival_ms();
+        // Monotone in the arrival: the µs-to-ms conversion (as
+        // `Request::arrival_ms`) and the subtraction from the clock never
+        // reorder two arrivals, so the oldest queued job lapses first.
+        let lapsed = |arrival_us: u64| {
+            let waited = clock - arrival_us as f64 / 1e3;
             rb.ttft_deadline_ms.is_some_and(|d| waited > d)
                 || rb.deadline_ms.is_some_and(|d| waited > d)
         };
-        // Most boundaries expire nothing: scan before rebuilding the queue.
-        if self.waiting.iter().any(lapsed) {
-            let mut keep = VecDeque::with_capacity(self.waiting.len());
-            for j in std::mem::take(&mut self.waiting) {
-                if lapsed(&j) {
-                    self.waiting_tokens -= j.req.total_tokens();
-                    self.drop_job(j, DropKind::TimedOut, clock, 0);
-                } else {
-                    keep.push_back(j);
-                }
-            }
-            self.waiting = keep;
-        }
+        let mut queue = std::mem::replace(&mut self.waiting, AdmissionQueue::new());
+        queue.expire(lapsed, |j| self.drop_job(j, DropKind::TimedOut, clock, 0));
+        self.waiting = queue;
     }
 
     /// Free a finished request's KV lease and classify it: completed if
@@ -741,7 +817,6 @@ impl<'a> Replica<'a> {
             );
             return Ok(false);
         };
-        self.waiting_tokens -= job.req.total_tokens();
         let queue_ms = self.clock_ms - job.submitted_ms();
         let (mut c, warmup) = self.price_admission(&job)?;
         // Deadline-aware admission: a request whose first token could only
@@ -882,7 +957,6 @@ impl<'a> Replica<'a> {
             } else if let Some(victim) = self.running.pop() {
                 let job = self.evict(victim);
                 self.report.preemptions += 1;
-                self.waiting_tokens += job.req.total_tokens();
                 self.waiting.push_front(job);
             }
         }
@@ -919,9 +993,8 @@ impl<'a> Replica<'a> {
             .into_iter()
             .map(|a| self.evict(a))
             .collect();
-        orphans.extend(self.waiting.drain(..));
+        orphans.extend(self.waiting.drain());
         orphans.extend(self.pending.drain(..));
-        self.waiting_tokens = 0;
         orphans
     }
 
@@ -1097,8 +1170,16 @@ pub(crate) fn check_config(cfg: &ServingConfig) -> Result<(), ServingError> {
     cfg.robustness
         .validate()
         .map_err(ServingError::InvalidConfig)?;
+    let (model, dtype) = (&cfg.model, cfg.kv_dtype);
+    if kv_row_bytes(model, dtype).is_none()
+        || resident_weight_bytes(model, cfg.max_request_tokens(), dtype).is_none()
+    {
+        return Err(ServingError::InvalidConfig(
+            "the model's KV row or resident weight size overflows u64".into(),
+        ));
+    }
     cfg.kv_admission
-        .validate(&cfg.model, cfg.kv_dtype)
+        .validate(model, dtype)
         .map_err(ServingError::InvalidConfig)
 }
 
@@ -1634,6 +1715,58 @@ mod tests {
         Mutex::new(Records::new(Ranks::Range { first: 0, len: n }))
     }
 
+    #[test]
+    fn the_bounded_expiry_expires_exactly_what_a_full_scan_expires() {
+        // Random pushes at both ends (a re-queued job arrived earlier than
+        // the queue's tail), pops, halts and clock advances; after each,
+        // the queue expires what scanning a plain copy of it expires.
+        let mut rng = gaudi_tensor::SeededRng::new(11);
+        let (mut queue, mut copy) = (AdmissionQueue::new(), VecDeque::new());
+        let (mut clock_us, mut expired_total) = (10_000u64, 0);
+        for id in 0..4_000 {
+            let job = Job::fresh(Request {
+                id,
+                arrival_us: clock_us - rng.below(9_000) as u64,
+                prompt_len: 1 + rng.below(64),
+                output_len: 1 + rng.below(16),
+            });
+            match rng.below(10) {
+                0..=3 => {
+                    copy.push_back(job.clone());
+                    queue.push_back(job);
+                }
+                4 | 5 => {
+                    copy.push_front(job.clone());
+                    queue.push_front(job);
+                }
+                6 => assert_eq!(queue.pop_front(), copy.pop_front()),
+                7 if id % 50 == 0 => {
+                    assert!(queue.drain().eq(copy.drain(..)));
+                }
+                _ => clock_us += rng.below(2_000) as u64,
+            }
+            let clock = clock_us as f64 / 1e3 + 0.25;
+            let lapsed = |arrival_us: u64| clock - arrival_us as f64 / 1e3 > 6.0;
+            let mut expired = Vec::new();
+            queue.expire(lapsed, |j| expired.push(j));
+            let mut scanned = Vec::new();
+            copy.retain(|j: &Job| {
+                let keep = !lapsed(j.req.arrival_us);
+                if !keep {
+                    scanned.push(j.clone());
+                }
+                keep
+            });
+            assert_eq!(expired, scanned);
+            assert_eq!(queue.jobs, copy);
+            let tokens: usize = copy.iter().map(|j| j.req.total_tokens()).sum();
+            assert_eq!(queue.tokens, tokens);
+            assert!(copy.iter().all(|j| queue.oldest_us <= j.req.arrival_us));
+            expired_total += expired.len();
+        }
+        assert!(expired_total > 100, "only {expired_total} jobs expired");
+    }
+
     /// Everything a `step` can change on a replica: its clock, queues,
     /// runners and their snapshots, terminal records, counters, trace and
     /// checkpoint schedule.
@@ -1643,7 +1776,8 @@ mod tests {
             "{:?}",
             (
                 (r.up, r.clock_ms, r.next_checkpoint_ms),
-                (ids(&r.pending), ids(&r.waiting), r.waiting_tokens),
+                (ids(&r.pending), ids(&r.waiting.jobs)),
+                (r.waiting.tokens, r.waiting.oldest_us),
                 r.running
                     .iter()
                     .map(|a| (a.job.req.id, a.generated, a.snapshot, a.lease.tokens()))
@@ -2716,7 +2850,33 @@ mod tests {
                 .kv_bytes_per_token(&huge_block.model, huge_block.kv_dtype),
             256
         );
-        for cfg in [empty_block, no_layers, no_head_dim, huge_block] {
+        // Models whose KV row (2^61 layers) or resident weights (a 2^62
+        // token vocabulary) overflow u64.
+        let overflowing = |model| ServingConfig {
+            model,
+            ..ServingConfig::paper_gpt()
+        };
+        let huge_kv_row = overflowing(LlmConfig {
+            layers: 1 << 61,
+            heads: 4,
+            head_dim: 16,
+            ..LlmConfig::tiny(97)
+        });
+        let huge_weights = overflowing(LlmConfig {
+            layers: 2,
+            vocab: 1 << 62,
+            heads: 4,
+            head_dim: 16,
+            ..LlmConfig::tiny(97)
+        });
+        for cfg in [
+            empty_block,
+            no_layers,
+            no_head_dim,
+            huge_block,
+            huge_kv_row,
+            huge_weights,
+        ] {
             assert!(matches!(
                 simulate(&cfg),
                 Err(ServingError::InvalidConfig(_))

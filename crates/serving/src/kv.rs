@@ -94,19 +94,25 @@ impl KvAdmissionConfig {
     /// Bytes of KV cache per token for a model (keys + values, all
     /// layers). Identical under both strategies; paged admission rounds
     /// *reservations* to blocks, not the rows themselves.
+    ///
+    /// # Panics
+    ///
+    /// If the size overflows `u64`. A simulation refuses such a model with
+    /// [`ServingError::InvalidConfig`](crate::ServingError::InvalidConfig)
+    /// before it sizes anything.
     pub fn kv_bytes_per_token(&self, model: &LlmConfig, dtype: DType) -> u64 {
-        2 * model.layers as u64 * model.model_dim() as u64 * dtype.size_of() as u64
+        kv_row_bytes(model, dtype).expect("the KV row size overflows u64")
     }
 
     /// Bytes of resident model weights (embeddings, per-layer projections
     /// and norms, LM head tied to the token embedding).
+    ///
+    /// # Panics
+    ///
+    /// If the size overflows `u64`, as
+    /// [`kv_bytes_per_token`](Self::kv_bytes_per_token).
     pub fn weight_bytes(&self, model: &LlmConfig, max_positions: usize, dtype: DType) -> u64 {
-        let d = model.model_dim() as u64;
-        let d_ff = d * model.ffn_mult as u64;
-        let embed = model.vocab as u64 * d + max_positions as u64 * d;
-        // q/k/v/out projections + biases, two layernorms, two FFN projections.
-        let per_layer = 4 * (d * d + d) + 2 * 2 * d + (d * d_ff + d_ff) + (d_ff * d + d);
-        (embed + model.layers as u64 * per_layer + 2 * d) * dtype.size_of() as u64
+        resident_weight_bytes(model, max_positions, dtype).expect("the weight size overflows u64")
     }
 
     /// Reject malformed strategies for `model` before a simulation starts:
@@ -164,6 +170,40 @@ impl KvAdmissionConfig {
             )?)),
         }
     }
+}
+
+/// [`KvAdmissionConfig::kv_bytes_per_token`], or `None` if it overflows
+/// `u64`.
+pub(crate) fn kv_row_bytes(model: &LlmConfig, dtype: DType) -> Option<u64> {
+    let d = model.heads.checked_mul(model.head_dim)? as u64;
+    2u64.checked_mul(model.layers as u64)?
+        .checked_mul(d)?
+        .checked_mul(dtype.size_of() as u64)
+}
+
+/// [`KvAdmissionConfig::weight_bytes`], or `None` if it overflows `u64`.
+pub(crate) fn resident_weight_bytes(
+    model: &LlmConfig,
+    max_positions: usize,
+    dtype: DType,
+) -> Option<u64> {
+    let d = model.heads.checked_mul(model.head_dim)? as u64;
+    let d_ff = d.checked_mul(model.ffn_mult as u64)?;
+    // A `[rows, cols]` matrix plus its `cols` bias.
+    let linear = |rows: u64, cols: u64| rows.checked_mul(cols)?.checked_add(cols);
+    let embed = (model.vocab as u64)
+        .checked_mul(d)?
+        .checked_add((max_positions as u64).checked_mul(d)?)?;
+    // q/k/v/out projections + biases, two layernorms, two FFN projections.
+    let per_layer = linear(d, d)?
+        .checked_mul(4)?
+        .checked_add(d.checked_mul(2 * 2)?)?
+        .checked_add(linear(d, d_ff)?)?
+        .checked_add(linear(d_ff, d)?)?;
+    embed
+        .checked_add((model.layers as u64).checked_mul(per_layer)?)?
+        .checked_add(d.checked_mul(2)?)?
+        .checked_mul(dtype.size_of() as u64)
 }
 
 /// One running request's KV reservation: handed out by

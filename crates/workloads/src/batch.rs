@@ -27,7 +27,7 @@ pub fn mlm_batch(
     batch: usize,
     seq: usize,
 ) -> (Tensor, Tensor, MlmStats) {
-    let vocab = corpus.vocab().size() as u32;
+    let vocab = corpus.vocab_size() as u32;
     let tokens = corpus.token_stream(batch * seq);
     let labels: Vec<f32> = tokens.iter().map(|&t| t as f32).collect();
     let mut inputs: Vec<f32> = labels.clone();

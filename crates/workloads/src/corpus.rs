@@ -15,61 +15,31 @@ pub const MASK: u32 = 3;
 /// First ordinary word id.
 pub const FIRST_WORD: u32 = 4;
 
-/// A toy vocabulary mapping word ids to printable surface forms (for
-/// example programs that want to show generated text).
-#[derive(Debug, Clone)]
-pub struct Vocab {
-    size: usize,
-}
-
-impl Vocab {
-    /// Vocabulary of the given total size (including special tokens).
-    pub fn new(size: usize) -> Self {
-        assert!(
-            size > FIRST_WORD as usize,
-            "vocab must hold the special tokens"
-        );
-        Vocab { size }
-    }
-
-    /// Total vocabulary size.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Surface form of a token id.
-    pub fn surface(&self, id: u32) -> String {
-        match id {
-            PAD => "[PAD]".to_string(),
-            CLS => "[CLS]".to_string(),
-            SEP => "[SEP]".to_string(),
-            MASK => "[MASK]".to_string(),
-            w => format!("w{w}"),
-        }
-    }
-}
-
 /// An endless synthetic document stream.
 pub struct SyntheticBookCorpus {
-    vocab: Vocab,
+    vocab_size: usize,
     zipf: ZipfSampler,
     rng: SeededRng,
 }
 
 impl SyntheticBookCorpus {
-    /// Corpus over a vocabulary of `vocab_size` tokens, seeded.
+    /// Corpus over a vocabulary of `vocab_size` tokens (special tokens
+    /// included), seeded.
     pub fn new(vocab_size: usize, seed: u64) -> Self {
-        let vocab = Vocab::new(vocab_size);
+        assert!(
+            vocab_size > FIRST_WORD as usize,
+            "vocab must hold the special tokens"
+        );
         SyntheticBookCorpus {
+            vocab_size,
             zipf: ZipfSampler::new(vocab_size - FIRST_WORD as usize, 1.05),
-            vocab,
             rng: SeededRng::new(seed),
         }
     }
 
-    /// The vocabulary.
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
+    /// Total vocabulary size, special tokens included.
+    pub fn vocab_size(&self) -> usize {
+        self.vocab_size
     }
 
     /// Generate one document of roughly `target_tokens` tokens, structured
@@ -136,12 +106,5 @@ mod tests {
         let mut a = SyntheticBookCorpus::new(300, 42);
         let mut b = SyntheticBookCorpus::new(300, 42);
         assert_eq!(a.token_stream(1000), b.token_stream(1000));
-    }
-
-    #[test]
-    fn vocab_surface_forms() {
-        let v = Vocab::new(100);
-        assert_eq!(v.surface(MASK), "[MASK]");
-        assert_eq!(v.surface(42), "w42");
     }
 }

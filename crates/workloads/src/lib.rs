@@ -15,5 +15,5 @@ pub mod corpus;
 pub mod zipf;
 
 pub use batch::{clm_batch, mlm_batch, MlmStats};
-pub use corpus::{SyntheticBookCorpus, Vocab, CLS, MASK, PAD, SEP};
+pub use corpus::{SyntheticBookCorpus, CLS, MASK, PAD, SEP};
 pub use zipf::ZipfSampler;

@@ -1,15 +1,17 @@
 //! Property tests on the compiler/runtime pipeline: for randomized graphs,
-//! `compile` schedules exactly the graph its public passes produce,
-//! schedules must respect engine exclusivity and data dependencies, the
-//! overlap scheduler must never lose to the in-order one, and numerics must
-//! be independent of the scheduling policy.
+//! `compile` schedules exactly the graph its public passes produce and
+//! streams exactly the steps its plan lists, schedules must respect engine
+//! exclusivity and data dependencies, the overlap scheduler must never lose
+//! to the in-order one, and numerics must be independent of the scheduling
+//! policy.
 
 use gaudi_compiler::{
-    eliminate_dead_code, fuse_attention, CompilerOptions, ExecutionPlan, GraphCompiler,
+    eliminate_dead_code, fuse_attention, CompilerOptions, ExecutionPlan, GraphCompiler, PlannedOp,
     SchedulerKind,
 };
 use gaudi_graph::{Graph, NodeId};
 use gaudi_hw::GaudiConfig;
+use gaudi_models::{build_decode_step, build_prefill, LlmConfig};
 use gaudi_runtime::{Feeds, NumericsMode, Runtime};
 use gaudi_tensor::{SeededRng, Tensor};
 use proptest::prelude::*;
@@ -86,10 +88,16 @@ fn same_graph(a: &Graph, b: &Graph) -> bool {
 /// Whether two plans agree step for step in every field, `f64`s by bits.
 fn same_plan(a: &ExecutionPlan, b: &ExecutionPlan) -> bool {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    a.steps.len() == b.steps.len()
-        && a.makespan_ns.to_bits() == b.makespan_ns.to_bits()
+    a.makespan_ns.to_bits() == b.makespan_ns.to_bits()
         && bits(&a.node_end_ns) == bits(&b.node_end_ns)
-        && a.steps.iter().zip(&b.steps).all(|(x, y)| {
+        && same_steps(&a.steps, &b.steps)
+}
+
+/// Whether two step lists agree in order and in every field, `f64`s by
+/// bits.
+fn same_steps(a: &[PlannedOp], b: &[PlannedOp]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
             x.node == y.node
                 && x.label == y.label
                 && x.category == y.category
@@ -115,6 +123,40 @@ fn compiler(kind: SchedulerKind) -> GraphCompiler {
 fn compile(g: &Graph, kind: SchedulerKind) -> (Graph, ExecutionPlan) {
     // The plan's node ids refer to the *compiled* graph (DCE renumbers).
     compiler(kind).compile(g).expect("compiles")
+}
+
+/// Whether compiling `g` with its schedule streamed, as serving's plan
+/// cache does, hands the sink exactly `plan`'s steps in order and returns
+/// `compiled` and `plan`'s makespan, where `compile` gave `compiled` and
+/// `plan`.
+fn streams_the_plan(c: &GraphCompiler, g: &Graph, compiled: &Graph, plan: &ExecutionPlan) -> bool {
+    let mut steps = Vec::new();
+    let (streamed, makespan_ns) = c
+        .compile_streamed(g.clone(), |step| steps.push(step))
+        .expect("compiles");
+    same_graph(&streamed, compiled)
+        && makespan_ns.to_bits() == plan.makespan_ns.to_bits()
+        && same_steps(&steps, &plan.steps)
+}
+
+#[test]
+fn streamed_serving_phases_receive_the_plans_steps() {
+    // The tiny model and the paper's GPT, as serving prices them.
+    let paper_gpt = LlmConfig {
+        training: false,
+        ..LlmConfig::paper_section_3_4(50257)
+    };
+    for model in [LlmConfig::tiny(97), paper_gpt] {
+        for g in [
+            build_prefill(&model, 2, 64).unwrap().0,
+            build_decode_step(&model, 4, 128).unwrap().0,
+        ] {
+            for kind in [SchedulerKind::InOrder, SchedulerKind::Overlap] {
+                let (compiled, plan) = compile(&g, kind);
+                assert!(streams_the_plan(&compiler(kind), &g, &compiled, &plan));
+            }
+        }
+    }
 }
 
 proptest! {
@@ -152,6 +194,7 @@ proptest! {
                     compiler(kind).compile_with_memplan(g.clone()).expect("compiles");
                 prop_assert!(same_graph(&planned, &compiled));
                 prop_assert!(same_plan(&planned_plan, &plan));
+                prop_assert!(streams_the_plan(&compiler(kind), &g, &compiled, &plan));
             }
         }
     }
