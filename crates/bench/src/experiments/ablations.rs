@@ -6,8 +6,7 @@ use crate::experiments::layer_figs::{
 };
 use gaudi_compiler::{CompilerOptions, ExecutionPlan, GraphCompiler, SchedulerKind};
 use gaudi_graph::{EinsumSpec, Graph};
-use gaudi_hw::roce::RoceModel;
-use gaudi_hw::GaudiConfig;
+use gaudi_hw::{GaudiConfig, Topology};
 use gaudi_models::attention::AttentionKind;
 use gaudi_models::config::TransformerLayerConfig;
 use gaudi_tensor::{Result as TensorResult, TensorError};
@@ -159,21 +158,24 @@ pub struct ScaleoutPoint {
 
 /// A4 — data-parallel scaling of a BERT training step over the HLS-1's
 /// RoCE fabric. `step_compute_ms` is the single-device step time (from
-/// Figure 9's run); `grad_bytes` the gradient volume.
+/// Figure 9's run); `grad_bytes` the gradient volume, ring-all-reduced
+/// across an HLS-1 box of each size in `worlds` (each at least 1) with no
+/// overlap: the efficiency is `step / (step + all-reduce)`.
 pub fn scaleout_sweep(
     step_compute_ms: f64,
     grad_bytes: u64,
     worlds: &[usize],
 ) -> Vec<ScaleoutPoint> {
-    let roce = RoceModel::new(GaudiConfig::hls1().roce);
+    let cfg = GaudiConfig::hls1();
+    let step_ns = step_compute_ms * 1e6;
     worlds
         .iter()
         .map(|&world| {
-            let allreduce_ns = roce.allreduce_time_ns(grad_bytes, world);
+            let allreduce_ns = Topology::hls1_box(&cfg, world).allreduce_time_ns(grad_bytes);
             ScaleoutPoint {
                 world,
                 allreduce_ms: allreduce_ns / 1e6,
-                efficiency: roce.scaling_efficiency(step_compute_ms * 1e6, grad_bytes, world),
+                efficiency: step_ns / (step_ns + allreduce_ns),
             }
         })
         .collect()

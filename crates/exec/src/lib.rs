@@ -1,43 +1,39 @@
 //! # gaudi-exec — deterministic parallel execution
 //!
-//! A std-only scoped work-stealing thread pool built for one job: running
-//! the simulator's embarrassingly-parallel loops (data-parallel serving
-//! replicas, per-device SPMD interpretation, sweep configuration points)
-//! without perturbing a single bit of their output.
+//! A std-only fan-out over scoped threads, built for one job: running the
+//! simulator's embarrassingly-parallel loops (data-parallel serving
+//! replicas, cluster boxes, per-device SPMD interpretation, sweep
+//! configuration points) without perturbing a single bit of their output.
 //!
 //! The contract is the whole point:
 //!
 //! * [`ExecPool::par_map`] **always returns results in input order**, no
-//!   matter which worker computed which item or in what order items
+//!   matter which thread computed which item or in what order items
 //!   finished. Callers that fold results index-by-index therefore produce
 //!   output bit-identical to a serial loop — which is what lets CI keep
 //!   gating on two-run (and serial-vs-parallel) reproducibility.
 //! * [`ExecPool::try_par_map`] surfaces the **lowest-index** error, exactly
 //!   the error a serial `collect::<Result<_, _>>()` would have returned.
-//! * A panicking task is re-thrown on the caller's thread after the batch
-//!   quiesces — never swallowed, never deadlocked.
+//! * A panicking task is re-thrown on the caller's thread, payload
+//!   unchanged, once every thread of its batch has stopped — never
+//!   swallowed, never deadlocked.
 //!
 //! ## Design
 //!
-//! Workers are long-lived threads parked on a condition variable. Each
-//! `par_map` call builds a *batch* on the caller's stack: the input slice,
-//! the closure, and one atomic `[start, end)` index range per participant.
-//! A type-erased handle to the batch is announced to the pool; workers that
-//! pick it up claim indices one at a time from their own range and, when it
-//! runs dry, **steal from the back of the fullest remaining range** (plain
-//! CAS on a packed `u64`, no locks on the claim path). The caller
-//! participates too, so a busy pool can never deadlock a nested `par_map`:
-//! every claimed index is actively being executed by some thread, and
-//! unclaimed indices can always be claimed by the caller itself.
+//! Each `par_map` call is one batch inside one [`std::thread::scope`]: the
+//! caller and up to `min(concurrency, n) − 1` scoped threads claim indices
+//! from one shared atomic counter until it runs past `n`, each keeping its
+//! own `(index, result)` pairs, which the caller sorts by index once every
+//! thread has joined. The scope is what lets the threads borrow the
+//! caller's data. A thread that cannot be spawned is simply not there: the
+//! ones that did start claim its share. A `par_map` called from inside a
+//! batch runs inline on the thread that called it, so a batch never runs
+//! on more than `min(concurrency, n)` threads, nesting included. The
+//! traffic is coarse — a few dozen batches in a whole `sweeps` run, one
+//! per node of a partitioned run — so spawning per batch (tens of µs)
+//! costs nothing measurable.
 //!
-//! Borrowing non-`'static` data from worker threads is made sound by a
-//! close/drain protocol rather than by scoped-spawn: workers register
-//! entry into a batch under a lock, the caller marks the batch closed and
-//! waits until every registered participant has exited before its stack
-//! frame is allowed to unwind. Stale announcements popped after the close
-//! see the closed flag and never touch the (gone) batch.
-//!
-//! Thread count comes from [`ExecPool::new`], or for the shared
+//! Concurrency comes from [`ExecPool::new`], or for the shared
 //! [`ExecPool::global`] pool from the `GAUDI_EXEC_THREADS` environment
 //! variable (defaulting to [`std::thread::available_parallelism`]).
 //! The pool is the simulator's only source of threads — the tensor
@@ -47,72 +43,42 @@
 //! that `sweeps`' second pass and `tests/exec_determinism.rs` compare
 //! parallel runs against.
 
-use std::any::Any;
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// A handle to a (possibly shared) pool of worker threads.
+/// How many threads a `par_map` may run on. The pool owns no threads: each
+/// batch spawns its own, scoped to the call.
 ///
-/// Cloning is cheap and shares the underlying workers. A pool of
-/// concurrency 1 ([`ExecPool::serial`]) owns no threads at all and runs
-/// every `par_map` inline — it is the reference against which parallel
-/// runs are compared bit-for-bit.
-#[derive(Clone)]
+/// Cloning is free. A pool of concurrency 1 ([`ExecPool::serial`]) never
+/// spawns and runs every `par_map` inline — it is the reference against
+/// which parallel runs are compared bit-for-bit.
+#[derive(Clone, Debug)]
 pub struct ExecPool {
-    shared: Option<Arc<PoolShared>>,
+    concurrency: usize,
 }
 
-impl std::fmt::Debug for ExecPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecPool")
-            .field("concurrency", &self.concurrency())
-            .finish()
-    }
+thread_local! {
+    /// Set while this thread runs items of a batch, so a nested `par_map`
+    /// runs inline instead of spawning threads of its own.
+    static IN_BATCH: Cell<bool> = const { Cell::new(false) };
 }
 
 impl ExecPool {
-    /// A pool with `threads`-way concurrency: `threads - 1` worker threads
-    /// plus the calling thread, which always participates in its own
-    /// batches. `threads <= 1` yields the inline serial pool.
+    /// A pool with `threads`-way concurrency: each batch runs on the
+    /// calling thread plus up to `threads - 1` scoped threads. `threads <=
+    /// 1` yields the inline serial pool.
     pub fn new(threads: usize) -> Self {
-        if threads <= 1 {
-            return ExecPool { shared: None };
-        }
-        let inner = Arc::new(PoolInner {
-            queue: Mutex::new(VecDeque::new()),
-            work_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            workers: threads - 1,
-        });
-        let mut handles = Vec::with_capacity(threads - 1);
-        for i in 0..threads - 1 {
-            let inner = Arc::clone(&inner);
-            let h = std::thread::Builder::new()
-                .name(format!("gaudi-exec-{i}"))
-                .spawn(move || worker_loop(&inner));
-            match h {
-                Ok(h) => handles.push(h),
-                Err(_) => break, // run with however many threads we got
-            }
-        }
-        if handles.is_empty() {
-            return ExecPool { shared: None };
-        }
         ExecPool {
-            shared: Some(Arc::new(PoolShared {
-                inner,
-                handles: Mutex::new(handles),
-            })),
+            concurrency: threads.max(1),
         }
     }
 
     /// The 1-way pool: no threads, `par_map` runs inline. The serial
     /// baseline every parallel run must match bit-for-bit.
     pub fn serial() -> Self {
-        ExecPool { shared: None }
+        ExecPool::new(1)
     }
 
     /// The process-wide shared pool, created on first use. Sized by the
@@ -134,12 +100,10 @@ impl ExecPool {
         })
     }
 
-    /// Total concurrency: worker threads plus the participating caller.
+    /// Total concurrency: the participating caller plus the threads a
+    /// batch may spawn.
     pub fn concurrency(&self) -> usize {
-        match &self.shared {
-            None => 1,
-            Some(s) => s.inner.workers + 1,
-        }
+        self.concurrency
     }
 
     /// Map `f` over `0..n` in parallel, returning results **in index
@@ -147,20 +111,17 @@ impl ExecPool {
     /// guarantee to mean determinism — which is true of everything this
     /// workspace simulates.
     ///
-    /// Panics in `f` are re-raised on the calling thread once the batch
-    /// has quiesced.
+    /// Panics in `f` are re-raised on the calling thread once every thread
+    /// of the batch has stopped.
     pub fn par_map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let Some(shared) = &self.shared else {
-            return (0..n).map(f).collect();
-        };
-        if n <= 1 {
+        if self.concurrency <= 1 || n == 0 || IN_BATCH.get() {
             return (0..n).map(f).collect();
         }
-        run_batch(&shared.inner, n, &f)
+        run_batch(self.concurrency.min(n), n, &f)
     }
 
     /// Map `f` over a slice in parallel; results come back in input order.
@@ -186,11 +147,7 @@ impl ExecPool {
         E: Send,
         F: Fn(usize) -> Result<R, E> + Sync,
     {
-        let mut out = Vec::with_capacity(n);
-        for r in self.par_map_range(n, f) {
-            out.push(r?);
-        }
-        Ok(out)
+        self.par_map_range(n, f).into_iter().collect()
     }
 
     /// Fallible [`par_map`](Self::par_map) with the same lowest-index
@@ -206,272 +163,59 @@ impl ExecPool {
     }
 }
 
-/// What every clone of a parallel [`ExecPool`] shares. Dropping the last
-/// clone shuts the workers down and joins them.
-struct PoolShared {
-    inner: Arc<PoolInner>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl Drop for PoolShared {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Take the queue lock so the notify cannot race a worker between
-        // its shutdown check and its wait.
-        {
-            let _q = self.inner.queue.lock().unwrap();
-            self.inner.work_cv.notify_all();
-        }
-        for h in self.handles.lock().unwrap().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-struct PoolInner {
-    /// Announced batches. A batch may be announced multiple times (once
-    /// per worker it could use); stale announcements are harmless — see
-    /// [`BatchCore::participate`].
-    queue: Mutex<VecDeque<Arc<BatchCore>>>,
-    work_cv: Condvar,
-    shutdown: AtomicBool,
-    workers: usize,
-}
-
-fn worker_loop(inner: &PoolInner) {
-    loop {
-        let core = {
-            let mut q = inner.queue.lock().unwrap();
-            loop {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(c) = q.pop_front() {
-                    break c;
-                }
-                q = inner.work_cv.wait(q).unwrap();
-            }
-        };
-        core.participate();
-    }
-}
-
-/// The `'static` announcement handle for one `par_map` batch. The batch
-/// data itself lives on the caller's stack; this core carries a
-/// type-erased pointer to it plus the entry/close bookkeeping that makes
-/// the borrow sound.
-struct BatchCore {
-    state: Mutex<BatchState>,
-    quiesced: Condvar,
-    /// Monomorphized participant entry point for the erased batch.
-    runner: unsafe fn(*const ()),
-}
-
-struct BatchState {
-    /// Pointer to the stack-resident `BatchData`; nulled after close+drain.
-    batch: *const (),
-    /// Participants currently inside `runner`.
-    active: usize,
-    /// Set by the caller once all work is claimed; late poppers must not
-    /// enter.
-    closed: bool,
-}
-
-// SAFETY: `batch` is only dereferenced by participants registered under
-// the state lock while `closed` is false; the owning stack frame does not
-// exit (or unwind) until `closed` is set and `active` has drained to zero.
-unsafe impl Send for BatchCore {}
-unsafe impl Sync for BatchCore {}
-
-impl BatchCore {
-    fn participate(&self) {
-        let ptr = {
-            let mut st = self.state.lock().unwrap();
-            if st.closed {
-                return;
-            }
-            st.active += 1;
-            st.batch
-        };
-        // SAFETY: entry was registered above, so the caller is blocked in
-        // `drain` until we exit; `ptr` stays valid for the whole call.
-        // `runner` catches panics internally and never unwinds.
-        unsafe { (self.runner)(ptr) };
-        let mut st = self.state.lock().unwrap();
-        st.active -= 1;
-        if st.active == 0 {
-            self.quiesced.notify_all();
-        }
-    }
-
-    /// Close the batch and wait until every registered participant has
-    /// left. After this returns the caller's stack frame is the only
-    /// referent of the batch data.
-    fn drain(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        while st.active > 0 {
-            st = self.quiesced.wait(st).unwrap();
-        }
-        st.batch = std::ptr::null();
-    }
-}
-
-/// Pack a half-open index range `[start, end)` into one CAS-able word.
-#[inline]
-fn pack(start: u32, end: u32) -> u64 {
-    ((start as u64) << 32) | end as u64
-}
-
-#[inline]
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-/// The per-batch scratch living on the caller's stack for the duration of
-/// one `par_map_range` call.
-struct BatchData<'a, R, F> {
-    f: &'a F,
-    /// One claimable `[start, end)` range per potential participant.
-    ranges: Vec<AtomicU64>,
-    /// Hands each entering participant a distinct home range.
-    next_slot: AtomicUsize,
-    /// `(index, result)` pairs, flushed once per participant.
-    results: Mutex<Vec<(usize, R)>>,
-    /// A task panicked: stop claiming, propagate after the drain.
-    panicked: AtomicBool,
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
-impl<R, F: Fn(usize) -> R> BatchData<'_, R, F> {
-    /// Claim the next index from `slot`'s own range front.
-    fn claim_own(&self, slot: usize) -> Option<usize> {
-        let r = self.ranges.get(slot)?;
-        loop {
-            let cur = r.load(Ordering::Acquire);
-            let (s, e) = unpack(cur);
-            if s >= e {
-                return None;
-            }
-            if r.compare_exchange_weak(cur, pack(s + 1, e), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return Some(s as usize);
-            }
-        }
-    }
-
-    /// Steal one index from the back of the fullest other range.
-    fn steal(&self, slot: usize) -> Option<usize> {
-        loop {
-            let victim = self
-                .ranges
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != slot)
-                .map(|(i, r)| {
-                    let (s, e) = unpack(r.load(Ordering::Acquire));
-                    (i, e.saturating_sub(s))
-                })
-                .max_by_key(|&(_, remaining)| remaining)
-                .filter(|&(_, remaining)| remaining > 0)?;
-            let r = &self.ranges[victim.0];
-            let cur = r.load(Ordering::Acquire);
-            let (s, e) = unpack(cur);
-            if s >= e {
-                continue; // lost the race; rescan
-            }
-            if r.compare_exchange(cur, pack(s, e - 1), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return Some((e - 1) as usize);
-            }
-        }
-    }
-
-    /// One participant's whole contribution: claim → run → repeat, then
-    /// flush results. Never unwinds; a panicking task is recorded.
-    fn participant(&self) {
-        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
-        let mut local: Vec<(usize, R)> = Vec::new();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            while !self.panicked.load(Ordering::Relaxed) {
-                let Some(i) = self.claim_own(slot).or_else(|| self.steal(slot)) else {
-                    break;
-                };
-                local.push((i, (self.f)(i)));
-            }
-        }));
-        if let Err(payload) = run {
-            self.panicked.store(true, Ordering::Relaxed);
-            let mut p = self.panic.lock().unwrap();
-            p.get_or_insert(payload);
-        }
-        self.results.lock().unwrap().append(&mut local);
-    }
-}
-
-/// Type-erased participant entry: `ptr` is a `*const BatchData<R, F>`.
-///
-/// # Safety
-/// `ptr` must point to a live `BatchData<R, F>` of exactly this `R`/`F`
-/// monomorphization — guaranteed by pairing the fn pointer with the data
-/// in [`run_batch`].
-unsafe fn batch_runner<R, F: Fn(usize) -> R>(ptr: *const ()) {
-    let batch = unsafe { &*(ptr as *const BatchData<'_, R, F>) };
-    batch.participant();
-}
-
-fn run_batch<R, F>(inner: &Arc<PoolInner>, n: usize, f: &F) -> Vec<R>
+/// One batch on the caller plus up to `threads - 1` scoped threads. A batch
+/// of one item spawns nothing but still marks the caller as in a batch.
+fn run_batch<R, F>(threads: usize, n: usize, f: &F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    // One contiguous home range per potential participant; ranges are a
-    // partition of 0..n, so every index is claimed exactly once.
-    let participants = (inner.workers + 1).min(n);
-    let per = n.div_ceil(participants);
-    let ranges: Vec<AtomicU64> = (0..participants)
-        .map(|p| {
-            let start = (p * per).min(n) as u32;
-            let end = ((p + 1) * per).min(n) as u32;
-            AtomicU64::new(pack(start, end))
-        })
-        .collect();
-    let batch = BatchData {
-        f,
-        ranges,
-        next_slot: AtomicUsize::new(0),
-        results: Mutex::new(Vec::with_capacity(n)),
-        panicked: AtomicBool::new(false),
-        panic: Mutex::new(None),
+    // Both atomics are Relaxed: neither publishes data, since results and
+    // panic payloads come back through the joins. `panicked` stops the
+    // claiming once an item panicked.
+    let next = AtomicUsize::new(0);
+    let panicked = AtomicBool::new(false);
+    let participate = || {
+        IN_BATCH.set(true);
+        let mut done = Vec::new();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            while !panicked.load(Ordering::Relaxed) {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                done.push((i, f(i)));
+            }
+        }));
+        IN_BATCH.set(false);
+        if run.is_err() {
+            panicked.store(true, Ordering::Relaxed);
+        }
+        (done, run.err())
     };
-    let core = Arc::new(BatchCore {
-        state: Mutex::new(BatchState {
-            batch: &batch as *const BatchData<'_, R, F> as *const (),
-            active: 0,
-            closed: false,
-        }),
-        quiesced: Condvar::new(),
-        runner: batch_runner::<R, F>,
+    let parts = std::thread::scope(|s| {
+        let spawn = |_| {
+            std::thread::Builder::new()
+                .spawn_scoped(s, participate)
+                .ok()
+        };
+        let helpers: Vec<_> = (1..threads).map_while(spawn).collect();
+        let mut parts = vec![participate()];
+        for h in helpers {
+            parts.push(h.join().expect("a participant catches its own panics"));
+        }
+        parts
     });
 
-    // Announce to as many workers as could usefully help, then pitch in.
-    {
-        let mut q = inner.queue.lock().unwrap();
-        for _ in 0..inner.workers.min(n - 1) {
-            q.push_back(Arc::clone(&core));
-        }
-        inner.work_cv.notify_all();
+    let mut pairs = Vec::with_capacity(n);
+    let mut payload = None;
+    for (done, p) in parts {
+        pairs.extend(done);
+        payload = payload.or(p);
     }
-    core.participate();
-    core.drain();
-
-    // The batch is exclusively ours again: settle panics, then order.
-    if let Some(payload) = batch.panic.lock().unwrap().take() {
-        resume_unwind(payload);
+    if let Some(p) = payload {
+        resume_unwind(p);
     }
-    let mut pairs = std::mem::take(&mut *batch.results.lock().unwrap());
     debug_assert_eq!(pairs.len(), n, "every index claimed exactly once");
     pairs.sort_unstable_by_key(|&(i, _)| i);
     pairs.into_iter().map(|(_, r)| r).collect()
@@ -480,7 +224,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::collections::HashSet;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -526,7 +270,6 @@ mod tests {
     #[test]
     fn serial_pool_runs_inline_without_threads() {
         let pool = ExecPool::serial();
-        assert!(pool.shared.is_none());
         assert_eq!(pool.concurrency(), 1);
         // Non-Send closures state would fail to compile; runtime check: a
         // thread-local-ish marker survives because everything is inline.
@@ -565,6 +308,23 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_runs_on_at_most_min_k_n_threads_and_nests_inline() {
+        for k in [2, 3, 8] {
+            let pool = ExecPool::new(k);
+            for n in [1, 2, 5, 64] {
+                let ids = pool.par_map_range(n, |_| {
+                    let here = std::thread::current().id();
+                    let inner = pool.par_map_range(4, |_| std::thread::current().id());
+                    assert!(inner.iter().all(|&id| id == here), "k={k} n={n}");
+                    here
+                });
+                let threads: HashSet<_> = ids.into_iter().collect();
+                assert!(threads.len() <= k.min(n), "k={k} n={n}: {}", threads.len());
+            }
+        }
+    }
+
+    #[test]
     fn panics_propagate_to_the_caller() {
         let pool = ExecPool::new(4);
         let r = catch_unwind(AssertUnwindSafe(|| {
@@ -583,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn many_small_batches_reuse_the_workers() {
+    fn many_small_batches_keep_input_order() {
         let pool = ExecPool::new(4);
         for round in 0..200 {
             let out = pool.par_map_range(8, |i| i + round);

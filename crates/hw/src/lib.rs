@@ -24,7 +24,6 @@ pub mod engine;
 pub mod fault;
 pub mod memory;
 pub mod mme;
-pub mod roce;
 pub mod topology;
 pub mod tpc_cost;
 

@@ -36,7 +36,7 @@ use crate::engine::{check_config, into_inner, simulate_records, take, ExecPolicy
 use crate::error::ServingError;
 use crate::idhash::splitmix64;
 use crate::report::{Ranks, Records, ServingReport, Tally};
-use crate::request::{generate_requests, Request};
+use crate::request::{ceil_us, generate_requests, Request};
 use gaudi_hw::Topology;
 use std::sync::Mutex;
 
@@ -325,10 +325,10 @@ pub fn simulate_cluster_with(
             // switch hops, quantized up to the engine's µs arrival grid.
             cross_box_requests += 1;
             let ns = topo.cross_box_transfer_ns(r.prompt_len as u64 * BYTES_PER_PROMPT_TOKEN);
-            let delay_us = (ns / 1e3).ceil() as u64;
-            r.arrival_us = r.arrival_us.checked_add(delay_us).ok_or_else(|| {
-                ServingError::InvalidConfig(format!("request {} arrives past the µs clock", r.id))
-            })?;
+            let late = || format!("request {} arrives past the µs clock", r.id);
+            r.arrival_us = ceil_us(ns / 1e3)
+                .and_then(|delay_us| r.arrival_us.checked_add(delay_us))
+                .ok_or_else(|| ServingError::InvalidConfig(late()))?;
             cross_box_delay_ms += ns / 1e6;
         }
         shards[target].push(r);

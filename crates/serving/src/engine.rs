@@ -87,7 +87,7 @@ use crate::report::{
     CardRecords, CardTime, DropKind, DroppedRequest, Ranks, Records, RequestOutcome, ServingReport,
     Tally,
 };
-use crate::request::{generate_requests, Request, TrafficConfig};
+use crate::request::{ceil_us, generate_requests, Request, TrafficConfig};
 use crate::robustness::RobustnessConfig;
 use gaudi_compiler::CompilerOptions;
 use gaudi_exec::ExecPool;
@@ -1433,8 +1433,14 @@ fn simulate_box(
                 if attempt > cfg.robustness.max_retries {
                     replicas[d].drop_job(job, DropKind::Failed, t, 0);
                 } else {
-                    let delay = cfg.robustness.backoff_delay_ms(job.req.id, attempt);
-                    disp.push(job.requeued(t + delay));
+                    let id = job.req.id;
+                    let at = t + cfg.robustness.backoff_delay_ms(id, attempt);
+                    let Some(retry) = job.requeued(at) else {
+                        return Err(ServingError::InvalidConfig(format!(
+                            "request {id} would retry at {at:e} ms, past the µs clock"
+                        )));
+                    };
+                    disp.push(retry);
                 }
             }
             // A halt drains the replica, but its clock still owes the
@@ -1468,7 +1474,14 @@ fn simulate_box(
                             job.req.id
                         )));
                     };
-                    let up_us = ((up_t * 1e3).ceil() as u64).max(next_us);
+                    let Some(up_us) = ceil_us(up_t * 1e3) else {
+                        return Err(ServingError::InvalidConfig(format!(
+                            "request {} would wait for a restart at {up_t:e} ms, past the \
+                             µs clock",
+                            job.req.id
+                        )));
+                    };
+                    let up_us = up_us.max(next_us);
                     let mut j = job;
                     j.submitted_us = j.submitted_us.max(up_us);
                     disp.push(j);
@@ -2195,6 +2208,45 @@ mod tests {
         match simulate_trace(&cfg, vec![req]) {
             Err(ServingError::InvalidConfig(msg)) => {
                 assert!(msg.contains("request 7"), "{msg}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn retries_and_restarts_past_the_us_clock_are_rejected() {
+        // Both times lie past 2^64 µs (about 1.8447e16 ms), where a cast
+        // would saturate and run the attempt early, at `u64::MAX` µs.
+        let requests = (0..4)
+            .map(|id| Request {
+                id,
+                arrival_us: id * 10,
+                prompt_len: 8,
+                output_len: 200,
+            })
+            .collect::<Vec<_>>();
+        let mut cfg = tiny_config();
+        cfg.ctx_bucket = 16;
+        cfg.devices = 2;
+        cfg.faults = FaultPlan::none().kill(DeviceId(0), 0.5);
+        cfg.robustness = RobustnessConfig::unlimited().backoff(2e16, 0.0, 0);
+        // The card dies under request 0, whose retry is due at 2e16 ms.
+        match simulate_trace(&cfg, requests.clone()) {
+            Err(ServingError::InvalidConfig(msg)) => {
+                assert!(msg.contains("request 0 would retry at 2e16 ms"), "{msg}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        // The only card dies under request 0 and restarts at 1e300 ms.
+        cfg.devices = 1;
+        cfg.faults = FaultPlan::none().kill_for(DeviceId(0), 0.001, 1e300);
+        cfg.robustness = RobustnessConfig::unlimited();
+        match simulate_trace(&cfg, requests) {
+            Err(ServingError::InvalidConfig(msg)) => {
+                assert!(
+                    msg.contains("request 0 would wait for a restart at 1e300 ms"),
+                    "{msg}"
+                );
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }

@@ -19,7 +19,7 @@
 //! steps. A runner the paged KV pool preempts carries its snapshot the
 //! same way.
 
-use crate::request::Request;
+use crate::request::{ceil_us, Request};
 
 /// One scheduling attempt of a request on a particular replica.
 ///
@@ -61,12 +61,12 @@ impl Job {
 
     /// The next attempt after a replica failure at `at_ms`: re-queued at
     /// the failure time (never before the request's own arrival), with the
-    /// retry count bumped.
-    pub fn requeued(mut self, at_ms: f64) -> Self {
-        let at_us = (at_ms * 1e3).ceil() as u64;
+    /// retry count bumped. `None` when `at_ms` lies past the µs clock.
+    pub fn requeued(mut self, at_ms: f64) -> Option<Self> {
+        let at_us = ceil_us(at_ms * 1e3)?;
         self.submitted_us = self.req.arrival_us.max(at_us);
         self.retries += 1;
-        self
+        Some(self)
     }
 }
 
@@ -88,12 +88,19 @@ mod tests {
         let j = Job::fresh(req(0, 5_000, 8));
         assert_eq!(j.submitted_us, 5_000);
         assert_eq!(j.retries, 0);
-        let r = j.requeued(10.5);
+        let r = j.requeued(10.5).expect("10.5 ms is on the µs clock");
         assert_eq!(r.submitted_us, 10_500);
         assert_eq!(r.retries, 1);
         assert_eq!(r.checkpointed_tokens, 0, "no snapshot unless one is set");
         // Requeue time never precedes the request's own arrival.
-        let early = Job::fresh(req(1, 9_000, 8)).requeued(2.0);
+        let early = Job::fresh(req(1, 9_000, 8)).requeued(2.0).unwrap();
         assert_eq!(early.submitted_us, 9_000);
+        // Past the µs clock (2^64 µs is about 1.8447e16 ms), or NaN: no
+        // attempt, rather than one saturated to `u64::MAX` µs.
+        for at_ms in [2e16, f64::INFINITY, f64::NAN] {
+            assert_eq!(Job::fresh(req(2, 0, 8)).requeued(at_ms), None, "{at_ms}");
+        }
+        let late = Job::fresh(req(3, 0, 8)).requeued(1.8e16).unwrap();
+        assert_eq!(late.submitted_us, 18_000_000_000_000_000_000);
     }
 }

@@ -122,6 +122,15 @@ fn gap_us(u: f64, rate: f64) -> u64 {
     (gap_s * 1e6) as u64
 }
 
+/// A time of `us` microseconds rounded up onto the µs grid that arrivals
+/// and submissions live on, or `None` when it is NaN or at or past 2^64
+/// µs (about 1.8447e16 ms), where an `as` cast would saturate to
+/// `u64::MAX` instead (`u64::MAX as f64` is 2^64).
+pub(crate) fn ceil_us(us: f64) -> Option<u64> {
+    let us = us.ceil();
+    (us < u64::MAX as f64).then_some(us as u64)
+}
+
 /// Generate the full request trace for a configuration, sorted by arrival,
 /// with ids `0..num_requests` in arrival order.
 ///

@@ -12,6 +12,9 @@
 //! so the test harness's own threads do not count. This binary holds one
 //! test, so no other test allocates meanwhile.
 
+// A `#[global_allocator]` must be an `unsafe impl GlobalAlloc`.
+#![allow(unsafe_code)]
+
 use gaudi_models::LlmConfig;
 use gaudi_serving::{CostContext, CostModel, Phase, PlanCache, ServingConfig};
 use std::alloc::{GlobalAlloc, Layout, System};

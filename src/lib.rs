@@ -10,7 +10,8 @@
 //!
 //! * [`tensor`] — CPU tensor numerics (the datapath reference),
 //! * [`exec`] — deterministic parallel execution (an order-preserving
-//!   work-stealing pool shared by the runtime, serving engine, and sweeps),
+//!   fan-out over scoped threads shared by the runtime, serving engine,
+//!   and sweeps),
 //! * [`hw`] — the hardware model (MME, TPC cluster, DMA, HBM, RoCE),
 //! * [`tpc`] — the TPC VLIW kernel programming model and cycle-counting VM,
 //! * [`graph`] — compute-graph IR with shape inference and autograd,
