@@ -61,14 +61,6 @@ enum Replacement {
     },
 }
 
-struct Match {
-    /// Interior nodes consumed into the fused node, dropped from the graph.
-    consumed: Vec<NodeId>,
-    /// The `MatMul(probs, V)` node the fused node replaces.
-    anchor: NodeId,
-    replacement: Replacement,
-}
-
 /// Who reads a node's value, as far as the matcher cares.
 #[derive(Clone, Copy)]
 enum Readers {
@@ -85,7 +77,7 @@ enum Role {
     Keep,
     /// An interior of a match, folded into its fused node.
     Consumed,
-    /// The anchor of `matches[i]`, replaced by the fused node.
+    /// The anchor of the `i`th match, replaced by its fused node.
     Anchor(usize),
 }
 
@@ -104,16 +96,8 @@ pub fn fuse_attention(graph: &Graph) -> Result<(Graph, AttentionFusionStats), Gr
 /// never copied and a borrowed one is cloned once, only when a pattern
 /// matches.
 pub(crate) fn fuse(graph: &mut Cow<'_, Graph>) -> AttentionFusionStats {
-    let (matches, role) = find_matches(graph);
-    let mut stats = AttentionFusionStats::default();
-    for m in &matches {
-        stats.ops_removed += m.consumed.len();
-        match m.replacement {
-            Replacement::Attention { .. } => stats.attention += 1,
-            Replacement::SoftmaxMatMul { .. } => stats.softmax_matmul += 1,
-        }
-    }
-    if matches.is_empty() {
+    let (replacements, role, stats) = find_matches(graph);
+    if replacements.is_empty() {
         return stats;
     }
 
@@ -127,7 +111,7 @@ pub(crate) fn fuse(graph: &mut Cow<'_, Graph>) -> AttentionFusionStats {
             Role::Consumed => false,
             Role::Anchor(i) => {
                 node.inputs.clear();
-                match matches[i].replacement {
+                match replacements[i] {
                     Replacement::Attention {
                         q,
                         k,
@@ -152,12 +136,18 @@ pub(crate) fn fuse(graph: &mut Cow<'_, Graph>) -> AttentionFusionStats {
     stats
 }
 
-/// Every non-overlapping pattern in `graph`, and each node's role in them.
-fn find_matches(graph: &Graph) -> (Vec<Match>, Vec<Role>) {
+/// Every non-overlapping pattern in `graph`: the replacement of each, in
+/// match order, each node's role in them, and the statistics. Allocates
+/// the same few vectors whatever the number of matches: a match's
+/// interior nodes go to one scratch vector, marked as soon as it is taken.
+fn find_matches(graph: &Graph) -> (Vec<Replacement>, Vec<Role>, AttentionFusionStats) {
     // One pass over the edges: the matcher only asks whether a node has a
-    // sole, unobservable consumer, and which.
+    // sole, unobservable consumer, and which. Each softmax anchors at most
+    // one match.
     let mut readers = vec![Readers::Unread; graph.len()];
+    let mut softmaxes = 0;
     for node in graph.nodes() {
+        softmaxes += usize::from(matches!(node.kind, OpKind::Softmax));
         for &i in &node.inputs {
             let r = &mut readers[i.index()];
             *r = match *r {
@@ -178,40 +168,42 @@ fn find_matches(graph: &Graph) -> (Vec<Match>, Vec<Role>) {
     };
 
     // Walk a scale chain upward from `start` (consumed by `from`) down to a
-    // non-scale producer. Returns (effective scale, chain nodes, terminus).
-    let match_scale_chain = |start: NodeId, from: NodeId| -> Option<(f32, Vec<NodeId>, NodeId)> {
-        let mut scale = 1.0f32;
-        let mut chain = Vec::new();
-        let mut cur = start;
-        let mut expected_consumer = from;
-        loop {
-            let node = graph.node(cur);
-            let factor = match &node.kind {
-                OpKind::ScalarMul(s) => *s,
-                OpKind::FusedElementwise(ops)
-                    if ops.iter().all(|o| matches!(o, OpKind::ScalarMul(_))) =>
-                {
-                    ops.iter()
-                        .map(|o| match o {
-                            OpKind::ScalarMul(s) => *s,
-                            _ => unreachable!(),
-                        })
-                        .product()
+    // non-scale producer, appending the chain's nodes to `interior`.
+    // Returns (effective scale, terminus).
+    let match_scale_chain =
+        |start: NodeId, from: NodeId, interior: &mut Vec<NodeId>| -> Option<(f32, NodeId)> {
+            let mut scale = 1.0f32;
+            let mut cur = start;
+            let mut expected_consumer = from;
+            loop {
+                let node = graph.node(cur);
+                let factor = match &node.kind {
+                    OpKind::ScalarMul(s) => *s,
+                    OpKind::FusedElementwise(ops)
+                        if ops.iter().all(|o| matches!(o, OpKind::ScalarMul(_))) =>
+                    {
+                        ops.iter()
+                            .map(|o| match o {
+                                OpKind::ScalarMul(s) => *s,
+                                _ => unreachable!(),
+                            })
+                            .product()
+                    }
+                    _ => return Some((scale, cur)),
+                };
+                if sole_consumer(cur) != Some(expected_consumer) {
+                    return None; // fanned-out or observable: not an interior node
                 }
-                _ => return Some((scale, chain, cur)),
-            };
-            if sole_consumer(cur) != Some(expected_consumer) {
-                return None; // fanned-out or observable: not an interior node
+                scale *= factor;
+                interior.push(cur);
+                expected_consumer = cur;
+                cur = node.inputs[0];
             }
-            scale *= factor;
-            chain.push(cur);
-            expected_consumer = cur;
-            cur = node.inputs[0];
-        }
-    };
+        };
 
     // A scores matmul is `MatMul(q, Transpose(k))` with interior transpose.
-    let match_scores = |mm: NodeId, from: NodeId| -> Option<(NodeId, NodeId, Vec<NodeId>)> {
+    // Returns (q, k, the transpose).
+    let match_scores = |mm: NodeId, from: NodeId| -> Option<(NodeId, NodeId, NodeId)> {
         let node = graph.node(mm);
         if !matches!(node.kind, OpKind::MatMul) || sole_consumer(mm) != Some(from) {
             return None;
@@ -221,11 +213,14 @@ fn find_matches(graph: &Graph) -> (Vec<Match>, Vec<Role>) {
         if !matches!(ktn.kind, OpKind::Transpose) || sole_consumer(kt) != Some(mm) {
             return None;
         }
-        Some((node.inputs[0], ktn.inputs[0], vec![mm, kt]))
+        Some((node.inputs[0], ktn.inputs[0], kt))
     };
 
-    let mut matches: Vec<Match> = Vec::new();
+    let mut replacements = Vec::with_capacity(softmaxes);
     let mut role = vec![Role::Keep; graph.len()];
+    let mut stats = AttentionFusionStats::default();
+    // The interior nodes of the match being tried.
+    let mut interior: Vec<NodeId> = Vec::new();
 
     for sm in graph.nodes() {
         if !matches!(sm.kind, OpKind::Softmax) {
@@ -242,86 +237,70 @@ fn find_matches(graph: &Graph) -> (Vec<Match>, Vec<Role>) {
         let v = pvn.inputs[1];
 
         // Full pattern: walk up through the optional mask add and the scale
-        // chain to the Q·Kᵀ matmul.
+        // chain to the Q·Kᵀ matmul. With a mask add, try either operand as
+        // the score arm; the mask must broadcast *into* the scores, i.e.
+        // the add preserves the score-arm shape.
         let pre = sm.inputs[0];
-        let full = 'full: {
-            let arms: Vec<(NodeId, Option<NodeId>, Vec<NodeId>)> = match &graph.node(pre).kind {
-                OpKind::Add if sole_consumer(pre) == Some(sm.id) => {
-                    let add = graph.node(pre);
-                    // Try either operand as the score arm; the mask must
-                    // broadcast *into* the scores, i.e. the add preserves
-                    // the score-arm shape.
-                    [0usize, 1]
-                        .iter()
-                        .filter(|&&i| graph.shape(add.inputs[i]) == add.shape)
-                        .map(|&i| (add.inputs[i], Some(add.inputs[1 - i]), vec![pre]))
-                        .collect()
-                }
-                _ => vec![(pre, None, Vec::new())],
-            };
-            for (scale_top, mask, mut extra) in arms {
-                let Some((scale, chain, terminus)) =
-                    match_scale_chain(scale_top, if extra.is_empty() { sm.id } else { pre })
-                else {
-                    continue;
-                };
-                let from =
-                    chain
-                        .last()
-                        .copied()
-                        .unwrap_or(if extra.is_empty() { sm.id } else { pre });
-                let Some((q, k, score_nodes)) = match_scores(terminus, from) else {
-                    continue;
-                };
-                // A mask that is itself an interior chain node would dangle.
-                if let Some(m) = mask {
-                    if score_nodes.contains(&m) || chain.contains(&m) {
-                        continue;
-                    }
-                }
-                extra.extend(chain);
-                extra.extend(score_nodes);
-                extra.push(sm.id);
-                break 'full Some((q, k, mask, scale, extra));
+        let pre_node = graph.node(pre);
+        let masked = matches!(pre_node.kind, OpKind::Add) && sole_consumer(pre) == Some(sm.id);
+        let arm = |i: usize| {
+            let (arm, mask) = (pre_node.inputs[i], pre_node.inputs[1 - i]);
+            (graph.shape(arm) == pre_node.shape).then_some((arm, Some(mask)))
+        };
+        let arms = if masked {
+            [arm(0), arm(1)]
+        } else {
+            [Some((pre, None)), None]
+        };
+        let top = if masked { pre } else { sm.id };
+        let full = arms.into_iter().flatten().find_map(|(scale_top, mask)| {
+            interior.clear();
+            if masked {
+                interior.push(pre);
             }
-            None
-        };
-
-        let m = match full {
-            Some((q, k, mask, scale, consumed)) => Match {
-                consumed,
-                anchor: pv,
-                replacement: Replacement::Attention {
-                    q,
-                    k,
-                    v,
-                    mask,
-                    scale,
-                },
-            },
-            None => Match {
-                consumed: vec![sm.id],
-                anchor: pv,
-                replacement: Replacement::SoftmaxMatMul { x: sm.inputs[0], v },
-            },
-        };
+            let (scale, terminus) = match_scale_chain(scale_top, top, &mut interior)?;
+            let from = interior.last().copied().unwrap_or(top);
+            let (q, k, kt) = match_scores(terminus, from)?;
+            // A mask that is itself an interior node would dangle.
+            if mask.is_some_and(|m| m == terminus || m == kt || interior.contains(&m)) {
+                return None;
+            }
+            interior.extend([terminus, kt, sm.id]);
+            Some(Replacement::Attention {
+                q,
+                k,
+                v,
+                mask,
+                scale,
+            })
+        });
+        let replacement = full.unwrap_or_else(|| {
+            interior.clear();
+            interior.push(sm.id);
+            Replacement::SoftmaxMatMul { x: pre, v }
+        });
         // Two overlapping patterns (e.g. one's anchor is another's score
         // matmul) must not both rewrite; first match wins.
-        if m.consumed
+        if interior
             .iter()
-            .chain([&m.anchor])
+            .chain([&pv])
             .any(|n| role[n.index()] != Role::Keep)
         {
             continue;
         }
-        for n in &m.consumed {
+        for n in &interior {
             role[n.index()] = Role::Consumed;
         }
-        role[m.anchor.index()] = Role::Anchor(matches.len());
-        matches.push(m);
+        role[pv.index()] = Role::Anchor(replacements.len());
+        stats.ops_removed += interior.len();
+        match replacement {
+            Replacement::Attention { .. } => stats.attention += 1,
+            Replacement::SoftmaxMatMul { .. } => stats.softmax_matmul += 1,
+        }
+        replacements.push(replacement);
     }
 
-    (matches, role)
+    (replacements, role, stats)
 }
 
 #[cfg(test)]
@@ -348,7 +327,7 @@ mod tests {
         let v = g.input("v", &[2, 4, 16, 8]).unwrap();
         let kt = g.transpose(k).unwrap();
         let scores = g.matmul(q, kt).unwrap();
-        g.name_last("attn_scores");
+        g.name_last("attn_scores").unwrap();
         let scaled = g.scalar_mul(scores, 0.353).unwrap();
         let pre = if masked {
             let mask = g.input("mask", &[16, 16]).unwrap();
@@ -357,9 +336,9 @@ mod tests {
             scaled
         };
         let probs = g.softmax(pre).unwrap();
-        g.name_last("attn_softmax");
+        g.name_last("attn_softmax").unwrap();
         let out = g.matmul(probs, v).unwrap();
-        g.name_last("attn_output");
+        g.name_last("attn_output").unwrap();
         g.mark_output(out);
         g
     }
@@ -389,7 +368,7 @@ mod tests {
             _ => unreachable!(),
         }
         assert_eq!(fa.inputs.len(), 3);
-        assert_eq!(fa.name, "attn_output");
+        assert_eq!(f.name(fa.id), "attn_output");
         assert_eq!(fa.shape.dims(), &[2, 4, 16, 8]);
         f.validate().unwrap();
         assert_eq!(f.outputs().len(), 1);
@@ -407,8 +386,7 @@ mod tests {
             OpKind::FusedAttention { masked: true, .. }
         ));
         assert_eq!(fa.inputs.len(), 4);
-        let mask_in = f.node(fa.inputs[3]);
-        assert_eq!(mask_in.name, "mask");
+        assert_eq!(f.name(fa.inputs[3]), "mask");
         f.validate().unwrap();
     }
 

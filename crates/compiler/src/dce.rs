@@ -8,7 +8,7 @@
 //! Graphs with no marked outputs are returned unchanged (nothing would
 //! survive, which is never what a caller wants).
 
-use gaudi_graph::{Graph, GraphError, NodeId};
+use gaudi_graph::{Graph, GraphError};
 use std::borrow::Cow;
 
 /// Remove nodes unreachable from the marked outputs. Returns the pruned
@@ -22,24 +22,31 @@ pub fn eliminate_dead_code(graph: &Graph) -> Result<(Graph, usize), GraphError> 
     Ok((pruned.into_owned(), removed))
 }
 
-/// [`eliminate_dead_code`] on a graph the caller may own: the dead nodes
-/// are dropped in place, so an owned graph is never copied and a borrowed
-/// one is cloned once, only when something is dead. Returns the number of
-/// nodes eliminated.
+/// [`eliminate_dead_code`] on a valid graph the caller may own: the dead
+/// nodes are dropped in place, so an owned graph is never copied and a
+/// borrowed one is cloned once, only when something is dead. Returns the
+/// number of nodes eliminated.
 pub(crate) fn prune(graph: &mut Cow<'_, Graph>) -> usize {
     if graph.outputs().is_empty() {
         return 0;
     }
+    // A valid graph lists every operand before its node, so one backward
+    // pass finds the live set: by the time it reaches a node, every
+    // consumer that could make it live has been seen.
     let mut live = vec![false; graph.len()];
-    let mut stack: Vec<NodeId> = graph.outputs().to_vec();
-    while let Some(id) = stack.pop() {
-        if live[id.index()] {
-            continue;
-        }
-        live[id.index()] = true;
-        stack.extend_from_slice(&graph.node(id).inputs);
+    for &o in graph.outputs() {
+        live[o.index()] = true;
     }
-    let removed = live.iter().filter(|&&l| !l).count();
+    let mut removed = 0;
+    for node in graph.nodes().iter().rev() {
+        if live[node.id.index()] {
+            for &i in &node.inputs {
+                live[i.index()] = true;
+            }
+        } else {
+            removed += 1;
+        }
+    }
     if removed > 0 {
         // A live node's inputs are live, so nothing kept dangles.
         graph.to_mut().retain_nodes(|n| live[n.id.index()]);
@@ -50,7 +57,7 @@ pub(crate) fn prune(graph: &mut Cow<'_, Graph>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gaudi_graph::autograd;
+    use gaudi_graph::{autograd, NodeId};
 
     #[test]
     fn an_output_that_names_no_node_is_an_error() {

@@ -96,7 +96,7 @@ pub fn fuse_elementwise(graph: &Graph) -> Result<(Graph, FusionStats), GraphErro
             }
             let wrap_lone_scale = adjacent && matches!(node.kind, OpKind::ScalarMul(_));
             if chain.len() == 1 && !wrap_lone_scale {
-                out.push_node(node.kind.clone(), &[src], node.shape, node.name.clone())?
+                out.push_node(node.kind.clone(), &[src], node.shape, graph.name(node.id))?
             } else {
                 if chain.len() > 1 {
                     stats.chains += 1;
@@ -106,12 +106,12 @@ pub fn fuse_elementwise(graph: &Graph) -> Result<(Graph, FusionStats), GraphErro
                     OpKind::FusedElementwise(chain),
                     &[src],
                     node.shape,
-                    node.name.clone(),
+                    graph.name(node.id),
                 )?
             }
         } else {
             let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i]).collect();
-            out.push_node(node.kind.clone(), &inputs, node.shape, node.name.clone())?
+            out.push_node(node.kind.clone(), &inputs, node.shape, graph.name(node.id))?
         };
         remap.insert(node.id, new_id);
     }

@@ -29,7 +29,7 @@ pub fn lower_einsum(graph: &Graph) -> Result<Graph, GraphError> {
                 // bhnm,bhmd->bhnd  ==  a @ v
                 out.matmul(inputs[0], inputs[1])?
             }
-            kind => out.push_node(kind.clone(), &inputs, node.shape, node.name.clone())?,
+            kind => out.push_node(kind.clone(), &inputs, node.shape, graph.name(node.id))?,
         };
         remap.insert(node.id, new_id);
     }

@@ -241,12 +241,12 @@ pub fn partition(
 
         if let OpKind::Parameter = node.kind {
             if let Tp::Shard(ax) = p.tp {
-                param_shards.insert(node.name.clone(), ax);
+                param_shards.insert(graph.name(node.id).to_string(), ax);
             }
         }
         if let OpKind::Input = node.kind {
             input_shards.insert(
-                node.name.clone(),
+                graph.name(node.id).to_string(),
                 ShardInfo {
                     dp_axis: p.dp,
                     tp_axis: match p.tp {
@@ -273,7 +273,7 @@ pub fn partition(
         }
         let shape = Shape::new(&dims)?;
         let inputs: Vec<NodeId> = node.inputs.iter().map(|i| map[i]).collect();
-        let new_id = out.push_node(node.kind.clone(), &inputs, shape, &node.name)?;
+        let new_id = out.push_node(node.kind.clone(), &inputs, shape, graph.name(node.id))?;
         map.insert(node.id, new_id);
         place.insert(node.id, p);
     }
@@ -440,13 +440,13 @@ fn propagate(
     Ok(match &node.kind {
         OpKind::Input => {
             let mut p = Place::rep();
-            if dp > 1 && PartitionSpec::matches(&spec.batch_inputs, &node.name) {
+            if dp > 1 && PartitionSpec::matches(&spec.batch_inputs, graph.name(node.id)) {
                 if !dims.dim(0).is_multiple_of(dp) {
                     return Err(ERR_DIVIDE);
                 }
                 p.dp = Some(0);
             }
-            if tp > 1 && PartitionSpec::matches(&spec.head_inputs, &node.name) {
+            if tp > 1 && PartitionSpec::matches(&spec.head_inputs, graph.name(node.id)) {
                 if dims.rank() < 2 || !dims.dim(1).is_multiple_of(tp) {
                     return Err(GraphError::Partition(
                         "head-sharded input needs rank >= 2 with heads divisible on axis 1",
@@ -456,7 +456,7 @@ fn propagate(
             }
             p
         }
-        OpKind::Parameter => match param_tp_axis(&node.name, dims.dims(), tp) {
+        OpKind::Parameter => match param_tp_axis(graph.name(node.id), dims.dims(), tp) {
             Some(ax) => Place {
                 dp: None,
                 tp: Tp::Shard(ax),
@@ -584,7 +584,12 @@ fn propagate(
 
         OpKind::Permute(order) => {
             let mut p = p_of(0);
-            let remap = |ax: usize| order.iter().position(|&o| o == ax).unwrap_or(ax);
+            let remap = |ax: usize| {
+                order
+                    .iter()
+                    .position(|&o| usize::from(o) == ax)
+                    .unwrap_or(ax)
+            };
             p.dp = p.dp.map(remap);
             if let Tp::Shard(ax) = p.tp {
                 p.tp = Tp::Shard(remap(ax));

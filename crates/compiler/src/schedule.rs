@@ -42,11 +42,11 @@ impl StepLabel {
     pub fn render(&self, g: &Graph) -> String {
         match *self {
             StepLabel::Op(id) => {
-                let node = g.node(id);
-                if node.name.is_empty() {
-                    node.kind.label()
+                let (name, kind) = (g.name(id), &g.node(id).kind);
+                if name.is_empty() {
+                    kind.label()
                 } else {
-                    format!("{}:{}", node.name, node.kind.label())
+                    format!("{name}:{}", kind.label())
                 }
             }
             StepLabel::Collective(id) => g.node(id).kind.label(),
@@ -521,7 +521,7 @@ mod tests {
         let mut g = Graph::new();
         let a = g.input("a", &[64, 64]).unwrap();
         let m = g.matmul(a, a).unwrap(); // named, on the MME
-        g.name_last("proj");
+        g.name_last("proj").unwrap();
         let s = g.softmax(m).unwrap(); // unnamed, on the TPC: its input ships
         let glu = g.activation(Activation::Glu, s).unwrap(); // stalls once
         g.mark_output(glu);

@@ -8,6 +8,7 @@
 
 use crate::graph::{Graph, GraphError, NodeId};
 use crate::op::OpKind;
+use gaudi_tensor::shape::MAX_RANK;
 use std::collections::HashMap;
 
 /// Append the backward graph for `loss` and return `node -> grad-node`.
@@ -150,12 +151,12 @@ pub fn backward(g: &mut Graph, loss: NodeId) -> Result<HashMap<NodeId, NodeId>, 
                 let da = g.transpose(dy)?;
                 accumulate_into(g, &mut grads, node.inputs[0], da)?;
             }
-            OpKind::Permute(ref order) => {
-                let mut inverse = vec![0usize; order.len()];
+            OpKind::Permute(order) => {
+                let mut inverse = [0; MAX_RANK];
                 for (i, &o) in order.iter().enumerate() {
-                    inverse[o] = i;
+                    inverse[usize::from(o)] = i;
                 }
-                let da = g.permute(dy, &inverse)?;
+                let da = g.permute(dy, &inverse[..order.len()])?;
                 accumulate_into(g, &mut grads, node.inputs[0], da)?;
             }
             OpKind::Reshape => {

@@ -1,6 +1,6 @@
 //! Graph container, builder API, and shape inference.
 
-use crate::op::{Activation, CollectiveKind, EinsumSpec, OpKind};
+use crate::op::{Activation, AxisOrder, CollectiveKind, EinsumSpec, OpKind};
 use gaudi_tensor::shape::MAX_RANK;
 use gaudi_tensor::{DType, Shape, TensorError};
 use std::borrow::Cow;
@@ -49,6 +49,9 @@ pub enum GraphError {
     Autograd(&'static str),
     /// The multi-device partitioning pass could not shard the graph.
     Partition(&'static str),
+    /// The graph's node names would pass `u32::MAX` bytes, the most a
+    /// node's name span can address.
+    NamesOverflow,
 }
 
 impl fmt::Display for GraphError {
@@ -66,6 +69,7 @@ impl fmt::Display for GraphError {
             GraphError::Rank { what } => write!(f, "rank constraint violated: {what}"),
             GraphError::Autograd(what) => write!(f, "no gradient rule for {what}"),
             GraphError::Partition(what) => write!(f, "cannot partition: {what}"),
+            GraphError::NamesOverflow => write!(f, "node names exceed {} bytes", u32::MAX),
         }
     }
 }
@@ -162,6 +166,76 @@ impl fmt::Debug for Operands {
     }
 }
 
+/// A node's name as the graph stores it: written into the graph's one name
+/// buffer, piece by piece.
+///
+/// `str` and `String` write their text, a `usize` its decimal digits, a
+/// reference what it refers to, and a tuple its parts back to back; so a
+/// builder names a node `("serve.layer", 3, ".q_proj")` without formatting
+/// or allocating a `String`.
+pub trait NodeName {
+    /// Append the name's text to `buf`.
+    fn write_to(&self, buf: &mut String);
+}
+
+impl NodeName for str {
+    fn write_to(&self, buf: &mut String) {
+        buf.push_str(self);
+    }
+}
+
+impl NodeName for String {
+    fn write_to(&self, buf: &mut String) {
+        buf.push_str(self);
+    }
+}
+
+impl<T: NodeName + ?Sized> NodeName for &T {
+    fn write_to(&self, buf: &mut String) {
+        (**self).write_to(buf);
+    }
+}
+
+impl NodeName for usize {
+    fn write_to(&self, buf: &mut String) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut n = *self;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        buf.extend(digits[start..].iter().map(|&d| char::from(d)));
+    }
+}
+
+impl<A: NodeName, B: NodeName> NodeName for (A, B) {
+    fn write_to(&self, buf: &mut String) {
+        self.0.write_to(buf);
+        self.1.write_to(buf);
+    }
+}
+
+impl<A: NodeName, B: NodeName, C: NodeName> NodeName for (A, B, C) {
+    fn write_to(&self, buf: &mut String) {
+        self.0.write_to(buf);
+        self.1.write_to(buf);
+        self.2.write_to(buf);
+    }
+}
+
+/// Where a node's name sits in its graph's name buffer, in bytes. It
+/// means nothing outside that graph.
+#[derive(Debug, Clone, Copy)]
+struct NameSpan {
+    start: u32,
+    end: u32,
+}
+
 /// One operation (or source tensor) in the graph.
 #[derive(Debug, Clone)]
 pub struct Node {
@@ -173,8 +247,9 @@ pub struct Node {
     pub inputs: Operands,
     /// Inferred output shape.
     pub shape: Shape,
-    /// Human-readable name for traces.
-    pub name: String,
+    /// The human-readable name for traces, as a span of the graph's name
+    /// buffer: [`Graph::name`] reads it.
+    name: NameSpan,
 }
 
 /// A static compute graph in SSA form: nodes are appended in topological
@@ -191,14 +266,46 @@ pub struct Node {
 /// g.mark_output(p);
 /// g.validate()?;
 /// assert_eq!(g.shape(p).dims(), &[8, 4]);
+/// assert_eq!(g.name(w), "w");
 /// # Ok::<(), gaudi_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+///
+/// Every node name lives in one buffer that the graph owns, so naming a
+/// node allocates nothing once the buffer has grown.
+#[derive(Clone, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     outputs: Vec<NodeId>,
+    /// Every node's name, back to back; each node holds its span.
+    names: String,
     /// Storage dtype charged by the memory/DMA models for activations.
     pub storage_dtype: DType,
+}
+
+/// The nodes with their names as text, then the outputs and the storage
+/// dtype: what a derived `Debug` over nodes that own their names prints.
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let nodes = fmt::from_fn(|f| {
+            let named = self.nodes.iter().map(|n| {
+                fmt::from_fn(move |f| {
+                    f.debug_struct("Node")
+                        .field("id", &n.id)
+                        .field("kind", &n.kind)
+                        .field("inputs", &n.inputs)
+                        .field("shape", &n.shape)
+                        .field("name", &self.name(n.id))
+                        .finish()
+                })
+            });
+            f.debug_list().entries(named).finish()
+        });
+        f.debug_struct("Graph")
+            .field("nodes", &nodes)
+            .field("outputs", &self.outputs)
+            .field("storage_dtype", &self.storage_dtype)
+            .finish()
+    }
 }
 
 /// A graph for callees that take it owned or borrowed
@@ -223,11 +330,12 @@ impl Graph {
     }
 
     /// Empty the graph back to [`Graph::new`]'s state, keeping the node and
-    /// output vectors' capacity: a graph rebuilt into a cleared one grows
-    /// neither vector up to the size it had.
+    /// output vectors' and the name buffer's capacity: a graph rebuilt into
+    /// a cleared one grows none of them up to the size it had.
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.outputs.clear();
+        self.names.clear();
         self.storage_dtype = DType::default();
     }
 
@@ -256,6 +364,30 @@ impl Graph {
         self.nodes[id.0].shape
     }
 
+    /// A node's name for traces (empty if it has none). Compare names of
+    /// nodes in different graphs by this text.
+    pub fn name(&self, id: NodeId) -> &str {
+        let NameSpan { start, end } = self.nodes[id.0].name;
+        &self.names[start as usize..end as usize]
+    }
+
+    /// Append `name` to the name buffer and return its span, or
+    /// [`GraphError::NamesOverflow`] (and the buffer as it was) if the
+    /// buffer would pass what a span addresses.
+    fn push_name(&mut self, name: impl NodeName) -> Result<NameSpan, GraphError> {
+        let start = self.names.len();
+        name.write_to(&mut self.names);
+        let Ok(end) = u32::try_from(self.names.len()) else {
+            self.names.truncate(start);
+            return Err(GraphError::NamesOverflow);
+        };
+        // `start` is at most `end`, so it fits too.
+        Ok(NameSpan {
+            start: start as u32,
+            end,
+        })
+    }
+
     /// Marked graph outputs.
     pub fn outputs(&self) -> &[NodeId] {
         &self.outputs
@@ -276,7 +408,7 @@ impl Graph {
         kind: OpKind,
         inputs: &[NodeId],
         shape: Shape,
-        name: impl Into<String>,
+        name: impl NodeName,
     ) -> Result<NodeId, GraphError> {
         for &i in inputs {
             if i.0 >= self.nodes.len() {
@@ -301,31 +433,28 @@ impl Graph {
         // Every arity fits: no operator takes more than `Operands::CAPACITY`.
         let mut operands = Operands::default();
         operands.extend(inputs.iter().copied());
+        let name = self.push_name(name)?;
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             id,
             kind,
             inputs: operands,
             shape,
-            name: name.into(),
+            name,
         });
         Ok(id)
     }
 
     // ---- source nodes -------------------------------------------------
 
-    /// External input tensor. A `String` name is moved into the node.
-    pub fn input(&mut self, name: impl Into<String>, dims: &[usize]) -> Result<NodeId, GraphError> {
+    /// External input tensor.
+    pub fn input(&mut self, name: impl NodeName, dims: &[usize]) -> Result<NodeId, GraphError> {
         let shape = Shape::new(dims)?;
         self.push_node(OpKind::Input, &[], shape, name)
     }
 
-    /// Trainable parameter tensor. A `String` name is moved into the node.
-    pub fn parameter(
-        &mut self,
-        name: impl Into<String>,
-        dims: &[usize],
-    ) -> Result<NodeId, GraphError> {
+    /// Trainable parameter tensor.
+    pub fn parameter(&mut self, name: impl NodeName, dims: &[usize]) -> Result<NodeId, GraphError> {
         let shape = Shape::new(dims)?;
         self.push_node(OpKind::Parameter, &[], shape, name)
     }
@@ -333,7 +462,7 @@ impl Graph {
     /// Constant-filled tensor.
     pub fn fill(
         &mut self,
-        name: impl Into<String>,
+        name: impl NodeName,
         dims: &[usize],
         value: f32,
     ) -> Result<NodeId, GraphError> {
@@ -342,7 +471,7 @@ impl Graph {
     }
 
     /// `torch.ones_like` analog.
-    pub fn ones_like(&mut self, of: NodeId, name: impl Into<String>) -> Result<NodeId, GraphError> {
+    pub fn ones_like(&mut self, of: NodeId, name: impl NodeName) -> Result<NodeId, GraphError> {
         let shape = self.shape(of);
         self.push_node(OpKind::Fill(1.0), &[], shape, name)
     }
@@ -497,26 +626,19 @@ impl Graph {
     /// General axis permutation: output dim `i` is input dim `order[i]`.
     pub fn permute(&mut self, a: NodeId, order: &[usize]) -> Result<NodeId, GraphError> {
         let s = self.shape(a);
-        let rank = s.rank();
-        if order.len() != rank {
+        if order.len() != s.rank() {
             return Err(GraphError::Rank {
                 what: "permutation length must equal rank",
             });
         }
-        let mut seen = [false; 5];
-        for &o in order {
-            if o >= rank || seen[o] {
-                return Err(GraphError::Rank {
-                    what: "order must be a permutation of axes",
-                });
-            }
-            seen[o] = true;
-        }
+        let order = AxisOrder::permutation(order).ok_or(GraphError::Rank {
+            what: "order must be a permutation of axes",
+        })?;
         let mut shape = s;
-        for (d, &o) in shape.dims_mut().iter_mut().zip(order) {
-            *d = s.dim(o);
+        for (d, &o) in shape.dims_mut().iter_mut().zip(order.iter()) {
+            *d = s.dim(usize::from(o));
         }
-        self.push_node(OpKind::Permute(order.to_vec()), &[a], shape, "")
+        self.push_node(OpKind::Permute(order), &[a], shape, "")
     }
 
     /// Reshape to a new shape with equal element count.
@@ -759,19 +881,25 @@ impl Graph {
         self.push_node(OpKind::FusedSoftmaxMatMul, &[x, v], shape, "")
     }
 
-    /// Attach a trace name to the most recently created node. A `String`
-    /// name is moved into the node.
-    pub fn name_last(&mut self, name: impl Into<String>) {
-        if let Some(n) = self.nodes.last_mut() {
-            n.name = name.into();
-        }
+    /// Attach a trace name to the most recently created node, replacing
+    /// its name, or fail as [`push_node`](Self::push_node) does on a full
+    /// name buffer. A replaced name's text stays in the buffer until
+    /// [`clear`](Self::clear). Does nothing to an empty graph.
+    pub fn name_last(&mut self, name: impl NodeName) -> Result<(), GraphError> {
+        let Some(last) = self.nodes.len().checked_sub(1) else {
+            return Ok(());
+        };
+        self.nodes[last].name = self.push_name(name)?;
+        Ok(())
     }
 
     /// Keep, in order, the nodes for which `keep` returns `true`, and
     /// renumber ids, operands and marked outputs to close the gaps. `keep`
     /// sees each node with its id and operands still in the old numbering,
     /// and may rewrite it in place (a pass swapping in a fused op sets the
-    /// kind and operands of the node it replaces).
+    /// kind and operands of the node it replaces). Kept nodes keep their
+    /// names; a dropped node's name stays in the buffer until
+    /// [`clear`](Self::clear).
     ///
     /// # Panics
     ///
@@ -1043,7 +1171,7 @@ mod tests {
         let a = g.exp(x).unwrap(); // %2 -> %1
         let _ = g.neg(dead).unwrap(); // %3, dropped
         let b = g.add(a, x).unwrap(); // %4 -> %2
-        g.name_last("sum");
+        g.name_last("sum").unwrap();
         g.mark_output(b);
         g.mark_output(a);
         let mut seen = Vec::new();
@@ -1061,7 +1189,9 @@ mod tests {
         assert_eq!(ids, [NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(*g.node(NodeId(1)).inputs, [NodeId(0)]);
         assert_eq!(*g.node(NodeId(2)).inputs, [NodeId(0), NodeId(1)]);
-        assert_eq!(g.node(NodeId(2)).name, "sum");
+        assert_eq!(g.name(NodeId(2)), "sum");
+        assert_eq!(g.name(NodeId(0)), "x");
+        assert_eq!(g.name(NodeId(1)), "");
         assert_eq!(g.outputs(), [NodeId(2), NodeId(1)]);
         g.validate().unwrap();
     }
@@ -1071,13 +1201,13 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("x", &[4]).unwrap();
         let y = g.exp(x).unwrap();
-        g.name_last("e");
+        g.name_last("e").unwrap();
         g.mark_output(y);
         g.storage_dtype = DType::BF16;
-        let capacity = g.nodes.capacity();
+        let capacity = (g.nodes.capacity(), g.names.capacity());
         g.clear();
         assert_eq!(format!("{g:?}"), format!("{:?}", Graph::new()));
-        assert_eq!(g.nodes.capacity(), capacity);
+        assert_eq!((g.nodes.capacity(), g.names.capacity()), capacity);
         // A cleared graph builds like a fresh one.
         let x = g.input("x", &[4]).unwrap();
         assert_eq!(x, NodeId(0));
@@ -1134,5 +1264,79 @@ mod tests {
         let o = g.ones_like(v, "ones").unwrap();
         assert_eq!(g.shape(o).dims(), &[2, 7]);
         assert!(matches!(g.node(o).kind, OpKind::Fill(v) if v == 1.0));
+    }
+
+    #[test]
+    fn names_are_written_from_pieces() {
+        let mut g = Graph::new();
+        let layer = ("serve.layer", 12usize);
+        let w = g.parameter((layer, ".q_proj", ".w"), &[4, 4]).unwrap();
+        let x = g.input(String::from("x"), &[2, 4]).unwrap();
+        let y = g.matmul(x, w).unwrap();
+        g.name_last((&layer, ".q_proj")).unwrap();
+        g.name_last(("q", 0usize)).unwrap();
+        let z = g.exp(y).unwrap();
+        assert_eq!(g.name(w), "serve.layer12.q_proj.w");
+        assert_eq!(g.name(x), "x");
+        assert_eq!(g.name(y), "q0");
+        assert_eq!(g.name(z), "");
+        let mut digits = String::new();
+        for n in [0, 7, 10, 4096, usize::MAX] {
+            n.write_to(&mut digits);
+            digits.push(' ');
+        }
+        assert_eq!(digits, format!("0 7 10 4096 {} ", usize::MAX));
+    }
+
+    /// A graph whose nodes own their names, as `Debug` shows a graph.
+    mod owned {
+        // The fields are read only by the derived `Debug`.
+        #![allow(dead_code)]
+
+        use super::{DType, NodeId, OpKind, Operands, Shape};
+
+        #[derive(Debug)]
+        pub struct Node {
+            pub id: NodeId,
+            pub kind: OpKind,
+            pub inputs: Operands,
+            pub shape: Shape,
+            pub name: String,
+        }
+
+        #[derive(Debug)]
+        pub struct Graph {
+            pub nodes: Vec<Node>,
+            pub outputs: Vec<NodeId>,
+            pub storage_dtype: DType,
+        }
+    }
+
+    #[test]
+    fn debug_prints_each_node_with_its_name_text() {
+        let mut g = Graph::new();
+        let x = g.input("x\"q", &[2, 4]).unwrap();
+        let p = g.permute(x, &[1, 0]).unwrap();
+        g.name_last("p").unwrap();
+        let _ = g.exp(p).unwrap();
+        g.mark_output(p);
+        let owned = owned::Graph {
+            nodes: g
+                .nodes()
+                .iter()
+                .map(|n| owned::Node {
+                    id: n.id,
+                    kind: n.kind.clone(),
+                    inputs: n.inputs,
+                    shape: n.shape,
+                    name: g.name(n.id).to_string(),
+                })
+                .collect(),
+            outputs: g.outputs().to_vec(),
+            storage_dtype: g.storage_dtype,
+        };
+        assert_eq!(format!("{g:?}"), format!("{owned:?}"));
+        assert_eq!(format!("{g:#?}"), format!("{owned:#?}"));
+        assert!(format!("{g:?}").contains("name: \"x\\\"q\" }"));
     }
 }

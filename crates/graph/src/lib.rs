@@ -22,5 +22,5 @@ pub mod autograd;
 pub mod graph;
 pub mod op;
 
-pub use graph::{Graph, GraphError, Node, NodeId, Operands};
-pub use op::{Activation, CollectiveKind, EinsumSpec, OpKind};
+pub use graph::{Graph, GraphError, Node, NodeId, NodeName, Operands};
+pub use op::{Activation, AxisOrder, CollectiveKind, EinsumSpec, OpKind};

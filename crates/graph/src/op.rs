@@ -1,6 +1,8 @@
 //! Operator vocabulary of the graph IR.
 
+use gaudi_tensor::shape::MAX_RANK;
 use std::fmt;
+use std::ops::Deref;
 
 /// Activation functions — the Figure 7 sweep plus the attention feature maps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,6 +99,52 @@ impl CollectiveKind {
     }
 }
 
+/// A [`OpKind::Permute`] axis order, held inline: output dim `i` is input
+/// dim `self[i]`. Derefs to its `[u8]` of axes; its `Debug` output is that
+/// slice's.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct AxisOrder {
+    axes: [u8; MAX_RANK],
+    len: u8,
+}
+
+impl AxisOrder {
+    /// `order` if it is a permutation of `0..order.len()` with at most
+    /// [`MAX_RANK`] axes, else `None`.
+    pub fn permutation(order: &[usize]) -> Option<Self> {
+        if order.len() > MAX_RANK {
+            return None;
+        }
+        let mut axes = [0; MAX_RANK];
+        let mut seen = [false; MAX_RANK];
+        for (a, &o) in axes.iter_mut().zip(order) {
+            if o >= order.len() || seen[o] {
+                return None;
+            }
+            seen[o] = true;
+            *a = o as u8;
+        }
+        Some(AxisOrder {
+            axes,
+            len: order.len() as u8,
+        })
+    }
+}
+
+impl Deref for AxisOrder {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.axes[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for AxisOrder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Graph operators.
 ///
 /// Only [`OpKind::MatMul`] (and a *lowered* einsum) may map to the MME —
@@ -159,7 +207,7 @@ pub enum OpKind {
     Transpose,
     /// General axis permutation (`torch.permute`): output dim `i` is input
     /// dim `perm[i]`.
-    Permute(Vec<usize>),
+    Permute(AxisOrder),
     /// Reshape to this node's output shape.
     Reshape,
     /// Broadcast the input up to this node's output shape.
@@ -339,6 +387,19 @@ mod tests {
         assert_eq!(OpKind::ScalarMul(2.0).label(), "scalar_mul(2)");
         assert_eq!(OpKind::Activation(Activation::Glu).label(), "glu");
         assert_eq!(OpKind::Softmax.to_string(), "softmax");
+    }
+
+    #[test]
+    fn permute_orders_print_as_their_slice() {
+        let order = AxisOrder::permutation(&[0, 2, 1, 3]).unwrap();
+        assert_eq!(*order, [0, 2, 1, 3]);
+        assert_eq!(AxisOrder::permutation(&[0, 2, 2, 3]), None);
+        assert_eq!(AxisOrder::permutation(&[0, 4]), None);
+        assert_eq!(AxisOrder::permutation(&[0, 1, 2, 3, 4, 5]), None);
+        assert_eq!(OpKind::Permute(order).label(), "permute([0, 2, 1, 3])");
+        let vec_kind = format!("{:#?}", ("Permute", vec![0usize, 2, 1, 3]));
+        let inline_kind = format!("{:#?}", ("Permute", order));
+        assert_eq!(inline_kind, vec_kind);
     }
 
     #[test]

@@ -61,16 +61,16 @@ pub fn softmax_attention(
     let d = g.shape(q).last_dim() as f32;
     let kt = g.transpose(k)?;
     let scores = g.matmul(q, kt)?;
-    g.name_last("attn_scores");
+    g.name_last("attn_scores")?;
     let scaled = g.scalar_mul(scores, 1.0 / d.sqrt())?;
     let masked = match mask {
         Some(m) => g.add(scaled, m)?,
         None => scaled,
     };
     let probs = g.softmax(masked)?;
-    g.name_last("attn_softmax");
+    g.name_last("attn_softmax")?;
     let out = g.matmul(probs, v)?;
-    g.name_last("attn_output");
+    g.name_last("attn_output")?;
     Ok(out)
 }
 
@@ -84,23 +84,23 @@ pub fn linear_attention(
     v: NodeId,
 ) -> Result<NodeId, GraphError> {
     let phi_q = g.activation(Activation::EluPlusOne, q)?;
-    g.name_last("phi_q");
+    g.name_last("phi_q")?;
     let phi_k = g.activation(Activation::EluPlusOne, k)?;
-    g.name_last("phi_k");
+    g.name_last("phi_k")?;
     let phi_kt = g.transpose(phi_k)?; // [B,H,D,N]
     let kv = g.matmul(phi_kt, v)?; // [B,H,D,D]
-    g.name_last("kv_state");
+    g.name_last("kv_state")?;
     let numer = g.matmul(phi_q, kv)?; // [B,H,N,D]
-    g.name_last("attn_numer");
+    g.name_last("attn_numer")?;
 
     // Normalizer: z = φ(Q) (φ(K)ᵀ 1_N) as an [B,H,N,1] column.
     let vs = g.shape(v);
     let ones = g.fill("ones_col", &[vs.dim(0), vs.dim(1), vs.dim(2), 1], 1.0)?;
     let k_sum = g.matmul(phi_kt, ones)?; // [B,H,D,1]
     let z = g.matmul(phi_q, k_sum)?; // [B,H,N,1]
-    g.name_last("attn_norm");
+    g.name_last("attn_norm")?;
     let out = g.div(numer, z)?;
-    g.name_last("attn_output");
+    g.name_last("attn_output")?;
     Ok(out)
 }
 
@@ -133,28 +133,28 @@ pub fn favor_attention(
 
     let q_scaled = g.scalar_mul(q, pre_scale)?;
     let q_feat = g.matmul(q_scaled, features)?; // [B,H,N,m]
-    g.name_last("q_features");
+    g.name_last("q_features")?;
     let q_shift = g.scalar_add(q_feat, offset)?;
     let q_prime = g.exp(q_shift)?;
-    g.name_last("q_prime");
+    g.name_last("q_prime")?;
 
     let k_scaled = g.scalar_mul(k, pre_scale)?;
     let k_feat = g.matmul(k_scaled, features)?;
-    g.name_last("k_features");
+    g.name_last("k_features")?;
     let k_shift = g.scalar_add(k_feat, offset)?;
     let k_prime = g.exp(k_shift)?;
-    g.name_last("k_prime");
+    g.name_last("k_prime")?;
 
     let k_prime_t = g.transpose(k_prime)?; // [B,H,m,N]
     let ones = g.ones_like(v, "ones_like_v")?;
     let norm_state = g.matmul(k_prime_t, ones)?; // [B,H,m,D]
     let att_norm = g.matmul(q_prime, norm_state)?; // [B,H,N,D]
-    g.name_last("att_norm");
+    g.name_last("att_norm")?;
     let raw_state = g.matmul(k_prime_t, v)?; // [B,H,m,D]
     let att_raw = g.matmul(q_prime, raw_state)?; // [B,H,N,D]
-    g.name_last("att_raw");
+    g.name_last("att_raw")?;
     let out = g.div(att_raw, att_norm)?;
-    g.name_last("attn_output");
+    g.name_last("attn_output")?;
     Ok(out)
 }
 
@@ -183,13 +183,13 @@ pub fn local_window_attention(
     let vb = fold(g, v)?;
     let kt = g.transpose(kb)?;
     let scores = g.matmul(qb, kt)?;
-    g.name_last("attn_scores_local");
+    g.name_last("attn_scores_local")?;
     let scaled = g.scalar_mul(scores, 1.0 / (d as f32).sqrt())?;
     let probs = g.softmax(scaled)?;
-    g.name_last("attn_softmax_local");
+    g.name_last("attn_softmax_local")?;
     let ob = g.matmul(probs, vb)?;
     let out = g.reshape(ob, &[b, h, n, d])?;
-    g.name_last("attn_output");
+    g.name_last("attn_output")?;
     Ok(out)
 }
 
@@ -266,7 +266,7 @@ mod tests {
             .filter(|n| matches!(n.kind, OpKind::Exp))
             .count();
         assert_eq!(exps, 2);
-        assert!(g.nodes().iter().any(|n| n.name == "ones_like_v"));
+        assert!(g.nodes().iter().any(|n| g.name(n.id) == "ones_like_v"));
         // Final op is a division (att_raw / att_norm).
         assert!(matches!(g.node(out).kind, OpKind::Div));
     }
@@ -279,7 +279,7 @@ mod tests {
         assert!(g
             .nodes()
             .iter()
-            .any(|n| n.name == "q_features" && n.shape.dims() == [2, 3, 16, 48]));
+            .any(|n| g.name(n.id) == "q_features" && n.shape.dims() == [2, 3, 16, 48]));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::attention::AttentionKind;
 use crate::config::{LlmConfig, TransformerLayerConfig};
-use crate::layers::{dotted, layernorm, linear};
+use crate::layers::{layernorm, linear};
 use crate::transformer::transformer_layer;
 use gaudi_graph::{autograd, Activation, Graph, GraphError, NodeId};
 
@@ -66,12 +66,12 @@ pub(crate) fn build_encoder_lm(
     let ids = g.input("ids", &[c.batch, c.seq_len])?;
     let labels = g.input("labels", &[c.batch, c.seq_len])?;
 
-    let tok_table = g.parameter(dotted(name, "tok_embed"), &[c.vocab, d])?;
+    let tok_table = g.parameter((name, ".tok_embed"), &[c.vocab, d])?;
     let tok = g.embedding(tok_table, ids)?;
-    g.name_last("tok_embed");
-    let pos_table = g.parameter(dotted(name, "pos_embed"), &[c.seq_len, d])?;
+    g.name_last("tok_embed")?;
+    let pos_table = g.parameter((name, ".pos_embed"), &[c.seq_len, d])?;
     let mut h = g.add(tok, pos_table)?;
-    h = layernorm(&mut g, h, dotted(name, "embed_ln"))?;
+    h = layernorm(&mut g, h, (name, ".embed_ln"))?;
 
     let mask = if causal {
         Some(g.input("causal_mask", &[c.seq_len, c.seq_len])?)
@@ -91,12 +91,12 @@ pub(crate) fn build_encoder_lm(
         training: false,
     };
     for l in 0..c.layers {
-        h = transformer_layer(&mut g, h, &layer_cfg, &format!("{name}.layer{l}"), mask)?;
+        h = transformer_layer(&mut g, h, &layer_cfg, (name, ".layer", l), mask)?;
     }
 
-    let logits = linear(&mut g, h, d, c.vocab, dotted(name, "lm_head"))?;
+    let logits = linear(&mut g, h, d, c.vocab, (name, ".lm_head"))?;
     let loss = g.cross_entropy(logits, labels)?;
-    g.name_last("lm_loss");
+    g.name_last("lm_loss")?;
     g.mark_output(loss);
 
     if c.training {
@@ -135,10 +135,10 @@ mod tests {
     #[test]
     fn paper_bert_has_two_layers_and_mlm_head() {
         let (g, _) = build_bert_mlm(&BertConfig::paper()).unwrap();
-        assert!(g.nodes().iter().any(|n| n.name.contains("layer0")));
-        assert!(g.nodes().iter().any(|n| n.name.contains("layer1")));
-        assert!(!g.nodes().iter().any(|n| n.name.contains("layer2")));
-        assert!(g.nodes().iter().any(|n| n.name.contains("lm_head")));
+        assert!(g.nodes().iter().any(|n| g.name(n.id).contains("layer0")));
+        assert!(g.nodes().iter().any(|n| g.name(n.id).contains("layer1")));
+        assert!(!g.nodes().iter().any(|n| g.name(n.id).contains("layer2")));
+        assert!(g.nodes().iter().any(|n| g.name(n.id).contains("lm_head")));
         // Training graph: embedding gradient present.
         assert!(g
             .nodes()
@@ -149,6 +149,6 @@ mod tests {
     #[test]
     fn bert_is_bidirectional_no_mask() {
         let (g, _) = build_bert_mlm(&BertConfig::tiny()).unwrap();
-        assert!(!g.nodes().iter().any(|n| n.name == "causal_mask"));
+        assert!(!g.nodes().iter().any(|n| g.name(n.id) == "causal_mask"));
     }
 }

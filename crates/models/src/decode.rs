@@ -20,7 +20,7 @@
 
 use crate::attention::softmax_attention;
 use crate::config::LlmConfig;
-use crate::layers::{dotted, ffn, layernorm, linear, merge_heads, split_heads};
+use crate::layers::{ffn, layernorm, linear, merge_heads, split_heads};
 use gaudi_graph::{Activation, Graph, GraphError, NodeId};
 use gaudi_tensor::TensorError;
 
@@ -86,7 +86,7 @@ pub fn build_prefill_into(
     let ids = g.input("ids", &[batch, prompt_len])?;
     let tok_table = g.parameter("serve.tok_embed", &[cfg.vocab, d])?;
     let tok = g.embedding(tok_table, ids)?;
-    g.name_last("tok_embed");
+    g.name_last("tok_embed")?;
     let pos_table = g.parameter("serve.pos_embed", &[prompt_len, d])?;
     let mut h = g.add(tok, pos_table)?;
     h = layernorm(g, h, "serve.embed_ln")?;
@@ -108,7 +108,7 @@ pub fn build_prefill_into(
             g,
             h,
             &layer_cfg,
-            &format!("serve.layer{l}"),
+            ("serve.layer", l),
             Some(mask),
         )?;
     }
@@ -155,18 +155,18 @@ pub fn build_decode_step_into(
     let ids = g.input("ids", &[batch, 1])?;
     let tok_table = g.parameter("serve.tok_embed", &[cfg.vocab, d])?;
     let tok = g.embedding(tok_table, ids)?;
-    g.name_last("tok_embed");
+    g.name_last("tok_embed")?;
     // One position's worth of positional embedding (gather stand-in).
     let pos = g.parameter("serve.pos_embed_step", &[1, d])?;
     let mut h = g.add(tok, pos)?;
     h = layernorm(g, h, "serve.embed_ln")?;
 
     for l in 0..cfg.layers {
-        let name = format!("serve.layer{l}");
+        let name = ("serve.layer", l);
         // GEMV-shaped projections for the single current position.
-        let q = linear(g, h, d, d, dotted(&name, "q_proj"))?;
-        let k = linear(g, h, d, d, dotted(&name, "k_proj"))?;
-        let v = linear(g, h, d, d, dotted(&name, "v_proj"))?;
+        let q = linear(g, h, d, d, (name, ".q_proj"))?;
+        let k = linear(g, h, d, d, (name, ".k_proj"))?;
+        let v = linear(g, h, d, d, (name, ".v_proj"))?;
         let qh = split_heads(g, q, cfg.heads, cfg.head_dim)?;
         let kh = split_heads(g, k, cfg.heads, cfg.head_dim)?;
         let vh = split_heads(g, v, cfg.heads, cfg.head_dim)?;
@@ -176,24 +176,24 @@ pub fn build_decode_step_into(
 
         // Attend over the cached context.
         let cache = [batch, cfg.heads, ctx_len, cfg.head_dim];
-        let k_cache = g.input(dotted(&name, "k_cache"), &cache)?;
-        let v_cache = g.input(dotted(&name, "v_cache"), &cache)?;
+        let k_cache = g.input((name, ".k_cache"), &cache)?;
+        let v_cache = g.input((name, ".v_cache"), &cache)?;
         let ctx = softmax_attention(g, qh, k_cache, v_cache, None)?;
         let merged = merge_heads(g, ctx)?;
-        let attn_out = linear(g, merged, d, d, dotted(&name, "out_proj"))?;
+        let attn_out = linear(g, merged, d, d, (name, ".out_proj"))?;
 
         let res1 = g.add(h, attn_out)?;
-        let ln1 = layernorm(g, res1, dotted(&name, "ln1"))?;
+        let ln1 = layernorm(g, res1, (name, ".ln1"))?;
         let f = ffn(
             g,
             ln1,
             d,
             d * cfg.ffn_mult,
             Activation::Gelu,
-            &dotted(&name, "ffn"),
+            (name, ".ffn"),
         )?;
         let res2 = g.add(ln1, f)?;
-        h = layernorm(g, res2, dotted(&name, "ln2"))?;
+        h = layernorm(g, res2, (name, ".ln2"))?;
     }
 
     // LM head over the single position: `[B, 1, d] × [d, V]`.
@@ -241,7 +241,7 @@ mod tests {
         let names: Vec<&str> = g
             .nodes()
             .iter()
-            .map(|n| n.name.as_str())
+            .map(|n| g.name(n.id))
             .filter(|n| !n.is_empty())
             .collect();
         let layer0_end = names.iter().position(|&n| n == "serve.layer0.ln2").unwrap() + 1;

@@ -63,7 +63,7 @@ mod tests {
     fn tiny_gpt_builds_with_causal_mask_input() {
         let (g, built) = build_gpt_lm(&GptConfig::tiny()).unwrap();
         g.validate().unwrap();
-        assert!(g.nodes().iter().any(|n| n.name == "causal_mask"));
+        assert!(g.nodes().iter().any(|n| g.name(n.id) == "causal_mask"));
         assert_eq!(g.shape(built.loss).dims(), &[1]);
     }
 

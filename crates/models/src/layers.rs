@@ -1,34 +1,27 @@
 //! Building-block layers: linear projections, multi-head split/merge, FFN
 //! with the Figure 7 activation sweep, and layernorm.
+//!
+//! Names are written into the graph's name buffer from pieces: a layer
+//! passes its prefix down as a [`NodeName`] (`("serve.layer", 3)`, say),
+//! and each block appends its suffixes to it, so building a layer formats
+//! and allocates no name.
 
-use gaudi_graph::{Activation, Graph, GraphError, NodeId};
+use gaudi_graph::{Activation, Graph, GraphError, NodeId, NodeName};
 
-/// `{prefix}.{suffix}`, allocated once at its final length: node names
-/// are built where the graph stores them, with no temporary to copy from.
-pub(crate) fn dotted(prefix: &str, suffix: &str) -> String {
-    let mut name = String::with_capacity(prefix.len() + 1 + suffix.len());
-    name.push_str(prefix);
-    name.push('.');
-    name.push_str(suffix);
-    name
-}
-
-/// `y = x W + b` with parameters named `{name}.w` / `{name}.b`. A `String`
-/// name is moved onto the matmul node.
+/// `y = x W + b` with parameters named `{name}.w` / `{name}.b` and the
+/// matmul named `name`.
 pub fn linear(
     g: &mut Graph,
     x: NodeId,
     d_in: usize,
     d_out: usize,
-    name: impl Into<String>,
+    name: impl NodeName,
 ) -> Result<NodeId, GraphError> {
-    let name = name.into();
-    let w = g.parameter(dotted(&name, "w"), &[d_in, d_out])?;
-    let b = g.parameter(dotted(&name, "b"), &[d_out])?;
+    let w = g.parameter((&name, ".w"), &[d_in, d_out])?;
+    let b = g.parameter((&name, ".b"), &[d_out])?;
     let xw = g.matmul(x, w)?;
-    g.name_last(name);
-    let y = g.add(xw, b)?;
-    Ok(y)
+    g.name_last(&name)?;
+    g.add(xw, b)
 }
 
 /// Split `[B, N, H*D]` into heads `[B, H, N, D]`.
@@ -50,15 +43,14 @@ pub fn merge_heads(g: &mut Graph, x: NodeId) -> Result<NodeId, GraphError> {
     g.reshape(p, &[s.dim(0), s.dim(2), s.dim(1) * s.dim(3)])
 }
 
-/// Layer normalization with parameters named `{name}.gamma` / `{name}.beta`.
-/// A `String` name is moved onto the layernorm node.
-pub fn layernorm(g: &mut Graph, x: NodeId, name: impl Into<String>) -> Result<NodeId, GraphError> {
-    let name = name.into();
+/// Layer normalization with parameters named `{name}.gamma` / `{name}.beta`
+/// and the layernorm named `name`.
+pub fn layernorm(g: &mut Graph, x: NodeId, name: impl NodeName) -> Result<NodeId, GraphError> {
     let d = g.shape(x).last_dim();
-    let gamma = g.parameter(dotted(&name, "gamma"), &[d])?;
-    let beta = g.parameter(dotted(&name, "beta"), &[d])?;
+    let gamma = g.parameter((&name, ".gamma"), &[d])?;
+    let beta = g.parameter((&name, ".beta"), &[d])?;
     let y = g.layernorm(x, gamma, beta, 1e-5)?;
-    g.name_last(name);
+    g.name_last(&name)?;
     Ok(y)
 }
 
@@ -72,17 +64,17 @@ pub fn ffn(
     d_model: usize,
     d_ff: usize,
     act: Activation,
-    name: &str,
+    name: impl NodeName,
 ) -> Result<NodeId, GraphError> {
-    let h = linear(g, x, d_model, d_ff, dotted(name, "fc1"))?;
+    let h = linear(g, x, d_model, d_ff, (&name, ".fc1"))?;
     let a = g.activation(act, h)?;
-    g.name_last(dotted(name, act.name()));
+    g.name_last((&name, ".", act.name()))?;
     let second_in = if matches!(act, Activation::Glu) {
         d_ff / 2
     } else {
         d_ff
     };
-    linear(g, a, second_in, d_model, dotted(name, "fc2"))
+    linear(g, a, second_in, d_model, (&name, ".fc2"))
 }
 
 #[cfg(test)]
@@ -95,8 +87,8 @@ mod tests {
         let x = g.input("x", &[4, 10, 16]).unwrap();
         let y = linear(&mut g, x, 16, 32, "proj").unwrap();
         assert_eq!(g.shape(y).dims(), &[4, 10, 32]);
-        assert!(g.nodes().iter().any(|n| n.name == "proj.w"));
-        assert!(g.nodes().iter().any(|n| n.name == "proj.b"));
+        let names: Vec<&str> = (0..g.len()).map(|i| g.name(NodeId(i))).collect();
+        assert_eq!(names, ["x", "proj.w", "proj.b", "proj", ""]);
     }
 
     #[test]
@@ -131,10 +123,13 @@ mod tests {
         let x = g.input("x", &[2, 6, 16]).unwrap();
         let _ = ffn(&mut g, x, 16, 32, Activation::Glu, "ffn").unwrap();
         // fc1 keeps [16, 32]; GLU halves to 16 features; fc2 reads [16, 16].
-        let w1 = g.nodes().iter().find(|n| n.name == "ffn.fc1.w").unwrap();
-        assert_eq!(w1.shape.dims(), &[16, 32]);
-        let w2 = g.nodes().iter().find(|n| n.name == "ffn.fc2.w").unwrap();
-        assert_eq!(w2.shape.dims(), &[16, 16]);
+        let named = |name| g.nodes().iter().find(|n| g.name(n.id) == name).unwrap();
+        assert_eq!(named("ffn.fc1.w").shape.dims(), &[16, 32]);
+        assert_eq!(named("ffn.fc2.w").shape.dims(), &[16, 16]);
+        assert!(matches!(
+            named("ffn.glu").kind,
+            gaudi_graph::OpKind::Activation(_)
+        ));
     }
 
     #[test]
@@ -143,6 +138,6 @@ mod tests {
         let x = g.input("x", &[2, 6, 16]).unwrap();
         let y = layernorm(&mut g, x, "ln").unwrap();
         assert_eq!(g.shape(y).dims(), &[2, 6, 16]);
-        assert!(g.nodes().iter().any(|n| n.name == "ln.gamma"));
+        assert!(g.nodes().iter().any(|n| g.name(n.id) == "ln.gamma"));
     }
 }

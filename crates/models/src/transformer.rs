@@ -2,8 +2,8 @@
 
 use crate::attention::build_attention;
 use crate::config::TransformerLayerConfig;
-use crate::layers::{dotted, ffn, layernorm, linear, merge_heads, split_heads};
-use gaudi_graph::{autograd, Graph, GraphError, NodeId};
+use crate::layers::{ffn, layernorm, linear, merge_heads, split_heads};
+use gaudi_graph::{autograd, Graph, GraphError, NodeId, NodeName};
 
 /// The IDs a built layer exposes.
 #[derive(Debug, Clone)]
@@ -16,20 +16,21 @@ pub struct BuiltLayer {
     pub loss: Option<NodeId>,
 }
 
-/// Append one post-LN Transformer layer to `g`, reading from `x`.
+/// Append one post-LN Transformer layer to `g`, reading from `x`, its
+/// nodes named under the prefix `name`.
 pub fn transformer_layer(
     g: &mut Graph,
     x: NodeId,
     cfg: &TransformerLayerConfig,
-    name: &str,
+    name: impl NodeName,
     mask: Option<NodeId>,
 ) -> Result<NodeId, GraphError> {
     let d_model = cfg.model_dim();
 
     // Projections, head split.
-    let q = linear(g, x, d_model, d_model, dotted(name, "q_proj"))?;
-    let k = linear(g, x, d_model, d_model, dotted(name, "k_proj"))?;
-    let v = linear(g, x, d_model, d_model, dotted(name, "v_proj"))?;
+    let q = linear(g, x, d_model, d_model, (&name, ".q_proj"))?;
+    let k = linear(g, x, d_model, d_model, (&name, ".k_proj"))?;
+    let v = linear(g, x, d_model, d_model, (&name, ".v_proj"))?;
     let qh = split_heads(g, q, cfg.heads, cfg.head_dim)?;
     let kh = split_heads(g, k, cfg.heads, cfg.head_dim)?;
     let vh = split_heads(g, v, cfg.heads, cfg.head_dim)?;
@@ -37,11 +38,11 @@ pub fn transformer_layer(
     // Attention.
     let ctx = build_attention(g, cfg.attention, qh, kh, vh, mask)?;
     let merged = merge_heads(g, ctx)?;
-    let attn_out = linear(g, merged, d_model, d_model, dotted(name, "out_proj"))?;
+    let attn_out = linear(g, merged, d_model, d_model, (&name, ".out_proj"))?;
 
     // Residual + LN.
     let res1 = g.add(x, attn_out)?;
-    let ln1 = layernorm(g, res1, dotted(name, "ln1"))?;
+    let ln1 = layernorm(g, res1, (&name, ".ln1"))?;
 
     if !cfg.include_ffn {
         return Ok(ln1);
@@ -49,9 +50,9 @@ pub fn transformer_layer(
 
     // FFN + residual + LN.
     let d_ff = d_model * cfg.ffn_mult;
-    let f = ffn(g, ln1, d_model, d_ff, cfg.activation, &dotted(name, "ffn"))?;
+    let f = ffn(g, ln1, d_model, d_ff, cfg.activation, (&name, ".ffn"))?;
     let res2 = g.add(ln1, f)?;
-    layernorm(g, res2, dotted(name, "ln2"))
+    layernorm(g, res2, (&name, ".ln2"))
 }
 
 /// Build a standalone single-layer benchmark graph per the configuration.
@@ -152,6 +153,6 @@ mod tests {
         let mut cfg = TransformerLayerConfig::tiny();
         cfg.include_ffn = false;
         let (g, _) = build_transformer_layer(&cfg).unwrap();
-        assert!(!g.nodes().iter().any(|n| n.name.contains("ffn")));
+        assert!(!g.nodes().iter().any(|n| g.name(n.id).contains("ffn")));
     }
 }

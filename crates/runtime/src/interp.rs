@@ -36,18 +36,20 @@ impl From<TensorError> for InterpError {
 }
 
 /// Evaluate one non-source node given its input tensors.
-pub fn eval_node(_graph: &Graph, node: &Node, inputs: &[&Tensor]) -> Result<Tensor, InterpError> {
+pub fn eval_node(graph: &Graph, node: &Node, inputs: &[&Tensor]) -> Result<Tensor, InterpError> {
     if inputs.len() < node.inputs.len() {
         return Err(InterpError::Unsupported(format!(
             "node '{}' ({}) received {} of {} operands",
-            node.name,
+            graph.name(node.id),
             node.kind,
             inputs.len(),
             node.inputs.len()
         )));
     }
     let out = match &node.kind {
-        OpKind::Input | OpKind::Parameter => return Err(InterpError::Unbound(node.name.clone())),
+        OpKind::Input | OpKind::Parameter => {
+            return Err(InterpError::Unbound(graph.name(node.id).to_string()))
+        }
         OpKind::Collective(c) => {
             // Collectives need the values of every rank in the device group;
             // only the sharded executor (gaudi-runtime::shard) has them.
@@ -222,9 +224,12 @@ fn eval_activation_grad(act: Activation, x: &Tensor, dy: &Tensor) -> Result<Tens
     Ok(dx)
 }
 
-fn permute(x: &Tensor, order: &[usize]) -> Result<Tensor, InterpError> {
+fn permute(x: &Tensor, order: &[u8]) -> Result<Tensor, InterpError> {
     let in_shape = *x.shape();
-    let dims: Vec<usize> = order.iter().map(|&o| in_shape.dim(o)).collect();
+    let dims: Vec<usize> = order
+        .iter()
+        .map(|&o| in_shape.dim(usize::from(o)))
+        .collect();
     let out_shape = Shape::new(&dims)?;
     let out_strides = out_shape.strides();
     let mut out = vec![0.0f32; x.numel()];
@@ -232,7 +237,7 @@ fn permute(x: &Tensor, order: &[usize]) -> Result<Tensor, InterpError> {
         let coords = in_shape.unravel(idx);
         let mut oidx = 0usize;
         for (j, &o) in order.iter().enumerate() {
-            oidx += coords[o] * out_strides[j];
+            oidx += coords[usize::from(o)] * out_strides[j];
         }
         out[oidx] = x.data()[idx];
     }

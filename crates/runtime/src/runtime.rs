@@ -249,15 +249,16 @@ impl Runtime {
         }
 
         for node in g.nodes() {
+            let name = g.name(node.id);
             let value = match &node.kind {
                 OpKind::Input => feeds
                     .inputs
-                    .get(&node.name)
+                    .get(name)
                     .cloned()
-                    .ok_or_else(|| RuntimeError::MissingInput(node.name.clone()))?,
-                OpKind::Parameter => match feeds.inputs.get(&node.name) {
+                    .ok_or_else(|| RuntimeError::MissingInput(name.to_string()))?,
+                OpKind::Parameter => match feeds.inputs.get(name) {
                     Some(t) => t.clone(),
-                    None => init_param(&node.name, node.shape.dims(), feeds.param_std, &mut rng)?,
+                    None => init_param(name, node.shape.dims(), feeds.param_std, &mut rng)?,
                 },
                 _ => {
                     let inputs: Vec<&Tensor> = node
@@ -267,7 +268,7 @@ impl Runtime {
                             values[i.index()].as_ref().ok_or_else(|| {
                                 RuntimeError::Internal(format!(
                                     "operand of '{}' freed before use",
-                                    node.name
+                                    name
                                 ))
                             })
                         })
@@ -295,7 +296,7 @@ impl Runtime {
                 values[o.index()].clone().ok_or_else(|| {
                     RuntimeError::Internal(format!(
                         "output '{}' not retained to the end of the run",
-                        g.node(*o).name
+                        g.name(*o)
                     ))
                 })
             })

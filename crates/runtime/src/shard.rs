@@ -154,17 +154,14 @@ fn interpret_sharded(
     }
 
     for node in g.nodes() {
+        let name = g.name(node.id);
         let per_device: Vec<Tensor> = match &node.kind {
             OpKind::Input => {
                 let full = feeds
                     .inputs
-                    .get(&node.name)
-                    .ok_or_else(|| RuntimeError::MissingInput(node.name.clone()))?;
-                let shard = part
-                    .input_shards
-                    .get(&node.name)
-                    .copied()
-                    .unwrap_or_default();
+                    .get(name)
+                    .ok_or_else(|| RuntimeError::MissingInput(name.to_string()))?;
+                let shard = part.input_shards.get(name).copied().unwrap_or_default();
                 (0..world)
                     .map(|d| {
                         let mut t = full.clone();
@@ -181,14 +178,14 @@ fn interpret_sharded(
             OpKind::Parameter => {
                 // Draw / fetch the FULL parameter (same RNG stream and node
                 // order as the single-device interpreter), then shard it.
-                let tp_axis = part.param_shards.get(&node.name).copied();
+                let tp_axis = part.param_shards.get(name).copied();
                 let mut full_dims = node.shape.dims().to_vec();
                 if let Some(ax) = tp_axis {
                     full_dims[ax] *= tp;
                 }
-                let full = match feeds.inputs.get(&node.name) {
+                let full = match feeds.inputs.get(name) {
                     Some(t) => t.clone(),
-                    None => init_param(&node.name, &full_dims, feeds.param_std, &mut rng)?,
+                    None => init_param(name, &full_dims, feeds.param_std, &mut rng)?,
                 };
                 (0..world)
                     .map(|d| match tp_axis {
@@ -201,7 +198,7 @@ fn interpret_sharded(
                 let src = values[node.inputs[0].index()].as_ref().ok_or_else(|| {
                     RuntimeError::Internal(format!(
                         "collective operand of '{}' freed before use",
-                        node.name
+                        name
                     ))
                 })?;
                 eval_collective(*kind, src, parallel)?
@@ -214,7 +211,7 @@ fn interpret_sharded(
                         values[i.index()].as_ref().map(|v| &v[d]).ok_or_else(|| {
                             RuntimeError::Internal(format!(
                                 "operand of '{}' freed before use",
-                                node.name
+                                name
                             ))
                         })
                     })
@@ -244,7 +241,7 @@ fn interpret_sharded(
             let vals = values[o.index()].as_ref().ok_or_else(|| {
                 RuntimeError::Internal(format!(
                     "output '{}' not retained to the end of the run",
-                    g.node(o).name
+                    g.name(o)
                 ))
             })?;
             let mut groups = Vec::with_capacity(parallel.data);

@@ -38,15 +38,15 @@ impl Trainer {
         let mut rng = SeededRng::new(seed);
         let mut params = HashMap::new();
         for &p in &param_ids {
-            let node = graph.node(p);
-            let t = if node.name.ends_with(".gamma") {
+            let (node, name) = (graph.node(p), graph.name(p));
+            let t = if name.ends_with(".gamma") {
                 Tensor::ones(node.shape.dims()).expect("valid shape")
-            } else if node.name.ends_with(".beta") || node.name.ends_with(".b") {
+            } else if name.ends_with(".beta") || name.ends_with(".b") {
                 Tensor::zeros(node.shape.dims()).expect("valid shape")
             } else {
                 Tensor::randn(node.shape.dims(), 0.02, &mut rng).expect("valid shape")
             };
-            params.insert(node.name.clone(), t);
+            params.insert(name.to_string(), t);
         }
         Trainer {
             graph,
@@ -76,10 +76,10 @@ impl Trainer {
         let report = self.run(batch)?;
         let loss = report.outputs[0].data()[0];
         for (i, &p) in self.param_ids.iter().enumerate() {
-            let name = self.graph.node(p).name.clone();
+            let name = self.graph.name(p);
             let grad = &report.outputs[1 + i];
-            let theta = self.params.get_mut(&name).expect("param exists");
-            opt.update(&name, theta, grad);
+            let theta = self.params.get_mut(name).expect("param exists");
+            opt.update(name, theta, grad);
         }
         opt.next_step();
         Ok(StepReport {

@@ -49,7 +49,7 @@ use gaudi_hw::EngineId;
 use gaudi_models::decode::{build_decode_step_into, build_prefill_into};
 use gaudi_models::LlmConfig;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Compiled cost of one phase execution.
 #[derive(Debug, Clone, Copy, Default)]
@@ -157,15 +157,25 @@ impl PlanCache {
         PlanCache::default()
     }
 
+    /// The cache's state, taken from a poisoned lock too: a compile that
+    /// panicked leaves nothing a later call reads. The map and the counters
+    /// change only after a compile returns, and every build clears the
+    /// workspace graph before it builds into it (`CostContext::cost` even
+    /// takes the graph by value, leaving an empty one behind a panic).
+    fn lock(&self) -> MutexGuard<'_, PlanCacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Fetch `key`, compiling (and memoizing) it on first sight. `compile`
     /// gets the cache's workspace graph to build the shape into, and must
-    /// leave a graph there for the next cold shape.
+    /// leave a graph there for the next cold shape. A `compile` that
+    /// panics memoizes nothing, and the cache stays usable.
     pub fn get_or_compile(
         &self,
         key: PlanKey,
         compile: impl FnOnce(&mut Graph) -> Result<PhaseCost, ServingError>,
     ) -> Result<PhaseCost, ServingError> {
-        let mut inner = self.inner.lock().expect("plan cache lock");
+        let mut inner = self.lock();
         if let Some(&hit) = inner.map.get(&key) {
             inner.hits += 1;
             return Ok(hit);
@@ -179,7 +189,7 @@ impl PlanCache {
 
     /// Distinct plans cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache lock").map.len()
+        self.lock().map.len()
     }
 
     /// Whether nothing has been compiled yet.
@@ -189,7 +199,7 @@ impl PlanCache {
 
     /// Hit/miss/entry counters, for benchmarking and reports.
     pub fn stats(&self) -> PlanCacheStats {
-        let inner = self.inner.lock().expect("plan cache lock");
+        let inner = self.lock();
         PlanCacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -622,6 +632,40 @@ mod tests {
         // Same nominal request, different bucketing: 64- vs 16-token graphs.
         assert_eq!((cache.stats().misses, cache.len()), (2, 2));
         assert!(b.ms <= a.ms, "finer bucket prices a smaller graph");
+    }
+
+    #[test]
+    fn a_compile_that_panics_leaves_the_cache_usable() {
+        let cache = PlanCache::new();
+        let key = |len| PlanKey {
+            config: "tiny".into(),
+            shape: Shape {
+                phase: Decode,
+                batch: 1,
+                len,
+            },
+        };
+        let cost = |ms| PhaseCost {
+            ms,
+            ..PhaseCost::default()
+        };
+        let compile = |ms| move |_: &mut Graph| Ok(cost(ms));
+        assert_eq!(cache.get_or_compile(key(16), compile(1.0)).unwrap().ms, 1.0);
+        let panicked = std::panic::catch_unwind(|| {
+            cache.get_or_compile(key(32), |_| panic!("a compile that panics"))
+        });
+        assert!(panicked.is_err());
+        // The earlier key answers from the map, a new key compiles, and
+        // the counters count only the compiles that returned.
+        let unreachable = |_: &mut Graph| unreachable!("an earlier key is memoized");
+        assert_eq!(cache.get_or_compile(key(16), unreachable).unwrap().ms, 1.0);
+        assert_eq!(cache.get_or_compile(key(48), compile(3.0)).unwrap().ms, 3.0);
+        let stats = PlanCacheStats {
+            hits: 1,
+            misses: 2,
+            entries: 2,
+        };
+        assert_eq!((cache.stats(), cache.len()), (stats, 2));
     }
 
     fn paper_cm() -> CostModel {

@@ -148,12 +148,12 @@ fn phase_feeds(g: &gaudi_graph::Graph, vocab: usize, seed: u64) -> Feeds {
         if !matches!(node.kind, gaudi_graph::OpKind::Input) {
             continue;
         }
-        let dims: Vec<usize> = node.shape.dims().to_vec();
-        let t = if node.name == "ids" {
+        let (dims, name) = (node.shape.dims().to_vec(), g.name(node.id));
+        let t = if name == "ids" {
             let n: usize = dims.iter().product();
             let vals: Vec<f32> = (0..n).map(|i| ((i * 31 + 7) % vocab) as f32).collect();
             Tensor::from_vec(&dims, vals).unwrap()
-        } else if node.name == "causal_mask" {
+        } else if name == "causal_mask" {
             let (n, m) = (dims[0], dims[1]);
             let vals: Vec<f32> = (0..n)
                 .flat_map(|i| (0..m).map(move |j| if j <= i { 0.0 } else { -1e9 }))
@@ -162,7 +162,7 @@ fn phase_feeds(g: &gaudi_graph::Graph, vocab: usize, seed: u64) -> Feeds {
         } else {
             Tensor::randn(&dims, 0.5, &mut rng).unwrap()
         };
-        feeds = feeds.with_input(&node.name, t);
+        feeds = feeds.with_input(name, t);
     }
     feeds
 }

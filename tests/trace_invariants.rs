@@ -71,7 +71,8 @@ fn all_live(mut g: Graph) -> Graph {
 }
 
 /// Whether two graphs agree node for node (kind, inputs, shape, name) and
-/// in their marked outputs and storage dtype.
+/// in their marked outputs and storage dtype. Names are compared as text:
+/// where a graph keeps a name's bytes is its own business.
 fn same_graph(a: &Graph, b: &Graph) -> bool {
     a.len() == b.len()
         && a.outputs() == b.outputs()
@@ -81,7 +82,50 @@ fn same_graph(a: &Graph, b: &Graph) -> bool {
                 && x.kind == y.kind
                 && x.inputs == y.inputs
                 && x.shape == y.shape
-                && x.name == y.name
+                && a.name(x.id) == b.name(y.id)
+        })
+}
+
+/// The nodes a depth-first search from `g`'s marked outputs reaches, in
+/// id order: what dead-code elimination must keep (all of `g` when
+/// nothing is marked).
+fn reachable(g: &Graph) -> Vec<NodeId> {
+    if g.outputs().is_empty() {
+        return (0..g.len()).map(NodeId).collect();
+    }
+    let mut seen = vec![false; g.len()];
+    let mut stack = g.outputs().to_vec();
+    while let Some(id) = stack.pop() {
+        if !std::mem::replace(&mut seen[id.index()], true) {
+            stack.extend(g.node(id).inputs.iter().copied());
+        }
+    }
+    (0..g.len())
+        .map(NodeId)
+        .filter(|id| seen[id.index()])
+        .collect()
+}
+
+/// Whether `pruned` is `g` with exactly the nodes `kept` (in id order)
+/// left, renumbered in order: node `i` of `pruned` is node `kept[i]` of
+/// `g`, with its operands and the outputs renumbered the same way.
+fn keeps_exactly(g: &Graph, pruned: &Graph, kept: &[NodeId]) -> bool {
+    let renumber = |old: &NodeId| kept.binary_search(old).ok().map(NodeId);
+    pruned.len() == kept.len()
+        && pruned
+            .outputs()
+            .iter()
+            .map(|&o| Some(o))
+            .eq(g.outputs().iter().map(renumber))
+        && pruned.nodes().iter().zip(kept).all(|(p, &old)| {
+            let o = g.node(old);
+            p.kind == o.kind
+                && p.shape == o.shape
+                && pruned.name(p.id) == g.name(old)
+                && p.inputs
+                    .iter()
+                    .map(|&i| Some(i))
+                    .eq(o.inputs.iter().map(renumber))
         })
 }
 
@@ -174,7 +218,10 @@ proptest! {
         prop_assert!(eliminate_dead_code(&dead).unwrap().1 > 0);
         prop_assert_eq!(eliminate_dead_code(&live).unwrap().1, 0);
         for g in [base, dead, live] {
-            let (pruned, _) = eliminate_dead_code(&g).unwrap();
+            let (pruned, removed) = eliminate_dead_code(&g).unwrap();
+            let kept = reachable(&g);
+            prop_assert!(keeps_exactly(&g, &pruned, &kept));
+            prop_assert_eq!(removed, g.len() - kept.len());
             let (expected, _) = fuse_attention(&pruned).unwrap();
             for kind in [SchedulerKind::InOrder, SchedulerKind::Overlap] {
                 let (compiled, plan) = compile(&g, kind);
@@ -262,9 +309,9 @@ proptest! {
             ("b".into(), Tensor::randn(&[16, 8], 1.0, &mut rng).unwrap()),
         ];
         for node in g.nodes() {
-            if node.name.starts_with('w') {
+            if g.name(node.id).starts_with('w') {
                 feeds_base.push((
-                    node.name.clone(),
+                    g.name(node.id).to_string(),
                     Tensor::randn(node.shape.dims(), 1.0, &mut rng).unwrap(),
                 ));
             }

@@ -40,10 +40,10 @@ fn sgd_step_reduces_bert_mlm_loss() {
     let mut rng = SeededRng::new(17);
     let mut values: HashMap<String, Tensor> = HashMap::new();
     for &p in &params {
-        let node = graph.node(p);
+        let name = graph.name(p);
         values.insert(
-            node.name.clone(),
-            init_param(&node.name, node.shape.dims(), &mut rng),
+            name.to_string(),
+            init_param(name, graph.shape(p).dims(), &mut rng),
         );
     }
 
@@ -69,9 +69,9 @@ fn sgd_step_reduces_bert_mlm_loss() {
     // SGD update.
     let lr = 0.5f32;
     for (i, &p) in params.iter().enumerate() {
-        let name = graph.node(p).name.clone();
+        let name = graph.name(p);
         let grad = &report.outputs[1 + i];
-        let theta = values.get_mut(&name).unwrap();
+        let theta = values.get_mut(name).unwrap();
         assert_eq!(theta.dims(), grad.dims(), "{name}");
         for (t, g) in theta.data_mut().iter_mut().zip(grad.data()) {
             *t -= lr * g;
