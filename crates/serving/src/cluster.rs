@@ -314,9 +314,14 @@ pub fn simulate_cluster_with(
                 rr = (rr + 1) % cfg.boxes;
                 t
             }
-            RouterPolicy::LeastLoaded => (0..cfg.boxes)
-                .min_by_key(|&b| (routed_tokens[b], b))
-                .expect("boxes >= 1"),
+            // The first box with the fewest routed tokens: ties go low.
+            RouterPolicy::LeastLoaded => (1..cfg.boxes).fold(0, |least, b| {
+                if routed_tokens[b] < routed_tokens[least] {
+                    b
+                } else {
+                    least
+                }
+            }),
         };
         routed_tokens[target] += r.total_tokens() as u64;
         if target != home {
@@ -454,6 +459,24 @@ mod tests {
         assert!(ll.cross_box_requests > 0);
         // Token balancing beats (or ties) the hash's token balance.
         assert!(ll.imbalance() <= local.imbalance() + 1e-12);
+    }
+
+    #[test]
+    fn least_loaded_routes_equal_requests_like_round_robin() {
+        // Every request has the same length, so every routed request adds
+        // the same tokens: the least-loaded box is the first one of the
+        // fewest requests, which is round-robin's next box, ties going to
+        // the lowest box.
+        for (boxes, cards) in [(3, 1), (4, 2), (5, 1)] {
+            let mut cfg = cluster_config(boxes, cards, 97);
+            cfg.box_config.traffic.prompt_range = (24, 24);
+            cfg.box_config.traffic.output_range = (6, 6);
+            let rr = simulate_cluster(&cfg.clone().router(RouterPolicy::RoundRobin)).unwrap();
+            let mut ll = simulate_cluster(&cfg.router(RouterPolicy::LeastLoaded)).unwrap();
+            assert_eq!(ll.router, RouterPolicy::LeastLoaded);
+            ll.router = RouterPolicy::RoundRobin;
+            assert_eq!(format!("{ll:?}"), format!("{rr:?}"), "{boxes} boxes");
+        }
     }
 
     #[test]

@@ -246,7 +246,7 @@ impl Default for RecipeConfig {
 impl RecipeConfig {
     /// Round a batch size up to its bucket.
     pub fn bucketed_batch(&self, batch: usize) -> usize {
-        batch.max(1).div_ceil(self.batch_bucket) * self.batch_bucket
+        round_up(batch.max(1), self.batch_bucket)
     }
 
     /// Reject malformed warmup parameters before a simulation starts.
@@ -261,6 +261,17 @@ impl RecipeConfig {
             ));
         }
         Ok(())
+    }
+}
+
+/// `n` rounded up to a multiple of `bucket` (at least 1). Every phase is
+/// shaped through it, so a power-of-two bucket (the exact-batch `1`
+/// included) rounds with a mask instead of a division.
+fn round_up(n: usize, bucket: usize) -> usize {
+    if bucket.is_power_of_two() {
+        (n + bucket - 1) & !(bucket - 1)
+    } else {
+        n.div_ceil(bucket) * bucket
     }
 }
 
@@ -381,20 +392,24 @@ impl CostModel {
             Phase::Prefill => batch,
             Phase::Decode => ctx.recipes.bucketed_batch(batch).min(ctx.max_batch),
         };
-        let len = len.max(1).div_ceil(ctx.bucket) * ctx.bucket;
+        let len = round_up(len.max(1), ctx.bucket);
         Shape { phase, batch, len }
     }
 
-    /// The compiled cost of `shape`, from the table or else from the
-    /// shared [`PlanCache`] — bit-equal for every caller that asks for the
-    /// same shape. Pricing a shape does not warm it.
-    pub fn compiled(&mut self, shape: Shape) -> Result<PhaseCost, ServingError> {
-        if let Some(&(hit, _)) = self.table.get(&shape) {
+    /// The compiled cost of `shape` and whether this replica has run it
+    /// (paid its recipe warmup), from one probe of the table. A shape the
+    /// table lacks is fetched from the shared [`PlanCache`] — bit-equal
+    /// for every caller that asks for the same shape — and enters the
+    /// table cold. Pricing a shape does not warm it: a phase that runs a
+    /// cold shape calls [`warm`](Self::warm), and one dropped after
+    /// pricing leaves it cold.
+    pub fn compiled(&mut self, shape: Shape) -> Result<(PhaseCost, bool), ServingError> {
+        if let Some(&hit) = self.table.get(&shape) {
             return Ok(hit);
         }
         let cost = self.ctx.cost(shape)?;
         self.table.insert(shape, (cost, false));
-        Ok(cost)
+        Ok((cost, false))
     }
 
     /// Activation workspace of `shape` as `(planned, naive)` bytes: the
@@ -413,19 +428,10 @@ impl CostModel {
         Ok((mem.arena_bytes, mem.naive_bytes))
     }
 
-    /// Peek: the recipe warmup running `shape` would cost, without warming
-    /// it — for SLO checks that must not warm the table for work that is
-    /// then dropped.
-    pub fn warmup_ms(&self, shape: Shape) -> f64 {
-        match self.table.get(&shape) {
-            Some((_, true)) => 0.0,
-            _ => self.ctx.recipes.compile_ms,
-        }
-    }
-
     /// Run `shape`, which [`compiled`](Self::compiled) has priced: the
     /// first run warms it and returns the recipe warmup it costs, and
-    /// every later run costs nothing.
+    /// every later run costs nothing. The engine calls it only for a shape
+    /// its probe found cold.
     pub fn warm(&mut self, shape: Shape) -> f64 {
         match self.table.get_mut(&shape) {
             Some((_, warm)) if !*warm => {
@@ -471,7 +477,7 @@ mod tests {
     /// tokens.
     fn price(m: &mut CostModel, phase: Phase, batch: usize, len: usize) -> PhaseCost {
         let shape = m.shape(phase, batch, len);
-        m.compiled(shape).unwrap()
+        m.compiled(shape).unwrap().0
     }
 
     /// Every field of `c`, as bits.
@@ -533,7 +539,7 @@ mod tests {
         let mut m = CostModel::new(&cfg);
         // A large decode, then a small prefill into the graph it left.
         for shape in [m.shape(Decode, 8, 1024), m.shape(Prefill, 1, 10)] {
-            assert_eq!(bits(m.compiled(shape).unwrap()), fresh_bits(&cfg, shape));
+            assert_eq!(bits(m.compiled(shape).unwrap().0), fresh_bits(&cfg, shape));
         }
         // A shape whose build fails leaves the workspace usable.
         let empty = Shape {
@@ -548,7 +554,7 @@ mod tests {
             m.shape(Decode, 3, 512),
             m.shape(Prefill, 1, 10),
         ] {
-            assert_eq!(bits(m.compiled(shape).unwrap()), fresh_bits(&cfg, shape));
+            assert_eq!(bits(m.compiled(shape).unwrap().0), fresh_bits(&cfg, shape));
         }
     }
 
@@ -569,6 +575,19 @@ mod tests {
         assert_eq!(batch(Decode, 9), 10, "a bucket of 12 would pass 10 slots");
         assert_eq!(batch(Prefill, 1), 1, "prefill batches are never padded");
         assert_eq!(m.shape(Decode, 3, 100).slots(), 4 * 128);
+    }
+
+    #[test]
+    fn masked_rounding_equals_the_division_for_every_bucket() {
+        for bucket in 1..=70 {
+            for n in 1..=300 {
+                assert_eq!(
+                    round_up(n, bucket),
+                    n.div_ceil(bucket) * bucket,
+                    "{n}, {bucket}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -725,26 +744,83 @@ mod tests {
             ..cfg(64)
         });
         let shape = m.shape(Decode, 3, 50);
-        // Pricing and peeking do not warm the table…
-        m.compiled(shape).unwrap();
-        assert_eq!(m.warmup_ms(shape), 7.5);
-        assert_eq!(m.warmup_ms(shape), 7.5);
+        let cold = |m: &mut CostModel, shape| !m.compiled(shape).unwrap().1;
+        // Pricing, however often, does not warm the table…
+        assert!(cold(&mut m, shape));
+        assert!(cold(&mut m, shape));
         assert_eq!((m.compiled_graphs(), m.recipe_compiles()), (1, 0));
         // …the first run does, exactly once per shape.
         assert_eq!(m.warm(shape), 7.5);
         assert_eq!(m.warm(shape), 0.0);
-        assert_eq!(m.warmup_ms(shape), 0.0);
-        assert_eq!(m.warm(m.shape(Decode, 4, 64)), 0.0, "the same shape");
+        assert!(!cold(&mut m, shape));
+        let same = m.shape(Decode, 4, 64);
+        assert!(!cold(&mut m, same), "the same shape");
+        assert_eq!(m.warm(same), 0.0, "the same shape");
         // Phase, batch, and length are all part of the key.
         for other in [
             m.shape(Prefill, 4, 64),
             m.shape(Decode, 8, 64),
             m.shape(Decode, 4, 128),
         ] {
-            m.compiled(other).unwrap();
+            assert!(cold(&mut m, other));
             assert_eq!(m.warm(other), 7.5);
         }
         assert_eq!((m.compiled_graphs(), m.recipe_compiles()), (4, 4));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The recipe table under random phase sequences, driven as the
+        /// engine drives it (probe, then `warm` only for a shape the probe
+        /// found cold and only if the phase runs) and checked against a
+        /// reference kept here: the shapes each table has priced and run.
+        /// Each op is `(kind, batch, len, runs)`: kind 0 restarts the
+        /// replica with a fresh table over the same context, 1–2 price a
+        /// prefill and 3–7 a decode step, which runs or is dropped after
+        /// pricing.
+        #[test]
+        fn recipe_table_warms_and_counts_like_a_reference_under_random_phases(
+            ops in proptest::collection::vec(
+                (0u8..8, 1usize..12, 1usize..300, proptest::prelude::any::<bool>()),
+                1..48,
+            ),
+        ) {
+            use std::collections::HashSet;
+            let cfg = ServingConfig {
+                max_batch: 8,
+                recipes: RecipeConfig {
+                    compile_ms: 7.5,
+                    batch_bucket: 3,
+                },
+                ..cfg(64)
+            };
+            let ctx = Arc::new(CostContext::new(&cfg, Arc::new(PlanCache::new())));
+            let mut m = CostModel::with_context(Arc::clone(&ctx));
+            let (mut priced, mut run) = (HashSet::new(), HashSet::new());
+            let mut fresh = HashMap::new();
+            for (kind, batch, len, runs) in ops {
+                if kind == 0 {
+                    m = CostModel::with_context(Arc::clone(&ctx));
+                    (priced, run) = (HashSet::new(), HashSet::new());
+                    continue;
+                }
+                let phase = if kind < 3 { Prefill } else { Decode };
+                let shape = m.shape(phase, batch, len);
+                let (cost, warm) = m.compiled(shape).unwrap();
+                let want = *fresh.entry(shape).or_insert_with(|| fresh_bits(&cfg, shape));
+                proptest::prop_assert_eq!(bits(cost), want, "{:?}", shape);
+                proptest::prop_assert_eq!(warm, run.contains(&shape), "{:?}", shape);
+                priced.insert(shape);
+                if runs {
+                    let charged = if warm { 0.0 } else { m.warm(shape) };
+                    let first = run.insert(shape);
+                    proptest::prop_assert_eq!(charged, if first { 7.5 } else { 0.0 });
+                }
+                proptest::prop_assert_eq!(m.compiled_graphs(), priced.len());
+                proptest::prop_assert_eq!(m.recipe_compiles(), run.len() as u64);
+            }
+        }
     }
 
     #[test]

@@ -77,15 +77,15 @@
 //! same seed, same plan, bit-identical report.
 
 use crate::calendar::EventCalendar;
-use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeConfig};
+use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeConfig, Shape};
 use crate::error::ServingError;
 use crate::fault::Job;
 use crate::kv::{
     kv_row_bytes, resident_weight_bytes, ActivationBudget, KvAdmission, KvAdmissionConfig, KvLease,
+    KvStrategy,
 };
 use crate::report::{
-    CardRecords, CardTime, DropKind, DroppedRequest, Ranks, Records, RequestOutcome, ServingReport,
-    Tally,
+    CardRecords, CardTime, DropKind, Ranks, Records, RequestOutcome, ServingReport, Tally,
 };
 use crate::request::{ceil_us, generate_requests, Request, TrafficConfig};
 use crate::robustness::RobustnessConfig;
@@ -501,7 +501,9 @@ impl AdmissionQueue {
         // One turn of the ring: each job is popped once and the kept ones
         // go back in order, in the storage they came from.
         for _ in 0..self.jobs.len() {
-            let job = self.jobs.pop_front().expect("one pop per queued job");
+            let Some(job) = self.jobs.pop_front() else {
+                break;
+            };
             if lapsed(job.req.arrival_us) {
                 self.tokens -= job.req.total_tokens();
                 expired(job);
@@ -526,7 +528,7 @@ struct Replica<'a> {
     cfg: &'a ServingConfig,
     /// The replica's recipe table; replaced cold on restart.
     cost: CostModel,
-    kv: Box<dyn KvAdmission>,
+    kv: KvStrategy,
     /// Dispatched to this replica but not yet arrived, in submission order.
     pending: VecDeque<Job>,
     /// The FIFO admission queue.
@@ -639,18 +641,6 @@ impl<'a> Replica<'a> {
         }
     }
 
-    /// File a terminal drop record for `job`.
-    fn drop_job(&mut self, job: Job, kind: DropKind, at_ms: f64, tokens_generated: usize) {
-        self.records.file_dropped(DroppedRequest {
-            id: job.req.id,
-            arrival_ms: job.req.arrival_ms(),
-            kind,
-            at_ms,
-            retries: job.retries,
-            tokens_generated,
-        });
-    }
-
     /// Ingest arrivals (shedding past the queue bounds), refresh the depth
     /// gauges, and expire queued requests whose deadlines already lapsed.
     /// Runs at every phase boundary so arrivals during long phases are
@@ -662,8 +652,8 @@ impl<'a> Replica<'a> {
             .pop_front_if(|j| j.submitted_ms() <= self.clock_ms)
         {
             if rb.max_queue_depth.is_some_and(|d| self.waiting.len() >= d) {
-                let at = self.clock_ms;
-                self.drop_job(job, DropKind::Rejected, at, 0);
+                let rejected = job.dropped(DropKind::Rejected, self.clock_ms, 0);
+                self.records.file_dropped(rejected);
             } else {
                 self.waiting.push_back(job);
             }
@@ -684,9 +674,11 @@ impl<'a> Replica<'a> {
             rb.ttft_deadline_ms.is_some_and(|d| waited > d)
                 || rb.deadline_ms.is_some_and(|d| waited > d)
         };
-        let mut queue = std::mem::replace(&mut self.waiting, AdmissionQueue::new());
-        queue.expire(lapsed, |j| self.drop_job(j, DropKind::TimedOut, clock, 0));
-        self.waiting = queue;
+        // The closure borrows only the records, so the queue turns in place.
+        self.waiting.expire(lapsed, |j| {
+            self.records
+                .file_dropped(j.dropped(DropKind::TimedOut, clock, 0));
+        });
     }
 
     /// Free a finished request's KV lease and classify it: completed if
@@ -703,8 +695,8 @@ impl<'a> Replica<'a> {
         self.kv.release(lease);
         let latency = outcome.finish_ms - outcome.arrival_ms;
         if self.cfg.robustness.deadline_ms.is_some_and(|d| latency > d) {
-            let at = outcome.finish_ms;
-            self.drop_job(job, DropKind::TimedOut, at, generated);
+            let late = job.dropped(DropKind::TimedOut, outcome.finish_ms, generated);
+            self.records.file_dropped(late);
         } else {
             self.records.file_completed(outcome);
         }
@@ -818,7 +810,13 @@ impl<'a> Replica<'a> {
             return Ok(false);
         };
         let queue_ms = self.clock_ms - job.submitted_ms();
-        let (mut c, warmup) = self.price_admission(&job)?;
+        let (mut c, prefill) = self.price_admission(&job)?;
+        // A cold prefill shape's recipe warmup is peeked here and charged
+        // only once the prefill runs: a dropped request must not warm it.
+        let warmup = match prefill {
+            Some((_, false)) => self.cfg.recipes.compile_ms,
+            _ => 0.0,
+        };
         // Deadline-aware admission: a request whose first token could only
         // land past the TTFT SLO is dropped before wasting the engine time
         // — the load-shedding analogue of a server's "estimated wait
@@ -831,26 +829,27 @@ impl<'a> Replica<'a> {
             .is_some_and(|d| ttft_ms > d)
         {
             self.kv.release(lease);
-            let at = self.clock_ms;
-            self.drop_job(job, DropKind::TimedOut, at, 0);
+            let late = job.dropped(DropKind::TimedOut, self.clock_ms, 0);
+            self.records.file_dropped(late);
             return Ok(true);
         }
-        let generated = if snap > 0 {
-            self.record("kv_restore", &c);
-            self.report.restore_ms += c.ms;
-            self.report.recovered_tokens += snap as u64;
-            snap
-        } else {
+        let generated = if let Some((shape, warm)) = prefill {
             // First use of this prefill shape on this replica: the host
             // compiles a recipe before launch. Wall time only — no engine
             // is busy during a host compile.
-            let shape = self.cost.shape(Phase::Prefill, 1, job.req.prompt_len);
-            c.ms += self.cost.warm(shape);
+            if !warm {
+                c.ms += self.cost.warm(shape);
+            }
             self.report.scheduled_tokens += shape.slots();
             self.report.padded_tokens += shape.slots() - job.req.prompt_len;
             self.record("prefill", &c);
             self.report.prefills += 1;
             1
+        } else {
+            self.record("kv_restore", &c);
+            self.report.restore_ms += c.ms;
+            self.report.recovered_tokens += snap as u64;
+            snap
         };
         let mut a = Active::new(job, lease, generated, queue_ms, ttft_ms, self.clock_ms);
         // Only a single-token request finishes here: a snapshot is always
@@ -867,19 +866,24 @@ impl<'a> Replica<'a> {
         Ok(true)
     }
 
-    /// Price admitting `job` at the clock as `(cost, peeked warmup)`.
+    /// Price admitting `job` at the clock: its cost and, for a prefill,
+    /// its shape and whether the replica has run that shape, from one probe
+    /// of the recipe table that leaves the shape as cold as it found it.
     /// A restore copies the whole checkpointed chain — prompt KV plus the
     /// snapshotted decode tokens — back from host: a copy, not a compiled
-    /// graph, so it has no warmup, and the cold-cache recompiles still
-    /// land on the first prefill/decode shapes. A prefill's recipe warmup
-    /// is *peeked*, not charged: a dropped request must not warm the table.
-    fn price_admission(&mut self, job: &Job) -> Result<(PhaseCost, f64), ServingError> {
+    /// graph, so it has no shape and no warmup, and the cold-cache
+    /// recompiles still land on the first prefill/decode shapes.
+    fn price_admission(
+        &mut self,
+        job: &Job,
+    ) -> Result<(PhaseCost, Option<(Shape, bool)>), ServingError> {
         let (prompt, snap) = (job.req.prompt_len, job.checkpointed_tokens);
         if snap > 0 {
-            return Ok((self.kv_copy(prompt + snap).1, 0.0));
+            return Ok((self.kv_copy(prompt + snap).1, None));
         }
         let shape = self.cost.shape(Phase::Prefill, 1, prompt);
-        Ok((self.cost.compiled(shape)?, self.cost.warmup_ms(shape)))
+        let (c, warm) = self.cost.compiled(shape)?;
+        Ok((c, Some((shape, warm))))
     }
 
     /// One decode step advances every running request by one token;
@@ -889,15 +893,15 @@ impl<'a> Replica<'a> {
         if self.running.is_empty() {
             return Ok(false);
         }
-        self.grow_or_preempt();
+        let (max_ctx, live) = self.grow_or_preempt();
         // The step runs at the batch padded up to its recipe bucket (capped
         // at the slot count) and the longest context's bucket: coarser
         // buckets mean fewer distinct recipes but more dead slots per step.
-        let max_ctx = self.running.iter().map(|a| a.ctx).max().unwrap_or(1);
         let shape = self.cost.shape(Phase::Decode, self.running.len(), max_ctx);
-        let mut c = self.cost.compiled(shape)?;
-        c.ms += self.cost.warm(shape);
-        let live: usize = self.running.iter().map(|a| a.ctx).sum();
+        let (mut c, warm) = self.cost.compiled(shape)?;
+        if !warm {
+            c.ms += self.cost.warm(shape);
+        }
         self.report.scheduled_tokens += shape.slots();
         self.report.padded_tokens += shape.slots() - live;
         self.record("decode", &c);
@@ -931,8 +935,8 @@ impl<'a> Replica<'a> {
                         ..
                     } = self.running.swap_remove(i);
                     self.kv.release(lease);
-                    let at = self.clock_ms;
-                    self.drop_job(job, DropKind::TimedOut, at, generated);
+                    let late = job.dropped(DropKind::TimedOut, self.clock_ms, generated);
+                    self.records.file_dropped(late);
                 } else {
                     i += 1;
                 }
@@ -948,11 +952,17 @@ impl<'a> Replica<'a> {
     /// recomputed on re-admission (no KV migration is modeled), vLLM's
     /// recompute preemption. The loop terminates: every failure shrinks
     /// the batch by one, and the pre-scan guarantees a lone runner always
-    /// fits to completion.
-    fn grow_or_preempt(&mut self) {
+    /// fits to completion. Returns the survivors' longest context and
+    /// their summed contexts, the two figures the step is shaped and
+    /// counted by: a runner past the cursor is never evicted, so each
+    /// survivor is counted once, as it grows.
+    fn grow_or_preempt(&mut self) -> (usize, usize) {
+        let (mut max_ctx, mut live) = (0, 0);
         let mut g = 0;
         while let Some(a) = self.running.get_mut(g) {
             if self.kv.grow(&mut a.lease).is_ok() {
+                max_ctx = max_ctx.max(a.ctx);
+                live += a.ctx;
                 g += 1;
             } else if let Some(victim) = self.running.pop() {
                 let job = self.evict(victim);
@@ -964,6 +974,7 @@ impl<'a> Replica<'a> {
             !self.running.is_empty(),
             "a lone runner can always grow (pre-scan bounds its total)"
         );
+        (max_ctx, live)
     }
 
     /// With nothing running or queued, jump to the next dispatched arrival
@@ -1273,7 +1284,11 @@ pub(crate) fn simulate_records(
         // its dispatched work. `try_par_map` returns results in input
         // order and surfaces the lowest-index error, matching the serial
         // semantics.
-        let mut shards: Vec<VecDeque<Job>> = vec![VecDeque::new(); cfg.devices];
+        // Each card's deque is allocated once, at its largest shard size.
+        let per_card = requests.len().div_ceil(cfg.devices);
+        let mut shards: Vec<VecDeque<Job>> = (0..cfg.devices)
+            .map(|_| VecDeque::with_capacity(per_card))
+            .collect();
         for (i, r) in requests.into_iter().enumerate() {
             shards[i % cfg.devices].push_back(Job::fresh(r));
         }
@@ -1431,7 +1446,8 @@ fn simulate_box(
             for job in replicas[d].halt(t) {
                 let attempt = job.retries + 1;
                 if attempt > cfg.robustness.max_retries {
-                    replicas[d].drop_job(job, DropKind::Failed, t, 0);
+                    let failed = job.dropped(DropKind::Failed, t, 0);
+                    replicas[d].records.file_dropped(failed);
                 } else {
                     let id = job.req.id;
                     let at = t + cfg.robustness.backoff_delay_ms(id, attempt);
@@ -1579,6 +1595,7 @@ fn record_phase(trace: &mut Trace, name: &str, start_ms: f64, c: &PhaseCost) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::DroppedRequest;
 
     fn tiny_config() -> ServingConfig {
         let mut model = LlmConfig::tiny(97);
@@ -1612,7 +1629,7 @@ mod tests {
     /// tokens, ms.
     fn phase_ms(cfg: &ServingConfig, phase: Phase, batch: usize, len: usize) -> f64 {
         let mut cost = CostModel::new(cfg);
-        cost.compiled(cost.shape(phase, batch, len)).unwrap().ms
+        cost.compiled(cost.shape(phase, batch, len)).unwrap().0.ms
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! steps. A runner the paged KV pool preempts carries its snapshot the
 //! same way.
 
+use crate::report::{DropKind, DroppedRequest};
 use crate::request::{ceil_us, Request};
 
 /// One scheduling attempt of a request on a particular replica.
@@ -57,6 +58,24 @@ impl Job {
     /// Submission time of this attempt, ms.
     pub fn submitted_ms(&self) -> f64 {
         self.submitted_us as f64 / 1e3
+    }
+
+    /// The terminal record of this attempt, dropped as `kind` at `at_ms`
+    /// after generating `tokens_generated` tokens.
+    pub(crate) fn dropped(
+        &self,
+        kind: DropKind,
+        at_ms: f64,
+        tokens_generated: usize,
+    ) -> DroppedRequest {
+        DroppedRequest {
+            id: self.req.id,
+            arrival_ms: self.req.arrival_ms(),
+            kind,
+            at_ms,
+            retries: self.retries,
+            tokens_generated,
+        }
     }
 
     /// The next attempt after a replica failure at `at_ms`: re-queued at

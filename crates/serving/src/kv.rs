@@ -11,19 +11,21 @@
 //!   Reserving up front makes the capacity invariant airtight (an admitted
 //!   request can always finish), but every not-yet-generated output token
 //!   is dead headroom while the request decodes.
-//! * [`KvAdmissionConfig::Paged`] ([`PagedKv`](crate::paged::PagedKv))
-//!   allocates fixed-size blocks as the context actually grows (the vLLM
-//!   design): admission needs only the prompt's blocks, so many more
-//!   sequences fit the same HBM, at the price of block-rounding waste and
-//!   the possibility of preempting the newest sequence when the pool runs
-//!   dry mid-decode.
+//! * [`KvAdmissionConfig::Paged`] ([`PagedKv`]) allocates fixed-size
+//!   blocks as the context actually grows (the vLLM design): admission
+//!   needs only the prompt's blocks, so many more sequences fit the same
+//!   HBM, at the price of block-rounding waste and the possibility of
+//!   preempting the newest sequence when the pool runs dry mid-decode.
 //!
 //! Either way the model weights are resident up front and overflow turns
 //! into queueing backpressure (or deterministic preemption) instead of a
 //! mid-generation OOM. An admitted request holds a [`KvLease`] that
 //! records what its strategy reserved for it; the runner gives it back
-//! exactly once, so the strategies keep no table keyed by request id.
+//! exactly once, so the strategies keep no table keyed by request id. A
+//! replica holds its strategy as a [`KvStrategy`], a closed enum, so the
+//! lease growth of every runner in every decode step is a static call.
 
+use crate::paged::PagedKv;
 use gaudi_hw::config::MemoryConfig;
 use gaudi_hw::memory::{HbmTracker, OutOfMemory};
 use gaudi_models::LlmConfig;
@@ -155,20 +157,75 @@ impl KvAdmissionConfig {
         max_positions: usize,
         dtype: DType,
         activation_bytes: u64,
-    ) -> Result<Box<dyn KvAdmission>, OutOfMemory> {
+    ) -> Result<KvStrategy, OutOfMemory> {
         let resident = self.weight_bytes(model, max_positions, dtype) + activation_bytes;
         let per_token = self.kv_bytes_per_token(model, dtype);
-        match *self {
+        Ok(match *self {
             KvAdmissionConfig::Contiguous => {
-                Ok(Box::new(ContiguousKv::new(mem, resident, per_token)?))
+                KvStrategy::Contiguous(ContiguousKv::new(mem, resident, per_token)?)
             }
-            KvAdmissionConfig::Paged { block_tokens } => Ok(Box::new(crate::paged::PagedKv::new(
-                mem,
-                resident,
-                per_token,
-                block_tokens,
-            )?)),
+            KvAdmissionConfig::Paged { block_tokens } => {
+                KvStrategy::Paged(PagedKv::new(mem, resident, per_token, block_tokens)?)
+            }
+        })
+    }
+}
+
+/// One replica's KV admission state, as [`KvAdmissionConfig::build`] makes
+/// it: the configured strategy behind a closed enum. The engine grows every
+/// runner's lease once per decode step, so its calls dispatch by a `match`
+/// the compiler can see through, not through a vtable. The enum forwards
+/// each [`KvAdmission`] call to the strategy it holds, which stays the one
+/// interface both strategies implement.
+#[derive(Debug)]
+pub enum KvStrategy {
+    /// Worst-case contiguous reservation.
+    Contiguous(ContiguousKv),
+    /// Block-granular paged allocation.
+    Paged(PagedKv),
+}
+
+/// Forward one [`KvAdmission`] call to the strategy a [`KvStrategy`] holds.
+macro_rules! forward {
+    ($strategy:expr, $kv:ident => $call:expr) => {
+        match $strategy {
+            KvStrategy::Contiguous($kv) => $call,
+            KvStrategy::Paged($kv) => $call,
         }
+    };
+}
+
+impl KvAdmission for KvStrategy {
+    fn try_admit(&mut self, prompt_len: usize, output_len: usize) -> Result<KvLease, OutOfMemory> {
+        forward!(self, kv => kv.try_admit(prompt_len, output_len))
+    }
+
+    fn grow(&mut self, lease: &mut KvLease) -> Result<(), OutOfMemory> {
+        forward!(self, kv => kv.grow(lease))
+    }
+
+    fn release(&mut self, lease: KvLease) {
+        forward!(self, kv => kv.release(lease))
+    }
+
+    fn allocated(&self) -> u64 {
+        forward!(self, kv => kv.allocated())
+    }
+
+    fn peak(&self) -> u64 {
+        forward!(self, kv => kv.peak())
+    }
+
+    fn capacity(&self) -> u64 {
+        forward!(self, kv => kv.capacity())
+    }
+
+    fn max_admissible_tokens(&self) -> u64 {
+        forward!(self, kv => kv.max_admissible_tokens())
+    }
+
+    fn utilization_at_peak(&self) -> f64 {
+        forward!(self, kv => kv.utilization_at_peak())
     }
 }
 
@@ -231,22 +288,20 @@ impl KvLease {
 
     /// What the issuing strategy holds for this request: tokens of
     /// worst-case reservation ([`ContiguousKv`]) or KV blocks
-    /// ([`PagedKv`](crate::paged::PagedKv)).
+    /// ([`PagedKv`]).
     pub fn held(&self) -> usize {
         self.held
     }
 }
 
-/// Per-replica KV admission bookkeeping: what [`ServingConfig`]'s strategy
-/// selection dispatches to. One value per replica; each admitted request
-/// holds its [`KvLease`].
+/// Per-replica KV admission bookkeeping: the interface both strategies
+/// implement, and the one a replica's [`KvStrategy`] forwards to. One
+/// value per replica; each admitted request holds its [`KvLease`].
 ///
 /// The lifecycle per request is `try_admit` (or `try_restore`) → `grow`
 /// once per decode step → `release` exactly once (completion,
 /// cancellation, preemption, or halt). The lease carries what the
 /// release frees, so a release cannot fail.
-///
-/// [`ServingConfig`]: crate::ServingConfig
 pub trait KvAdmission: std::fmt::Debug + Send {
     /// Reserve the admission footprint of a request (`prompt_len + 1`
     /// live tokens; contiguous admission additionally pins the whole
@@ -535,7 +590,7 @@ mod tests {
         let m = LlmConfig::paper_section_3_4(50257);
         let per_token = KvAdmissionConfig::paged().kv_bytes_per_token(&m, DType::F32);
         let cap = 40 * per_token;
-        let mut kv = crate::paged::PagedKv::new(&mem(cap), 0, per_token, 16).unwrap();
+        let mut kv = PagedKv::new(&mem(cap), 0, per_token, 16).unwrap();
         let _held = kv.try_admit(20, 4).unwrap();
         let (before, free) = (kv.allocated(), kv.free_blocks());
         // Restoring 100 prompt + 30 generated needs far more than a block.

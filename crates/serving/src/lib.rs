@@ -82,7 +82,7 @@ pub use error::ServingError;
 pub use fault::Job;
 pub use gaudi_exec::ExecPool;
 pub use gaudi_hw::fault::{FaultCampaign, FaultError, FaultPlan};
-pub use kv::{ActivationBudget, ContiguousKv, KvAdmission, KvAdmissionConfig, KvLease};
+pub use kv::{ActivationBudget, ContiguousKv, KvAdmission, KvAdmissionConfig, KvLease, KvStrategy};
 pub use paged::PagedKv;
 pub use report::{DropKind, DroppedRequest, Percentiles, RequestOutcome, ServingReport};
 pub use request::{generate_requests, Request, TrafficConfig};
